@@ -5,8 +5,8 @@ stability, mc-validate.  Every run resolves its configuration from
 defaults, an optional config file (flat ``key = value`` lines or JSON)
 and command-line flags, in that order of precedence; the resolved
 configuration is embedded in every output file.  Output files carry no
-timestamps, so a fixed config and seed reproduce them byte for byte;
-wall-clock timing goes to a ``<out>.log`` sidecar.
+timestamps, so a fixed config reproduces them byte for byte; wall-clock
+timing goes to a ``<out>.log`` sidecar.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error,
 4 validation failure.
@@ -29,9 +29,7 @@ from .optimize import (
     OptimizationMode,
     OptimizerSettings,
     find_optimal_n,
-    optimize_pump,
-    optimize_scaled_reference,
-    optimize_uniform,
+    optimize_sizes,
     strategy_scan,
 )
 from .statistics import (
@@ -53,7 +51,6 @@ class ConfigError(Exception):
 
 _COMMON_DEFAULTS = {
     "config": None,
-    "seed": 0,
     "out": None,
     "format": "json",
     "threads": 1,
@@ -73,14 +70,8 @@ _TRUNC_DEFAULTS = {"i_max": 10, "tail_epsilon": 1e-12, "l_hard_cap": 400}
 _OPT_DEFAULTS = {
     "strategy": "spd",
     "mode": "per-unit",
-    "population": 200,
-    "max_generations": 500,
-    "stall_generations": 60,
-    "function_tolerance": 1e-9,
     "lambda_lower": 0.0,
     "lambda_upper": 5.0,
-    "restarts": 3,
-    "local_refine": True,
 }
 
 _SEARCH_DEFAULTS = {"n_ref": 100, "threshold": 1e-3}
@@ -88,8 +79,7 @@ _SEARCH_DEFAULTS = {"n_ref": 100, "threshold": 1e-3}
 _DEFAULTS_BY_COMMAND = {
     "eval": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS,
              "lam": None, "pump_file": None, "strategy": "spd"},
-    "optimize": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
-                 "pump_file": None},
+    "optimize": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS},
     "find-n": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
                **_SEARCH_DEFAULTS, "full_curve": False},
     "scan-strategies": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS,
@@ -101,7 +91,7 @@ _DEFAULTS_BY_COMMAND = {
                "rows": None},
     "stability": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
                   **_SEARCH_DEFAULTS, "resolution": 1e-4},
-    "mc-validate": {**_COMMON_DEFAULTS, **_TRUNC_DEFAULTS,
+    "mc-validate": {**_COMMON_DEFAULTS, **_TRUNC_DEFAULTS, "seed": 0,
                     "trials": 10_000_000, "max_count": 10, "sigma": 4.0,
                     "cases": None, "chunk_trials": 500_000},
 }
@@ -171,38 +161,45 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
 
 
+def _num(cfg: dict, key: str, kind: type = float):
+    """Config value ``key`` as a number; anything else is a config error."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+
+
+def _strategy(text: str) -> DetectionStrategy:
+    try:
+        return DetectionStrategy.parse(text)
+    except ParameterError as err:
+        raise ConfigError(str(err)) from None
+
+
 def _build_spec(cfg: dict, need_n: bool = True) -> MultiplexerSpec:
     _require(cfg, "v_r", "v_b", "v_d")
     if need_n:
         _require(cfg, "n")
-    n = int(cfg["n"]) if cfg.get("n") is not None else 1
+    n = _num(cfg, "n", int) if cfg.get("n") is not None else 1
     return MultiplexerSpec(
-        v_r=float(cfg["v_r"]),
-        v_b=float(cfg["v_b"]),
-        v_d=float(cfg["v_d"]),
+        v_r=_num(cfg, "v_r"),
+        v_b=_num(cfg, "v_b"),
+        v_d=_num(cfg, "v_d"),
         n_units=n,
-        v_t=float(cfg["v_t"]),
+        v_t=_num(cfg, "v_t"),
         source=cfg["source"],
     )
 
 
 def _build_trunc(cfg: dict) -> TruncationPolicy:
     return TruncationPolicy(
-        tail_epsilon=float(cfg["tail_epsilon"]), l_hard_cap=int(cfg["l_hard_cap"])
+        tail_epsilon=_num(cfg, "tail_epsilon"), l_hard_cap=_num(cfg, "l_hard_cap", int)
     )
 
 
 def _build_settings(cfg: dict) -> OptimizerSettings:
     return OptimizerSettings(
-        population=int(cfg["population"]),
-        max_generations=int(cfg["max_generations"]),
-        stall_generations=int(cfg["stall_generations"]),
-        function_tolerance=float(cfg["function_tolerance"]),
-        lambda_lower=float(cfg["lambda_lower"]),
-        lambda_upper=float(cfg["lambda_upper"]),
-        seed=int(cfg["seed"]),
-        restarts=int(cfg["restarts"]),
-        local_refine=bool(cfg["local_refine"]),
+        lambda_lower=_num(cfg, "lambda_lower"), lambda_upper=_num(cfg, "lambda_upper")
     )
 
 
@@ -211,12 +208,15 @@ def _load_pump_file(path: str) -> tuple[float, ...]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read pump file {path!r}: {err}") from None
-    if isinstance(data, dict):
-        if "lambdas" in data:
-            return tuple(float(x) for x in data["lambdas"])
-        rows = data.get("rows")
-        if rows:
-            return tuple(float(x) for x in rows[0]["lambdas"])
+    try:
+        if isinstance(data, dict):
+            if "lambdas" in data:
+                return tuple(float(x) for x in data["lambdas"])
+            rows = data.get("rows")
+            if rows:
+                return tuple(float(x) for x in rows[0]["lambdas"])
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"pump file {path!r} holds malformed 'lambdas'") from None
     raise ConfigError(f"pump file {path!r} holds no 'lambdas'")
 
 
@@ -275,10 +275,10 @@ def _write_log(out: str, elapsed: float, n_rows: int) -> None:
 def _cmd_eval(cfg: dict) -> int:
     spec = _build_spec(cfg)
     pump = _build_pump(cfg, spec.n_units)
-    strategy = DetectionStrategy.parse(cfg["strategy"])
+    strategy = _strategy(cfg["strategy"])
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
-    dist = output_distribution(spec, pump, strategy, i_max=int(cfg["i_max"]), trunc=trunc)
+    dist = output_distribution(spec, pump, strategy, i_max=_num(cfg, "i_max", int), trunc=trunc)
     for i, p in enumerate(dist.probs):
         print(f"P_{i} {float(p)!r}")
     print(f"truncation_mass {float(dist.truncation_mass)!r}")
@@ -310,20 +310,13 @@ def _cmd_eval(cfg: dict) -> int:
 
 def _cmd_optimize(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    strategy = DetectionStrategy.parse(cfg["strategy"])
-    mode = OptimizationMode.coerce(cfg["mode"])
+    strategy = _strategy(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    warm = None
-    if cfg.get("pump_file"):
-        warm = PumpProfile(_load_pump_file(cfg["pump_file"]))
     started = time.perf_counter()
-    if mode is OptimizationMode.PER_UNIT:
-        report = optimize_pump(spec, strategy, settings, warm_start=warm, trunc=trunc)
-    elif mode is OptimizationMode.UNIFORM:
-        report = optimize_uniform(spec, strategy, settings, trunc=trunc)
-    else:
-        report = optimize_scaled_reference(spec, strategy, settings, trunc=trunc)
+    (report,) = optimize_sizes(
+        spec, strategy, [spec.n_units], settings, mode=cfg["mode"], trunc=trunc
+    )
     elapsed = time.perf_counter() - started
     print(f"p1 {report.best_p1!r}")
     print(f"n_units {report.n_units}")
@@ -335,7 +328,7 @@ def _cmd_optimize(cfg: dict) -> int:
 
 def _cmd_find_n(cfg: dict) -> int:
     spec = _build_spec(cfg, need_n=False)
-    strategy = DetectionStrategy.parse(cfg["strategy"])
+    strategy = _strategy(cfg["strategy"])
     mode = OptimizationMode.coerce(cfg["mode"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
@@ -344,8 +337,8 @@ def _cmd_find_n(cfg: dict) -> int:
         spec,
         strategy,
         settings,
-        n_ref=int(cfg["n_ref"]),
-        threshold=float(cfg["threshold"]),
+        n_ref=_num(cfg, "n_ref", int),
+        threshold=_num(cfg, "threshold"),
         mode=mode,
         trunc=trunc,
     )
@@ -382,9 +375,9 @@ def _cmd_scan_strategies(cfg: dict) -> int:
         spec,
         settings,
         mode=mode,
-        n_ref=int(cfg["n_ref"]),
-        threshold=float(cfg["threshold"]),
-        max_accept=int(cfg["max_j"]),
+        n_ref=_num(cfg, "n_ref", int),
+        threshold=_num(cfg, "threshold"),
+        max_accept=_num(cfg, "max_j", int),
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -424,10 +417,8 @@ def _cmd_sweep(cfg: dict) -> int:
             continue
         if cfg.get(name) is None:
             raise ConfigError(f"parameter {name} is neither an axis nor fixed")
-        fixed.append((name, float(cfg[name])))
-    strategies = tuple(
-        DetectionStrategy.parse(s) for s in str(cfg["strategies"]).split(",") if s.strip()
-    )
+        fixed.append((name, _num(cfg, name)))
+    strategies = tuple(_strategy(s) for s in str(cfg["strategies"]).split(",") if s.strip())
     modes = tuple(
         OptimizationMode.coerce(m) for m in str(cfg["modes"]).split(",") if m.strip()
     )
@@ -436,7 +427,7 @@ def _cmd_sweep(cfg: dict) -> int:
         fixed=tuple(fixed),
         strategies=strategies,
         modes=modes,
-        v_t=float(cfg["v_t"]),
+        v_t=_num(cfg, "v_t"),
         source=cfg["source"],
     )
     settings = _build_settings(cfg)
@@ -447,13 +438,12 @@ def _cmd_sweep(cfg: dict) -> int:
     rows = exp.run_sweep(
         grid,
         settings,
-        n_ref=int(cfg["n_ref"]),
-        threshold=float(cfg["threshold"]),
-        master_seed=int(cfg["seed"]),
+        n_ref=_num(cfg, "n_ref", int),
+        threshold=_num(cfg, "threshold"),
         out_csv=out if use_csv else None,
         config=_provenance(cfg),
         resume=bool(cfg["resume"]),
-        threads=int(cfg["threads"]),
+        threads=_num(cfg, "threads", int),
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -471,18 +461,21 @@ def _cmd_table1(cfg: dict) -> int:
         combos = []
         for chunk in str(cfg["rows"]).split(";"):
             parts = [p for p in chunk.split(",") if p.strip()]
-            if len(parts) != 3:
+            try:
+                combo = tuple(float(p) for p in parts)
+            except ValueError:
+                combo = ()
+            if len(combo) != 3:
                 raise ConfigError(f"bad table row {chunk!r}; expected v_r,v_d,v_b")
-            combos.append(tuple(float(p) for p in parts))
+            combos.append(combo)
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
     rows = exp.reproduce_table1(
         settings,
         combos=combos,
-        n_ref=int(cfg["n_ref"]),
-        threshold=float(cfg["threshold"]),
-        master_seed=int(cfg["seed"]),
+        n_ref=_num(cfg, "n_ref", int),
+        threshold=_num(cfg, "threshold"),
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -498,7 +491,7 @@ def _cmd_table1(cfg: dict) -> int:
 
 def _cmd_stability(cfg: dict) -> int:
     spec = _build_spec(cfg, need_n=False)
-    strategy = DetectionStrategy.parse(cfg["strategy"])
+    strategy = _strategy(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
@@ -506,10 +499,9 @@ def _cmd_stability(cfg: dict) -> int:
         spec,
         strategy,
         settings,
-        n_ref=int(cfg["n_ref"]),
-        threshold=float(cfg["threshold"]),
-        master_seed=int(cfg["seed"]),
-        resolution=float(cfg["resolution"]),
+        n_ref=_num(cfg, "n_ref", int),
+        threshold=_num(cfg, "threshold"),
+        resolution=_num(cfg, "resolution"),
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -522,20 +514,22 @@ def _cmd_stability(cfg: dict) -> int:
 
 def _cmd_mc_validate(cfg: dict) -> int:
     trunc = _build_trunc(cfg)
-    sigma = float(cfg["sigma"])
-    limit = cfg.get("cases")
-    entries = VALIDATION_CORPUS if limit is None else VALIDATION_CORPUS[: int(limit)]
+    sigma = _num(cfg, "sigma")
+    entries = VALIDATION_CORPUS
+    if cfg.get("cases") is not None:
+        entries = entries[: _num(cfg, "cases", int)]
+    seed = _num(cfg, "seed", int)
     mc_base = dict(
-        trials=int(cfg["trials"]),
-        max_count=int(cfg["max_count"]),
-        chunk_trials=int(cfg["chunk_trials"]),
+        trials=_num(cfg, "trials", int),
+        max_count=_num(cfg, "max_count", int),
+        chunk_trials=_num(cfg, "chunk_trials", int),
     )
     started = time.perf_counter()
     report = []
     failures = 0
     for index, entry in enumerate(entries):
         spec, pump, strategy, case_seed = corpus_case(entry)
-        mc = McSettings(seed=case_seed + int(cfg["seed"]), **mc_base)
+        mc = McSettings(seed=case_seed + seed, **mc_base)
         comparison = compare_with_analytic(spec, pump, strategy, mc, trunc=trunc)
         ok = comparison.within(sigma)
         failures += 0 if ok else 1
@@ -576,7 +570,6 @@ def _cmd_mc_validate(cfg: dict) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key = value lines or JSON)")
-    parser.add_argument("--seed", type=int, help="random seed / master seed")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--threads", type=int, help="worker processes for sweeps")
@@ -601,17 +594,8 @@ def _add_trunc(parser: argparse.ArgumentParser) -> None:
 def _add_optimizer(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", help="spd | thd | upto:J | set:a,b,...")
     parser.add_argument("--mode", choices=[m.value for m in OptimizationMode])
-    parser.add_argument("--population", type=int)
-    parser.add_argument("--max-generations", dest="max_generations", type=int)
-    parser.add_argument("--stall-generations", dest="stall_generations", type=int)
-    parser.add_argument("--function-tolerance", dest="function_tolerance", type=float)
     parser.add_argument("--lambda-lower", dest="lambda_lower", type=float)
     parser.add_argument("--lambda-upper", dest="lambda_upper", type=float)
-    parser.add_argument("--restarts", type=int)
-    parser.add_argument(
-        "--no-local-refine", dest="local_refine", action="store_false",
-        help="skip the coordinate polish after the genetic search",
-    )
 
 
 def _add_search(parser: argparse.ArgumentParser) -> None:
@@ -644,7 +628,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec(p)
     _add_trunc(p)
     _add_optimizer(p)
-    p.add_argument("--pump-file", dest="pump_file", help="warm-start profile (JSON)")
 
     p = command("find-n", _cmd_find_n, "search the optimal number of units")
     _add_spec(p, with_n=False)
@@ -687,6 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("mc-validate", _cmd_mc_validate, "check the model against sampling")
     _add_trunc(p)
+    p.add_argument("--seed", type=int, help="offset added to every case's sampler seed")
     p.add_argument("--trials", type=int)
     p.add_argument("--max-count", dest="max_count", type=int)
     p.add_argument("--sigma", type=float, help="allowed deviation in standard errors")

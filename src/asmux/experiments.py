@@ -1,16 +1,14 @@
 """Parameter sweeps and reference result sets.
 
 Every operation emits self-contained :class:`ResultRow` records: a row
-carries all loss parameters, the strategy, the mode, the optimized pump
-profile and the seed, so any row can be re-evaluated or re-run on its
-own.  CSV and JSON writers embed the resolved configuration; timing
-lives outside the data files so outputs are byte-stable for a fixed
-seed.
+carries all loss parameters, the strategy, the mode and the optimized
+pump profile, so any row can be re-evaluated or re-run on its own.  CSV
+and JSON writers embed the resolved configuration; timing lives outside
+the data files so outputs are byte-stable for a fixed configuration.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +26,7 @@ from .optimize import (
     OptimizerSettings,
     find_optimal_n,
     optimize_pump,
-    optimize_scaled_reference,
-    optimize_uniform,
+    optimize_sizes,
     stability_interval,
 )
 from .statistics import (
@@ -44,11 +41,9 @@ __all__ = [
     "Axis",
     "SweepGrid",
     "ResultRow",
-    "EXPERIMENT_SETTINGS",
     "TABLE1_VR",
     "TABLE1_VD",
     "TABLE1_VB",
-    "cell_seed",
     "reproduce_table1",
     "delta_surface",
     "pair_deltas",
@@ -60,17 +55,6 @@ __all__ = [
     "write_json",
     "read_csv",
 ]
-
-# Reduced search budget for sweeps: the coordinate polish is exact on
-# this objective, so large GA populations only add runtime.  Validated
-# against the reference table by the acceptance suite.
-EXPERIMENT_SETTINGS = OptimizerSettings(
-    population=24,
-    max_generations=30,
-    stall_generations=8,
-    restarts=1,
-    seed=0,
-)
 
 TABLE1_VR = (0.90, 0.95, 0.99)
 TABLE1_VD = (0.80, 0.85, 0.90, 0.92, 0.94, 0.96, 0.98)
@@ -178,8 +162,6 @@ class ResultRow:
     p1: float
     lambda_uniform: float | None
     lambdas: tuple[float, ...]
-    evaluations: int
-    seed: int
     wall_time_s: float = 0.0
     delta_minus: float | None = None
     delta_plus: float | None = None
@@ -220,19 +202,10 @@ CSV_COLUMNS = (
     "p1",
     "lambda_uniform",
     "lambdas",
-    "evaluations",
-    "seed",
     "delta_minus",
     "delta_plus",
     "baseline_p1",
 )
-
-
-def cell_seed(master_seed: int, **coords) -> int:
-    """Stable per-cell seed derived by hashing the cell coordinates."""
-    canon = repr(sorted(coords.items())) + f"|{int(master_seed)}"
-    digest = hashlib.sha256(canon.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _row_from_report(
@@ -256,8 +229,6 @@ def _row_from_report(
         p1=report.best_p1,
         lambda_uniform=uniform,
         lambdas=lambdas,
-        evaluations=report.evaluations,
-        seed=report.seed_used,
         wall_time_s=wall_time_s,
     )
 
@@ -289,7 +260,6 @@ def reproduce_table1(
     combos: Sequence[tuple[float, float, float]] | None = None,
     n_ref: int = 100,
     threshold: float = 1e-3,
-    master_seed: int = 0,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Optimal size and probability for the reference loss-parameter table.
@@ -299,7 +269,6 @@ def reproduce_table1(
     combination (per-unit and uniform).  ``combos`` restricts the scan to
     a subset of (v_r, v_d, v_b) triples.
     """
-    settings = settings or EXPERIMENT_SETTINGS
     if combos is None:
         combos = [
             (v_r, v_d, v_b) for v_r in TABLE1_VR for v_d in TABLE1_VD for v_b in TABLE1_VB
@@ -309,11 +278,7 @@ def reproduce_table1(
     for v_r, v_d, v_b in combos:
         spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1)
         for mode in (OptimizationMode.PER_UNIT, OptimizationMode.UNIFORM):
-            seed = cell_seed(master_seed, v_r=v_r, v_d=v_d, v_b=v_b, mode=mode.value)
-            cell_settings = OptimizerSettings(**{**asdict(settings), "seed": seed})
-            rows.append(
-                _search_row(spec, spd, mode, cell_settings, n_ref, threshold, trunc)
-            )
+            rows.append(_search_row(spec, spd, mode, settings, n_ref, threshold, trunc))
     return rows
 
 
@@ -326,7 +291,6 @@ def delta_surface(
     settings: OptimizerSettings | None = None,
     n_ref: int = 100,
     threshold: float = 1e-3,
-    master_seed: int = 0,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Maximal probability of configuration A and B on every grid cell.
@@ -334,7 +298,6 @@ def delta_surface(
     Emits two rows per cell, A first; :func:`pair_deltas` turns the list
     into per-cell differences.
     """
-    settings = settings or EXPERIMENT_SETTINGS
     rows: list[ResultRow] = []
     for cell in grid.cells():
         spec = MultiplexerSpec(
@@ -346,13 +309,7 @@ def delta_surface(
             source=grid.source,
         )
         for strategy, mode in ((strategy_a, mode_a), (strategy_b, mode_b)):
-            seed = cell_seed(
-                master_seed, strategy=strategy.key, mode=mode.value, **cell
-            )
-            cell_settings = OptimizerSettings(**{**asdict(settings), "seed": seed})
-            rows.append(
-                _search_row(spec, strategy, mode, cell_settings, n_ref, threshold, trunc)
-            )
+            rows.append(_search_row(spec, strategy, mode, settings, n_ref, threshold, trunc))
     return rows
 
 
@@ -373,52 +330,25 @@ def fixed_n_curve(
     modes: Sequence[OptimizationMode],
     n_range: Iterable[int],
     settings: OptimizerSettings | None = None,
-    master_seed: int = 0,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Optimized probability at each fixed unit count, per pump mode.
 
-    The per-unit mode warm-starts each size from the previous solution.
-    Rows are ordered mode-major, then by size.
+    Each mode solves all sizes in one pass; a row's ``wall_time_s`` is
+    its share of that pass.  Rows are ordered mode-major, then by size.
     """
-    settings = settings or EXPERIMENT_SETTINGS
     sizes = sorted(int(n) for n in n_range)
     if not sizes or sizes[0] < 1:
         raise ParameterError("n_range must contain positive sizes")
     rows: list[ResultRow] = []
     for mode in modes:
-        mode = OptimizationMode.coerce(mode)
-        warm: PumpProfile | None = None
-        for n in sizes:
-            spec_n = spec.with_units(n)
-            seed = cell_seed(
-                master_seed,
-                v_r=spec.v_r,
-                v_d=spec.v_d,
-                v_b=spec.v_b,
-                mode=mode.value,
-                strategy=strategy.key,
-                n=n,
-            )
-            cell_settings = OptimizerSettings(**{**asdict(settings), "seed": seed})
-            started = time.perf_counter()
-            if mode is OptimizationMode.PER_UNIT:
-                report = optimize_pump(
-                    spec_n, strategy, cell_settings, warm_start=warm, trunc=trunc
-                )
-                lams = report.best_pump.lambdas
-                warm = PumpProfile(lams + (lams[-1],))
-            elif mode is OptimizationMode.UNIFORM:
-                report = optimize_uniform(spec_n, strategy, cell_settings, trunc=trunc)
-            else:
-                report = optimize_scaled_reference(
-                    spec_n, strategy, cell_settings, trunc=trunc
-                )
-            rows.append(
-                _row_from_report(
-                    spec_n, report, n_opt=None, wall_time_s=time.perf_counter() - started
-                )
-            )
+        started = time.perf_counter()
+        reports = optimize_sizes(spec, strategy, sizes, settings, mode, trunc)
+        share = (time.perf_counter() - started) / len(reports)
+        rows.extend(
+            _row_from_report(spec.with_units(r.n_units), r, n_opt=None, wall_time_s=share)
+            for r in reports
+        )
     return rows
 
 
@@ -428,7 +358,6 @@ def stability_report(
     settings: OptimizerSettings | None = None,
     n_ref: int = 100,
     threshold: float = 1e-3,
-    master_seed: int = 0,
     resolution: float = 1e-4,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> ResultRow:
@@ -439,7 +368,6 @@ def stability_report(
     The row carries the per-unit maximum as ``p1``, the uniform maximum
     as ``baseline_p1`` and the shift interval endpoints.
     """
-    settings = settings or EXPERIMENT_SETTINGS
     started = time.perf_counter()
     uniform_search = find_optimal_n(
         spec,
@@ -453,16 +381,7 @@ def stability_report(
     n_star = uniform_search.n_opt
     baseline = uniform_search.p1_max
     spec_star = spec.with_units(n_star)
-    seed = cell_seed(
-        master_seed,
-        v_r=spec.v_r,
-        v_d=spec.v_d,
-        v_b=spec.v_b,
-        strategy=strategy.key,
-        stage="stability",
-    )
-    cell_settings = OptimizerSettings(**{**asdict(settings), "seed": seed})
-    report = optimize_pump(spec_star, strategy, cell_settings, trunc=trunc)
+    report = optimize_pump(spec_star, strategy, settings, trunc=trunc)
     interval = stability_interval(
         spec_star, strategy, report.best_pump, baseline, resolution=resolution, trunc=trunc
     )
@@ -492,7 +411,6 @@ def vb_crossover(
     region survives longest at the lowest v_r and v_d, so a small corner
     grid stands in for the full surface.
     """
-    settings = settings or EXPERIMENT_SETTINGS
     spd = DetectionStrategy.single_photon()
     s12 = DetectionStrategy.accept_up_to(2)
 
@@ -529,15 +447,14 @@ def vb_crossover(
 
 def _sweep_job(args) -> ResultRow:
     (cell, v_t, source, strategy_key, mode_value, settings_dict, n_ref, threshold,
-     master_seed, trunc_fields) = args
+     trunc_fields) = args
     spec = MultiplexerSpec(
         v_r=cell["v_r"], v_b=cell["v_b"], v_d=cell["v_d"], n_units=1,
         v_t=v_t, source=source,
     )
     strategy = DetectionStrategy.parse(strategy_key)
     mode = OptimizationMode(mode_value)
-    seed = cell_seed(master_seed, strategy=strategy_key, mode=mode_value, **cell)
-    settings = OptimizerSettings(**{**settings_dict, "seed": seed})
+    settings = OptimizerSettings(**settings_dict)
     trunc = TruncationPolicy(**trunc_fields)
     return _search_row(spec, strategy, mode, settings, n_ref, threshold, trunc)
 
@@ -566,7 +483,6 @@ def run_sweep(
     settings: OptimizerSettings | None = None,
     n_ref: int = 100,
     threshold: float = 1e-3,
-    master_seed: int = 0,
     out_csv: str | Path | None = None,
     config: dict | None = None,
     resume: bool = True,
@@ -577,10 +493,11 @@ def run_sweep(
 
     When ``out_csv`` is given, finished rows are appended immediately so
     an interrupted sweep can resume: jobs whose key already appears in
-    the file are skipped.  Jobs are independent; with ``threads > 1``
+    the file are skipped, and a last row cut short by the interruption
+    is dropped and redone.  Jobs are independent; with ``threads > 1``
     they run in a process pool, and either way rows keep a fixed order.
     """
-    settings = settings or EXPERIMENT_SETTINGS
+    settings = settings or OptimizerSettings()
     jobs = []
     for cell in grid.cells():
         for strategy in grid.strategies:
@@ -595,27 +512,22 @@ def run_sweep(
                         asdict(settings),
                         n_ref,
                         threshold,
-                        master_seed,
                         asdict(trunc),
                     )
                 )
 
-    done_rows: list[ResultRow] = []
-    done_keys: set[tuple] = set()
-    if out_csv is not None and resume and Path(out_csv).exists():
-        done_rows = read_csv(out_csv)
-        done_keys = {_job_key(r) for r in done_rows}
-
+    path = None if out_csv is None else Path(out_csv)
+    append = resume and path is not None and path.exists() and _ready_to_append(path)
+    done_rows = read_csv(path) if append else []
+    done_keys = {_job_key(r) for r in done_rows}
     pending = [j for j in jobs if _job_key(j) not in done_keys]
 
     writer = None
     handle = None
-    if out_csv is not None:
-        path = Path(out_csv)
-        fresh = not (resume and path.exists())
-        handle = open(path, "w" if fresh else "a", newline="")
+    if path is not None:
+        handle = open(path, "a" if append else "w", newline="")
         writer = csv.writer(handle)
-        if fresh:
+        if not append:
             _write_csv_header(handle, writer, config)
 
     new_rows: list[ResultRow] = []
@@ -641,6 +553,33 @@ def run_sweep(
     by_key = {_job_key(r): r for r in done_rows}
     by_key.update({_job_key(r): r for r in new_rows})
     return [by_key[_job_key(j)] for j in jobs if _job_key(j) in by_key]
+
+
+def _ready_to_append(path: Path) -> bool:
+    """Ready a sweep CSV for appending; False when it holds no column header.
+
+    A record is complete when it ends in a newline and has one field per
+    column.  An incomplete last record, left by an interrupted write, is
+    cut off.  A file written with other columns is refused.
+    """
+    lines = path.read_bytes().splitlines(keepends=True)
+    records = [line for line in lines if not line.startswith(b"#")]
+    if not records:
+        return False
+    if records[0].endswith(b"\n") and _fields(records[0]) != list(CSV_COLUMNS):
+        raise ParameterError(f"{path} was written with other columns and cannot be resumed")
+    last = lines[-1]
+    if not last.startswith(b"#") and (
+        not last.endswith(b"\n") or len(_fields(last)) != len(CSV_COLUMNS)
+    ):
+        with open(path, "r+b") as handle:
+            handle.truncate(sum(map(len, lines[:-1])))
+        return len(records) > 1
+    return True
+
+
+def _fields(line: bytes) -> list[str]:
+    return next(csv.reader([line.decode("utf-8", "replace")]), [])
 
 
 # ----------------------------------------------------------------------
@@ -710,8 +649,6 @@ def read_csv(path: str | Path) -> list[ResultRow]:
                 lambdas=tuple(
                     float(x) for x in record["lambdas"].split(";") if x
                 ),
-                evaluations=int(record["evaluations"]),
-                seed=int(record["seed"]),
                 delta_minus=float(record["delta_minus"]) if record["delta_minus"] else None,
                 delta_plus=float(record["delta_plus"]) if record["delta_plus"] else None,
                 baseline_p1=float(record["baseline_p1"]) if record["baseline_p1"] else None,

@@ -20,7 +20,6 @@ from .exceptions import ParameterError
 __all__ = [
     "SourceFamily",
     "MultiplexerSpec",
-    "arm_transmission",
     "transmission_vector",
 ]
 
@@ -80,27 +79,6 @@ class MultiplexerSpec:
     def with_units(self, n_units: int) -> "MultiplexerSpec":
         """Copy of this spec with a different unit count."""
         return replace(self, n_units=n_units)
-
-
-def arm_transmission(spec: MultiplexerSpec, n: int) -> float:
-    """Total transmission of arm ``n`` (1-based).
-
-    Every arm carries the common factor ``v_b`` and one reflection per
-    router between it and the output (``v_r ** (n - 1)``).  All arms but
-    the last additionally traverse one router through-port (``v_t``);
-    the last arm enters the chain at its far end and has no through
-    passage.  A single-unit system has no routers and returns ``v_b``.
-    """
-    if not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"arm index must be an integer, got {n!r}")
-    if not 1 <= n <= spec.n_units:
-        raise ParameterError(
-            f"arm index {n} out of range for a {spec.n_units}-unit multiplexer"
-        )
-    base = spec.v_b * spec.v_r ** (n - 1)
-    if n < spec.n_units:
-        base *= spec.v_t
-    return base
 
 
 def transmission_vector(spec: MultiplexerSpec) -> np.ndarray:

@@ -2,13 +2,28 @@
 
 Three search spaces are supported: one mean photon number per unit, a
 single mean shared by all units, and a single mean rescaled per unit by
-the inverse arm transmission.  The per-unit search runs a seedable
-genetic algorithm followed by a coordinate-wise polish that sweeps the
-units from the last to the first.  Because the objective factorizes
-along the router chain, a backward sweep with exact line searches is a
-dynamic program over the units: each pass lands on the same profile
-regardless of the random seed, which is what makes reported optima
-reproducible.
+the inverse arm transmission.  Every optimizer solves a whole set of
+system sizes in one pass.  Arm ``n`` transmits ``v_b v_t v_r^(n-1)`` in
+every system larger than ``n``; only the last arm, which skips the
+through port (``v_b v_r^(N-1)``), depends on the size N.  So one table
+of through arms and one of last arms, over a grid of pump means, serve
+every size.
+
+* Per-unit: P1 factorizes along the router chain, and the chance that
+  the tail of the chain delivers does not depend on the pumps before
+  it, so the tail can be maximized first.  One backward pass over the
+  units carries the optimal tail value of every size still open; each
+  stage is a grid argmax refined by the vertex of the parabola through
+  the best grid point and its neighbours.  This dynamic program is
+  exact up to the stage refinement.
+* Uniform and scaled-reference: running products and sums over the
+  units give P1 for every grid value and every size at once; each
+  size's grid maximum is then refined by a golden-section search,
+  vectorized over sizes.
+
+Reported probabilities are evaluated once for all sizes together, with
+the series cutoff :func:`~asmux.statistics.output_distribution` uses for
+each profile, so every report re-evaluates to its ``best_p1``.
 """
 from __future__ import annotations
 
@@ -16,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -28,9 +44,7 @@ from .statistics import (
     TruncationPolicy,
     acceptance_weights,
     p1_profile_batch,
-    p1_uniform_grid,
     required_lmax,
-    single_photon_prob,
     source_pmf,
     transmit_one_weights,
 )
@@ -42,6 +56,7 @@ __all__ = [
     "OptimalSizeResult",
     "StrategyScanEntry",
     "StabilityInterval",
+    "optimize_sizes",
     "optimize_pump",
     "optimize_uniform",
     "optimize_scaled_reference",
@@ -53,6 +68,8 @@ __all__ = [
 _GRID_POINTS = 1001
 _SCALAR_GRID = 513
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# pair-number pmf cells per batch of profiles; bounds the memory of the tables
+_CHUNK_CELLS = 1 << 20
 
 
 class OptimizationMode(str, Enum):
@@ -72,44 +89,30 @@ class OptimizationMode(str, Enum):
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Search-budget and bound configuration for the optimizers."""
+    """Search bounds on the pump mean photon numbers."""
 
-    population: int = 200
-    max_generations: int = 500
-    stall_generations: int = 60
-    function_tolerance: float = 1e-9
     lambda_lower: float = 0.0
     lambda_upper: float = 5.0
-    seed: int = 0
-    restarts: int = 3
-    local_refine: bool = True
 
     def __post_init__(self) -> None:
-        if self.population < 10:
-            raise ParameterError(f"population must be >= 10, got {self.population}")
         if not self.lambda_lower < self.lambda_upper:
             raise ParameterError("lambda_lower must be strictly below lambda_upper")
         if self.lambda_lower < 0.0:
             raise ParameterError("lambda_lower must be >= 0")
-        if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_generations < 1 or self.stall_generations < 1:
-            raise ParameterError("generation counts must be >= 1")
-        if self.function_tolerance <= 0.0:
-            raise ParameterError("function_tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of one optimization run."""
+    """Outcome of one optimization at one system size.
+
+    ``upper_bound_hit`` is set when any entry of ``best_pump`` sits on
+    ``lambda_upper``, so the unconstrained optimum may lie beyond it.
+    """
 
     best_pump: PumpProfile
     best_p1: float
     strategy: DetectionStrategy
     n_units: int
-    evaluations: int
-    converged: bool
-    seed_used: int
     mode: OptimizationMode = OptimizationMode.PER_UNIT
     upper_bound_hit: bool = False
 
@@ -145,7 +148,7 @@ class StabilityInterval:
 
 
 # ----------------------------------------------------------------------
-# shared line-search machinery
+# tables shared by every size
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -159,29 +162,13 @@ def _grid_tables(
     return grid, pmf
 
 
-def _golden_max(f, a: float, b: float, xtol: float = 1e-6) -> tuple[float, float, int]:
-    """Deterministic golden-section maximization on [a, b]."""
-    evals = 0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals += 2
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    x = 0.5 * (a + b)
-    return x, f(x), evals + 1
+class _Chain:
+    """Arm weights of every requested size, on one series cutoff.
 
-
-class _ChainModel:
-    """Precomputed tables for stagewise line searches along the unit chain."""
+    ``through`` holds the one-photon weights of the arms 1..n_max-1 that
+    pass a router's through port, ``last`` those of the last arm of each
+    size in ``sizes``; both already include the admission weights.
+    """
 
     def __init__(
         self,
@@ -189,228 +176,275 @@ class _ChainModel:
         strategy: DetectionStrategy,
         settings: OptimizerSettings,
         trunc: TruncationPolicy,
+        sizes: np.ndarray,
     ) -> None:
-        self.l_max = required_lmax(spec.source, settings.lambda_upper, trunc)
-        self.weights = acceptance_weights(strategy, spec.v_d, self.l_max)
-        v = transmission_vector(spec)
-        self.one_photon = transmit_one_weights(v, self.l_max) * self.weights[None, :]
+        self.sizes = sizes
         self.family = spec.source
         self.lower = settings.lambda_lower
         self.upper = settings.lambda_upper
-        grid, pmf = _grid_tables(
-            spec.source, self.l_max, self.lower, self.upper, _GRID_POINTS
-        )
-        self.grid = grid
-        self.herald_grid = pmf @ self.weights
-        self.t_grid = pmf @ self.one_photon.T  # (G, N)
-
-    def stage_value(self, lam: float, unit: int, carry: float) -> float:
-        pmf = source_pmf(self.family, np.array([lam]), self.l_max)[0]
-        herald = float(pmf @ self.weights)
-        return float(pmf @ self.one_photon[unit]) + (1.0 - herald) * carry
+        self.l_max = required_lmax(spec.source, self.upper, trunc)
+        self.w = acceptance_weights(strategy, spec.v_d, self.l_max)
+        self.v_through = transmission_vector(spec.with_units(int(sizes[-1])))[:-1]
+        self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
+        self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
+        self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
 
 
-def _chain_sweep(model: _ChainModel, n_units: int) -> tuple[np.ndarray, float, int]:
-    """Backward coordinate sweep with per-stage parabolic refinement.
+# ----------------------------------------------------------------------
+# per-unit mode: backward dynamic program over the units
+# ----------------------------------------------------------------------
 
-    Maximizing unit ``n`` with all later units already optimal reduces
-    to a one-dimensional search of "this unit delivers one photon" plus
-    "this unit stays quiet and the tail of the chain delivers", so a
-    single last-to-first pass reaches the global optimum.
+def _per_unit_profiles(chain: _Chain) -> np.ndarray:
+    """Optimal per-unit profiles, one zero-padded row per size.
+
+    Maximizing unit ``n`` with every later unit already optimal is a
+    one-dimensional search of "this unit delivers one photon" plus "this
+    unit stays quiet and the tail of the chain delivers", so a single
+    last-to-first pass reaches the optimum.  The pass carries one tail
+    value per size larger than the current unit; a size joins at its
+    last unit with an empty tail.
     """
-    grid = model.grid
-    h = grid[1] - grid[0]
-    lam = np.empty(n_units)
-    carry = 0.0
-    evals = 0
-    for unit in range(n_units - 1, -1, -1):
-        vals = model.t_grid[:, unit] + (1.0 - model.herald_grid) * carry
-        k = int(np.argmax(vals))
-        best_x, best_f = float(grid[k]), float(vals[k])
-        if 0 < k < len(grid) - 1:
-            y0, y1, y2 = float(vals[k - 1]), float(vals[k]), float(vals[k + 1])
-            den = y0 - 2.0 * y1 + y2
-            if den < 0.0:
-                vertex = best_x + 0.5 * h * (y0 - y2) / den
-                vertex = min(max(vertex, model.lower), model.upper)
-                f_vertex = model.stage_value(vertex, unit, carry)
-                evals += 1
-                if f_vertex > best_f:
-                    best_x, best_f = vertex, f_vertex
-        lam[unit] = best_x
-        carry = best_f
-        evals += len(grid)
-    return lam, carry, evals
+    grid, pmf = _grid_tables(
+        chain.family, chain.l_max, chain.lower, chain.upper, _GRID_POINTS
+    )
+    step = grid[1] - grid[0]
+    quiet = 1.0 - pmf @ chain.w  # (G,)
+    t_through = pmf @ chain.through.T  # (G, n_max-1)
+    t_last = pmf @ chain.last.T  # (G, sizes)
+    sizes = chain.sizes
+    lam = np.zeros((sizes.size, int(sizes[-1])))
+    carry = np.zeros(sizes.size)
+    for unit in range(int(sizes[-1]) - 1, -1, -1):
+        first = int(np.searchsorted(sizes, unit + 1))  # sizes[first:] > unit
+        k = sizes.size - first
+        tail = carry[first:]
+        vals = quiet[:, None] * tail
+        weights = np.empty((k, chain.l_max + 1))
+        joins = int(sizes[first] == unit + 1)
+        if joins:
+            vals[:, 0] += t_last[:, first]
+            weights[0] = chain.last[first]
+        if joins < k:
+            vals[:, joins:] += t_through[:, unit, None]
+            weights[joins:] = chain.through[unit]
+        cols = np.arange(k)
+        best = np.argmax(vals, axis=0)
+        x = grid[best]
+        f = vals[best, cols]
+        y0 = vals[np.maximum(best - 1, 0), cols]
+        y2 = vals[np.minimum(best + 1, grid.size - 1), cols]
+        den = y0 - 2.0 * f + y2
+        refine = np.flatnonzero((best > 0) & (best < grid.size - 1) & (den < 0.0))
+        if refine.size:
+            vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
+            vertex = np.clip(vertex, chain.lower, chain.upper)
+            p = source_pmf(chain.family, vertex, chain.l_max)
+            f_vertex = np.einsum("rl,rl->r", p, weights[refine]) + (
+                1.0 - p @ chain.w
+            ) * tail[refine]
+            better = f_vertex > f[refine]
+            x[refine[better]] = vertex[better]
+            f[refine[better]] = f_vertex[better]
+        lam[first:, unit] = x
+        carry[first:] = f
+    return lam
 
 
 # ----------------------------------------------------------------------
-# genetic algorithm
+# uniform and scaled-reference modes: one free scalar per size
 # ----------------------------------------------------------------------
 
-def _ga_search(
-    fitness,
-    n_dim: int,
-    settings: OptimizerSettings,
-    seed_seq: np.random.SeedSequence,
-    seeds: list[np.ndarray],
-) -> tuple[np.ndarray, float, int, bool]:
-    """One GA run: tournament selection, uniform crossover, Gaussian mutation."""
-    rng = np.random.default_rng(seed_seq)
-    lo, hi = settings.lambda_lower, settings.lambda_upper
-    span = hi - lo
-    pop_size = settings.population
-    pop = rng.uniform(lo, hi, size=(pop_size, n_dim))
-    for i, s in enumerate(seeds[:pop_size]):
-        pop[i] = np.clip(s, lo, hi)
-    fit = fitness(pop)
-    evals = pop_size
+def _in_batches(n: int, cells_per_item: int, fn) -> np.ndarray:
+    """``fn`` over slices of ``range(n)`` of at most ``_CHUNK_CELLS`` cells, concatenated."""
+    step = max(1, _CHUNK_CELLS // cells_per_item)
+    return np.concatenate([fn(slice(s, s + step)) for s in range(0, n, step)])
 
-    best_i = int(np.argmax(fit))
-    best_x, best_f = pop[best_i].copy(), float(fit[best_i])
-    stall = 0
-    stalled = False
-    p_mut = 1.0 / n_dim
 
-    for gen in range(1, settings.max_generations + 1):
-        order = np.argsort(-fit)
-        elites = pop[order[:2]].copy()
-        elite_fit = fit[order[:2]].copy()
+def _scalar_p1(
+    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """P1 of the one-parameter profiles at scalars ``xs``.
 
-        n_children = pop_size - 2
-        contenders = rng.integers(0, pop_size, size=(n_children, 3))
-        winners = contenders[np.arange(n_children), np.argmax(fit[contenders], axis=1)]
-        parents = pop[winners]
-        partners = parents[::-1]
+    Without ``cols`` the result is a (len(xs), len(sizes)) table over
+    every size; with ``cols``, scalar ``xs[i]`` is taken at size
+    ``sizes[cols[i]]`` only.
+    """
+    return _in_batches(
+        xs.size,
+        (chain.v_through.size + chain.sizes.size) * (chain.l_max + 1),
+        lambda part: _scalar_p1_batch(
+            chain, scaled, xs[part], None if cols is None else cols[part]
+        ),
+    )
 
-        do_cross = rng.random(n_children) < 0.8
-        swap = rng.random((n_children, n_dim)) < 0.5
-        children = np.where(do_cross[:, None] & swap, partners, parents)
 
-        sigma = 0.05 * span * max(0.1, 1.0 - gen / settings.max_generations)
-        mutate = rng.random((n_children, n_dim)) < p_mut
-        noise = rng.normal(0.0, sigma, size=(n_children, n_dim))
-        children = np.clip(np.where(mutate, children + noise, children), lo, hi)
+def _scalar_p1_batch(
+    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None
+) -> np.ndarray:
+    # The arms before the last one do not depend on the size: their
+    # running no-admission products and one-photon sums serve every size.
+    n_through = chain.v_through.size
+    if scaled:
+        lam = np.minimum(xs[:, None] / chain.v_through, chain.upper)
+    else:
+        lam = xs[:, None]  # one mean for every unit
+    pmf = source_pmf(chain.family, lam, chain.l_max)
+    quiet = np.broadcast_to(1.0 - pmf @ chain.w, (xs.size, n_through))
+    t = np.einsum("...l,...l->...", pmf, chain.through)  # (K, n_through)
+    prefix = np.ones((xs.size, n_through + 1))
+    np.cumprod(quiet, axis=1, out=prefix[:, 1:])
+    head = np.zeros((xs.size, n_through + 1))
+    np.cumsum(prefix[:, :-1] * t, axis=1, out=head[:, 1:])
 
-        child_fit = fitness(children)
-        evals += n_children
-        pop = np.vstack([elites, children])
-        fit = np.concatenate([elite_fit, child_fit])
+    if cols is None:
+        rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], slice(None)
+    else:
+        rows, x, pick = np.arange(xs.size), xs, cols
+    lam_last = np.minimum(x / chain.v_last[pick], chain.upper) if scaled else x
+    t_last = np.einsum(
+        "...l,...l->...",
+        source_pmf(chain.family, lam_last, chain.l_max),
+        chain.last[pick],
+    )
+    at = chain.sizes[pick] - 1
+    return head[rows, at] + prefix[rows, at] * t_last
 
-        gen_i = int(np.argmax(fit))
-        gen_f = float(fit[gen_i])
-        if gen_f > best_f:
-            if gen_f > best_f + settings.function_tolerance:
-                stall = 0
-            else:
-                stall += 1
-            best_x, best_f = pop[gen_i].copy(), gen_f
-        else:
-            stall += 1
-        if stall >= settings.stall_generations:
-            stalled = True
-            break
-    return best_x, best_f, evals, stalled
+
+def _golden_max(f, a: np.ndarray, b: np.ndarray, xtol: float = 1e-6):
+    """Golden-section maximization on every interval [a_i, b_i] at once.
+
+    ``f`` maps a vector of points, one per interval, to their values.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while np.max(b - a) > xtol:
+        left = fc > fd  # the maximum lies in [a, d]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_probe = f(probe)
+        c, fc = np.where(left, probe, keep), np.where(left, f_probe, f_keep)
+        d, fd = np.where(left, keep, probe), np.where(left, f_keep, f_probe)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
+    """Best one-parameter profile of every size, one zero-padded row per size."""
+    sizes = chain.sizes
+    grid = np.linspace(chain.lower, chain.upper, _SCALAR_GRID)
+    table = _scalar_p1(chain, scaled, grid)
+    cols = np.arange(sizes.size)
+    k = np.argmax(table, axis=0)
+    a = grid[np.maximum(k - 1, 0)]
+    b = grid[np.minimum(k + 1, grid.size - 1)]
+    x, fx = _golden_max(lambda xs: _scalar_p1(chain, scaled, xs, cols), a, b)
+    best = np.where(fx > table[k, cols], x, grid[k])
+
+    n_max = int(sizes[-1])
+    lam = np.zeros((sizes.size, n_max))
+    if scaled:
+        lam[:, :-1] = np.minimum(best[:, None] / chain.v_through, chain.upper)
+        last = np.minimum(best / chain.v_last, chain.upper)
+    else:
+        lam[:, :-1] = best[:, None]
+        last = best
+    lam[:, :-1] *= np.arange(n_max - 1) < (sizes[:, None] - 1)
+    lam[cols, sizes - 1] = last
+    return lam
 
 
 # ----------------------------------------------------------------------
 # public optimizers
 # ----------------------------------------------------------------------
 
-def _finalize(
+def _reported_p1(chain: _Chain, lam: np.ndarray, trunc: TruncationPolicy) -> np.ndarray:
+    """P1 of each zero-padded profile (one row per size) at its size.
+
+    Each profile's pair-number series is cut where
+    :func:`~asmux.statistics.output_distribution` cuts it, so both agree
+    to rounding.  That cutoff never exceeds the chain's, whose weights
+    are elementwise in the pair number and so serve truncated.  Padded
+    units (mean zero) never fire and deliver nothing.
+    """
+    return _in_batches(
+        lam.shape[0],
+        lam.shape[1] * (chain.l_max + 1),
+        lambda part: _reported_p1_batch(chain, lam, part, trunc),
+    )
+
+
+def _reported_p1_batch(
+    chain: _Chain, lam: np.ndarray, part: slice, trunc: TruncationPolicy
+) -> np.ndarray:
+    lam, sizes, last = lam[part], chain.sizes[part], chain.last[part]
+    cutoffs = np.array([required_lmax(chain.family, float(row.max()), trunc) for row in lam])
+    keep = int(cutoffs.max()) + 1
+    pmf = source_pmf(chain.family, lam, keep - 1)  # (sizes, n_max, keep)
+    pmf *= np.arange(keep) <= cutoffs[:, None, None]
+    rows = np.arange(sizes.size)
+    t = np.zeros(lam.shape)
+    t[:, :-1] = np.einsum("snl,nl->sn", pmf[:, :-1], chain.through[:, :keep])
+    t[rows, sizes - 1] = np.einsum("sl,sl->s", pmf[rows, sizes - 1], last[:, :keep])
+    prefix = np.ones(lam.shape)
+    np.cumprod(1.0 - pmf[:, :-1] @ chain.w[:keep], axis=1, out=prefix[:, 1:])
+    return np.einsum("sn,sn->s", prefix, t)
+
+
+def optimize_sizes(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
-    settings: OptimizerSettings,
-    trunc: TruncationPolicy,
-    candidates: list[np.ndarray],
-    evaluations: int,
-    converged: bool,
-    mode: OptimizationMode,
-    upper_bound_hit: bool = False,
-) -> OptimizationReport:
-    """Rank candidate profiles by the canonical evaluator and build the report."""
-    best_pump = None
-    best_p1 = -np.inf
-    for cand in candidates:
-        pump = PumpProfile(tuple(float(x) for x in np.atleast_1d(cand)))
-        p1 = single_photon_prob(spec, pump, strategy, trunc)
-        evaluations += 1
-        if p1 > best_p1:
-            best_pump, best_p1 = pump, p1
-    return OptimizationReport(
-        best_pump=best_pump,
-        best_p1=best_p1,
-        strategy=strategy,
-        n_units=spec.n_units,
-        evaluations=evaluations,
-        converged=converged,
-        seed_used=settings.seed,
-        mode=mode,
-        upper_bound_hit=upper_bound_hit,
-    )
+    sizes: Iterable[int],
+    settings: OptimizerSettings | None = None,
+    mode: OptimizationMode | str = OptimizationMode.PER_UNIT,
+    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+) -> tuple[OptimizationReport, ...]:
+    """Maximize the single-photon probability at every size in ``sizes``.
+
+    All sizes are solved in one pass; the work grows with the largest
+    size, not with the number of sizes.  Reports come in ascending size
+    order, one per distinct size.  ``spec.n_units`` is ignored.
+    """
+    settings = settings or OptimizerSettings()
+    mode = OptimizationMode.coerce(mode)
+    sizes = np.unique(np.asarray(list(sizes), dtype=int))
+    if sizes.size == 0 or sizes[0] < 1:
+        raise ParameterError("sizes must be a nonempty set of positive unit counts")
+    chain = _Chain(spec, strategy, settings, trunc, sizes)
+    if mode is OptimizationMode.PER_UNIT:
+        lam = _per_unit_profiles(chain)
+    else:
+        lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
+    p1 = _reported_p1(chain, lam, trunc)
+    reports = []
+    for row, n, value in zip(lam, sizes.tolist(), p1.tolist()):
+        profile = row[:n]
+        reports.append(
+            OptimizationReport(
+                best_pump=PumpProfile(tuple(profile.tolist())),
+                best_p1=value,
+                strategy=strategy,
+                n_units=n,
+                mode=mode,
+                upper_bound_hit=bool(np.any(profile >= settings.lambda_upper)),
+            )
+        )
+    return tuple(reports)
 
 
 def optimize_pump(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
     settings: OptimizerSettings | None = None,
-    warm_start: PumpProfile | None = None,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OptimizationReport:
-    """Maximize the single-photon probability over per-unit pump means.
-
-    Runs ``settings.restarts`` independent GA searches and, when
-    ``settings.local_refine`` is set, polishes with backward coordinate
-    sweeps.  A warm-start profile joins the initial population and is
-    never beaten by the returned report.  Fixed seed gives a bit-for-bit
-    reproducible report.
-    """
-    settings = settings or OptimizerSettings()
-    n_dim = spec.n_units
-
-    def fitness(mat: np.ndarray) -> np.ndarray:
-        return p1_profile_batch(spec, strategy, mat, trunc)
-
-    seeds: list[np.ndarray] = []
-    candidates: list[np.ndarray] = []
-    if warm_start is not None:
-        if len(warm_start) != n_dim:
-            raise ParameterError(
-                f"warm start has {len(warm_start)} entries, spec has {n_dim} units"
-            )
-        warm = np.clip(warm_start.as_array(), settings.lambda_lower, settings.lambda_upper)
-        seeds.append(warm)
-        candidates.append(warm)
-
-    evaluations = 0
-    stalled_any = False
-    ga_best: np.ndarray | None = None
-    ga_best_f = -np.inf
-    for seq in np.random.SeedSequence(settings.seed).spawn(settings.restarts):
-        x, f, ev, stalled = _ga_search(fitness, n_dim, settings, seq, seeds)
-        evaluations += ev
-        stalled_any = stalled_any or stalled
-        if f > ga_best_f:
-            ga_best, ga_best_f = x, f
-    candidates.append(ga_best)
-
-    refined = False
-    if settings.local_refine:
-        model = _ChainModel(spec, strategy, settings, trunc)
-        lam, _, ev = _chain_sweep(model, n_dim)
-        evaluations += ev
-        candidates.append(lam)
-        refined = True
-
-    return _finalize(
-        spec,
-        strategy,
-        settings,
-        trunc,
-        candidates,
-        evaluations,
-        converged=stalled_any or refined,
-        mode=OptimizationMode.PER_UNIT,
+    """Maximize the single-photon probability over per-unit pump means."""
+    (report,) = optimize_sizes(
+        spec, strategy, [spec.n_units], settings, OptimizationMode.PER_UNIT, trunc
     )
+    return report
 
 
 def optimize_uniform(
@@ -421,33 +455,12 @@ def optimize_uniform(
 ) -> OptimizationReport:
     """Maximize the single-photon probability over one shared pump mean.
 
-    Dense grid scan bracketed by a golden-section refinement; the report
-    carries the constant profile.
+    The report carries the constant profile.
     """
-    settings = settings or OptimizerSettings()
-
-    def f_batch(xs: np.ndarray) -> np.ndarray:
-        return p1_uniform_grid(spec, strategy, xs, trunc)
-
-    grid = np.linspace(settings.lambda_lower, settings.lambda_upper, _SCALAR_GRID)
-    values = f_batch(grid)
-    k = int(np.argmax(values))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, _SCALAR_GRID - 1)])
-    x, _, evals = _golden_max(lambda t: float(f_batch(np.array([t]))[0]), a, b)
-    evaluations = _SCALAR_GRID + evals
-
-    candidates = [np.full(spec.n_units, float(grid[k])), np.full(spec.n_units, x)]
-    return _finalize(
-        spec,
-        strategy,
-        settings,
-        trunc,
-        candidates,
-        evaluations,
-        converged=True,
-        mode=OptimizationMode.UNIFORM,
+    (report,) = optimize_sizes(
+        spec, strategy, [spec.n_units], settings, OptimizationMode.UNIFORM, trunc
     )
+    return report
 
 
 def optimize_scaled_reference(
@@ -462,58 +475,10 @@ def optimize_scaled_reference(
     form; the single free scalar is line-searched.  Entries that would
     exceed the upper bound are clamped there and the report flags it.
     """
-    settings = settings or OptimizerSettings()
-    v = transmission_vector(spec)
-    upper = settings.lambda_upper
-
-    def profile(x: float) -> np.ndarray:
-        return np.minimum(x / v, upper)
-
-    def f_batch(xs: np.ndarray) -> np.ndarray:
-        profiles = np.minimum(xs[:, None] / v[None, :], upper)
-        return p1_profile_batch(spec, strategy, profiles, trunc)
-
-    grid = np.linspace(settings.lambda_lower, upper, _SCALAR_GRID)
-    values = f_batch(grid)
-    k = int(np.argmax(values))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, _SCALAR_GRID - 1)])
-    x, _, evals = _golden_max(lambda t: float(f_batch(np.array([t]))[0]), a, b)
-    evaluations = _SCALAR_GRID + evals
-
-    scored = []
-    for scalar in (float(grid[k]), x):
-        p1 = float(f_batch(np.array([scalar]))[0])
-        scored.append((p1, scalar))
-        evaluations += 1
-    best_scalar = max(scored)[1]
-    hit = bool(np.any(best_scalar / v > upper))
-    return _finalize(
-        spec,
-        strategy,
-        settings,
-        trunc,
-        [profile(best_scalar)],
-        evaluations,
-        converged=True,
-        mode=OptimizationMode.SCALED_REFERENCE,
-        upper_bound_hit=hit,
+    (report,) = optimize_sizes(
+        spec, strategy, [spec.n_units], settings, OptimizationMode.SCALED_REFERENCE, trunc
     )
-
-
-def _optimize_in_mode(
-    spec: MultiplexerSpec,
-    strategy: DetectionStrategy,
-    settings: OptimizerSettings | None,
-    mode: OptimizationMode,
-    warm_start: PumpProfile | None,
-    trunc: TruncationPolicy,
-) -> OptimizationReport:
-    if mode is OptimizationMode.PER_UNIT:
-        return optimize_pump(spec, strategy, settings, warm_start=warm_start, trunc=trunc)
-    if mode is OptimizationMode.UNIFORM:
-        return optimize_uniform(spec, strategy, settings, trunc=trunc)
-    return optimize_scaled_reference(spec, strategy, settings, trunc=trunc)
+    return report
 
 
 def find_optimal_n(
@@ -527,29 +492,19 @@ def find_optimal_n(
 ) -> OptimalSizeResult:
     """Smallest unit count whose optimum sits within ``threshold`` of saturation.
 
-    Optimizes every size from 1 to ``n_ref`` (the per-unit mode reuses the
-    previous solution, extended by copying its last entry, as a warm
-    start), takes the value at ``n_ref`` as the saturated reference and
-    returns the first size whose optimum comes within ``threshold`` of it.
-    ``spec.n_units`` is ignored; the scan sets its own sizes.
+    Optimizes every size from 1 to ``n_ref`` in one pass, takes the value
+    at ``n_ref`` as the saturated reference and returns the first size
+    whose optimum comes within ``threshold`` of it.  ``spec.n_units`` is
+    ignored; the scan sets its own sizes.
     """
     if int(n_ref) < 2:
         raise ParameterError(f"n_ref must be >= 2, got {n_ref}")
-    mode = OptimizationMode.coerce(mode)
-    reports: list[OptimizationReport] = []
-    warm: PumpProfile | None = None
-    for n in range(1, int(n_ref) + 1):
-        spec_n = spec.with_units(n)
-        report = _optimize_in_mode(spec_n, strategy, settings, mode, warm, trunc)
-        reports.append(report)
-        if mode is OptimizationMode.PER_UNIT:
-            lams = report.best_pump.lambdas
-            warm = PumpProfile(lams + (lams[-1],))
+    reports = optimize_sizes(spec, strategy, range(1, int(n_ref) + 1), settings, mode, trunc)
     p_by_n = np.array([r.best_p1 for r in reports])
     reference = float(p_by_n[-1])
     n_opt = int(np.argmax(reference - p_by_n < threshold)) + 1
     return OptimalSizeResult(
-        n_opt=n_opt, p1_max=float(p_by_n[n_opt - 1]), reports=tuple(reports)
+        n_opt=n_opt, p1_max=float(p_by_n[n_opt - 1]), reports=reports
     )
 
 

@@ -154,11 +154,15 @@ class DetectionStrategy:
             return cls.single_photon()
         if t in ("thd", "threshold"):
             return cls.threshold()
-        if t.startswith("upto:"):
-            return cls.accept_up_to(int(t[5:]))
-        if t.startswith("set:"):
-            parts = [p for p in t[4:].split(",") if p]
-            return cls.explicit(int(p) for p in parts)
+        kind, _, body = t.partition(":")
+        try:
+            counts = [int(p) for p in body.split(",") if p]
+        except ValueError:
+            counts = []
+        if kind == "upto" and len(counts) == 1:
+            return cls.accept_up_to(counts[0])
+        if kind == "set" and counts:
+            return cls.explicit(counts)
         raise ParameterError(f"cannot parse detection strategy {text!r}")
 
     # -- views --------------------------------------------------------

@@ -1,15 +1,13 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL
-line per criterion.  The search budget is the reduced experiment
-profile; the criteria constrain results, and the coordinate polish
-makes those results independent of the budget.
+line per criterion.  The optimizers run with their default search
+bounds.
 """
 import numpy as np
 import pytest
 
 from asmux.experiments import (
-    EXPERIMENT_SETTINGS,
     fixed_n_curve,
     stability_report,
     vb_crossover,
@@ -18,6 +16,7 @@ from asmux.montecarlo import McSettings, VALIDATION_CORPUS, compare_with_analyti
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import (
     OptimizationMode,
+    OptimizerSettings,
     find_optimal_n,
     optimize_pump,
     optimize_scaled_reference,
@@ -34,7 +33,7 @@ from asmux.statistics import (
 SPD = DetectionStrategy.single_photon()
 THD = DetectionStrategy.threshold()
 S12 = DetectionStrategy.accept_up_to(2)
-SETTINGS = EXPERIMENT_SETTINGS
+SETTINGS = OptimizerSettings()
 
 # golden targets: (v_r, v_d, v_b) -> (p1_per_unit, n_opt_per_unit,
 #                                     n_tol, lambda_uniform)

@@ -5,12 +5,6 @@ import pytest
 
 from asmux.cli import main
 
-LIGHT_OPT = [
-    "--population", "16", "--max-generations", "15", "--stall-generations", "5",
-    "--restarts", "1",
-]
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -39,7 +33,7 @@ class TestEval:
         out_json = tmp_path / "report.json"
         code, out, _ = run(
             capsys, "optimize", "--n", "4", "--v-r", "0.95", "--v-b", "0.9",
-            "--v-d", "0.9", *LIGHT_OPT, "--out", str(out_json),
+            "--v-d", "0.9", "--out", str(out_json),
         )
         assert code == 0
         stored_p1 = float(out.splitlines()[0].split()[1])
@@ -99,6 +93,31 @@ class TestExitCodes:
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["eval", "--no-such-flag"]) == 2
 
+    def test_non_numeric_config_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("v_r = 0.9\nv_b = 0.9\nv_d = 0.9\nn = abc\n")
+        code, _, err = run(capsys, "eval", "--config", str(cfg), "--lambda", "0.5")
+        assert code == 2
+        assert "n must be a number" in err
+
+    def test_non_numeric_pump_file_is_config_error(self, capsys, tmp_path):
+        pump = tmp_path / "pump.json"
+        pump.write_text(json.dumps({"lambdas": ["a", 0.5]}))
+        code, _, err = run(
+            capsys, "eval", "--n", "2", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--pump-file", str(pump),
+        )
+        assert code == 2
+        assert "malformed" in err
+
+    def test_unparsable_strategy_is_config_error(self, capsys):
+        code, _, err = run(
+            capsys, "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--strategy", "upto:x",
+        )
+        assert code == 2
+        assert "upto:x" in err
+
     def test_mc_validation_failure(self, capsys):
         code, out, err = run(
             capsys, "mc-validate", "--cases", "1", "--trials", "50000",
@@ -136,7 +155,6 @@ class TestReproducibleOutputs:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
             "optimize", "--n", "3", "--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9",
-            *LIGHT_OPT, "--seed", "9",
         ]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -155,7 +173,7 @@ class TestReproducibleOutputs:
         out = tmp_path / "row.json"
         assert main([
             "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
-            *LIGHT_OPT, "--n-ref", "20", "--out", str(out),
+            "--n-ref", "20", "--out", str(out),
         ]) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text())
@@ -169,12 +187,12 @@ class TestSweepCommand:
         find_out = tmp_path / "direct.json"
         assert main([
             "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.85",
-            *LIGHT_OPT, "--n-ref", "20", "--out", str(find_out),
+            "--n-ref", "20", "--out", str(find_out),
         ]) == 0
         sweep_out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.85",
-            *LIGHT_OPT, "--n-ref", "20", "--format", "csv", "--out", str(sweep_out),
+            "--n-ref", "20", "--format", "csv", "--out", str(sweep_out),
         ]) == 0
         capsys.readouterr()
         direct = json.loads(find_out.read_text())["rows"][0]
@@ -188,7 +206,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--axis", "v_d=0.85:0.9:0.05", "--v-r", "0.9", "--v-b", "0.9",
-            *LIGHT_OPT, "--n-ref", "15", "--format", "csv", "--out", str(out),
+            "--n-ref", "15", "--format", "csv", "--out", str(out),
         ]) == 0
         capsys.readouterr()
         from asmux.experiments import read_csv
@@ -206,7 +224,7 @@ class TestOtherCommands:
         out = tmp_path / "stab.json"
         code, text, _ = run(
             capsys, "stability", "--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9",
-            *LIGHT_OPT, "--n-ref", "25", "--out", str(out),
+            "--n-ref", "25", "--out", str(out),
         )
         assert code == 0
         assert text.startswith("interval [")
@@ -216,7 +234,7 @@ class TestOtherCommands:
     def test_table1_subset(self, capsys, tmp_path):
         out = tmp_path / "t1.csv"
         code, text, _ = run(
-            capsys, "table1", "--rows", "0.90,0.90,0.90", *LIGHT_OPT,
+            capsys, "table1", "--rows", "0.90,0.90,0.90",
             "--n-ref", "30", "--format", "csv", "--out", str(out),
         )
         assert code == 0
@@ -230,7 +248,7 @@ class TestOtherCommands:
         # full-depth size search through the CLI against reference values
         out = tmp_path / "golden.csv"
         code, _, _ = run(
-            capsys, "table1", "--rows", "0.90,0.90,0.90", *LIGHT_OPT,
+            capsys, "table1", "--rows", "0.90,0.90,0.90",
             "--n-ref", "100", "--format", "csv", "--out", str(out),
         )
         assert code == 0
@@ -245,7 +263,7 @@ class TestOtherCommands:
     def test_scan_strategies_smoke(self, capsys):
         code, text, _ = run(
             capsys, "scan-strategies", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
-            *LIGHT_OPT, "--n-ref", "15", "--max-j", "2",
+            "--n-ref", "15", "--max-j", "2",
         )
         assert code == 0
         assert "spd" in text and "thd" in text

@@ -4,9 +4,7 @@ import pytest
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
     Axis,
-    EXPERIMENT_SETTINGS,
     SweepGrid,
-    cell_seed,
     delta_surface,
     fixed_n_curve,
     pair_deltas,
@@ -62,15 +60,6 @@ class TestGridTypes:
         assert all(set(c) == {"v_r", "v_d", "v_b"} for c in cells)
 
 
-class TestCellSeed:
-    def test_stable_and_distinct(self):
-        a = cell_seed(0, v_r=0.9, v_d=0.8, v_b=0.9)
-        assert a == cell_seed(0, v_r=0.9, v_d=0.8, v_b=0.9)
-        assert a != cell_seed(1, v_r=0.9, v_d=0.8, v_b=0.9)
-        assert a != cell_seed(0, v_r=0.9, v_d=0.8, v_b=0.98)
-        assert 0 <= a < 2**63
-
-
 class TestRows:
     def test_row_reevaluates_exactly(self):
         rows = reproduce_table1(combos=[(0.9, 0.9, 0.9)], n_ref=25)
@@ -115,13 +104,10 @@ class TestRows:
 class TestSweep:
     def test_degenerate_sweep_matches_direct_search(self, tmp_path):
         grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.9), ("v_b", 0.9)))
-        rows = run_sweep(grid, n_ref=25, master_seed=3, out_csv=tmp_path / "sweep.csv")
+        rows = run_sweep(grid, n_ref=25, out_csv=tmp_path / "sweep.csv")
         assert len(rows) == 1
         direct = find_optimal_n(
-            MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1),
-            SPD,
-            EXPERIMENT_SETTINGS,
-            n_ref=25,
+            MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1), SPD, n_ref=25
         )
         assert rows[0].n_opt == direct.n_opt
         assert rows[0].p1 == direct.p1_max
@@ -139,23 +125,47 @@ class TestSweep:
         assert path.read_text() == stamp  # nothing re-run, file untouched
         assert [r.p1 for r in second] == [r.p1 for r in first]
 
-    def test_sweep_deterministic_under_master_seed(self):
+    def test_resume_after_torn_write(self, tmp_path):
+        grid = SweepGrid(
+            axes=(Axis("v_d", 0.85, 0.9, 0.05),),
+            fixed=(("v_r", 0.9), ("v_b", 0.9)),
+        )
+        fresh = tmp_path / "fresh.csv"
+        torn = tmp_path / "torn.csv"
+        run_sweep(grid, n_ref=5, out_csv=fresh, config={"n_ref": 5})
+        whole = fresh.read_bytes()
+        torn.write_bytes(whole[: whole.rindex(b"\n", 0, len(whole) - 1) + 40])
+        run_sweep(grid, n_ref=5, out_csv=torn, config={"n_ref": 5})
+        assert torn.read_bytes() == whole
+        # a last record with the wrong field count is redone as well
+        head = whole[: whole.rindex(b"\n", 0, len(whole) - 1) + 1]
+        torn.write_bytes(head + b"0.9,0.985\r\n")
+        run_sweep(grid, n_ref=5, out_csv=torn, config={"n_ref": 5})
+        assert torn.read_bytes() == whole
+
+    def test_resume_refuses_other_columns(self, tmp_path):
         grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
-        a = run_sweep(grid, n_ref=20, master_seed=11)
-        b = run_sweep(grid, n_ref=20, master_seed=11)
+        path = tmp_path / "old.csv"
+        old = b"v_r,v_t,seed\r\n0.9,0.985,7\r\n"
+        path.write_bytes(old)
+        with pytest.raises(ParameterError):
+            run_sweep(grid, n_ref=5, out_csv=path)
+        assert path.read_bytes() == old
+
+    def test_sweep_deterministic(self):
+        grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
+        a = run_sweep(grid, n_ref=20)
+        b = run_sweep(grid, n_ref=20)
         assert a[0].p1 == b[0].p1
         assert a[0].lambdas == b[0].lambdas
-        assert a[0].seed == b[0].seed
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         grid = SweepGrid(
             axes=(Axis("v_d", 0.85, 0.9, 0.05),),
             fixed=(("v_r", 0.9), ("v_b", 0.9)),
         )
-        sequential = run_sweep(grid, n_ref=15, master_seed=5)
-        pooled = run_sweep(
-            grid, n_ref=15, master_seed=5, threads=2, out_csv=tmp_path / "pool.csv"
-        )
+        sequential = run_sweep(grid, n_ref=15)
+        pooled = run_sweep(grid, n_ref=15, threads=2, out_csv=tmp_path / "pool.csv")
         assert [r.p1 for r in pooled] == [r.p1 for r in sequential]
         assert [r.lambdas for r in pooled] == [r.lambdas for r in sequential]
 

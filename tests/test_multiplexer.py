@@ -2,47 +2,39 @@ import numpy as np
 import pytest
 
 from asmux.exceptions import ParameterError
-from asmux.multiplexer import (
-    MultiplexerSpec,
-    SourceFamily,
-    arm_transmission,
-    transmission_vector,
-)
+from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 
 
-def arm_oracle(v_r: float, v_t: float, v_b: float, n: int, n_units: int) -> float:
-    """Direct evaluation of the chained-router loss formula."""
-    value = v_b
+def arm_transmission(spec: MultiplexerSpec, n: int) -> float:
+    """Total transmission of arm ``n`` (1-based), straight from the loss model.
+
+    Every arm carries the common factor ``v_b`` and one reflection per
+    router between it and the output.  All arms but the last also pass
+    one router through-port (``v_t``); the last arm enters the chain at
+    its far end.  A single-unit system has no routers.
+    """
+    value = spec.v_b
     for _ in range(n - 1):
-        value *= v_r
-    if n < n_units:
-        value *= v_t
+        value *= spec.v_r
+    if n < spec.n_units:
+        value *= spec.v_t
     return value
 
 
 class TestArmTransmission:
     def test_first_arm_carries_through_factor(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.9, n_units=2, v_t=0.985)
-        assert arm_transmission(spec, 1) == pytest.approx(0.98 * 0.985, abs=1e-15)
+        assert transmission_vector(spec)[0] == pytest.approx(0.98 * 0.985, abs=1e-15)
 
     def test_single_unit_has_no_routers(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.9, n_units=1, v_t=0.985)
-        assert arm_transmission(spec, 1) == pytest.approx(0.98, abs=1e-15)
+        assert transmission_vector(spec)[0] == pytest.approx(0.98, abs=1e-15)
 
     def test_last_arm_of_chain(self):
         spec = MultiplexerSpec(v_r=0.8, v_b=0.8, v_d=0.9, n_units=5, v_t=0.985)
-        expected = arm_oracle(0.8, 0.985, 0.8, 5, 5)
+        expected = arm_transmission(spec, 5)
         assert expected == pytest.approx(0.8 * 0.8**4, rel=1e-12)  # 0.32768
-        assert arm_transmission(spec, 5) == pytest.approx(expected, rel=1e-12)
-
-    def test_out_of_range_index(self):
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
-        with pytest.raises(ParameterError):
-            arm_transmission(spec, 0)
-        with pytest.raises(ParameterError):
-            arm_transmission(spec, 4)
-        with pytest.raises(ParameterError):
-            arm_transmission(spec, 1.5)
+        assert transmission_vector(spec)[4] == pytest.approx(expected, rel=1e-12)
 
 
 class TestTransmissionVector:
@@ -52,7 +44,7 @@ class TestTransmissionVector:
 
     def test_matches_direct_formula(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.9, n_units=3, v_t=0.985)
-        expected = [arm_oracle(0.99, 0.985, 0.98, n, 3) for n in (1, 2, 3)]
+        expected = [arm_transmission(spec, n) for n in (1, 2, 3)]
         # last arm drops the through factor and so exceeds the one before it
         assert expected[2] > expected[1]
         assert np.allclose(transmission_vector(spec), expected, rtol=1e-13)

@@ -42,60 +42,39 @@ def grid_scan_oracle(spec, strategy, coarse=0.01, fine=1e-4, span=5.0):
 
 
 class TestOptimizePump:
-    def test_single_unit_matches_grid_scan(self, light_settings):
+    def test_single_unit_matches_grid_scan(self):
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.85, n_units=1)
         lam_star, p_star = grid_scan_oracle(spec, SPD)
-        report = optimize_pump(spec, SPD, light_settings)
+        report = optimize_pump(spec, SPD)
         assert report.best_pump.lambdas[0] == pytest.approx(lam_star, abs=1e-3)
         assert report.best_p1 == pytest.approx(p_star, abs=1e-6)
         assert report.best_p1 >= p_star - 1e-6
 
-    def test_reported_p1_reproducible_from_profile(self, light_settings):
+    def test_reported_p1_reproducible_from_profile(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=5)
-        report = optimize_pump(spec, SPD, light_settings)
+        report = optimize_pump(spec, SPD)
         again = single_photon_prob(spec, report.best_pump, SPD)
         assert abs(again - report.best_p1) <= 1e-12
 
-    def test_seed_determinism_bit_for_bit(self, light_settings):
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=4)
-        a = optimize_pump(spec, SPD, light_settings)
-        b = optimize_pump(spec, SPD, light_settings)
-        assert a.best_pump.lambdas == b.best_pump.lambdas
-        assert a.best_p1 == b.best_p1
-        assert a.evaluations == b.evaluations
-
-    def test_warm_start_never_hurts(self, light_settings):
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=4)
-        warm = PumpProfile((0.7, 0.7, 0.8, 0.9))
-        p_warm = single_photon_prob(spec, warm, SPD)
-        report = optimize_pump(spec, SPD, light_settings, warm_start=warm)
-        assert report.best_p1 >= p_warm - 1e-15
-
-    def test_warm_start_length_checked(self, light_settings):
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=4)
-        with pytest.raises(ParameterError):
-            optimize_pump(spec, SPD, light_settings, warm_start=PumpProfile((0.5,)))
-
-    def test_refinement_beats_ga_alone(self, light_settings):
-        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)
-        from dataclasses import replace
-        rough = replace(light_settings, local_refine=False)
-        with_polish = optimize_pump(spec, SPD, light_settings)
-        without = optimize_pump(spec, SPD, rough)
-        assert with_polish.best_p1 >= without.best_p1 - 1e-12
+    def test_upper_bound_flagged(self):
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=4)
+        capped = optimize_pump(spec, SPD, OptimizerSettings(lambda_upper=0.3))
+        assert capped.upper_bound_hit
+        assert max(capped.best_pump.lambdas) == pytest.approx(0.3, abs=1e-12)
+        assert not optimize_pump(spec, SPD).upper_bound_hit
 
 
 class TestOptimizeUniform:
-    def test_lossless_single_unit_calculus(self, light_settings):
+    def test_lossless_single_unit_calculus(self):
         # the one-unit lossless objective lam * exp(-lam) peaks at lam = 1
         spec = MultiplexerSpec(v_r=1.0, v_b=1.0, v_d=1.0, n_units=1, v_t=1.0)
-        report = optimize_uniform(spec, SPD, light_settings)
+        report = optimize_uniform(spec, SPD)
         assert report.best_pump.lambdas[0] == pytest.approx(1.0, abs=1e-4)
         assert report.best_p1 == pytest.approx(math.exp(-1.0), rel=1e-9)
 
-    def test_constant_profile(self, light_settings):
+    def test_constant_profile(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=6)
-        report = optimize_uniform(spec, SPD, light_settings)
+        report = optimize_uniform(spec, SPD)
         assert len(set(report.best_pump.lambdas)) == 1
         assert report.mode is OptimizationMode.UNIFORM
 
@@ -105,52 +84,52 @@ class TestDominance:
         "v_r,v_b,v_d,n",
         [(0.99, 0.98, 0.9, 10), (0.9, 0.85, 0.8, 6), (0.8, 0.8, 0.85, 5)],
     )
-    def test_search_space_ordering(self, light_settings, v_r, v_b, v_d, n):
+    def test_search_space_ordering(self, v_r, v_b, v_d, n):
         spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=n)
-        per_unit = optimize_pump(spec, SPD, light_settings).best_p1
-        uniform = optimize_uniform(spec, SPD, light_settings).best_p1
-        scaled = optimize_scaled_reference(spec, SPD, light_settings).best_p1
+        per_unit = optimize_pump(spec, SPD).best_p1
+        uniform = optimize_uniform(spec, SPD).best_p1
+        scaled = optimize_scaled_reference(spec, SPD).best_p1
         assert per_unit >= uniform - 1e-6
         assert per_unit >= scaled - 1e-6
 
 
 class TestScaledReference:
-    def test_lossless_equals_uniform(self, light_settings):
+    def test_lossless_equals_uniform(self):
         spec = MultiplexerSpec(v_r=1.0, v_b=1.0, v_d=1.0, n_units=4, v_t=1.0)
-        uni = optimize_uniform(spec, SPD, light_settings)
-        ref = optimize_scaled_reference(spec, SPD, light_settings)
+        uni = optimize_uniform(spec, SPD)
+        ref = optimize_scaled_reference(spec, SPD)
         assert ref.best_p1 == pytest.approx(uni.best_p1, abs=1e-9)
         assert not ref.upper_bound_hit
 
-    def test_bound_clamp_flagged(self, light_settings):
+    def test_bound_clamp_flagged(self):
         # deep chain: 1 / V_n blows past the search bound and must be clamped
         spec = MultiplexerSpec(v_r=0.8, v_b=0.8, v_d=0.9, n_units=30)
-        report = optimize_scaled_reference(spec, SPD, light_settings)
+        report = optimize_scaled_reference(spec, SPD)
         assert report.upper_bound_hit
-        assert max(report.best_pump.lambdas) <= light_settings.lambda_upper + 1e-12
+        assert max(report.best_pump.lambdas) <= OptimizerSettings().lambda_upper + 1e-12
 
-    def test_profile_scales_inversely_with_transmission(self, light_settings):
+    def test_profile_scales_inversely_with_transmission(self):
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=5)
-        report = optimize_scaled_reference(spec, SPD, light_settings)
+        report = optimize_scaled_reference(spec, SPD)
         lams = np.array(report.best_pump.lambdas)
         # unclamped entries grow monotonically along the chain (loss grows)
         assert np.all(np.diff(lams[:-1]) >= -1e-12)
 
-    def test_rescaled_profile_trails_free_optimization(self, light_settings):
+    def test_rescaled_profile_trails_free_optimization(self):
         # mid-loss regime: the one-parameter rescaling gives away more
         # than 1e-3 of probability against the free per-unit search
         spec = MultiplexerSpec(v_r=0.85, v_b=0.85, v_d=0.9, n_units=1)
-        search = find_optimal_n(spec, SPD, light_settings, n_ref=40)
+        search = find_optimal_n(spec, SPD, n_ref=40)
         at_opt = spec.with_units(search.n_opt)
         free = search.p1_max
-        rescaled = optimize_scaled_reference(at_opt, SPD, light_settings).best_p1
+        rescaled = optimize_scaled_reference(at_opt, SPD).best_p1
         assert free - rescaled > 1e-3
 
 
 class TestFindOptimalN:
-    def test_monotone_curve_and_smallest_n(self, light_settings):
+    def test_monotone_curve_and_smallest_n(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
-        result = find_optimal_n(spec, SPD, light_settings, n_ref=40)
+        result = find_optimal_n(spec, SPD, n_ref=40)
         curve = result.p1_by_n
         assert np.all(np.diff(curve) >= -1e-3)
         reference = curve[-1]
@@ -159,24 +138,24 @@ class TestFindOptimalN:
             assert reference - curve[result.n_opt - 2] >= 1e-3
         assert result.p1_max == curve[result.n_opt - 1]
 
-    def test_modes_agree_on_sizes(self, light_settings):
+    def test_modes_agree_on_sizes(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
-        per_unit = find_optimal_n(spec, SPD, light_settings, n_ref=40)
-        uniform = find_optimal_n(spec, SPD, light_settings, n_ref=40, mode="uniform")
+        per_unit = find_optimal_n(spec, SPD, n_ref=40)
+        uniform = find_optimal_n(spec, SPD, n_ref=40, mode="uniform")
         assert per_unit.n_opt <= uniform.n_opt
         assert per_unit.p1_max >= uniform.p1_max - 1e-6
 
-    def test_n_ref_validation(self, light_settings):
+    def test_n_ref_validation(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError):
-            find_optimal_n(spec, SPD, light_settings, n_ref=1)
+            find_optimal_n(spec, SPD, n_ref=1)
 
 
 class TestStrategyScan:
-    def test_scan_stops_after_decline_and_ranks(self, light_settings):
+    def test_scan_stops_after_decline_and_ranks(self):
         # low transmission regime: accepting two counts beats single-photon
         spec = MultiplexerSpec(v_r=0.8, v_b=0.8, v_d=0.85, n_units=1)
-        entries = strategy_scan(spec, light_settings, n_ref=30)
+        entries = strategy_scan(spec, n_ref=30)
         keys = [e.strategy.key for e in entries]
         assert "thd" in keys
         assert entries[0].strategy.key == "upto:2"
@@ -186,14 +165,14 @@ class TestStrategyScan:
         p1s = [e.p1_max for e in entries]
         assert p1s == sorted(p1s, reverse=True)
 
-    def test_high_transmission_prefers_single_photon(self, light_settings):
+    def test_high_transmission_prefers_single_photon(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.9, n_units=1)
-        entries = strategy_scan(spec, light_settings, n_ref=40)
+        entries = strategy_scan(spec, n_ref=40)
         assert entries[0].strategy.key == "spd"
         thd_entry = next(e for e in entries if e.strategy.key == "thd")
         assert entries[0].p1_max > thd_entry.p1_max
 
-    def test_single_photon_beats_threshold_once_multiplexed(self, light_settings):
+    def test_single_photon_beats_threshold_once_multiplexed(self):
         # from two units on, single-photon heralding dominates threshold
         # detection in the low-loss regime (at N = 1 the threshold detector
         # wins slightly by admitting multi-pair events; MC-verified)
@@ -201,8 +180,8 @@ class TestStrategyScan:
         thd = DetectionStrategy.threshold()
         for n in (2, 4, 8, 16):
             spec_n = spec.with_units(n)
-            p_spd = optimize_pump(spec_n, SPD, light_settings).best_p1
-            p_thd = optimize_pump(spec_n, thd, light_settings).best_p1
+            p_spd = optimize_pump(spec_n, SPD).best_p1
+            p_thd = optimize_pump(spec_n, thd).best_p1
             assert p_spd > p_thd
 
 
@@ -238,10 +217,10 @@ class TestStabilityInterval:
         assert interval.empty
         assert (interval.delta_minus, interval.delta_plus) == (0.0, 0.0)
 
-    def test_interval_endpoints_keep_baseline(self, light_settings):
+    def test_interval_endpoints_keep_baseline(self):
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)
-        per_unit = optimize_pump(spec, SPD, light_settings)
-        baseline = optimize_uniform(spec, SPD, light_settings).best_p1
+        per_unit = optimize_pump(spec, SPD)
+        baseline = optimize_uniform(spec, SPD).best_p1
         interval = stability_interval(spec, SPD, per_unit.best_pump, baseline)
         assert not interval.empty
         for delta in (interval.delta_minus, interval.delta_plus):
@@ -254,8 +233,6 @@ class TestStabilityInterval:
 class TestSettingsValidation:
     def test_invariants(self):
         with pytest.raises(ParameterError):
-            OptimizerSettings(population=5)
-        with pytest.raises(ParameterError):
             OptimizerSettings(lambda_lower=2.0, lambda_upper=1.0)
         with pytest.raises(ParameterError):
-            OptimizerSettings(restarts=0)
+            OptimizerSettings(lambda_lower=-0.5)
