@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: eval, optimize, find-n, scan-strategies, sweep, table1,
-stability, mc-validate.  Every run resolves its configuration from
-defaults, an optional config file (flat ``key = value`` lines or JSON)
-and command-line flags, in that order of precedence; the resolved
-configuration is embedded in every output file.  Output files carry no
-timestamps, so a fixed config reproduces them byte for byte; wall-clock
-timing goes to a ``<out>.log`` sidecar.
+stability, mc-validate.  Each command declares the options it reads,
+once each (``_COMMANDS``); that one list builds both the command's flags
+and the keys its config file may set.  A run resolves its configuration
+from the defaults, an optional config file (flat ``key = value`` lines
+or JSON) and the flags, in that order of precedence; a config-file value
+is converted exactly as the same text given as a flag would be.  The
+resolved configuration is embedded in every output file.  Output files
+carry no timestamps, so a fixed config reproduces them byte for byte;
+wall-clock timing goes to a ``<out>.log`` sidecar.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error,
 4 validation failure.
@@ -17,7 +20,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,52 +54,121 @@ class ConfigError(Exception):
     """Unusable configuration: bad syntax, unknown or missing keys."""
 
 
-_COMMON_DEFAULTS = {
-    "config": None,
-    "out": None,
-    "format": "json",
-    "threads": 1,
-}
+# ----------------------------------------------------------------------
+# options
+# ----------------------------------------------------------------------
 
-_SPEC_DEFAULTS = {
-    "v_r": None,
-    "v_t": 0.985,
-    "v_b": None,
-    "v_d": None,
-    "n": None,
-    "source": "poisson",
-}
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
 
-_TRUNC_DEFAULTS = {"i_max": 10, "tail_epsilon": 1e-12, "l_hard_cap": 400}
 
-_OPT_DEFAULTS = {
-    "strategy": "spd",
-    "mode": "per-unit",
-    "lambda_lower": 0.0,
-    "lambda_upper": 5.0,
-}
+def _items(text: str) -> list[str]:
+    """The nonblank items of a comma list."""
+    return [item for item in text.split(",") if item.strip()]
 
-_SEARCH_DEFAULTS = {"n_ref": 100, "threshold": 1e-3}
 
-_DEFAULTS_BY_COMMAND = {
-    "eval": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS,
-             "lam": None, "pump_file": None, "strategy": "spd"},
-    "optimize": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS},
-    "find-n": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
-               **_SEARCH_DEFAULTS, "full_curve": False},
-    "scan-strategies": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS,
-                        **_OPT_DEFAULTS, **_SEARCH_DEFAULTS, "max_j": 6},
-    "sweep": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
-              **_SEARCH_DEFAULTS, "axis": [], "strategies": "spd", "modes": "per-unit",
-              "resume": True},
-    "table1": {**_COMMON_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS, **_SEARCH_DEFAULTS,
-               "rows": None},
-    "stability": {**_COMMON_DEFAULTS, **_SPEC_DEFAULTS, **_TRUNC_DEFAULTS, **_OPT_DEFAULTS,
-                  **_SEARCH_DEFAULTS, "resolution": 1e-4},
-    "mc-validate": {**_COMMON_DEFAULTS, **_TRUNC_DEFAULTS, "seed": 0,
-                    "trials": 10_000_000, "max_count": 10, "sigma": 4.0,
-                    "cases": None, "chunk_trials": 500_000},
-}
+def _checked(parse: Callable, many: bool = False) -> Callable[[str], str]:
+    """Converter that checks ``parse`` accepts the text (each item of a
+    comma list when ``many``) and keeps the text as given."""
+
+    def convert(text: str) -> str:
+        try:
+            for item in _items(text) if many else [text]:
+                parse(item)
+        except ParameterError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return text
+
+    return convert
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option: its config key ``dest``, its flag and how its text is read.
+
+    ``action`` is the argparse action of a flag that takes no value
+    (``store_true``, ``store_false``) or may repeat (``append``).
+    """
+
+    dest: str
+    flag: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    action: str | None = None
+    help: str | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.action in ("store_true", "store_false"):
+            parser.add_argument(self.flag, dest=self.dest, action=self.action, help=self.help)
+        else:
+            parser.add_argument(
+                self.flag, dest=self.dest, type=self.type, choices=self.choices,
+                action=self.action, help=self.help,
+            )
+
+    def read(self, value):
+        """A config-file value, converted as the flag converts its text.
+
+        JSON ``null`` leaves an option without a default unset.
+        """
+        if value is None and self.default is None:
+            return None
+        if self.action == "append":
+            return [self._read_one(v) for v in (value if isinstance(value, list) else [value])]
+        return self._read_one(value)
+
+    def _read_one(self, value):
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            out = self.type(text)
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(f"{self.dest}: {err}") from None
+        except ValueError:
+            kind = " (an integer)" if self.type is int else ""
+            raise ConfigError(f"{self.dest} must be a number{kind}, got {value!r}") from None
+        if self.choices is not None and out not in self.choices:
+            raise ConfigError(
+                f"{self.dest} must be one of {', '.join(self.choices)}, got {value!r}"
+            )
+        return out
+
+
+_CONFIG = _Option("config", "--config", help="config file (key = value lines or JSON)")
+_OUT = _Option("out", "--out", help="output file path")
+_IO = (
+    _CONFIG,
+    _OUT,
+    _Option("format", "--format", default="json", choices=("csv", "json"), help="output format"),
+)
+_SPEC = (
+    _Option("v_r", "--v-r", float, help="router reflection efficiency"),
+    _Option("v_t", "--v-t", float, 0.985, help="router through transmission"),
+    _Option("v_b", "--v-b", float, help="pre-multiplexer transmission"),
+    _Option("v_d", "--v-d", float, help="detector efficiency"),
+    _Option("source", "--source", default="poisson", choices=("poisson", "thermal"),
+            help="pair statistics"),
+)
+_N = _Option("n", "--n", int, help="number of multiplexed units")
+_TRUNC = (
+    _Option("tail_epsilon", "--tail-epsilon", float, 1e-12,
+            help="largest neglected tail mass of the pair-number series"),
+    _Option("l_hard_cap", "--l-hard-cap", int, 400, help="largest series cutoff"),
+)
+_STRATEGY = _Option("strategy", "--strategy", _checked(DetectionStrategy.parse), "spd",
+                    help="spd | thd | upto:J | set:a,b,...")
+_MODE = _Option("mode", "--mode", default="per-unit",
+                choices=tuple(m.value for m in OptimizationMode), help="pump mode")
+_BOUNDS = (
+    _Option("lambda_lower", "--lambda-lower", float, 0.0, help="smallest pump mean"),
+    _Option("lambda_upper", "--lambda-upper", float, 5.0, help="largest pump mean"),
+)
+_SEARCH = (
+    _Option("n_ref", "--n-ref", int, 100, help="saturation reference size"),
+    _Option("threshold", "--threshold", float, 1e-3, help="saturation threshold on p1"),
+)
 
 _KEY_ALIASES = {"lambda": "lam"}
 
@@ -133,25 +207,24 @@ def _parse_config_text(text: str) -> dict:
 
 def resolve_run_config(args: argparse.Namespace) -> dict:
     """Resolved run configuration: defaults, then config file, then flags."""
-    command = args.command
-    defaults = dict(_DEFAULTS_BY_COMMAND[command])
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    cfg = dict(defaults)
-    path = flags.get("config", None)
+    options = {o.dest: o for o in _COMMANDS[args.command][2]}
+    cfg = {dest: o.default for dest, o in options.items()}
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
+    path = flags.get("config")
     if path is not None:
         try:
             text = Path(path).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from None
         file_values = _parse_config_text(text)
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(options)
         if unknown:
             raise ConfigError(
-                f"unknown config keys for '{command}': {sorted(unknown)}"
+                f"unknown config keys for '{args.command}': {sorted(unknown)}"
             )
-        cfg.update(file_values)
+        cfg.update((k, options[k].read(v)) for k, v in file_values.items())
     cfg.update(flags)
-    cfg["command"] = command
+    cfg["command"] = args.command
     return cfg
 
 
@@ -161,46 +234,25 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required parameter(s): {', '.join(missing)}")
 
 
-def _num(cfg: dict, key: str, kind: type = float):
-    """Config value ``key`` as a number; anything else is a config error."""
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _strategy(text: str) -> DetectionStrategy:
-    try:
-        return DetectionStrategy.parse(text)
-    except ParameterError as err:
-        raise ConfigError(str(err)) from None
-
-
-def _build_spec(cfg: dict, need_n: bool = True) -> MultiplexerSpec:
-    _require(cfg, "v_r", "v_b", "v_d")
-    if need_n:
-        _require(cfg, "n")
-    n = _num(cfg, "n", int) if cfg.get("n") is not None else 1
+def _build_spec(cfg: dict) -> MultiplexerSpec:
+    """The multiplexer; commands without an ``n`` option get one unit."""
+    _require(cfg, "v_r", "v_b", "v_d", *(["n"] if "n" in cfg else []))
     return MultiplexerSpec(
-        v_r=_num(cfg, "v_r"),
-        v_b=_num(cfg, "v_b"),
-        v_d=_num(cfg, "v_d"),
-        n_units=n,
-        v_t=_num(cfg, "v_t"),
+        v_r=cfg["v_r"],
+        v_b=cfg["v_b"],
+        v_d=cfg["v_d"],
+        n_units=cfg.get("n", 1),
+        v_t=cfg["v_t"],
         source=cfg["source"],
     )
 
 
 def _build_trunc(cfg: dict) -> TruncationPolicy:
-    return TruncationPolicy(
-        tail_epsilon=_num(cfg, "tail_epsilon"), l_hard_cap=_num(cfg, "l_hard_cap", int)
-    )
+    return TruncationPolicy(tail_epsilon=cfg["tail_epsilon"], l_hard_cap=cfg["l_hard_cap"])
 
 
 def _build_settings(cfg: dict) -> OptimizerSettings:
-    return OptimizerSettings(
-        lambda_lower=_num(cfg, "lambda_lower"), lambda_upper=_num(cfg, "lambda_upper")
-    )
+    return OptimizerSettings(lambda_lower=cfg["lambda_lower"], lambda_upper=cfg["lambda_upper"])
 
 
 def _load_pump_file(path: str) -> tuple[float, ...]:
@@ -226,11 +278,8 @@ def _build_pump(cfg: dict, n_units: int) -> PumpProfile:
     lam = cfg.get("lam")
     if lam is None:
         raise ConfigError("specify --lambda or --pump-file")
-    if isinstance(lam, (int, float)):
-        return PumpProfile.uniform(float(lam), n_units)
-    parts = [p for p in str(lam).split(",") if p.strip()]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in _items(lam)]
     except ValueError:
         raise ConfigError(f"cannot parse pump means {lam!r}") from None
     if len(values) == 1:
@@ -238,27 +287,14 @@ def _build_pump(cfg: dict, n_units: int) -> PumpProfile:
     return PumpProfile(tuple(values))
 
 
-def _provenance(cfg: dict) -> dict:
-    out = {}
-    for key, value in sorted(cfg.items()):
-        if key in ("func",):
-            continue
-        if isinstance(value, (str, int, float, bool, list)) or value is None:
-            out[key] = value
-        else:
-            out[key] = str(value)
-    return out
-
-
 def _write_rows(cfg: dict, rows: list, elapsed: float) -> None:
     out = cfg.get("out")
     if not out:
         return
-    provenance = _provenance(cfg)
     if cfg["format"] == "csv":
-        exp.write_csv(rows, out, config=provenance)
+        exp.write_csv(rows, out, config=cfg)
     else:
-        exp.write_json(rows, out, config=provenance)
+        exp.write_json(rows, out, config=cfg)
     _write_log(out, elapsed, len(rows))
 
 
@@ -275,28 +311,26 @@ def _write_log(out: str, elapsed: float, n_rows: int) -> None:
 def _cmd_eval(cfg: dict) -> int:
     spec = _build_spec(cfg)
     pump = _build_pump(cfg, spec.n_units)
-    strategy = _strategy(cfg["strategy"])
+    strategy = DetectionStrategy.parse(cfg["strategy"])
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
-    dist = output_distribution(spec, pump, strategy, i_max=_num(cfg, "i_max", int), trunc=trunc)
+    dist = output_distribution(spec, pump, strategy, i_max=cfg["i_max"], trunc=trunc)
     for i, p in enumerate(dist.probs):
         print(f"P_{i} {float(p)!r}")
     print(f"truncation_mass {float(dist.truncation_mass)!r}")
 
     out = cfg.get("out")
     if out:
-        provenance = _provenance(cfg)
         if cfg["format"] == "csv":
             with open(out, "w") as handle:
-                for key in sorted(provenance):
-                    handle.write(f"# {key} = {json.dumps(provenance[key], sort_keys=True)}\n")
+                handle.write(exp._config_lines(cfg))
                 handle.write(f"# truncation_mass = {float(dist.truncation_mass)!r}\n")
                 handle.write("i,probability\n")
                 for i, p in enumerate(dist.probs):
                     handle.write(f"{i},{float(p)!r}\n")
         else:
             payload = {
-                "config": provenance,
+                "config": cfg,
                 "probs": [float(p) for p in dist.probs],
                 "truncation_mass": dist.truncation_mass,
                 "lambdas": list(pump.lambdas),
@@ -310,7 +344,7 @@ def _cmd_eval(cfg: dict) -> int:
 
 def _cmd_optimize(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    strategy = _strategy(cfg["strategy"])
+    strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
@@ -327,9 +361,8 @@ def _cmd_optimize(cfg: dict) -> int:
 
 
 def _cmd_find_n(cfg: dict) -> int:
-    spec = _build_spec(cfg, need_n=False)
-    strategy = _strategy(cfg["strategy"])
-    mode = OptimizationMode.coerce(cfg["mode"])
+    spec = _build_spec(cfg)
+    strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
@@ -337,9 +370,9 @@ def _cmd_find_n(cfg: dict) -> int:
         spec,
         strategy,
         settings,
-        n_ref=_num(cfg, "n_ref", int),
-        threshold=_num(cfg, "threshold"),
-        mode=mode,
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
+        mode=cfg["mode"],
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -366,18 +399,17 @@ def _cmd_find_n(cfg: dict) -> int:
 
 
 def _cmd_scan_strategies(cfg: dict) -> int:
-    spec = _build_spec(cfg, need_n=False)
-    mode = OptimizationMode.coerce(cfg["mode"])
+    spec = _build_spec(cfg)
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
     entries = strategy_scan(
         spec,
         settings,
-        mode=mode,
-        n_ref=_num(cfg, "n_ref", int),
-        threshold=_num(cfg, "threshold"),
-        max_accept=_num(cfg, "max_j", int),
+        mode=cfg["mode"],
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
+        max_accept=cfg["max_j"],
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -406,10 +438,7 @@ def _parse_axis(text: str) -> exp.Axis:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    axis_specs = cfg.get("axis") or []
-    if isinstance(axis_specs, str):
-        axis_specs = [axis_specs]
-    axes = tuple(_parse_axis(a) for a in axis_specs)
+    axes = tuple(_parse_axis(a) for a in cfg["axis"])
     axis_names = {a.name for a in axes}
     fixed = []
     for name in ("v_r", "v_d", "v_b"):
@@ -417,17 +446,15 @@ def _cmd_sweep(cfg: dict) -> int:
             continue
         if cfg.get(name) is None:
             raise ConfigError(f"parameter {name} is neither an axis nor fixed")
-        fixed.append((name, _num(cfg, name)))
-    strategies = tuple(_strategy(s) for s in str(cfg["strategies"]).split(",") if s.strip())
-    modes = tuple(
-        OptimizationMode.coerce(m) for m in str(cfg["modes"]).split(",") if m.strip()
-    )
+        fixed.append((name, cfg[name]))
+    strategies = tuple(map(DetectionStrategy.parse, _items(cfg["strategies"])))
+    modes = tuple(map(OptimizationMode.coerce, _items(cfg["modes"])))
     grid = exp.SweepGrid(
         axes=axes,
         fixed=tuple(fixed),
         strategies=strategies,
         modes=modes,
-        v_t=_num(cfg, "v_t"),
+        v_t=cfg["v_t"],
         source=cfg["source"],
     )
     settings = _build_settings(cfg)
@@ -438,18 +465,17 @@ def _cmd_sweep(cfg: dict) -> int:
     rows = exp.run_sweep(
         grid,
         settings,
-        n_ref=_num(cfg, "n_ref", int),
-        threshold=_num(cfg, "threshold"),
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
         out_csv=out if use_csv else None,
-        config=_provenance(cfg),
-        resume=bool(cfg["resume"]),
-        threads=_num(cfg, "threads", int),
+        config=cfg,
+        resume=cfg["resume"],
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
     print(f"cells {len(rows)}")
     if out and not use_csv:
-        exp.write_json(rows, out, config=_provenance(cfg))
+        exp.write_json(rows, out, config=cfg)
     if out:
         _write_log(out, elapsed, len(rows))
     return EXIT_OK
@@ -459,10 +485,9 @@ def _cmd_table1(cfg: dict) -> int:
     combos = None
     if cfg.get("rows"):
         combos = []
-        for chunk in str(cfg["rows"]).split(";"):
-            parts = [p for p in chunk.split(",") if p.strip()]
+        for chunk in cfg["rows"].split(";"):
             try:
-                combo = tuple(float(p) for p in parts)
+                combo = tuple(float(p) for p in _items(chunk))
             except ValueError:
                 combo = ()
             if len(combo) != 3:
@@ -474,8 +499,8 @@ def _cmd_table1(cfg: dict) -> int:
     rows = exp.reproduce_table1(
         settings,
         combos=combos,
-        n_ref=_num(cfg, "n_ref", int),
-        threshold=_num(cfg, "threshold"),
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -490,8 +515,8 @@ def _cmd_table1(cfg: dict) -> int:
 
 
 def _cmd_stability(cfg: dict) -> int:
-    spec = _build_spec(cfg, need_n=False)
-    strategy = _strategy(cfg["strategy"])
+    spec = _build_spec(cfg)
+    strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
     started = time.perf_counter()
@@ -499,9 +524,9 @@ def _cmd_stability(cfg: dict) -> int:
         spec,
         strategy,
         settings,
-        n_ref=_num(cfg, "n_ref", int),
-        threshold=_num(cfg, "threshold"),
-        resolution=_num(cfg, "resolution"),
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
+        resolution=cfg["resolution"],
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
@@ -514,22 +539,19 @@ def _cmd_stability(cfg: dict) -> int:
 
 def _cmd_mc_validate(cfg: dict) -> int:
     trunc = _build_trunc(cfg)
-    sigma = _num(cfg, "sigma")
+    sigma = cfg["sigma"]
     entries = VALIDATION_CORPUS
-    if cfg.get("cases") is not None:
-        entries = entries[: _num(cfg, "cases", int)]
-    seed = _num(cfg, "seed", int)
+    if cfg["cases"] is not None:
+        entries = entries[: cfg["cases"]]
     mc_base = dict(
-        trials=_num(cfg, "trials", int),
-        max_count=_num(cfg, "max_count", int),
-        chunk_trials=_num(cfg, "chunk_trials", int),
+        trials=cfg["trials"], max_count=cfg["max_count"], chunk_trials=cfg["chunk_trials"]
     )
     started = time.perf_counter()
     report = []
     failures = 0
     for index, entry in enumerate(entries):
         spec, pump, strategy, case_seed = corpus_case(entry)
-        mc = McSettings(seed=case_seed + seed, **mc_base)
+        mc = McSettings(seed=case_seed + cfg["seed"], **mc_base)
         comparison = compare_with_analytic(spec, pump, strategy, mc, trunc=trunc)
         ok = comparison.within(sigma)
         failures += 0 if ok else 1
@@ -553,7 +575,7 @@ def _cmd_mc_validate(cfg: dict) -> int:
     elapsed = time.perf_counter() - started
     out = cfg.get("out")
     if out:
-        payload = {"config": _provenance(cfg), "cases": report}
+        payload = {"config": cfg, "cases": report}
         with open(out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -565,42 +587,58 @@ def _cmd_mc_validate(cfg: dict) -> int:
 
 
 # ----------------------------------------------------------------------
-# parser
+# commands and parser
 # ----------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (key = value lines or JSON)")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--threads", type=int, help="worker processes for sweeps")
-
-
-def _add_spec(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
-    parser.add_argument("--v-r", dest="v_r", type=float, help="router reflection efficiency")
-    parser.add_argument("--v-t", dest="v_t", type=float, help="router through transmission")
-    parser.add_argument("--v-b", dest="v_b", type=float, help="pre-multiplexer transmission")
-    parser.add_argument("--v-d", dest="v_d", type=float, help="detector efficiency")
-    if with_n:
-        parser.add_argument("--n", type=int, help="number of multiplexed units")
-    parser.add_argument("--source", choices=("poisson", "thermal"), help="pair statistics")
-
-
-def _add_trunc(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--i-max", dest="i_max", type=int, help="largest reported photon count")
-    parser.add_argument("--tail-epsilon", dest="tail_epsilon", type=float)
-    parser.add_argument("--l-hard-cap", dest="l_hard_cap", type=int)
-
-
-def _add_optimizer(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", help="spd | thd | upto:J | set:a,b,...")
-    parser.add_argument("--mode", choices=[m.value for m in OptimizationMode])
-    parser.add_argument("--lambda-lower", dest="lambda_lower", type=float)
-    parser.add_argument("--lambda-upper", dest="lambda_upper", type=float)
-
-
-def _add_search(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-ref", dest="n_ref", type=int, help="saturation reference size")
-    parser.add_argument("--threshold", type=float, help="saturation threshold on p1")
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate the output photon-number distribution", (
+        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY,
+        _Option("i_max", "--i-max", int, 10, help="largest reported photon count"),
+        _Option("lam", "--lambda", help="pump mean(s): scalar or comma list"),
+        _Option("pump_file", "--pump-file", help="JSON file with a 'lambdas' entry"),
+    )),
+    "optimize": (_cmd_optimize, "maximize p1 at a fixed system size", (
+        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY, _MODE, *_BOUNDS,
+    )),
+    "find-n": (_cmd_find_n, "search the optimal number of units", (
+        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _MODE, *_BOUNDS, *_SEARCH,
+        _Option("full_curve", "--full-curve", _boolean, False, action="store_true",
+                help="emit one row per system size instead of only the optimum"),
+    )),
+    "scan-strategies": (_cmd_scan_strategies, "compare detection strategies", (
+        *_IO, *_SPEC, *_TRUNC, _MODE, *_BOUNDS, *_SEARCH,
+        _Option("max_j", "--max-j", int, 6, help="largest accept-up-to ceiling"),
+    )),
+    "sweep": (_cmd_sweep, "optimize over a loss-parameter grid", (
+        *_IO, *_SPEC, *_TRUNC, *_BOUNDS, *_SEARCH,
+        _Option("axis", "--axis", default=(), action="append",
+                help="swept axis, name=start:stop:step (max 2)"),
+        _Option("strategies", "--strategies", _checked(DetectionStrategy.parse, many=True),
+                "spd", help="comma list of strategies"),
+        _Option("modes", "--modes", _checked(OptimizationMode.coerce, many=True),
+                "per-unit", help="comma list of pump modes"),
+        _Option("resume", "--no-resume", _boolean, True, action="store_false",
+                help="overwrite existing sweep output instead of resuming"),
+    )),
+    "table1": (_cmd_table1, "reproduce the reference result table", (
+        *_IO, *_TRUNC, *_BOUNDS, *_SEARCH,
+        _Option("rows", "--rows", help="subset 'v_r,v_d,v_b;v_r,v_d,v_b;...'"),
+    )),
+    "stability": (_cmd_stability, "tolerable deviation around the optimum", (
+        *_IO, *_SPEC, *_TRUNC, _STRATEGY, *_BOUNDS, *_SEARCH,
+        _Option("resolution", "--resolution", float, 1e-4,
+                help="bisection resolution of the interval"),
+    )),
+    "mc-validate": (_cmd_mc_validate, "check the model against sampling", (
+        _CONFIG, _OUT, *_TRUNC,
+        _Option("seed", "--seed", int, 0, help="offset added to every case's sampler seed"),
+        _Option("trials", "--trials", int, 10_000_000, help="trials per case"),
+        _Option("max_count", "--max-count", int, 10, help="largest tallied photon count"),
+        _Option("sigma", "--sigma", float, 4.0, help="allowed deviation in standard errors"),
+        _Option("cases", "--cases", int, help="run only the first K corpus cases"),
+        _Option("chunk_trials", "--chunk-trials", int, 500_000, help="trials per sampler chunk"),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -610,73 +648,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "spatially multiplexed heralded single-photon source.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.set_defaults(func=handler)
-        _add_common(p)
-        return p
-
-    p = command("eval", _cmd_eval, "evaluate the output photon-number distribution")
-    _add_spec(p)
-    _add_trunc(p)
-    p.add_argument("--lambda", dest="lam", help="pump mean(s): scalar or comma list")
-    p.add_argument("--pump-file", dest="pump_file", help="JSON file with a 'lambdas' entry")
-    p.add_argument("--strategy", help="spd | thd | upto:J | set:a,b,...")
-
-    p = command("optimize", _cmd_optimize, "maximize p1 at a fixed system size")
-    _add_spec(p)
-    _add_trunc(p)
-    _add_optimizer(p)
-
-    p = command("find-n", _cmd_find_n, "search the optimal number of units")
-    _add_spec(p, with_n=False)
-    _add_trunc(p)
-    _add_optimizer(p)
-    _add_search(p)
-    p.add_argument("--full-curve", dest="full_curve", action="store_true",
-                   help="emit one row per system size instead of only the optimum")
-
-    p = command("scan-strategies", _cmd_scan_strategies, "compare detection strategies")
-    _add_spec(p, with_n=False)
-    _add_trunc(p)
-    _add_optimizer(p)
-    _add_search(p)
-    p.add_argument("--max-j", dest="max_j", type=int, help="largest accept-up-to ceiling")
-
-    p = command("sweep", _cmd_sweep, "optimize over a loss-parameter grid")
-    _add_spec(p, with_n=False)
-    _add_trunc(p)
-    _add_optimizer(p)
-    _add_search(p)
-    p.add_argument("--axis", action="append", help="swept axis, name=start:stop:step (max 2)")
-    p.add_argument("--strategies", help="comma list of strategies")
-    p.add_argument("--modes", help="comma list of pump modes")
-    p.add_argument("--no-resume", dest="resume", action="store_false",
-                   help="overwrite existing sweep output instead of resuming")
-
-    p = command("table1", _cmd_table1, "reproduce the reference result table")
-    _add_trunc(p)
-    _add_optimizer(p)
-    _add_search(p)
-    p.add_argument("--rows", help="subset 'v_r,v_d,v_b;v_r,v_d,v_b;...'")
-
-    p = command("stability", _cmd_stability, "tolerable deviation around the optimum")
-    _add_spec(p, with_n=False)
-    _add_trunc(p)
-    _add_optimizer(p)
-    _add_search(p)
-    p.add_argument("--resolution", type=float, help="bisection resolution of the interval")
-
-    p = command("mc-validate", _cmd_mc_validate, "check the model against sampling")
-    _add_trunc(p)
-    p.add_argument("--seed", type=int, help="offset added to every case's sampler seed")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--max-count", dest="max_count", type=int)
-    p.add_argument("--sigma", type=float, help="allowed deviation in standard errors")
-    p.add_argument("--cases", type=int, help="run only the first K corpus cases")
-    p.add_argument("--chunk-trials", dest="chunk_trials", type=int)
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        # no abbreviations: a removed flag must not silently match a longer one
+        p = sub.add_parser(
+            name, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
+        for option in options:
+            option.add_to(p)
     return parser
 
 
@@ -689,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_CONFIG
     try:
         cfg = resolve_run_config(args)
-        return args.func(cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

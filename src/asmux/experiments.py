@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -445,37 +444,8 @@ def vb_crossover(
 # sweep driver with incremental, resumable output
 # ----------------------------------------------------------------------
 
-def _sweep_job(args) -> ResultRow:
-    (cell, v_t, source, strategy_key, mode_value, settings_dict, n_ref, threshold,
-     trunc_fields) = args
-    spec = MultiplexerSpec(
-        v_r=cell["v_r"], v_b=cell["v_b"], v_d=cell["v_d"], n_units=1,
-        v_t=v_t, source=source,
-    )
-    strategy = DetectionStrategy.parse(strategy_key)
-    mode = OptimizationMode(mode_value)
-    settings = OptimizerSettings(**settings_dict)
-    trunc = TruncationPolicy(**trunc_fields)
-    return _search_row(spec, strategy, mode, settings, n_ref, threshold, trunc)
-
-
-def _job_key(row_or_args) -> tuple:
-    if isinstance(row_or_args, ResultRow):
-        return (
-            f"{row_or_args.v_r:.10g}",
-            f"{row_or_args.v_d:.10g}",
-            f"{row_or_args.v_b:.10g}",
-            row_or_args.strategy,
-            row_or_args.mode,
-        )
-    cell, _, _, strategy_key, mode_value = row_or_args[:5]
-    return (
-        f"{cell['v_r']:.10g}",
-        f"{cell['v_d']:.10g}",
-        f"{cell['v_b']:.10g}",
-        strategy_key,
-        mode_value,
-    )
+def _job_key(v_r: float, v_d: float, v_b: float, strategy: str, mode: str) -> tuple:
+    return (f"{v_r:.10g}", f"{v_d:.10g}", f"{v_b:.10g}", strategy, mode)
 
 
 def run_sweep(
@@ -489,83 +459,68 @@ def run_sweep(
     threads: int = 1,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
-    """Optimize every (cell, strategy, mode) job of the grid.
+    """Optimize every (cell, strategy, mode) job of the grid, in grid order.
 
     When ``out_csv`` is given, finished rows are appended immediately so
     an interrupted sweep can resume: jobs whose key already appears in
     the file are skipped, and a last row cut short by the interruption
-    is dropped and redone.  Jobs are independent; with ``threads > 1``
-    they run in a process pool, and either way rows keep a fixed order.
+    is dropped and redone.  A file whose embedded configuration differs
+    from ``config`` is refused and left as it is.  Jobs run one after
+    another in this process (each takes milliseconds); ``threads`` is
+    accepted for older callers and ignored.
     """
-    settings = settings or OptimizerSettings()
-    jobs = []
-    for cell in grid.cells():
-        for strategy in grid.strategies:
-            for mode in grid.modes:
-                jobs.append(
-                    (
-                        cell,
-                        grid.v_t,
-                        grid.source,
-                        strategy.key,
-                        OptimizationMode.coerce(mode).value,
-                        asdict(settings),
-                        n_ref,
-                        threshold,
-                        asdict(trunc),
-                    )
-                )
-
     path = None if out_csv is None else Path(out_csv)
-    append = resume and path is not None and path.exists() and _ready_to_append(path)
-    done_rows = read_csv(path) if append else []
-    done_keys = {_job_key(r) for r in done_rows}
-    pending = [j for j in jobs if _job_key(j) not in done_keys]
+    append = resume and path is not None and path.exists() and _ready_to_append(path, config)
+    done = {
+        _job_key(r.v_r, r.v_d, r.v_b, r.strategy, r.mode): r
+        for r in (read_csv(path) if append else [])
+    }
 
-    writer = None
     handle = None
     if path is not None:
         handle = open(path, "a" if append else "w", newline="")
         writer = csv.writer(handle)
         if not append:
-            _write_csv_header(handle, writer, config)
-
-    new_rows: list[ResultRow] = []
+            handle.write(_config_lines(config))
+            writer.writerow(CSV_COLUMNS)
+    rows: list[ResultRow] = []
     try:
-        if threads > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for row in pool.map(_sweep_job, pending, chunksize=1):
-                    new_rows.append(row)
-                    if writer is not None:
-                        writer.writerow(_csv_record(row))
-                        handle.flush()
-        else:
-            for job in pending:
-                row = _sweep_job(job)
-                new_rows.append(row)
-                if writer is not None:
-                    writer.writerow(_csv_record(row))
-                    handle.flush()
+        for cell in grid.cells():
+            spec = MultiplexerSpec(
+                v_r=cell["v_r"], v_b=cell["v_b"], v_d=cell["v_d"], n_units=1,
+                v_t=grid.v_t, source=grid.source,
+            )
+            for strategy in grid.strategies:
+                for mode in map(OptimizationMode.coerce, grid.modes):
+                    key = _job_key(cell["v_r"], cell["v_d"], cell["v_b"], strategy.key, mode.value)
+                    row = done.get(key)
+                    if row is None:
+                        row = _search_row(spec, strategy, mode, settings, n_ref, threshold, trunc)
+                        if handle is not None:
+                            writer.writerow(_csv_record(row))
+                            handle.flush()
+                    rows.append(row)
     finally:
         if handle is not None:
             handle.close()
-
-    by_key = {_job_key(r): r for r in done_rows}
-    by_key.update({_job_key(r): r for r in new_rows})
-    return [by_key[_job_key(j)] for j in jobs if _job_key(j) in by_key]
+    return rows
 
 
-def _ready_to_append(path: Path) -> bool:
+def _ready_to_append(path: Path, config: dict | None) -> bool:
     """Ready a sweep CSV for appending; False when it holds no column header.
 
-    A record is complete when it ends in a newline and has one field per
-    column.  An incomplete last record, left by an interrupted write, is
-    cut off.  A file written with other columns is refused.
+    A file whose leading comment lines differ from those ``config``
+    would write, or whose columns differ, is refused untouched.  A record
+    is complete when it ends in a newline and has one field per column;
+    an incomplete last record, left by an interrupted write, is cut off.
     """
     lines = path.read_bytes().splitlines(keepends=True)
     records = [line for line in lines if not line.startswith(b"#")]
     if not records:
         return False
+    comments = lines[: lines.index(records[0])]
+    if b"".join(comments) != _config_lines(config).encode():
+        raise ParameterError(f"{path} was written with another configuration; not resuming")
     if records[0].endswith(b"\n") and _fields(records[0]) != list(CSV_COLUMNS):
         raise ParameterError(f"{path} was written with other columns and cannot be resumed")
     last = lines[-1]
@@ -604,11 +559,11 @@ def _csv_record(row: ResultRow) -> list[str]:
     return record
 
 
-def _write_csv_header(handle, writer, config: dict | None) -> None:
-    if config:
-        for key in sorted(config):
-            handle.write(f"# {key} = {json.dumps(config[key], sort_keys=True)}\n")
-    writer.writerow(CSV_COLUMNS)
+def _config_lines(config: dict | None) -> str:
+    """The leading comment lines that embed ``config`` in a CSV file."""
+    return "".join(
+        f"# {key} = {json.dumps(config[key], sort_keys=True)}\n" for key in sorted(config or {})
+    )
 
 
 def write_csv(rows: Sequence[ResultRow], path: str | Path, config: dict | None = None) -> None:
@@ -618,43 +573,64 @@ def write_csv(rows: Sequence[ResultRow], path: str | Path, config: dict | None =
     the file is self-describing.
     """
     with open(path, "w", newline="") as handle:
+        handle.write(_config_lines(config))
         writer = csv.writer(handle)
-        _write_csv_header(handle, writer, config)
+        writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(_csv_record(row))
 
 
 def read_csv(path: str | Path) -> list[ResultRow]:
-    """Load rows written by :func:`write_csv` (comment lines are skipped)."""
+    """Load rows written by :func:`write_csv` (comment lines are skipped).
+
+    Every record is checked: a wrong column header or field count, a
+    non-numeric field, a pump profile whose length is not ``n_units`` or
+    an unknown strategy or mode raises :class:`ParameterError` naming
+    the line.
+    """
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    data = [(n, line) for n, line in enumerate(lines, start=1) if not line.startswith(b"#")]
+    if data and _fields(data[0][1]) != list(CSV_COLUMNS):
+        raise ParameterError(f"{path} line {data[0][0]}: expected the columns {CSV_COLUMNS}")
     rows: list[ResultRow] = []
-    with open(path, newline="") as handle:
-        data_lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(data_lines)
-    for record in reader:
-        rows.append(
-            ResultRow(
-                v_r=float(record["v_r"]),
-                v_t=float(record["v_t"]),
-                v_b=float(record["v_b"]),
-                v_d=float(record["v_d"]),
-                source=record["source"],
-                strategy=record["strategy"],
-                mode=record["mode"],
-                n_units=int(record["n_units"]),
-                n_opt=int(record["n_opt"]) if record["n_opt"] else None,
-                p1=float(record["p1"]),
-                lambda_uniform=float(record["lambda_uniform"])
-                if record["lambda_uniform"]
-                else None,
-                lambdas=tuple(
-                    float(x) for x in record["lambdas"].split(";") if x
-                ),
-                delta_minus=float(record["delta_minus"]) if record["delta_minus"] else None,
-                delta_plus=float(record["delta_plus"]) if record["delta_plus"] else None,
-                baseline_p1=float(record["baseline_p1"]) if record["baseline_p1"] else None,
-            )
-        )
+    for lineno, line in data[1:]:
+        try:
+            rows.append(_parse_record(_fields(line)))
+        except (ValueError, ParameterError) as err:
+            raise ParameterError(f"{path} line {lineno}: {err}") from None
     return rows
+
+
+def _parse_record(fields: list[str]) -> ResultRow:
+    if len(fields) != len(CSV_COLUMNS):
+        raise ParameterError(f"{len(fields)} fields, expected {len(CSV_COLUMNS)}")
+    rec = dict(zip(CSV_COLUMNS, fields))
+
+    def optional(col: str, kind: type = float):
+        return kind(rec[col]) if rec[col] else None
+
+    DetectionStrategy.parse(rec["strategy"])
+    OptimizationMode(rec["mode"])
+    row = ResultRow(
+        v_r=float(rec["v_r"]),
+        v_t=float(rec["v_t"]),
+        v_b=float(rec["v_b"]),
+        v_d=float(rec["v_d"]),
+        source=rec["source"],
+        strategy=rec["strategy"],
+        mode=rec["mode"],
+        n_units=int(rec["n_units"]),
+        n_opt=optional("n_opt", int),
+        p1=float(rec["p1"]),
+        lambda_uniform=optional("lambda_uniform"),
+        lambdas=tuple(float(x) for x in rec["lambdas"].split(";") if x),
+        delta_minus=optional("delta_minus"),
+        delta_plus=optional("delta_plus"),
+        baseline_p1=optional("baseline_p1"),
+    )
+    if len(row.lambdas) != row.n_units:
+        raise ParameterError(f"{len(row.lambdas)} pump means for {row.n_units} units")
+    return row
 
 
 def _row_dict(row: ResultRow) -> dict:

@@ -98,29 +98,20 @@ class DetectionStrategy:
 
     ``accepted`` is the explicit count set; ``None`` means every count
     >= 1 is accepted (threshold behaviour, where the detector's number
-    resolution is ignored).  ``j_cap`` is the largest count the detector
-    can resolve and bounds the members of explicit sets.
+    resolution is ignored).
     """
 
     accepted: frozenset[int] | None
-    j_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.accepted is None:
-            object.__setattr__(self, "j_cap", None)
             return
         members = frozenset(int(j) for j in self.accepted)
         if not members:
             raise ParameterError("accepted count set must be nonempty")
         if min(members) < 1:
             raise ParameterError("accepted counts must be >= 1")
-        cap = max(members) if self.j_cap is None else int(self.j_cap)
-        if cap < max(members):
-            raise ParameterError(
-                f"j_cap={cap} below the largest accepted count {max(members)}"
-            )
         object.__setattr__(self, "accepted", members)
-        object.__setattr__(self, "j_cap", cap)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -129,17 +120,17 @@ class DetectionStrategy:
         return cls(frozenset({1}))
 
     @classmethod
-    def accept_up_to(cls, j: int, j_cap: int | None = None) -> "DetectionStrategy":
+    def accept_up_to(cls, j: int) -> "DetectionStrategy":
         """Accept every detected count from 1 up to ``j``."""
         j = int(j)
         if j < 1:
             raise ParameterError(f"maximum accepted count must be >= 1, got {j}")
-        return cls(frozenset(range(1, j + 1)), j_cap)
+        return cls(frozenset(range(1, j + 1)))
 
     @classmethod
-    def explicit(cls, counts: Iterable[int], j_cap: int | None = None) -> "DetectionStrategy":
+    def explicit(cls, counts: Iterable[int]) -> "DetectionStrategy":
         """Accept exactly the given counts (gaps allowed)."""
-        return cls(frozenset(int(c) for c in counts), j_cap)
+        return cls(frozenset(int(c) for c in counts))
 
     @classmethod
     def threshold(cls) -> "DetectionStrategy":

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from asmux.cli import main
+from asmux.cli import _COMMANDS, _build_parser, main, resolve_run_config
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +120,20 @@ class TestExitCodes:
         assert code == 2
         assert "upto:x" in err
 
+    def test_bad_mode_in_config_file_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("v_r = 0.9\nv_b = 0.9\nv_d = 0.9\nmode = foo\n")
+        code, _, err = run(capsys, "find-n", "--config", str(cfg))
+        assert code == 2
+        assert "mode must be one of" in err
+
+    def test_bad_sweep_mode_is_config_error(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--modes", "foo",
+        )
+        assert code == 2
+        assert "foo" in err
+
     def test_mc_validation_failure(self, capsys):
         code, out, err = run(
             capsys, "mc-validate", "--cases", "1", "--trials", "50000",
@@ -149,6 +165,139 @@ class TestConfigResolution:
         code, out, _ = run(capsys, "eval", "--config", str(cfg))
         assert code == 0
         assert float(out.splitlines()[1].split()[1]) > 0.29
+
+    def test_json_null(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"v_r": 0.9, "v_b": 0.9, "v_d": 0.9, "n_ref": 5, "out": None}))
+        assert main(["find-n", "--config", str(cfg)]) == 0  # no default: unset
+        assert list(tmp_path.iterdir()) == [cfg]
+        cfg.write_text(json.dumps({"v_r": 0.9, "v_b": 0.9, "v_d": 0.9, "n_ref": None}))
+        code, _, err = run(capsys, "find-n", "--config", str(cfg))
+        assert code == 2
+        assert "n_ref must be a number" in err
+
+
+# every (command, key) pair the commands accepted without reading it
+REMOVED_KEYS = (
+    [(command, "threads") for command in _COMMANDS]
+    + [(command, "i_max") for command in _COMMANDS if command != "eval"]
+    + [(command, "n") for command in ("find-n", "scan-strategies", "sweep", "stability")]
+    + [(command, "strategy") for command in ("scan-strategies", "sweep", "table1")]
+    + [(command, "mode") for command in ("sweep", "table1", "stability")]
+    + [("mc-validate", "format")]
+)
+REMOVED_VALUES = {
+    "threads": "2", "i_max": "3", "n": "3", "strategy": "thd", "mode": "uniform",
+    "format": "json",
+}
+
+
+class TestRemovedKeys:
+    def test_count(self):
+        assert len(REMOVED_KEYS) == 26
+
+    @pytest.mark.parametrize("command,key", REMOVED_KEYS)
+    def test_flag_is_config_error(self, capsys, command, key):
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run(capsys, command, flag, REMOVED_VALUES[key])
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command,key", REMOVED_KEYS)
+    def test_config_key_is_config_error(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {REMOVED_VALUES[key]}\n")
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err
+
+
+# value strategies for the options whose text a converter checks
+OPTION_VALUES = {
+    "strategy": st.sampled_from(["spd", "thd", "upto:3", "set:1,3"]),
+    "strategies": st.lists(st.sampled_from(["spd", "thd", "upto:2"]), min_size=1, max_size=3)
+    .map(",".join),
+    "modes": st.lists(
+        st.sampled_from(["per-unit", "uniform", "scaled-reference"]), min_size=1, max_size=3
+    ).map(",".join),
+    "lam": st.lists(st.floats(0, 5), min_size=1, max_size=3)
+    .map(lambda xs: ",".join(map(repr, xs))),
+    "rows": st.just("0.9,0.9,0.9;0.95,0.9,0.8"),
+    "axis": st.lists(
+        st.sampled_from(["v_d=0.8:0.9:0.05", "v_r=0.9:0.95:0.05"]), min_size=1, max_size=2
+    ),
+}
+
+
+def _values(option):
+    if option.dest in OPTION_VALUES:
+        return OPTION_VALUES[option.dest]
+    if option.choices:
+        return st.sampled_from(option.choices)
+    if option.type is float:
+        return st.floats(0, 10)
+    if option.type is int:
+        return st.integers(0, 10**6)
+    if option.action in ("store_true", "store_false"):
+        return st.booleans()
+    return st.from_regex(r"[a-z][a-z0-9_.]{0,8}", fullmatch=True)
+
+
+def _text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _as_flags(options, values) -> list[str]:
+    argv = []
+    for dest, value in values.items():
+        option = options[dest]
+        if option.action in ("store_true", "store_false"):
+            if value != option.default:
+                argv.append(option.flag)
+        elif option.action == "append":
+            argv += [f"{option.flag}={v}" for v in value]
+        else:
+            argv.append(f"{option.flag}={_text(value)}")
+    return argv
+
+
+def _key(dest: str) -> str:
+    return "lambda" if dest == "lam" else dest
+
+
+def _kv_text(value) -> str:
+    if isinstance(value, (bool, list)):
+        return json.dumps(value)
+    return _text(value)
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flags_and_files_resolve_alike(self, tmp_path, command, data):
+        options = {o.dest: o for o in _COMMANDS[command][2] if o.dest != "config"}
+        values = data.draw(st.fixed_dictionaries(
+            {}, optional={dest: _values(o) for dest, o in options.items()}
+        ))
+        parser = _build_parser()
+
+        def resolve(*argv):
+            cfg = resolve_run_config(parser.parse_args([command, *argv]))
+            del cfg["config"]
+            return cfg
+
+        kv_file = tmp_path / "run.cfg"
+        kv_file.write_text(
+            "".join(f"{_key(d)} = {_kv_text(v)}\n" for d, v in values.items())
+        )
+        json_file = tmp_path / "run.json"
+        json_file.write_text(json.dumps({_key(d): v for d, v in values.items()}))
+        from_flags = resolve(*_as_flags(options, values))
+        assert {d: from_flags[d] for d in values} == values
+        assert resolve("--config", str(kv_file)) == from_flags
+        assert resolve("--config", str(json_file)) == from_flags
 
 
 class TestReproducibleOutputs:
@@ -213,6 +362,25 @@ class TestSweepCommand:
 
         rows = read_csv(out)
         assert [r.v_d for r in rows] == [0.85, 0.9]
+
+    def test_resume_refuses_other_config(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        common = ["sweep", "--v-r", "0.9", "--v-b", "0.9", "--format", "csv", "--out", str(out)]
+        first = [*common, "--axis", "v_d=0.85:0.9:0.05", "--n-ref", "5"]
+        assert main(first) == 0
+        written = out.read_bytes()
+        assert main(first) == 0  # the same configuration resumes
+        assert out.read_bytes() == written
+        other = [*common, "--axis", "v_d=0.85:0.95:0.05", "--n-ref", "9"]
+        code, _, err = run(capsys, *other)
+        assert code == 3
+        assert "another configuration" in err
+        assert out.read_bytes() == written
+        # refused before a torn last record would be cut off
+        torn = written[:-30]
+        out.write_bytes(torn)
+        assert main(other) == 3
+        assert out.read_bytes() == torn
 
     def test_bad_axis_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "v_d=0.85")

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
+    CSV_COLUMNS,
     Axis,
     SweepGrid,
     delta_surface,
@@ -159,15 +162,63 @@ class TestSweep:
         assert a[0].p1 == b[0].p1
         assert a[0].lambdas == b[0].lambdas
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def test_threads_keyword_changes_nothing(self, tmp_path):
         grid = SweepGrid(
             axes=(Axis("v_d", 0.85, 0.9, 0.05),),
             fixed=(("v_r", 0.9), ("v_b", 0.9)),
         )
-        sequential = run_sweep(grid, n_ref=15)
-        pooled = run_sweep(grid, n_ref=15, threads=2, out_csv=tmp_path / "pool.csv")
-        assert [r.p1 for r in pooled] == [r.p1 for r in sequential]
-        assert [r.lambdas for r in pooled] == [r.lambdas for r in sequential]
+        plain = run_sweep(grid, n_ref=15)
+        threaded = run_sweep(grid, n_ref=15, threads=2, out_csv=tmp_path / "sweep.csv")
+        assert [r.p1 for r in threaded] == [r.p1 for r in plain]
+        assert [r.lambdas for r in threaded] == [r.lambdas for r in plain]
+
+    def test_resume_refuses_other_config(self, tmp_path):
+        grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
+        path = tmp_path / "sweep.csv"
+        run_sweep(grid, n_ref=5, out_csv=path, config={"n_ref": 5})
+        written = path.read_bytes()
+        for config in ({"n_ref": 9}, None):
+            with pytest.raises(ParameterError, match="another configuration"):
+                run_sweep(grid, n_ref=9, out_csv=path, config=config)
+            assert path.read_bytes() == written
+
+
+def _corrupt_last_field(path, column, value):
+    lines = path.read_text().splitlines(keepends=True)
+    fields = next(csv.reader([lines[-1]]))
+    fields[CSV_COLUMNS.index(column)] = value
+    lines[-1] = ",".join(fields) + "\r\n"
+    path.write_text("".join(lines))
+
+
+class TestReadCsv:
+    @pytest.fixture
+    def sweep_csv(self, tmp_path):
+        grid = SweepGrid(axes=(Axis("v_d", 0.8, 0.9, 0.05),), fixed=(("v_r", 0.9), ("v_b", 0.9)))
+        path = tmp_path / "sweep.csv"
+        run_sweep(grid, n_ref=20, out_csv=path)
+        assert len(read_csv(path)) == 3
+        return path
+
+    def test_cut_record(self, sweep_csv):
+        sweep_csv.write_bytes(sweep_csv.read_bytes()[:-30])
+        with pytest.raises(ParameterError, match="line 4"):
+            read_csv(sweep_csv)
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("p1", "abc"), ("n_units", "1.5"), ("n_units", "2"), ("strategy", "upto:x"),
+         ("mode", "foo")],
+    )
+    def test_bad_field(self, sweep_csv, column, value):
+        _corrupt_last_field(sweep_csv, column, value)
+        with pytest.raises(ParameterError, match="line 4"):
+            read_csv(sweep_csv)
+
+    def test_wrong_field_count(self, sweep_csv):
+        sweep_csv.write_text(sweep_csv.read_text() + "0.9,0.985\r\n")
+        with pytest.raises(ParameterError, match="line 5"):
+            read_csv(sweep_csv)
 
 
 class TestCurvesAndDeltas:

@@ -140,8 +140,6 @@ class TestDetectionStrategy:
         with pytest.raises(ParameterError):
             DetectionStrategy.explicit({0, 1})
         with pytest.raises(ParameterError):
-            DetectionStrategy.explicit({1, 5}, j_cap=3)
-        with pytest.raises(ParameterError):
             DetectionStrategy.accept_up_to(0)
 
     def test_accept_up_to_equals_explicit_range(self):
