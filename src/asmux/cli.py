@@ -28,7 +28,13 @@ import numpy as np
 
 from . import experiments as exp
 from .exceptions import ParameterError, TruncationError
-from .montecarlo import McSettings, VALIDATION_CORPUS, compare_with_analytic, corpus_case
+from .montecarlo import (
+    McSettings,
+    VALIDATION_CORPUS,
+    compare_with_analytic,
+    corpus_case,
+    expected_exceedances,
+)
 from .multiplexer import MultiplexerSpec
 from .optimize import (
     OptimizationMode,
@@ -69,13 +75,26 @@ def _items(text: str) -> list[str]:
     return [item for item in text.split(",") if item.strip()]
 
 
-def _checked(parse: Callable, many: bool = False) -> Callable[[str], str]:
-    """Converter that checks ``parse`` accepts the text (each item of a
-    comma list when ``many``) and keeps the text as given."""
+def _strategy_items(text: str) -> list[str]:
+    """The strategies of a comma list; an integer item continues a ``set:``."""
+    items: list[str] = []
+    for item in _items(text):
+        if items and items[-1].strip().lower().startswith("set:") and item.strip().isdigit():
+            items[-1] += "," + item
+        else:
+            items.append(item)
+    return items
+
+
+def _checked(
+    parse: Callable, split: Callable[[str], list[str]] | None = None
+) -> Callable[[str], str]:
+    """Converter that checks ``parse`` accepts the text (each item of the
+    list that ``split`` makes of it, if given) and keeps the text as given."""
 
     def convert(text: str) -> str:
         try:
-            for item in _items(text) if many else [text]:
+            for item in split(text) if split else [text]:
                 parse(item)
         except ParameterError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
@@ -447,7 +466,7 @@ def _cmd_sweep(cfg: dict) -> int:
         if cfg.get(name) is None:
             raise ConfigError(f"parameter {name} is neither an axis nor fixed")
         fixed.append((name, cfg[name]))
-    strategies = tuple(map(DetectionStrategy.parse, _items(cfg["strategies"])))
+    strategies = tuple(map(DetectionStrategy.parse, _strategy_items(cfg["strategies"])))
     modes = tuple(map(OptimizationMode.coerce, _items(cfg["modes"])))
     grid = exp.SweepGrid(
         axes=axes,
@@ -573,6 +592,11 @@ def _cmd_mc_validate(cfg: dict) -> int:
             }
         )
     elapsed = time.perf_counter() - started
+    buckets = len(report) * (cfg["max_count"] + 1)
+    print(
+        f"expected buckets beyond {sigma} sigma if the model holds: "
+        f"{expected_exceedances(buckets, sigma):.3g} of {buckets}"
+    )
     out = cfg.get("out")
     if out:
         payload = {"config": cfg, "cases": report}
@@ -613,9 +637,9 @@ _COMMANDS = {
         *_IO, *_SPEC, *_TRUNC, *_BOUNDS, *_SEARCH,
         _Option("axis", "--axis", default=(), action="append",
                 help="swept axis, name=start:stop:step (max 2)"),
-        _Option("strategies", "--strategies", _checked(DetectionStrategy.parse, many=True),
+        _Option("strategies", "--strategies", _checked(DetectionStrategy.parse, _strategy_items),
                 "spd", help="comma list of strategies"),
-        _Option("modes", "--modes", _checked(OptimizationMode.coerce, many=True),
+        _Option("modes", "--modes", _checked(OptimizationMode.coerce, _items),
                 "per-unit", help="comma list of pump modes"),
         _Option("resume", "--no-resume", _boolean, True, action="store_false",
                 help="overwrite existing sweep output instead of resuming"),

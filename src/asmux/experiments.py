@@ -465,9 +465,10 @@ def run_sweep(
     an interrupted sweep can resume: jobs whose key already appears in
     the file are skipped, and a last row cut short by the interruption
     is dropped and redone.  A file whose embedded configuration differs
-    from ``config`` is refused and left as it is.  Jobs run one after
-    another in this process (each takes milliseconds); ``threads`` is
-    accepted for older callers and ignored.
+    from ``config`` in any key but ``config``, ``out`` and ``resume`` is
+    refused and left as it is.  Jobs run one after another in this
+    process (each takes milliseconds); ``threads`` is accepted for older
+    callers and ignored.
     """
     path = None if out_csv is None else Path(out_csv)
     append = resume and path is not None and path.exists() and _ready_to_append(path, config)
@@ -510,16 +511,19 @@ def _ready_to_append(path: Path, config: dict | None) -> bool:
     """Ready a sweep CSV for appending; False when it holds no column header.
 
     A file whose leading comment lines differ from those ``config``
-    would write, or whose columns differ, is refused untouched.  A record
-    is complete when it ends in a newline and has one field per column;
-    an incomplete last record, left by an interrupted write, is cut off.
+    would write, other than in the keys that name the run's files or
+    its resume flag, or whose columns differ, is refused untouched.  A
+    record is complete when it ends in a newline and has one field per
+    column; an incomplete last record, left by an interrupted write, is
+    cut off.
     """
     lines = path.read_bytes().splitlines(keepends=True)
     records = [line for line in lines if not line.startswith(b"#")]
     if not records:
         return False
     comments = lines[: lines.index(records[0])]
-    if b"".join(comments) != _config_lines(config).encode():
+    expected = _config_lines(config).encode().splitlines(keepends=True)
+    if _computed_lines(comments) != _computed_lines(expected):
         raise ParameterError(f"{path} was written with another configuration; not resuming")
     if records[0].endswith(b"\n") and _fields(records[0]) != list(CSV_COLUMNS):
         raise ParameterError(f"{path} was written with other columns and cannot be resumed")
@@ -531,6 +535,18 @@ def _ready_to_append(path: Path, config: dict | None) -> bool:
             handle.truncate(sum(map(len, lines[:-1])))
         return len(records) > 1
     return True
+
+
+# embedded-config keys that say where a run reads and writes or whether
+# it resumes, not what it computes; resuming ignores them
+_RUN_KEYS = frozenset({b"config", b"out", b"resume"})
+
+
+def _computed_lines(lines: list[bytes]) -> list[bytes]:
+    """The embedded-config lines whose keys select what is computed."""
+    return [
+        line for line in lines if line[2:].partition(b" = ")[0] not in _RUN_KEYS
+    ]
 
 
 def _fields(line: bytes) -> list[str]:

@@ -3,12 +3,14 @@
 Each trial draws the physical process end to end: pair generation in
 every unit, detector thinning of the idler counts, priority routing to
 the accepted unit with the smallest index, and binomial loss along that
-unit's arm.  Frequencies of the output photon number estimate the same
-distribution the analytic model computes, so the two implementations
-validate each other.
+unit's arm.  Units after the winner cannot change a trial's output, so
+they are not drawn for it.  Frequencies of the output photon number
+estimate the same distribution the analytic model computes, so the two
+implementations validate each other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "McComparison",
     "simulate",
     "compare_with_analytic",
+    "expected_exceedances",
     "VALIDATION_CORPUS",
     "corpus_case",
 ]
@@ -92,23 +95,31 @@ def _simulate_chunk(
     family: SourceFamily,
     max_count: int,
 ) -> np.ndarray:
-    if family is SourceFamily.POISSON:
-        pairs = rng.poisson(lam, size=(size, lam.size))
-    else:
-        # thermal pair numbers are geometric on {0, 1, ...}
-        pairs = rng.geometric(1.0 / (1.0 + lam), size=(size, lam.size)) - 1
-    detected = rng.binomial(pairs, v_d)
-    admitted = strategy.accept_mask(detected)
+    """Tally the output photon numbers of ``size`` trials, unit by unit.
 
-    winner = np.argmax(admitted, axis=1)  # smallest admitted index
-    has_winner = admitted.any(axis=1)
-    out = np.zeros(size, dtype=np.int64)
-    if has_winner.any():
-        rows = np.flatnonzero(has_winner)
-        out[rows] = rng.binomial(pairs[rows, winner[rows]], v_arm[winner[rows]])
-
-    clipped = np.minimum(out, max_count + 1)
-    return np.bincount(clipped, minlength=max_count + 2)
+    Priority goes to the admitted unit with the smallest index, so once
+    a trial has a winner no later unit can change its output.  Each unit
+    is therefore drawn only for the trials still pending; trials are
+    exchangeable, so only their number needs to be carried.  Trials
+    that no unit admits leave the output empty.
+    """
+    counts = np.zeros(max_count + 2, dtype=np.int64)
+    pending = size
+    for lam_k, v_k in zip(lam, v_arm):
+        if family is SourceFamily.POISSON:
+            pairs = rng.poisson(lam_k, size=pending)
+        else:
+            # thermal pair numbers are geometric on {0, 1, ...}
+            pairs = rng.geometric(1.0 / (1.0 + lam_k), size=pending) - 1
+        detected = rng.binomial(pairs, v_d)
+        heralded = pairs[strategy.accept_mask(detected)]
+        out = rng.binomial(heralded, v_k)
+        counts += np.bincount(np.minimum(out, max_count + 1), minlength=max_count + 2)
+        pending -= heralded.size
+        if pending == 0:
+            break
+    counts[0] += pending
+    return counts
 
 
 def simulate(
@@ -181,6 +192,16 @@ def compare_with_analytic(
     result = simulate(spec, pump, strategy, mc)
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count, trunc=trunc)
     return McComparison(result=result, analytic=dist.probs)
+
+
+def expected_exceedances(buckets: int, n_sigma: float) -> float:
+    """Expected number of buckets beyond ``n_sigma`` when the model is right.
+
+    Each bucket's standardized deviation is about normal, so it exceeds
+    ``n_sigma`` with probability ``erfc(n_sigma / sqrt(2))``; a gate over
+    many buckets has no multiple-comparison control beyond this figure.
+    """
+    return buckets * math.erfc(n_sigma / math.sqrt(2.0))
 
 
 # Fixed regression corpus: heterogeneous sizes, strategies and sources

@@ -382,6 +382,52 @@ class TestSweepCommand:
         assert main(other) == 3
         assert out.read_bytes() == torn
 
+    def test_resume_after_no_resume(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = [
+            "sweep", "--axis", "v_d=0.85:0.9:0.05", "--v-r", "0.9", "--v-b", "0.9",
+            "--n-ref", "5", "--format", "csv", "--out", str(out),
+        ]
+        assert main([*args, "--no-resume"]) == 0
+        written = out.read_bytes()
+        assert main(args) == 0
+        assert out.read_bytes() == written
+        # the same settings from a config file resume it too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('axis = ["v_d=0.85:0.9:0.05"]\nv_r = 0.9\nv_b = 0.9\nn_ref = 5\n')
+        assert main([
+            "sweep", "--config", str(cfg), "--format", "csv", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == written
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_set_strategy_in_list(self, capsys, tmp_path, source):
+        out = tmp_path / "sweep.csv"
+        args = [
+            "sweep", "--axis", "v_d=0.85:0.9:0.05", "--v-r", "0.9", "--v-b", "0.9",
+            "--n-ref", "5", "--format", "csv", "--out", str(out),
+        ]
+        if source == "flag":
+            args += ["--strategies", "spd,set:1,3"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("strategies = spd,set:1,3\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 0
+        capsys.readouterr()
+        from asmux.experiments import read_csv
+
+        rows = read_csv(out)
+        assert [r.strategy for r in rows] == ["spd", "set:1,3"] * 2
+
+    def test_integer_after_upto_is_config_error(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--strategies", "upto:2,3",
+        )
+        assert code == 2
+        assert "'3'" in err
+
     def test_bad_axis_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "v_d=0.85")
         assert code == 2
@@ -444,5 +490,10 @@ class TestOtherCommands:
         )
         assert code == 0
         assert text.count("PASS") == 2
+        # 2 cases x 11 buckets, each beyond 5 sigma with probability erfc(5/sqrt(2))
+        assert text.splitlines()[-1] == (
+            "expected buckets beyond 5.0 sigma if the model holds: 1.26e-05 of 22"
+        )
         payload = json.loads(out.read_text())
+        assert set(payload) == {"config", "cases"}
         assert len(payload["cases"]) == 2

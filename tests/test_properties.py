@@ -1,11 +1,16 @@
-"""Property tests of the all-sizes optimizer over random models."""
+"""Property tests of the model and the all-sizes optimizer over random models."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import find_optimal_n, optimize_pump
-from asmux.statistics import DetectionStrategy, output_distribution
+from asmux.statistics import (
+    DetectionStrategy,
+    PumpProfile,
+    output_distribution,
+    required_lmax,
+)
 
 DETECTION = st.one_of(
     st.just(DetectionStrategy.single_photon()),
@@ -54,3 +59,32 @@ def test_per_unit_dominates_restricted_modes(model):
     for mode in ("uniform", "scaled-reference"):
         restricted = find_optimal_n(spec, strategy, n_ref=n_ref, mode=mode).p1_by_n
         assert np.all(per_unit >= restricted - 1e-9)
+
+
+@st.composite
+def pumped_models(draw):
+    """A random loss point and source family with a pump profile of 1-8 units."""
+    spec, strategy, _ = draw(models())
+    lambdas = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8).filter(any))
+    return spec.with_units(len(lambdas)), PumpProfile(tuple(lambdas)), strategy
+
+
+@PROPERTY
+@given(pumped_models(), st.integers(1, 10))
+def test_distribution_completes_to_one(model, i_max):
+    spec, pump, strategy = model
+    dist = output_distribution(spec, pump, strategy, i_max=i_max)
+    assert np.all(dist.probs >= 0.0)
+    assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-8
+
+
+@PROPERTY
+@given(pumped_models())
+def test_threshold_equals_accept_up_to_series_cutoff(model):
+    # no unit can detect more pairs than the series cutoff keeps
+    spec, pump, _ = model
+    l_max = required_lmax(spec.source, max(pump.lambdas))
+    thd = output_distribution(spec, pump, DetectionStrategy.threshold())
+    upto = output_distribution(spec, pump, DetectionStrategy.accept_up_to(l_max))
+    assert np.allclose(thd.probs, upto.probs, rtol=0.0, atol=1e-12)
+    assert abs(thd.truncation_mass - upto.truncation_mass) <= 1e-12
