@@ -39,12 +39,8 @@ from .statistics import (
     OutputDistribution,
     PumpProfile,
     TruncationPolicy,
-    detect_cond_prob,
-    detect_total_prob,
     output_distribution,
-    pair_gen_prob,
     single_photon_prob,
-    transmit_cond_prob,
 )
 
 __version__ = "0.1.0"
@@ -60,10 +56,6 @@ __all__ = [
     "TruncationPolicy",
     "DEFAULT_TRUNCATION",
     "OutputDistribution",
-    "pair_gen_prob",
-    "detect_cond_prob",
-    "detect_total_prob",
-    "transmit_cond_prob",
     "output_distribution",
     "single_photon_prob",
     "OptimizationMode",

@@ -389,7 +389,7 @@ def _reported_p1_batch(
     t[:, :-1] = np.einsum("snl,nl->sn", pmf[:, :-1], chain.through[:, :keep])
     t[rows, sizes - 1] = np.einsum("sl,sl->s", pmf[rows, sizes - 1], last[:, :keep])
     prefix = np.ones(lam.shape)
-    np.cumprod(1.0 - pmf[:, :-1] @ chain.w[:keep], axis=1, out=prefix[:, 1:])
+    np.cumprod(pmf[:, :-1] @ (1.0 - chain.w[:keep]), axis=1, out=prefix[:, 1:])
     return np.einsum("sn,sn->s", prefix, t)
 
 

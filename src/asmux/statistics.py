@@ -29,10 +29,6 @@ __all__ = [
     "PumpProfile",
     "DetectionStrategy",
     "OutputDistribution",
-    "pair_gen_prob",
-    "detect_cond_prob",
-    "detect_total_prob",
-    "transmit_cond_prob",
     "output_distribution",
     "single_photon_prob",
 ]
@@ -200,99 +196,16 @@ class DetectionStrategy:
 class OutputDistribution:
     """Probabilities of 0..i_max photons at the multiplexer output.
 
-    ``truncation_mass`` bounds everything not covered by ``probs``: the
+    ``truncation_mass`` is everything not covered by ``probs``: the
     probability of more than ``i_max`` output photons plus the pair-number
-    series tail dropped by the truncation policy.
+    series tail dropped by the truncation policy.  Each ``probs[i]`` is a
+    lower bound on the exact probability.
     """
 
     probs: np.ndarray
     i_max: int
     truncation_mass: float
 
-
-# ----------------------------------------------------------------------
-# scalar building blocks
-# ----------------------------------------------------------------------
-
-def _binom_pmf_scalar(k: int, n: int, p: float) -> float:
-    if k < 0 or k > n:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    if n <= 30:
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    # log space above n = 30 to dodge overflow in the raw coefficient
-    logpmf = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(logpmf)
-
-
-def pair_gen_prob(family: SourceFamily | str, lam: float, l: int) -> float:
-    """Probability that a unit pumped at mean ``lam`` generates ``l`` pairs."""
-    family = SourceFamily.coerce(family)
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ParameterError(f"mean photon number must be finite and >= 0, got {lam!r}")
-    l = int(l)
-    if l < 0:
-        raise ParameterError(f"pair count must be >= 0, got {l}")
-    if lam == 0.0:
-        return 1.0 if l == 0 else 0.0
-    if family is SourceFamily.POISSON:
-        return math.exp(l * math.log(lam) - lam - math.lgamma(l + 1))
-    return math.exp(l * math.log(lam) - (l + 1) * math.log1p(lam))
-
-
-def detect_cond_prob(v_d: float, j: int, l: int) -> float:
-    """Probability that the detector registers ``j`` of ``l`` arriving photons."""
-    v_d = float(v_d)
-    if not 0.0 <= v_d <= 1.0:
-        raise ParameterError(f"detector efficiency must lie in [0, 1], got {v_d!r}")
-    return _binom_pmf_scalar(int(j), int(l), v_d)
-
-
-def transmit_cond_prob(v_n: float, i: int, l: int) -> float:
-    """Probability that ``i`` of ``l`` photons survive an arm of transmission ``v_n``."""
-    v_n = float(v_n)
-    if not 0.0 <= v_n <= 1.0:
-        raise ParameterError(f"arm transmission must lie in [0, 1], got {v_n!r}")
-    return _binom_pmf_scalar(int(i), int(l), v_n)
-
-
-def detect_total_prob(
-    family: SourceFamily | str,
-    lam: float,
-    v_d: float,
-    j: int,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
-    """Total probability of registering exactly ``j`` photons in one unit.
-
-    Marginalizes the detector response over the pair-number distribution.
-    For a Poisson source this equals the Poisson probability at mean
-    ``lam * v_d`` (thinning), which the tests use as a cross-check.
-    """
-    family = SourceFamily.coerce(family)
-    j = int(j)
-    if j < 0:
-        raise ParameterError(f"detected count must be >= 0, got {j}")
-    l_max = required_lmax(family, lam, trunc)
-    total = 0.0
-    for l in range(j, l_max + 1):
-        total += detect_cond_prob(v_d, j, l) * pair_gen_prob(family, lam, l)
-    return total
-
-
-# ----------------------------------------------------------------------
-# vectorized kernels
-# ----------------------------------------------------------------------
 
 def required_lmax(
     family: SourceFamily | str, lam_max: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
@@ -393,28 +306,6 @@ def transmit_one_weights(v: np.ndarray, l_max: int) -> np.ndarray:
     return ls[None, :] * v[:, None] * (1.0 - v[:, None]) ** expo[None, :]
 
 
-def _binom_pmf_array(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    k, n, p = np.broadcast_arrays(
-        np.asarray(k, dtype=float), np.asarray(n, dtype=float), np.asarray(p, dtype=float)
-    )
-    out = np.zeros(k.shape)
-    valid = (k >= 0) & (k <= n)
-    interior = valid & (p > 0.0) & (p < 1.0)
-    if interior.any():
-        kk, nn, pp = k[interior], n[interior], p[interior]
-        logpmf = (
-            gammaln(nn + 1.0)
-            - gammaln(kk + 1.0)
-            - gammaln(nn - kk + 1.0)
-            + kk * np.log(pp)
-            + (nn - kk) * np.log1p(-pp)
-        )
-        out[interior] = np.exp(logpmf)
-    out[valid & (p == 0.0) & (k == 0)] = 1.0
-    out[valid & (p == 1.0) & (k == n)] = 1.0
-    return out
-
-
 def _validate_pump(spec: MultiplexerSpec, pump: PumpProfile) -> np.ndarray:
     if len(pump) != spec.n_units:
         raise ParameterError(
@@ -453,13 +344,14 @@ def output_distribution(
     tails = source_tail(spec.source, lam, l_max)  # (N,)
     v = transmission_vector(spec)
 
-    herald = pmf @ w  # admission probability per unit
-    no_fire = 1.0 - herald
+    # no-admission probability inside the cut series; 1 - pmf @ w would
+    # also count the dropped tail, which truncation_mass already holds
+    no_fire = pmf @ (1.0 - w)
     prefix = np.concatenate(([1.0], np.cumprod(no_fire)[:-1]))
 
     ls = np.arange(l_max + 1, dtype=float)
     counts = np.arange(i_max + 1, dtype=float)
-    trans = _binom_pmf_array(
+    trans = _binom.pmf(
         counts[:, None, None], ls[None, None, :], v[None, :, None]
     )  # (i_max+1, N, L+1)
     contrib = np.einsum("inl,nl,l->in", trans, pmf, w)
@@ -518,36 +410,11 @@ def p1_profile_batch(
     lf = transmit_one_weights(v, l_max) * w[None, :]  # (N, L+1)
 
     pmf = source_pmf(spec.source, lam, l_max)  # (..., N, L+1)
-    herald = pmf @ w  # (..., N)
+    no_fire = pmf @ (1.0 - w)  # (..., N), inside the cut series
     t_one = np.einsum("...nl,nl->...n", pmf, lf)
-    cum = np.cumprod(1.0 - herald, axis=-1)
+    cum = np.cumprod(no_fire, axis=-1)
     prefix = np.concatenate(
-        [np.ones(herald.shape[:-1] + (1,)), cum[..., :-1]], axis=-1
+        [np.ones(no_fire.shape[:-1] + (1,)), cum[..., :-1]], axis=-1
     )
     return np.einsum("...n,...n->...", prefix, t_one)
 
-
-def p1_uniform_grid(
-    spec: MultiplexerSpec,
-    strategy: DetectionStrategy,
-    lam_grid: np.ndarray,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> np.ndarray:
-    """Single-photon probability for shared-mean profiles, one per grid value.
-
-    With identical means every unit shares one pair-number row, so the
-    per-unit admission factors collapse to powers of a single value.
-    """
-    lam = np.asarray(lam_grid, dtype=float).reshape(-1)
-    if np.any(~np.isfinite(lam)) or np.any(lam < 0.0):
-        raise ParameterError("input mean photon numbers must be finite and >= 0")
-    l_max = required_lmax(spec.source, float(lam.max()) if lam.size else 0.0, trunc)
-    w = acceptance_weights(strategy, spec.v_d, l_max)
-    v = transmission_vector(spec)
-    lf = transmit_one_weights(v, l_max) * w[None, :]  # (N, L+1)
-
-    pmf = source_pmf(spec.source, lam, l_max)  # (G, L+1)
-    herald = pmf @ w  # (G,)
-    t_one = pmf @ lf.T  # (G, N)
-    powers = (1.0 - herald)[:, None] ** np.arange(spec.n_units, dtype=float)[None, :]
-    return np.einsum("gn,gn->g", powers, t_one)

@@ -6,6 +6,7 @@ bounds.
 """
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from asmux.experiments import (
     fixed_n_curve,
@@ -31,9 +32,10 @@ from asmux.optimize import (
 from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
-    detect_total_prob,
+    acceptance_weights,
     output_distribution,
-    pair_gen_prob,
+    required_lmax,
+    source_pmf,
 )
 
 SPD = DetectionStrategy.single_photon()
@@ -235,13 +237,13 @@ def test_criterion_6_property_suite():
         lam = rng.uniform(0.0, 2.0)
         v_d = rng.uniform(0.0, 1.0)
         j = int(rng.integers(0, 6))
-        worst = max(
-            worst,
-            abs(
-                detect_total_prob("poisson", lam, v_d, j)
-                - pair_gen_prob("poisson", lam * v_d, j)
-            ),
-        )
+        l_max = required_lmax("poisson", lam)
+        if j:
+            weights = acceptance_weights(DetectionStrategy.explicit({j}), v_d, l_max)
+        else:
+            weights = 1.0 - acceptance_weights(THD, v_d, l_max)
+        series = source_pmf("poisson", lam, l_max) @ weights
+        worst = max(worst, abs(series - poisson.pmf(j, lam * v_d)))
     if worst > 1e-10:
         failures.append(f"thinning identity off by {worst:.2e}")
 

@@ -61,6 +61,16 @@ class TestEval:
             0.5 * math.exp(-0.5) * 0.98, rel=1e-12
         )
 
+    def test_loose_tail_epsilon_completes_to_one(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--n", "8", "--v-r", "0.9", "--v-b", "0.9",
+            "--v-d", "0.9", "--lambda", "1.5", "--strategy", "thd",
+            "--tail-epsilon", "1e-8",
+        )
+        assert code == 0
+        # P_0..P_10 followed by truncation_mass
+        assert abs(sum(float(line.split()[1]) for line in out.splitlines()) - 1.0) <= 1e-12
+
     def test_truncation_failure_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9",

@@ -8,6 +8,7 @@ from asmux.optimize import find_optimal_n, optimize_pump
 from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
+    TruncationPolicy,
     output_distribution,
     required_lmax,
 )
@@ -70,12 +71,17 @@ def pumped_models(draw):
 
 
 @PROPERTY
-@given(pumped_models(), st.integers(1, 10))
-def test_distribution_completes_to_one(model, i_max):
+@given(pumped_models(), st.integers(1, 10), st.sampled_from([1e-12, 1e-10, 1e-8, 5e-7]))
+def test_distribution_completes_to_one(model, i_max, tail_epsilon):
     spec, pump, strategy = model
-    dist = output_distribution(spec, pump, strategy, i_max=i_max)
+    trunc = TruncationPolicy(tail_epsilon=tail_epsilon)
+    dist = output_distribution(spec, pump, strategy, i_max=i_max, trunc=trunc)
     assert np.all(dist.probs >= 0.0)
-    assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-8
+    assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-12
+    # each entry is a lower bound, and truncation_mass covers what it misses
+    reference = output_distribution(spec, pump, strategy, i_max=i_max).probs
+    assert np.all(dist.probs <= reference + 1e-15)
+    assert np.all(reference <= dist.probs + dist.truncation_mass)
 
 
 @PROPERTY

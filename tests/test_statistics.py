@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
@@ -10,14 +11,13 @@ from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
-    detect_cond_prob,
-    detect_total_prob,
+    acceptance_weights,
     output_distribution,
     p1_profile_batch,
-    p1_uniform_grid,
-    pair_gen_prob,
+    required_lmax,
     single_photon_prob,
-    transmit_cond_prob,
+    source_pmf,
+    source_tail,
 )
 
 
@@ -46,71 +46,117 @@ def random_model(rng, n_max=12, thermal_ok=True):
     return spec, pump, strategy
 
 
+def thinned_pmf(family, mean, j):
+    """Closed-form pair-number pmf: Poisson or geometric (thermal) at ``mean``."""
+    if family == "poisson":
+        return float(poisson.pmf(j, mean))
+    return mean**j / (1.0 + mean) ** (j + 1)
+
+
+def detected_pmf(family, lam, v_d, j):
+    """Probability of registering exactly ``j`` photons, from the model's kernels."""
+    l_max = required_lmax(family, lam)
+    if j == 0:
+        weights = 1.0 - acceptance_weights(DetectionStrategy.threshold(), v_d, l_max)
+    else:
+        weights = acceptance_weights(DetectionStrategy.explicit({j}), v_d, l_max)
+    return float(source_pmf(family, lam, l_max) @ weights)
+
+
 class TestPairGenProb:
+    """Pair-generation probabilities: the rows of ``source_pmf`` and their tail."""
+
     def test_poisson_values(self):
-        assert pair_gen_prob("poisson", 1.0, 0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert pair_gen_prob("poisson", 0.0, 0) == 1.0
-        assert pair_gen_prob("poisson", 0.0, 3) == 0.0
+        assert source_pmf("poisson", 1.0, 4)[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert source_pmf("poisson", 0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_thermal_values(self):
-        assert pair_gen_prob("thermal", 1.0, 2) == pytest.approx(1.0 / 8.0, rel=1e-14)
-        assert pair_gen_prob("thermal", 0.0, 0) == 1.0
+        assert source_pmf("thermal", 1.0, 4)[2] == pytest.approx(1.0 / 8.0, rel=1e-14)
+        assert source_pmf("thermal", 0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_normalization(self):
+        # the cut row plus the exact tail beyond it closes to one
+        lams = np.array([0.3, 1.0, 2.5])
         for family in ("poisson", "thermal"):
-            for lam in (0.3, 1.0, 2.5):
-                total = sum(pair_gen_prob(family, lam, l) for l in range(200))
-                assert total == pytest.approx(1.0, abs=1e-12)
+            l_max = required_lmax(family, float(lams.max()))
+            total = source_pmf(family, lams, l_max).sum(axis=-1) + source_tail(family, lams, l_max)
+            assert np.all(np.abs(total - 1.0) <= 1e-14)
 
     def test_negative_lambda_rejected(self):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError):
-            pair_gen_prob("poisson", -0.1, 0)
+            required_lmax("poisson", -0.1)
+        with pytest.raises(ParameterError):
+            p1_profile_batch(spec, DetectionStrategy.single_photon(), np.array([[-0.1]]))
 
 
 class TestDetectCondProb:
+    """Detector response: ``acceptance_weights`` for single accepted counts."""
+
     def test_examples(self):
-        assert detect_cond_prob(0.98, 1, 1) == pytest.approx(0.98, rel=1e-14)
-        assert detect_cond_prob(0.9, 1, 2) == pytest.approx(0.18, rel=1e-14)
-        assert detect_cond_prob(0.9, 3, 2) == 0.0
+        assert acceptance_weights(DetectionStrategy.explicit({1}), 0.98, 1)[1] == pytest.approx(
+            0.98, rel=1e-14
+        )
+        assert acceptance_weights(DetectionStrategy.explicit({1}), 0.9, 2)[2] == pytest.approx(
+            0.18, rel=1e-14
+        )
+        assert acceptance_weights(DetectionStrategy.explicit({3}), 0.9, 2)[2] == 0.0
 
     def test_large_l_log_path_matches_small_scale_product(self):
-        # spot-check the log-space branch against an independent product
+        # spot-check a large count against an independent exact product
         v, j, l = 0.9, 40, 80
         direct = math.comb(l, j) * v**j * (1 - v) ** (l - j)
-        assert detect_cond_prob(v, j, l) == pytest.approx(direct, rel=1e-10)
+        assert acceptance_weights(DetectionStrategy.explicit({j}), v, l)[l] == pytest.approx(
+            direct, rel=1e-10
+        )
 
     def test_edge_efficiencies(self):
-        assert detect_cond_prob(1.0, 3, 3) == 1.0
-        assert detect_cond_prob(1.0, 2, 3) == 0.0
-        assert detect_cond_prob(0.0, 0, 5) == 1.0
+        assert acceptance_weights(DetectionStrategy.explicit({3}), 1.0, 3)[3] == 1.0
+        assert acceptance_weights(DetectionStrategy.explicit({2}), 1.0, 3)[3] == 0.0
+        assert np.all(acceptance_weights(DetectionStrategy.threshold(), 0.0, 5) == 0.0)
+        assert np.all(acceptance_weights(DetectionStrategy.single_photon(), 0.0, 5) == 0.0)
 
 
 class TestTransmitCondProb:
+    """Arm loss edges of the transmission cube in ``output_distribution``."""
+
     def test_examples(self):
-        assert transmit_cond_prob(1.0, 3, 3) == 1.0
-        assert transmit_cond_prob(0.5, 1, 2) == pytest.approx(0.5, rel=1e-14)
-        # complement of the five-arm chain transmission 0.8 * 0.8**4
-        v5 = 0.8 * 0.8**4
-        assert transmit_cond_prob(v5, 0, 1) == pytest.approx(1.0 - v5, rel=1e-14)
+        # lossless chain and detector: one pair gives one photon, more give more
+        spec = MultiplexerSpec(v_r=1.0, v_b=1.0, v_d=1.0, n_units=3, v_t=1.0)
+        lam = 0.7
+        pump = PumpProfile.uniform(lam, 3)
+        dist = output_distribution(spec, pump, DetectionStrategy.threshold(), i_max=4)
+        quiet = math.exp(-3.0 * lam)
+        closed = [quiet] + [
+            (1.0 - quiet) / (1.0 - math.exp(-lam)) * lam**i * math.exp(-lam) / math.factorial(i)
+            for i in range(1, 5)
+        ]
+        assert np.allclose(dist.probs, closed, rtol=1e-12, atol=0.0)
+
+    def test_blocked_arm(self):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.0, v_d=0.9, n_units=3)
+        pump = PumpProfile((0.5, 1.0, 1.5))
+        dist = output_distribution(spec, pump, DetectionStrategy.threshold())
+        assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(dist.probs[1:] == 0.0)
 
 
 class TestDetectTotalProb:
+    """Total detection probability: the source pmf marginalized over the detector."""
+
     def test_perfect_detector(self):
         expected = 0.5 * math.exp(-0.5)
-        assert detect_total_prob("poisson", 0.5, 1.0, 1) == pytest.approx(expected, rel=1e-12)
+        assert detected_pmf("poisson", 0.5, 1.0, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_poisson_thinning_identity(self):
         # oracle: thinning a Poisson stream keeps it Poisson at mean lam * v_d
-        got = detect_total_prob("poisson", 0.5, 0.9, 1)
-        assert got == pytest.approx(pair_gen_prob("poisson", 0.45, 1), abs=1e-10)
         rng = np.random.default_rng(21)
         for _ in range(25):
             lam = rng.uniform(0.0, 3.0)
             v_d = rng.uniform(0.0, 1.0)
-            j = int(rng.integers(0, 6))
-            series = detect_total_prob("poisson", lam, v_d, j)
-            closed = pair_gen_prob("poisson", lam * v_d, j)
-            assert series == pytest.approx(closed, abs=1e-10)
+            for j in range(6):
+                closed = thinned_pmf("poisson", lam * v_d, j)
+                assert detected_pmf("poisson", lam, v_d, j) == pytest.approx(closed, abs=1e-10)
 
     def test_thermal_thinning_identity(self):
         # geometric pair numbers thin to geometric as well
@@ -118,19 +164,19 @@ class TestDetectTotalProb:
         for _ in range(10):
             lam = rng.uniform(0.0, 2.0)
             v_d = rng.uniform(0.1, 1.0)
-            j = int(rng.integers(0, 4))
-            series = detect_total_prob("thermal", lam, v_d, j)
-            closed = pair_gen_prob("thermal", lam * v_d, j)
-            assert series == pytest.approx(closed, abs=1e-10)
+            for j in range(6):
+                closed = thinned_pmf("thermal", lam * v_d, j)
+                assert detected_pmf("thermal", lam, v_d, j) == pytest.approx(closed, abs=1e-10)
 
     def test_zero_pump(self):
-        assert detect_total_prob("poisson", 0.0, 0.9, 1) == 0.0
-        assert detect_total_prob("thermal", 0.0, 0.9, 1) == 0.0
+        for family in ("poisson", "thermal"):
+            assert detected_pmf(family, 0.0, 0.9, 1) == 0.0
+            assert detected_pmf(family, 0.0, 0.9, 0) == 1.0
 
     def test_unreachable_tail_bound(self):
         tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
         with pytest.raises(TruncationError):
-            detect_total_prob("thermal", 5.0, 0.9, 1, trunc=tight)
+            required_lmax("thermal", 5.0, tight)
 
 
 class TestDetectionStrategy:
@@ -211,20 +257,18 @@ class TestOutputDistribution:
         assert np.max(np.abs(thd.probs - acc.probs)) <= 1e-10
 
     def test_identical_mean_reduction(self):
-        # shared-mean shortcut and the general path agree on the same profile
+        # the batch kernel and the canonical evaluator agree on a shared mean
         rng = np.random.default_rng(7)
         for _ in range(10):
             spec, _, strategy = random_model(rng, n_max=8)
             lam = float(rng.uniform(0.0, 1.5))
-            shortcut = float(p1_uniform_grid(spec, strategy, np.array([lam]))[0])
             general = float(
                 p1_profile_batch(spec, strategy, np.full((1, spec.n_units), lam))[0]
             )
             canonical = single_photon_prob(
                 spec, PumpProfile.uniform(lam, spec.n_units), strategy
             )
-            assert shortcut == pytest.approx(general, abs=1e-12)
-            assert shortcut == pytest.approx(canonical, abs=1e-12)
+            assert general == pytest.approx(canonical, abs=1e-12)
 
     def test_monotone_loss_scaling(self):
         # shrinking every arm transmission strictly reduces the one-photon
