@@ -698,6 +698,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, TruncationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError:
+        print("error: out of memory; try a smaller problem (such as a lower --n-ref)",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -76,10 +76,6 @@ class McResult:
         return self.counts / self.trials
 
     @property
-    def overflow_estimate(self) -> float:
-        return self.overflow / self.trials
-
-    @property
     def std_errors(self) -> np.ndarray:
         p = self.estimates
         return np.sqrt(p * (1.0 - p) / self.trials)

@@ -17,8 +17,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-from scipy.stats import binom as _binom
 
 from .exceptions import ParameterError, TruncationError
 from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
@@ -207,6 +205,82 @@ class OutputDistribution:
     truncation_mass: float
 
 
+_log_factorial_table = np.zeros(1)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only ``log(k!)`` for k = 0..n, from a table grown on demand.
+
+    The table grows to at most twice the largest count asked for, so its
+    size follows the series cutoffs in use.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        more = [math.lgamma(k + 1.0) for k in range(table.size, max(n + 1, 2 * table.size))]
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[: n + 1]
+
+
+def _binom_pmf(k, n, p) -> np.ndarray:
+    """Binomial pmf ``C(n, k) p^k (1-p)^(n-k)``, broadcast over integer k, n >= 0 and p in [0, 1].
+
+    Evaluated in log space on the log-factorial table.  It is exactly zero
+    for k < 0 or k > n, and exact at p = 0, p = 1 and n = 0: a log(0) is
+    never weighted by a zero count, so 0^0 = 1.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    p = np.asarray(p, dtype=float)
+    inside = (k >= 0) & (k <= n)
+    k = np.where(inside, k, 0)
+    n = np.where(inside, n, 0)
+    rest = n - k
+    lf = _log_factorials(int(n.max(initial=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.where(k > 0, k * np.log(p), 0.0)
+        misses = np.where(rest > 0, rest * np.log1p(-p), 0.0)
+    return np.where(inside, np.exp(lf[n] - lf[k] - lf[rest] + hits + misses), 0.0)
+
+
+def _poisson_series_end(lam: float, l: int) -> int:
+    """Last count worth summing in the Poisson tail beyond ``l`` at mean ``lam`` > 0.
+
+    Past the returned count the pmf falls by at least half per step
+    and starts below e^-45 of pmf(l + 1), so the dropped remainder is
+    under 6e-20 of the tail.
+    """
+    log_lam = math.log(lam)
+    head = math.lgamma(l + 2.0)
+    span = 16
+    while True:
+        end = l + span
+        if end + 2 > 2.0 * lam and (end - l) * log_lam - (math.lgamma(end + 2.0) - head) < -45.0:
+            return end
+        span *= 2
+
+
+def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
+    """P(X > l) for l = l_lo..l_hi at each Poisson mean in ``lams``; adds a trailing axis.
+
+    Each tail is summed from the far end of the series down, smallest
+    terms first, so none is formed as ``1 - cdf``.
+    """
+    lams = np.asarray(lams, dtype=float)
+    lam_max = float(lams.max(initial=0.0))
+    if lam_max == 0.0:
+        return np.zeros(lams.shape + (l_hi - l_lo + 1,))
+    end = _poisson_series_end(lam_max, l_hi)
+    ks = np.arange(l_lo + 1, end + 1)
+    with np.errstate(divide="ignore"):
+        log_lams = np.log(lams)[..., None]
+    terms = np.exp(ks * log_lams - lams[..., None] - _log_factorials(end)[ks])
+    tails = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return tails[..., : l_hi - l_lo + 1]
+
+
 def required_lmax(
     family: SourceFamily | str, lam_max: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
 ) -> int:
@@ -219,15 +293,20 @@ def required_lmax(
         return 0
     cap = trunc.l_hard_cap
     if family is SourceFamily.POISSON:
-        ks = np.arange(cap + 1, dtype=float)
-        tails = gammainc(ks + 1.0, lam_max)  # Poisson sf(k) at mean lam_max
-        hits = np.flatnonzero(tails <= trunc.tail_epsilon)
-        if hits.size == 0:
-            raise TruncationError(
-                f"Poisson tail at mean {lam_max} stays above {trunc.tail_epsilon} "
-                f"up to the hard cap {cap}"
-            )
-        return int(hits[0])
+        # windows of cutoffs that double in length, so the work follows the
+        # cutoff found and not the cap; a cap at or below the mean leaves a
+        # tail of about one half, so it fails without a window
+        lo, hi = 0, 32
+        while lam_max < cap and lo <= cap:
+            hi = min(hi, cap)
+            hits = np.flatnonzero(_poisson_tails(lam_max, lo, hi) <= trunc.tail_epsilon)
+            if hits.size:
+                return lo + int(hits[0])
+            lo, hi = hi + 1, 2 * hi
+        raise TruncationError(
+            f"Poisson tail at mean {lam_max} stays above {trunc.tail_epsilon} "
+            f"up to the hard cap {cap}"
+        )
     ratio = lam_max / (1.0 + lam_max)
     needed = math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1
     needed = max(needed, 0)
@@ -246,16 +325,25 @@ def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.n
     shape = lams.shape
     flat = lams.reshape(-1)
     ls = np.arange(l_max + 1, dtype=float)
-    out = np.zeros((flat.size, l_max + 1))
     pos = flat > 0.0
-    if pos.any():
-        lp = flat[pos, None]
-        if family is SourceFamily.POISSON:
-            out[pos] = np.exp(ls * np.log(lp) - lp - gammaln(ls + 1.0))
-        else:
-            out[pos] = np.exp(ls * np.log(lp) - (ls + 1.0) * np.log1p(lp))
-    out[~pos, 0] = 1.0
-    return out.reshape(shape + (l_max + 1,))
+    lp = flat[pos]
+    # built in place in one array: each temporary of this size would be a
+    # fresh allocation whose pages are faulted in again on every call
+    if family is SourceFamily.POISSON:
+        rows = np.multiply.outer(np.log(lp), ls)
+        rows -= lp[:, None]
+        rows -= _log_factorials(l_max)
+    else:  # l log(lam) - (l + 1) log(1 + lam)
+        log1p = np.log1p(lp)
+        rows = np.multiply.outer(np.log(lp) - log1p, ls)
+        rows -= log1p[:, None]
+    np.exp(rows, out=rows)
+    if lp.size < flat.size:
+        out = np.zeros((flat.size, l_max + 1))
+        out[pos] = rows
+        out[~pos, 0] = 1.0
+        rows = out
+    return rows.reshape(shape + (l_max + 1,))
 
 
 def source_tail(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
@@ -263,7 +351,7 @@ def source_tail(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.
     family = SourceFamily.coerce(family)
     lams = np.asarray(lams, dtype=float)
     if family is SourceFamily.POISSON:
-        return gammainc(float(l_max) + 1.0, lams)
+        return _poisson_tails(lams, l_max, l_max)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (lams / (1.0 + lams)) ** (l_max + 1)
     return np.where(lams > 0.0, out, 0.0)
@@ -273,12 +361,12 @@ def source_tail(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.
 def _acceptance_weights_cached(
     strategy: DetectionStrategy, v_d: float, l_max: int
 ) -> np.ndarray:
-    ls = np.arange(l_max + 1, dtype=float)
+    ls = np.arange(l_max + 1)
     if strategy.is_threshold:
         w = 1.0 - (1.0 - v_d) ** ls
     else:
-        members = np.array(sorted(strategy.accepted), dtype=float)
-        w = _binom.pmf(members[:, None], ls[None, :], v_d).sum(axis=0)
+        members = np.array(sorted(strategy.accepted))
+        w = _binom_pmf(members[:, None], ls[None, :], v_d).sum(axis=0)
     w.flags.writeable = False
     return w
 
@@ -349,9 +437,9 @@ def output_distribution(
     no_fire = pmf @ (1.0 - w)
     prefix = np.concatenate(([1.0], np.cumprod(no_fire)[:-1]))
 
-    ls = np.arange(l_max + 1, dtype=float)
-    counts = np.arange(i_max + 1, dtype=float)
-    trans = _binom.pmf(
+    ls = np.arange(l_max + 1)
+    counts = np.arange(i_max + 1)
+    trans = _binom_pmf(
         counts[:, None, None], ls[None, None, :], v[None, :, None]
     )  # (i_max+1, N, L+1)
     contrib = np.einsum("inl,nl,l->in", trans, pmf, w)
@@ -359,7 +447,11 @@ def output_distribution(
     probs = contrib @ prefix
     probs[0] += float(np.prod(no_fire))
 
-    overflow = _binom.sf(i_max, ls[None, :], v[:, None])  # (N, L+1)
+    # more than i_max of l photons survive exactly when the (i_max+1)-th
+    # survivor is photon m for some m <= l: P = sum_m v * pmf(i_max; m-1, v),
+    # a sum of positive terms (no 1 - cdf) that needs no (k, N, L+1) cube
+    overflow = np.zeros((len(v), l_max + 1))  # (N, L+1)
+    overflow[:, 1:] = v[:, None] * np.cumsum(trans[i_max, :, :-1], axis=-1)
     exceed = np.einsum("nl,nl,l->n", overflow, pmf, w)
     truncation_mass = float(prefix @ exceed + prefix @ tails)
 

@@ -102,6 +102,22 @@ class TestExitCodes:
         assert code == 3
         assert "[0, 1]" in err
 
+    def test_out_of_memory_is_domain_error(self, capsys, monkeypatch):
+        # stands in for the (sizes x n_max) table of a huge --n-ref, which is
+        # never allocated here
+        import asmux.optimize
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(asmux.optimize, "optimize_sizes", out_of_memory)
+        code, _, err = run(
+            capsys, "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--n-ref", "100000",
+        )
+        assert code == 3
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["eval", "--no-such-flag"]) == 2
 

@@ -1,16 +1,23 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.special import gammainc
+from scipy.stats import binom, poisson
 
 from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
+import asmux.statistics as model_statistics
 from asmux.statistics import (
     DEFAULT_TRUNCATION,
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
+    _binom_pmf,
     acceptance_weights,
     output_distribution,
     p1_profile_batch,
@@ -177,6 +184,90 @@ class TestDetectTotalProb:
         tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
         with pytest.raises(TruncationError):
             required_lmax("thermal", 5.0, tight)
+
+
+class TestNumpyKernels:
+    """The numpy kernels against scipy's closed forms, which the package does not use."""
+
+    def test_binomial_edges_are_exact(self):
+        ks = np.arange(-2, 9)
+        for n in (0, 1, 5):
+            assert np.array_equal(_binom_pmf(ks, n, 0.0), (ks == 0).astype(float))
+            assert np.array_equal(_binom_pmf(ks, n, 1.0), (ks == n).astype(float))
+            assert np.array_equal(_binom_pmf(ks, n, 0.7)[ks > n], np.zeros(np.sum(ks > n)))
+        assert np.array_equal(_binom_pmf(ks, 0, 0.3), (ks == 0).astype(float))
+
+    def test_binomial_matches_scipy(self):
+        for n in (0, 1, 2, 7, 40, 150, 400):
+            ks = np.arange(-2, n + 4)
+            for p in (0.0, 1e-3, 0.1, 0.5, 0.9, 0.98, 0.999, 1.0):
+                np.testing.assert_allclose(
+                    _binom_pmf(ks, n, p), binom.pmf(ks, n, p), rtol=1e-11, atol=0.0
+                )
+
+    def test_lossless_arm(self):
+        # v = 1 passes every photon: the pmf is the identity over (k, l)
+        counts, ls = np.arange(6)[:, None], np.arange(9)[None, :]
+        cube = _binom_pmf(counts, ls, 1.0)
+        assert np.array_equal(cube, binom.pmf(counts, ls, 1.0))
+        assert np.array_equal(cube, (counts == ls).astype(float))
+
+    def test_poisson_tail_matches_gammainc(self):
+        # P(X > l) = P(l + 1, lam), down to tails of 1e-300
+        lams = np.array([0.01, 0.3, 1.0, 3.0, 8.0])
+        checked = 0
+        for l_max in range(0, 401):
+            reference = gammainc(l_max + 1.0, lams)
+            keep = reference >= 1e-300
+            if not keep.any():
+                break
+            tails = source_tail("poisson", lams, l_max)
+            np.testing.assert_allclose(tails[keep], reference[keep], rtol=1e-12, atol=0.0)
+            checked += int(keep.sum())
+        assert checked > 500
+
+    def test_poisson_cutoffs_match_gammainc_search(self):
+        for lam in np.geomspace(1e-3, 40.0, 25):
+            for eps in (1e-12, 1e-9, 5e-7):
+                tails = gammainc(np.arange(401) + 1.0, lam)
+                expected = int(np.flatnonzero(tails <= eps)[0])
+                assert required_lmax("poisson", lam, TruncationPolicy(tail_epsilon=eps)) == expected
+
+    def test_overflow_is_the_upper_binomial_sum(self):
+        # one unit: the mass beyond i_max photons is sum_l pmf(l) w(l) P(Bin(l, v) > i_max)
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.85, n_units=1)
+        strategy = DetectionStrategy.threshold()
+        lam, i_max = 2.5, 2
+        l_max = required_lmax("poisson", lam)
+        ls = np.arange(l_max + 1)
+        v = 0.9  # the last arm of a chain skips v_t
+        exceed = poisson.pmf(ls, lam) * acceptance_weights(strategy, 0.85, l_max)
+        expected = float(exceed @ binom.sf(i_max, ls, v)) + float(gammainc(l_max + 1.0, lam))
+        dist = output_distribution(spec, PumpProfile((lam,)), strategy, i_max=i_max)
+        assert dist.truncation_mass == pytest.approx(expected, rel=1e-13)
+
+    def test_cutoff_search_follows_the_cutoff_not_the_cap(self):
+        huge_cap = TruncationPolicy(l_hard_cap=10**8)
+        tracemalloc.start()
+        try:
+            l_max = required_lmax("poisson", 1.0, huge_cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert l_max == required_lmax("poisson", 1.0)
+        assert peak < 2 * 2**20
+        assert model_statistics._log_factorial_table.size < 10**4
+
+    def test_package_imports_no_scipy(self):
+        src = Path(model_statistics.__file__).resolve().parents[1]
+        probe = (
+            "import sys; import asmux; import asmux.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestDetectionStrategy:
