@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -559,12 +560,14 @@ def _cmd_stability(cfg: dict) -> int:
 def _cmd_mc_validate(cfg: dict) -> int:
     trunc = _build_trunc(cfg)
     sigma = cfg["sigma"]
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
     entries = VALIDATION_CORPUS
     if cfg["cases"] is not None:
+        if cfg["cases"] < 1:
+            raise ParameterError(f"cases must be >= 1, got {cfg['cases']}")
         entries = entries[: cfg["cases"]]
-    mc_base = dict(
-        trials=cfg["trials"], max_count=cfg["max_count"], chunk_trials=cfg["chunk_trials"]
-    )
+    mc_base = dict(trials=cfg["trials"], max_count=cfg["max_count"])
     started = time.perf_counter()
     report = []
     failures = 0
@@ -655,12 +658,12 @@ _COMMANDS = {
     )),
     "mc-validate": (_cmd_mc_validate, "check the model against sampling", (
         _CONFIG, _OUT, *_TRUNC,
-        _Option("seed", "--seed", int, 0, help="offset added to every case's sampler seed"),
+        _Option("seed", "--seed", int, 0,
+                help="offset added to every case's sampler seed; each sum must be >= 0"),
         _Option("trials", "--trials", int, 10_000_000, help="trials per case"),
         _Option("max_count", "--max-count", int, 10, help="largest tallied photon count"),
         _Option("sigma", "--sigma", float, 4.0, help="allowed deviation in standard errors"),
         _Option("cases", "--cases", int, help="run only the first K corpus cases"),
-        _Option("chunk_trials", "--chunk-trials", int, 500_000, help="trials per sampler chunk"),
     )),
 }
 

@@ -1,11 +1,14 @@
 """Direct stochastic simulation of the multiplexed source.
 
-Each trial draws the physical process end to end: pair generation in
+The sampler draws the physical process end to end: pair generation in
 every unit, detector thinning of the idler counts, priority routing to
 the accepted unit with the smallest index, and binomial loss along that
-unit's arm.  Units after the winner cannot change a trial's output, so
-they are not drawn for it.  Frequencies of the output photon number
-estimate the same distribution the analytic model computes, so the two
+unit's arm.  Trials are independent and identically distributed, so
+only the number of trials in each group matters, never which trials
+they are: every stage is drawn as binomial splits of group counts
+(Davis, "The computer generation of multinomial random variates",
+CSDA 16, 1993).  Frequencies of the output photon number estimate the
+same distribution the analytic model computes, so the two
 implementations validate each other.
 """
 from __future__ import annotations
@@ -36,29 +39,31 @@ __all__ = [
     "corpus_case",
 ]
 
+_MAX_TRIALS = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class McSettings:
     """Trial budget and seeding for the stochastic run.
 
-    Trials are split into fixed-size chunks, each driven by its own
-    spawned random stream; merged counts are therefore independent of
-    execution order and bit-identical for a fixed seed.
+    One random stream seeded with ``seed`` drives the whole run, so the
+    counts are bit-identical for a fixed seed.
     """
 
     trials: int = 10_000_000
     seed: int = 0
     max_count: int = 10
-    chunk_trials: int = 500_000
 
     def __post_init__(self) -> None:
-        if int(self.trials) < 1_000:
-            raise ParameterError(f"trials must be >= 1000, got {self.trials}")
+        if not 1_000 <= int(self.trials) <= _MAX_TRIALS:
+            raise ParameterError(
+                f"trials must be in [1000, {_MAX_TRIALS}], got {self.trials}"
+            )
+        if int(self.seed) < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if int(self.max_count) < 1:
             raise ParameterError(f"max_count must be >= 1, got {self.max_count}")
-        if int(self.chunk_trials) < 1:
-            raise ParameterError("chunk_trials must be positive")
-        for name in ("trials", "max_count", "chunk_trials"):
+        for name in ("trials", "seed", "max_count"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
@@ -81,41 +86,62 @@ class McResult:
         return np.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _simulate_chunk(
-    rng: np.random.Generator,
-    size: int,
-    lam: np.ndarray,
-    v_arm: np.ndarray,
-    v_d: float,
-    strategy: DetectionStrategy,
-    family: SourceFamily,
-    max_count: int,
-) -> np.ndarray:
-    """Tally the output photon numbers of ``size`` trials, unit by unit.
+def _poisson_hazard(lam: float, pairs: int) -> float:
+    """P(X = pairs | X >= pairs) for X ~ Poisson(lam).
 
-    Priority goes to the admitted unit with the smallest index, so once
-    a trial has a winner no later unit can change its output.  Each unit
-    is therefore drawn only for the trials still pending; trials are
-    exchangeable, so only their number needs to be carried.  Trials
-    that no unit admits leave the output empty.
+    Its inverse is sum_m lam^m pairs! / (pairs + m)!, a series of
+    positive terms; it is summed until the rest cannot change it, which
+    is past the peak and with terms shrinking at least twofold.
     """
-    counts = np.zeros(max_count + 2, dtype=np.int64)
-    pending = size
-    for lam_k, v_k in zip(lam, v_arm):
+    total = term = 1.0
+    m = 0
+    while True:
+        m += 1
+        term *= lam / (pairs + m)
+        total += term
+        if pairs + m >= 2.0 * lam and term <= total * 2.0**-54:
+            return 1.0 / total
+
+
+def _pair_histogram(
+    rng: np.random.Generator, trials: int, lam: float, family: SourceFamily
+) -> np.ndarray:
+    """Number of the ``trials`` trials with 0, 1, 2, ... pairs.
+
+    Drawn as a chain of conditional binomials: of the trials with at
+    least l pairs, each has exactly l with the hazard probability.  At
+    ``lam == 0`` the first hazard is 1, so every trial has 0 pairs.
+    """
+    groups = []
+    remaining = trials
+    while remaining:
         if family is SourceFamily.POISSON:
-            pairs = rng.poisson(lam_k, size=pending)
+            hazard = _poisson_hazard(lam, len(groups))
         else:
-            # thermal pair numbers are geometric on {0, 1, ...}
-            pairs = rng.geometric(1.0 / (1.0 + lam_k), size=pending) - 1
-        detected = rng.binomial(pairs, v_d)
-        heralded = pairs[strategy.accept_mask(detected)]
-        out = rng.binomial(heralded, v_k)
-        counts += np.bincount(np.minimum(out, max_count + 1), minlength=max_count + 2)
-        pending -= heralded.size
-        if pending == 0:
-            break
-    counts[0] += pending
-    return counts
+            # the geometric law is memoryless: the same hazard at every step
+            hazard = 1.0 / (1.0 + lam)
+        drawn = int(rng.binomial(remaining, hazard))
+        groups.append(drawn)
+        remaining -= drawn
+    return np.array(groups, dtype=np.int64)
+
+
+def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> np.ndarray:
+    """Keep each photon with probability ``p``, by group counts.
+
+    ``groups[l]`` trials carry l photons.  Entry ``[l, k]`` of the
+    result counts those of them that keep min(kept, cap) photons.  Each
+    photon is one binomial layer: photon j exists in the rows l > j,
+    and each trial there below the cap gains it with probability ``p``.
+    """
+    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
+    table[:, 0] = groups
+    for photon in range(groups.size - 1):
+        below_cap = table[photon + 1 :, :cap]
+        moved = rng.binomial(below_cap, p)
+        below_cap -= moved
+        table[photon + 1 :, 1:] += moved
+    return table
 
 
 def simulate(
@@ -124,24 +150,36 @@ def simulate(
     strategy: DetectionStrategy,
     mc: McSettings = McSettings(),
 ) -> McResult:
-    """Estimate the output photon-number probabilities by direct sampling."""
+    """Estimate the output photon-number probabilities by direct sampling.
+
+    Units are drawn in priority order for the trials that no earlier
+    unit admitted; no later unit can change the output of an admitted
+    trial.  For each unit the pending trials are split by pair number,
+    each pair-number group by its detected count, and the admitted ones
+    by the photons that survive their arm.  Every detected count above
+    the largest accepted one is rejected (threshold detection accepts
+    every count above zero), so the detected count stops one past it (at
+    1 for threshold); every output count above ``max_count`` lands in
+    the overflow bucket, so the output count stops there.  Trials that
+    no unit admits count as zero output photons.
+    """
     if len(pump) != spec.n_units:
         raise ParameterError(
             f"pump profile has {len(pump)} entries but the spec has {spec.n_units} units"
         )
-    lam = pump.as_array()
-    v_arm = transmission_vector(spec)
-
-    n_full, remainder = divmod(mc.trials, mc.chunk_trials)
-    sizes = [mc.chunk_trials] * n_full + ([remainder] if remainder else [])
-    streams = np.random.SeedSequence(mc.seed).spawn(len(sizes))
-
+    rng = np.random.default_rng(mc.seed)
+    detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
+    accepted = strategy.accept_mask(np.arange(detect_cap + 1))
     totals = np.zeros(mc.max_count + 2, dtype=np.int64)
-    for seq, size in zip(streams, sizes):
-        rng = np.random.default_rng(seq)
-        totals += _simulate_chunk(
-            rng, size, lam, v_arm, spec.v_d, strategy, spec.source, mc.max_count
-        )
+    pending = mc.trials
+    for lam_k, v_k in zip(pump.lambdas, transmission_vector(spec)):
+        pairs = _pair_histogram(rng, pending, lam_k, spec.source)
+        admitted = _thin(rng, pairs, spec.v_d, detect_cap)[:, accepted].sum(axis=1)
+        totals += _thin(rng, admitted, v_k, mc.max_count + 1).sum(axis=0)
+        pending -= int(admitted.sum())
+        if pending == 0:
+            break
+    totals[0] += pending
     return McResult(
         counts=totals[: mc.max_count + 1],
         overflow=int(totals[mc.max_count + 1]),

@@ -168,6 +168,19 @@ class TestExitCodes:
         assert code == 4
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-5000", "seed must be >= 0"),
+        ("--sigma", "-1", "sigma must be positive"),
+        ("--cases", "0", "cases must be >= 1"),
+        ("--trials", "100000000000000000000", "trials must be in"),
+    ])
+    def test_mc_validate_domain_error(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "mc-validate", "--cases", "1", "--trials", "1000",
+                             flag, value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
 
 class TestConfigResolution:
     def test_file_plus_flag_override(self, capsys, tmp_path):
@@ -210,17 +223,17 @@ REMOVED_KEYS = (
     + [(command, "n") for command in ("find-n", "scan-strategies", "sweep", "stability")]
     + [(command, "strategy") for command in ("scan-strategies", "sweep", "table1")]
     + [(command, "mode") for command in ("sweep", "table1", "stability")]
-    + [("mc-validate", "format")]
+    + [("mc-validate", "format"), ("mc-validate", "chunk_trials")]
 )
 REMOVED_VALUES = {
     "threads": "2", "i_max": "3", "n": "3", "strategy": "thd", "mode": "uniform",
-    "format": "json",
+    "format": "json", "chunk_trials": "50000",
 }
 
 
 class TestRemovedKeys:
     def test_count(self):
-        assert len(REMOVED_KEYS) == 26
+        assert len(REMOVED_KEYS) == 27
 
     @pytest.mark.parametrize("command,key", REMOVED_KEYS)
     def test_flag_is_config_error(self, capsys, command, key):
