@@ -19,11 +19,19 @@ every size.
 * Uniform and scaled-reference: running products and sums over the
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a golden-section search,
-  vectorized over sizes.
+  vectorized over sizes.  A uniform scalar needs one pmf row for all
+  units.  A rescaled mean ``x / V_n`` grows along the chain and is
+  capped at the upper bound, so every capped cell shares the bound's
+  pmf row; only the other cells get one of their own, and the
+  refinement of a size reads only the arms of that size.  The
+  refinement forms each cell's values on its own, so near a flat
+  optimum its comparisons do not depend on which sizes share a batch.
 
-Reported probabilities are evaluated once for all sizes together, with
-the series cutoff :func:`~asmux.statistics.output_distribution` uses for
-each profile, so every report re-evaluates to its ``best_p1``.
+Reported probabilities are evaluated once for all sizes together, from
+the units of each size only and with the series cutoff
+:func:`~asmux.statistics.output_distribution` uses for each profile
+(one cutoff search for all profiles), so every report re-evaluates to
+its ``best_p1``.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ from .statistics import (
     acceptance_weights,
     p1_profile_batch,
     required_lmax,
+    series_cutoffs,
     source_pmf,
     transmit_one_weights,
 )
@@ -168,6 +177,8 @@ class _Chain:
     ``through`` holds the one-photon weights of the arms 1..n_max-1 that
     pass a router's through port, ``last`` those of the last arm of each
     size in ``sizes``; both already include the admission weights.
+    ``quiet_capped``, ``through_capped`` and ``last_capped`` are the
+    no-admission and one-photon values at a mean on the upper bound.
     """
 
     def __init__(
@@ -188,6 +199,11 @@ class _Chain:
         self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
         self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
         self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
+        # formed as the values of a cell with its own pmf row
+        capped = source_pmf(self.family, self.upper, self.l_max)
+        self.quiet_capped = float(_quiet(capped, self.w))
+        self.through_capped = np.einsum("nl,l->n", self.through, capped)
+        self.last_capped = np.einsum("nl,l->n", self.last, capped)
 
 
 # ----------------------------------------------------------------------
@@ -209,37 +225,42 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     )
     step = grid[1] - grid[0]
     quiet = 1.0 - pmf @ chain.w  # (G,)
-    t_through = pmf @ chain.through.T  # (G, n_max-1)
-    t_last = pmf @ chain.last.T  # (G, sizes)
+    t_through = chain.through @ pmf.T  # (n_max-1, G)
+    t_last = chain.last @ pmf.T  # (sizes, G)
     sizes = chain.sizes
     lam = np.zeros((sizes.size, int(sizes[-1])))
     carry = np.zeros(sizes.size)
+    table = np.empty((sizes.size, grid.size))
     for unit in range(int(sizes[-1]) - 1, -1, -1):
         first = int(np.searchsorted(sizes, unit + 1))  # sizes[first:] > unit
         k = sizes.size - first
         tail = carry[first:]
-        vals = quiet[:, None] * tail
-        weights = np.empty((k, chain.l_max + 1))
+        vals = np.multiply.outer(tail, quiet, out=table[:k])  # one row per open size
         joins = int(sizes[first] == unit + 1)
         if joins:
-            vals[:, 0] += t_last[:, first]
-            weights[0] = chain.last[first]
+            vals[0] += t_last[first]
         if joins < k:
-            vals[:, joins:] += t_through[:, unit, None]
-            weights[joins:] = chain.through[unit]
-        cols = np.arange(k)
-        best = np.argmax(vals, axis=0)
+            vals[joins:] += t_through[unit]
+        rows = np.arange(k)
+        best = vals.argmax(axis=1)
         x = grid[best]
-        f = vals[best, cols]
-        y0 = vals[np.maximum(best - 1, 0), cols]
-        y2 = vals[np.minimum(best + 1, grid.size - 1), cols]
+        f = vals[rows, best]
+        y0 = vals[rows, np.maximum(best - 1, 0)]
+        y2 = vals[rows, np.minimum(best + 1, grid.size - 1)]
         den = y0 - 2.0 * f + y2
         refine = np.flatnonzero((best > 0) & (best < grid.size - 1) & (den < 0.0))
         if refine.size:
             vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
             vertex = np.clip(vertex, chain.lower, chain.upper)
+            # the joining size, if refined, is the first refined row
+            weights = np.empty((refine.size, chain.l_max + 1))
+            joined = int(joins and refine[0] == 0)
+            if joined:
+                weights[0] = chain.last[first]
+            if joined < refine.size:
+                weights[joined:] = chain.through[unit]
             p = source_pmf(chain.family, vertex, chain.l_max)
-            f_vertex = np.einsum("rl,rl->r", p, weights[refine]) + (
+            f_vertex = np.einsum("rl,rl->r", p, weights) + (
                 1.0 - p @ chain.w
             ) * tail[refine]
             better = f_vertex > f[refine]
@@ -260,6 +281,52 @@ def _in_batches(n: int, cells_per_item: int, fn) -> np.ndarray:
     return np.concatenate([fn(slice(s, s + step)) for s in range(0, n, step)])
 
 
+def _quiet(pmf: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``1 - pmf @ w`` with one dot product per row.
+
+    A matrix-vector product may round a row differently with the rows
+    around it; a dot product per row does not, so each value depends on
+    its own mean only.
+    """
+    return 1.0 - (pmf[..., None, :] @ w)[..., 0]
+
+
+def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
+    """Means ``x / v`` capped at ``upper``: zero at x = 0, and the cap where v = 0 < x."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = x / v
+    return np.where(x > 0.0, np.minimum(lam, upper), 0.0)
+
+
+def _capped_cells(
+    chain: _Chain,
+    lam: np.ndarray,
+    arm: np.ndarray,
+    weights: np.ndarray,
+    at_cap: np.ndarray,
+    live: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """No-admission and one-photon values of cells at means ``lam`` <= upper.
+
+    The cells at position ``j`` of the last axis use weight row
+    ``weights[arm[j]]``, whose values at the upper bound are
+    ``at_cap[arm[j]]``.  Cells on the bound share those values; a pmf row
+    is computed only for the other ``live`` cells.  Cells that are not
+    live get the capped values and must go unread.
+    """
+    free = lam < chain.upper
+    if live is not None:
+        free &= live
+    cells = free.nonzero()
+    pmf = source_pmf(chain.family, lam[cells], chain.l_max)
+    quiet = np.full(lam.shape, chain.quiet_capped)
+    quiet[cells] = _quiet(pmf, chain.w)
+    t = np.empty(lam.shape)
+    t[...] = at_cap[arm]
+    t[cells] = np.einsum("cl,cl->c", pmf, weights[arm[cells[-1]]])
+    return quiet, t
+
+
 def _scalar_p1(
     chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None = None
 ) -> np.ndarray:
@@ -269,9 +336,14 @@ def _scalar_p1(
     every size; with ``cols``, scalar ``xs[i]`` is taken at size
     ``sizes[cols[i]]`` only.
     """
+    n_arms = chain.v_through.size + chain.sizes.size
+    row = chain.l_max + 1
+    # per scalar, scaled: up to a pmf row and a gathered weight row per
+    # arm; uniform: one pmf row and a value per arm
+    cells = 2 * n_arms * row if scaled else n_arms + row
     return _in_batches(
         xs.size,
-        (chain.v_through.size + chain.sizes.size) * (chain.l_max + 1),
+        cells,
         lambda part: _scalar_p1_batch(
             chain, scaled, xs[part], None if cols is None else cols[part]
         ),
@@ -284,29 +356,46 @@ def _scalar_p1_batch(
     # The arms before the last one do not depend on the size: their
     # running no-admission products and one-photon sums serve every size.
     n_through = chain.v_through.size
+    if cols is None:  # every size
+        rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], np.arange(chain.sizes.size)
+    else:  # xs[i] at size sizes[cols[i]], which reads the arms before its last only
+        rows, x, pick = np.arange(xs.size), xs, cols
+    at = chain.sizes[pick] - 1
     if scaled:
-        lam = np.minimum(xs[:, None] / chain.v_through, chain.upper)
-    else:
-        lam = xs[:, None]  # one mean for every unit
-    pmf = source_pmf(chain.family, lam, chain.l_max)
-    quiet = np.broadcast_to(1.0 - pmf @ chain.w, (xs.size, n_through))
-    t = np.einsum("...l,...l->...", pmf, chain.through)  # (K, n_through)
+        arms = np.arange(n_through)
+        quiet, t = _capped_cells(
+            chain,
+            _rescaled(xs[:, None], chain.v_through, chain.upper),
+            arms,
+            chain.through,
+            chain.through_capped,
+            None if cols is None else arms < at[:, None],
+        )
+        _, t_last = _capped_cells(
+            chain,
+            _rescaled(x, chain.v_last[pick], chain.upper),
+            pick,
+            chain.last,
+            chain.last_capped,
+        )
+    else:  # one mean for every unit, so one pmf row per scalar
+        pmf = source_pmf(chain.family, xs, chain.l_max)
+        if cols is None:  # the table: BLAS products
+            quiet = 1.0 - pmf @ chain.w
+            t = pmf @ chain.through.T  # (K, n_through)
+            t_last = pmf @ chain.last.T
+        else:
+            # Near a flat optimum the refinement compares values that
+            # differ in their last bits, so each cell is its own dot
+            # product, rounded the same in any batch.
+            quiet = _quiet(pmf, chain.w)
+            t = np.einsum("kl,nl->kn", pmf, chain.through)
+            t_last = np.einsum("kl,kl->k", pmf, chain.last[cols])
+        quiet = np.broadcast_to(quiet[:, None], (xs.size, n_through))
     prefix = np.ones((xs.size, n_through + 1))
     np.cumprod(quiet, axis=1, out=prefix[:, 1:])
     head = np.zeros((xs.size, n_through + 1))
     np.cumsum(prefix[:, :-1] * t, axis=1, out=head[:, 1:])
-
-    if cols is None:
-        rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], slice(None)
-    else:
-        rows, x, pick = np.arange(xs.size), xs, cols
-    lam_last = np.minimum(x / chain.v_last[pick], chain.upper) if scaled else x
-    t_last = np.einsum(
-        "...l,...l->...",
-        source_pmf(chain.family, lam_last, chain.l_max),
-        chain.last[pick],
-    )
-    at = chain.sizes[pick] - 1
     return head[rows, at] + prefix[rows, at] * t_last
 
 
@@ -346,8 +435,8 @@ def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
     n_max = int(sizes[-1])
     lam = np.zeros((sizes.size, n_max))
     if scaled:
-        lam[:, :-1] = np.minimum(best[:, None] / chain.v_through, chain.upper)
-        last = np.minimum(best / chain.v_last, chain.upper)
+        lam[:, :-1] = _rescaled(best[:, None], chain.v_through, chain.upper)
+        last = _rescaled(best, chain.v_last, chain.upper)
     else:
         lam[:, :-1] = best[:, None]
         last = best
@@ -366,12 +455,14 @@ def _reported_p1(chain: _Chain, lam: np.ndarray, trunc: TruncationPolicy) -> np.
     Each profile's pair-number series is cut where
     :func:`~asmux.statistics.output_distribution` cuts it, so both agree
     to rounding.  That cutoff never exceeds the chain's, whose weights
-    are elementwise in the pair number and so serve truncated.  Padded
-    units (mean zero) never fire and deliver nothing.
+    are elementwise in the pair number and so serve truncated.  Only the
+    units of each size get a pmf row; the padding never fires and
+    delivers nothing.
     """
     return _in_batches(
         lam.shape[0],
-        lam.shape[1] * (chain.l_max + 1),
+        # a pmf row and a gathered weight row per unit
+        2 * lam.shape[1] * (chain.l_max + 1),
         lambda part: _reported_p1_batch(chain, lam, part, trunc),
     )
 
@@ -379,17 +470,22 @@ def _reported_p1(chain: _Chain, lam: np.ndarray, trunc: TruncationPolicy) -> np.
 def _reported_p1_batch(
     chain: _Chain, lam: np.ndarray, part: slice, trunc: TruncationPolicy
 ) -> np.ndarray:
-    lam, sizes, last = lam[part], chain.sizes[part], chain.last[part]
-    cutoffs = np.array([required_lmax(chain.family, float(row.max()), trunc) for row in lam])
+    lam, sizes = lam[part], chain.sizes[part]
+    cutoffs = series_cutoffs(chain.family, lam.max(axis=1), trunc)
     keep = int(cutoffs.max()) + 1
-    pmf = source_pmf(chain.family, lam, keep - 1)  # (sizes, n_max, keep)
-    pmf *= np.arange(keep) <= cutoffs[:, None, None]
-    rows = np.arange(sizes.size)
+    row, unit = np.nonzero(np.arange(lam.shape[1]) < sizes[:, None])
+    last = unit == sizes[row] - 1  # one per row, in row order
+    pmf = source_pmf(chain.family, lam[row, unit], keep - 1)  # (units, keep)
+    pmf *= np.arange(keep) <= cutoffs[row, None]
+    weights = np.empty(pmf.shape)
+    weights[~last] = chain.through[unit[~last], :keep]
+    weights[last] = chain.last[part, :keep]
     t = np.zeros(lam.shape)
-    t[:, :-1] = np.einsum("snl,nl->sn", pmf[:, :-1], chain.through[:, :keep])
-    t[rows, sizes - 1] = np.einsum("sl,sl->s", pmf[rows, sizes - 1], last[:, :keep])
+    t[row, unit] = np.einsum("cl,cl->c", pmf, weights)
+    quiet = np.ones(lam.shape)
+    quiet[row, unit] = pmf @ (1.0 - chain.w[:keep])
     prefix = np.ones(lam.shape)
-    np.cumprod(pmf[:, :-1] @ (1.0 - chain.w[:keep]), axis=1, out=prefix[:, 1:])
+    np.cumprod(quiet[:, :-1], axis=1, out=prefix[:, 1:])
     return np.einsum("sn,sn->s", prefix, t)
 
 

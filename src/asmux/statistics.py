@@ -266,19 +266,51 @@ def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
     """P(X > l) for l = l_lo..l_hi at each Poisson mean in ``lams``; adds a trailing axis.
 
     Each tail is summed from the far end of the series down, smallest
-    terms first, so none is formed as ``1 - cdf``.
+    terms first, so none is formed as ``1 - cdf``.  A zero mean among
+    others has zero tails, from ``log(0)``; callers with zero means
+    silence its divide warning.
     """
     lams = np.asarray(lams, dtype=float)
-    lam_max = float(lams.max(initial=0.0))
+    lam_max = float(lams.max()) if lams.size else 0.0
     if lam_max == 0.0:
         return np.zeros(lams.shape + (l_hi - l_lo + 1,))
     end = _poisson_series_end(lam_max, l_hi)
-    ks = np.arange(l_lo + 1, end + 1)
-    with np.errstate(divide="ignore"):
-        log_lams = np.log(lams)[..., None]
-    terms = np.exp(ks * log_lams - lams[..., None] - _log_factorials(end)[ks])
-    tails = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
-    return tails[..., : l_hi - l_lo + 1]
+    # the terms for k = end down to l_lo + 1, so their running sums are the tails
+    terms = np.log(lams)[..., None] * np.arange(end, l_lo, -1.0)
+    terms -= lams[..., None]
+    terms -= _log_factorials(end)[end:l_lo:-1]
+    np.exp(terms, out=terms)
+    np.cumsum(terms, axis=-1, out=terms)
+    return terms[..., ::-1][..., : l_hi - l_lo + 1]
+
+
+def _poisson_cap_error(lam: float, trunc: TruncationPolicy) -> TruncationError:
+    return TruncationError(
+        f"Poisson tail at mean {float(lam)} stays above {trunc.tail_epsilon} "
+        f"up to the hard cap {trunc.l_hard_cap}"
+    )
+
+
+def _poisson_cutoffs(
+    lams: np.ndarray, trunc: TruncationPolicy, lo: int = 0, hi: int = 64
+) -> np.ndarray:
+    """Cutoffs of Poisson means in (0, cap), searched for all of them at once.
+
+    The windows of cutoffs double in length, so the work follows the
+    cutoffs found and not the cap.  Tails never grow with the cutoff, so
+    a mean is done once the last tail of a window is within the bound;
+    the means still open search the next window.
+    """
+    if lo > trunc.l_hard_cap:
+        raise _poisson_cap_error(lams.flat[0], trunc)
+    hi = min(hi, trunc.l_hard_cap)
+    tails = _poisson_tails(lams, lo, hi)
+    cutoffs = lo + (tails <= trunc.tail_epsilon).argmax(axis=-1)
+    still_open = tails[..., -1] > trunc.tail_epsilon
+    if np.count_nonzero(still_open):
+        cutoffs = np.array(cutoffs)
+        cutoffs[still_open] = _poisson_cutoffs(lams[still_open], trunc, hi + 1, 2 * hi)
+    return cutoffs
 
 
 def required_lmax(
@@ -291,31 +323,49 @@ def required_lmax(
         raise ParameterError(f"mean photon number must be finite and >= 0, got {lam_max!r}")
     if lam_max == 0.0:
         return 0
-    cap = trunc.l_hard_cap
     if family is SourceFamily.POISSON:
-        # windows of cutoffs that double in length, so the work follows the
-        # cutoff found and not the cap; a cap at or below the mean leaves a
-        # tail of about one half, so it fails without a window
-        lo, hi = 0, 32
-        while lam_max < cap and lo <= cap:
-            hi = min(hi, cap)
-            hits = np.flatnonzero(_poisson_tails(lam_max, lo, hi) <= trunc.tail_epsilon)
-            if hits.size:
-                return lo + int(hits[0])
-            lo, hi = hi + 1, 2 * hi
-        raise TruncationError(
-            f"Poisson tail at mean {lam_max} stays above {trunc.tail_epsilon} "
-            f"up to the hard cap {cap}"
-        )
+        # a cap at or below the mean leaves a tail of about one half
+        if lam_max >= trunc.l_hard_cap:
+            raise _poisson_cap_error(lam_max, trunc)
+        return int(_poisson_cutoffs(np.asarray(lam_max), trunc))
+    # the thermal tail beyond l is (lam / (1 + lam))^(l+1)
     ratio = lam_max / (1.0 + lam_max)
-    needed = math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1
-    needed = max(needed, 0)
-    if needed > cap:
+    if ratio < 1.0:
+        needed = max(math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1, 0)
+    else:  # the ratio rounds to one, and no cutoff bounds the tail
+        needed = math.inf
+    if needed > trunc.l_hard_cap:
         raise TruncationError(
             f"thermal tail at mean {lam_max} needs a cutoff of {needed}, "
-            f"beyond the hard cap {cap}"
+            f"beyond the hard cap {trunc.l_hard_cap}"
         )
     return needed
+
+
+def series_cutoffs(
+    family: SourceFamily | str, lams, trunc: TruncationPolicy = DEFAULT_TRUNCATION
+) -> np.ndarray:
+    """:func:`required_lmax` of every mean in ``lams``, as an integer array of its shape.
+
+    Poisson means share one window search; a thermal cutoff is closed
+    form, so :func:`required_lmax` gives each.  A mean that is not
+    finite, is negative or cannot be cut below the hard cap raises the
+    error :func:`required_lmax` raises for it.
+    """
+    family = SourceFamily.coerce(family)
+    lams = np.asarray(lams, dtype=float)
+    cutoffs = np.zeros(lams.shape, dtype=np.int64)
+    bad = ~np.isfinite(lams) | (lams < 0.0)
+    if family is SourceFamily.POISSON:
+        bad |= lams >= trunc.l_hard_cap
+    if bad.any():
+        required_lmax(family, lams[bad].flat[0], trunc)  # raises
+    pos = lams > 0.0
+    if family is SourceFamily.POISSON:
+        cutoffs[pos] = _poisson_cutoffs(lams[pos], trunc)
+    else:
+        cutoffs[pos] = [required_lmax(family, lam, trunc) for lam in lams[pos].tolist()]
+    return cutoffs
 
 
 def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
@@ -351,7 +401,8 @@ def source_tail(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.
     family = SourceFamily.coerce(family)
     lams = np.asarray(lams, dtype=float)
     if family is SourceFamily.POISSON:
-        return _poisson_tails(lams, l_max, l_max)[..., 0]
+        with np.errstate(divide="ignore"):  # a zero mean has log -inf and no tail
+            return _poisson_tails(lams, l_max, l_max)[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (lams / (1.0 + lams)) ** (l_max + 1)
     return np.where(lams > 0.0, out, 0.0)

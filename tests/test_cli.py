@@ -102,6 +102,15 @@ class TestExitCodes:
         assert code == 3
         assert "[0, 1]" in err
 
+    @pytest.mark.parametrize("mode", ["per-unit", "uniform", "scaled-reference"])
+    def test_blocked_arms_find_no_photon(self, capsys, mode):
+        # v_b = 0 transmits nothing on any arm: every mode reports P1 = 0
+        code, out, err = run(
+            capsys, "find-n", "--v-r", "0.9", "--v-b", "0", "--v-d", "0.9", "--mode", mode,
+        )
+        assert code == 0, err
+        assert "p1 0.0" in out.splitlines()
+
     def test_out_of_memory_is_domain_error(self, capsys, monkeypatch):
         # stands in for the (sizes x n_max) table of a huge --n-ref, which is
         # never allocated here

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import asmux.optimize
 from asmux.exceptions import ParameterError
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import (
@@ -15,7 +16,7 @@ from asmux.optimize import (
     stability_interval,
     strategy_scan,
 )
-from asmux.statistics import DetectionStrategy, PumpProfile, single_photon_prob
+from asmux.statistics import DetectionStrategy, PumpProfile, single_photon_prob, source_pmf
 
 SPD = DetectionStrategy.single_photon()
 
@@ -124,6 +125,55 @@ class TestScaledReference:
         free = search.p1_max
         rescaled = optimize_scaled_reference(at_opt, SPD).best_p1
         assert free - rescaled > 1e-3
+
+
+class TestBlockedArms:
+    """Arms that transmit nothing: v_b = 0 blocks all of them, v_r = 0 all but the first."""
+
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    @pytest.mark.parametrize("v_r,v_b", [(0.9, 0.0), (0.0, 0.9)])
+    def test_every_mode_reports_a_valid_profile(self, mode, v_r, v_b):
+        spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=0.9, n_units=1)
+        upper = OptimizerSettings().lambda_upper
+        result = find_optimal_n(spec, SPD, n_ref=6, mode=mode)
+        for report in result.reports:
+            lams = np.array(report.best_pump.lambdas)
+            assert np.all((lams >= 0.0) & (lams <= upper))
+            again = single_photon_prob(spec.with_units(report.n_units), report.best_pump, SPD)
+            assert abs(again - report.best_p1) <= 1e-12
+        if v_b == 0.0:
+            assert np.all(result.p1_by_n == 0.0)
+        else:  # only the first arm delivers, through a router from N = 2 on
+            assert np.allclose(result.p1_by_n[1:], result.p1_by_n[1], rtol=0.0, atol=1e-9)
+            assert 0.0 < result.p1_by_n[1] < result.p1_by_n[0]
+
+    def test_rescaled_mean_on_a_blocked_arm_is_the_bound(self):
+        spec = MultiplexerSpec(v_r=0.0, v_b=0.9, v_d=0.9, n_units=3)
+        report = optimize_scaled_reference(spec, SPD)
+        lams = report.best_pump.lambdas
+        assert lams[0] > 0.0
+        assert lams[1:] == (OptimizerSettings().lambda_upper,) * 2
+        assert report.upper_bound_hit
+
+
+class TestWork:
+    def test_scaled_reference_evaluates_only_live_unclamped_cells(self, monkeypatch):
+        # The one-parameter search at n_ref = 100 and (v_r, v_d, v_b) =
+        # (0.9, 0.85, 0.8) evaluates its 28-term pmf at 513 grid scalars
+        # and in 24 refinement steps of 100 scalars.  Over all 99 through
+        # arms and the last arm of every size, that is a dense cube of
+        # 28 * (513 * 199 + 24 * 100 * 100) = 9,578,436 pmf entries; cells
+        # on the bound share one row, and a size reads only its own arms.
+        entries = []
+
+        def counting_pmf(family, lams, l_max):
+            entries.append(np.size(lams) * (l_max + 1))
+            return source_pmf(family, lams, l_max)
+
+        monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
+        find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
+        assert sum(entries) <= 0.2 * 9_578_436
 
 
 class TestFindOptimalN:

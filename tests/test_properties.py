@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmux.multiplexer import MultiplexerSpec
-from asmux.optimize import find_optimal_n, optimize_pump
+from asmux.optimize import OptimizationMode, OptimizerSettings, find_optimal_n, optimize_sizes
 from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
@@ -40,16 +40,19 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 
 @PROPERTY
-@given(models(), st.data())
-def test_all_sizes_pass_matches_single_size_and_canonical(model, data):
+@given(models(), st.floats(0.3, 5.0), st.data())
+def test_all_sizes_pass_matches_single_size_and_canonical(model, upper, data):
+    # low bounds put many means on the bound, where the cells share one pmf row
     spec, strategy, n_ref = model
-    search = find_optimal_n(spec, strategy, n_ref=n_ref)
+    bounds = OptimizerSettings(lambda_upper=upper)
     n = data.draw(st.integers(1, n_ref))
-    single = optimize_pump(spec.with_units(n), strategy)
-    assert abs(search.p1_by_n[n - 1] - single.best_p1) <= 1e-12
-    for report in search.reports:
-        dist = output_distribution(spec.with_units(report.n_units), report.best_pump, strategy)
-        assert abs(float(dist.probs[1]) - report.best_p1) <= 1e-10
+    for mode in OptimizationMode:
+        search = find_optimal_n(spec, strategy, bounds, n_ref=n_ref, mode=mode)
+        (single,) = optimize_sizes(spec, strategy, [n], bounds, mode)
+        assert abs(search.p1_by_n[n - 1] - single.best_p1) <= 1e-12
+        for report in search.reports:
+            dist = output_distribution(spec.with_units(report.n_units), report.best_pump, strategy)
+            assert abs(float(dist.probs[1]) - report.best_p1) <= 1e-10
 
 
 @PROPERTY

@@ -22,6 +22,7 @@ from asmux.statistics import (
     output_distribution,
     p1_profile_batch,
     required_lmax,
+    series_cutoffs,
     single_photon_prob,
     source_pmf,
     source_tail,
@@ -268,6 +269,55 @@ class TestNumpyKernels:
             [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "[]"
+
+
+class TestSeriesCutoffs:
+    """The cutoff of many means in one call against one call per mean."""
+
+    POLICIES = (
+        DEFAULT_TRUNCATION,
+        TruncationPolicy(tail_epsilon=5e-7, l_hard_cap=50),
+        TruncationPolicy(tail_epsilon=1e-9, l_hard_cap=1000),
+    )
+
+    @pytest.mark.parametrize("family", ["poisson", "thermal"])
+    @pytest.mark.parametrize("trunc", POLICIES)
+    def test_array_cutoffs_equal_scalar_cutoffs(self, family, trunc):
+        rng = np.random.default_rng(7)
+        lams = np.concatenate(
+            ([0.0, 1e-14, 0.0], rng.uniform(0.0, 5.0, 40), np.geomspace(1e-6, 300.0, 60))
+        )
+        expected = []
+        for lam in lams:  # the means the scalar search can cut
+            try:
+                expected.append((lam, required_lmax(family, lam, trunc)))
+            except TruncationError:
+                pass
+        means = np.array([lam for lam, _ in expected])
+        assert np.sum(means == 0.0) == 2 and means.size > 60
+        cutoffs = series_cutoffs(family, means.reshape(-1, 1), trunc)
+        assert cutoffs.shape == (means.size, 1)
+        assert cutoffs[:, 0].tolist() == [l_max for _, l_max in expected]
+        assert series_cutoffs(family, np.array([]), trunc).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "family,lam,trunc",
+        [
+            ("poisson", float("nan"), DEFAULT_TRUNCATION),
+            ("thermal", -0.5, DEFAULT_TRUNCATION),
+            ("poisson", float("inf"), DEFAULT_TRUNCATION),
+            ("poisson", 400.0, DEFAULT_TRUNCATION),  # at the cap
+            ("poisson", 45.0, TruncationPolicy(l_hard_cap=50)),  # tail above at the cap
+            ("thermal", 5.0, TruncationPolicy(l_hard_cap=50)),
+            ("thermal", 1e17, DEFAULT_TRUNCATION),  # lam / (1 + lam) rounds to one
+        ],
+    )
+    def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, trunc):
+        with pytest.raises((ParameterError, TruncationError)) as scalar:
+            required_lmax(family, lam, trunc)
+        with pytest.raises(scalar.type) as array:
+            series_cutoffs(family, np.array([0.0, 0.5, lam, 1.0]), trunc)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestDetectionStrategy:
