@@ -7,7 +7,6 @@ from .experiments import (
     Axis,
     ResultRow,
     SweepGrid,
-    delta_surface,
     fixed_n_curve,
     reproduce_table1,
     run_sweep,
@@ -79,7 +78,6 @@ __all__ = [
     "SweepGrid",
     "ResultRow",
     "reproduce_table1",
-    "delta_surface",
     "fixed_n_curve",
     "stability_report",
     "vb_crossover",

@@ -181,10 +181,7 @@ _STRATEGY = _Option("strategy", "--strategy", _checked(DetectionStrategy.parse),
                     help="spd | thd | upto:J | set:a,b,...")
 _MODE = _Option("mode", "--mode", default="per-unit",
                 choices=tuple(m.value for m in OptimizationMode), help="pump mode")
-_BOUNDS = (
-    _Option("lambda_lower", "--lambda-lower", float, 0.0, help="smallest pump mean"),
-    _Option("lambda_upper", "--lambda-upper", float, 5.0, help="largest pump mean"),
-)
+_UPPER = _Option("lambda_upper", "--lambda-upper", float, 5.0, help="largest pump mean")
 _SEARCH = (
     _Option("n_ref", "--n-ref", int, 100, help="saturation reference size"),
     _Option("threshold", "--threshold", float, 1e-3, help="saturation threshold on p1"),
@@ -212,10 +209,9 @@ def _parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        sep = "=" if "=" in line else (":" if ":" in line else None)
-        if sep is None:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ConfigError(f"config line {lineno} has no '=': {raw!r}")
-        key, value = line.split(sep, 1)
         key = _KEY_ALIASES.get(key.strip(), key.strip()).replace("-", "_")
         value = value.strip()
         try:
@@ -272,7 +268,7 @@ def _build_trunc(cfg: dict) -> TruncationPolicy:
 
 
 def _build_settings(cfg: dict) -> OptimizerSettings:
-    return OptimizerSettings(lambda_lower=cfg["lambda_lower"], lambda_upper=cfg["lambda_upper"])
+    return OptimizerSettings(lambda_upper=cfg["lambda_upper"])
 
 
 def _load_pump_file(path: str) -> tuple[float, ...]:
@@ -625,19 +621,19 @@ _COMMANDS = {
         _Option("pump_file", "--pump-file", help="JSON file with a 'lambdas' entry"),
     )),
     "optimize": (_cmd_optimize, "maximize p1 at a fixed system size", (
-        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY, _MODE, *_BOUNDS,
+        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY, _MODE, _UPPER,
     )),
     "find-n": (_cmd_find_n, "search the optimal number of units", (
-        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _MODE, *_BOUNDS, *_SEARCH,
+        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _MODE, _UPPER, *_SEARCH,
         _Option("full_curve", "--full-curve", _boolean, False, action="store_true",
                 help="emit one row per system size instead of only the optimum"),
     )),
     "scan-strategies": (_cmd_scan_strategies, "compare detection strategies", (
-        *_IO, *_SPEC, *_TRUNC, _MODE, *_BOUNDS, *_SEARCH,
+        *_IO, *_SPEC, *_TRUNC, _MODE, _UPPER, *_SEARCH,
         _Option("max_j", "--max-j", int, 6, help="largest accept-up-to ceiling"),
     )),
     "sweep": (_cmd_sweep, "optimize over a loss-parameter grid", (
-        *_IO, *_SPEC, *_TRUNC, *_BOUNDS, *_SEARCH,
+        *_IO, *_SPEC, *_TRUNC, _UPPER, *_SEARCH,
         _Option("axis", "--axis", default=(), action="append",
                 help="swept axis, name=start:stop:step (max 2)"),
         _Option("strategies", "--strategies", _checked(DetectionStrategy.parse, _strategy_items),
@@ -648,11 +644,11 @@ _COMMANDS = {
                 help="overwrite existing sweep output instead of resuming"),
     )),
     "table1": (_cmd_table1, "reproduce the reference result table", (
-        *_IO, *_TRUNC, *_BOUNDS, *_SEARCH,
+        *_IO, *_TRUNC, _UPPER, *_SEARCH,
         _Option("rows", "--rows", help="subset 'v_r,v_d,v_b;v_r,v_d,v_b;...'"),
     )),
     "stability": (_cmd_stability, "tolerable deviation around the optimum", (
-        *_IO, *_SPEC, *_TRUNC, _STRATEGY, *_BOUNDS, *_SEARCH,
+        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _UPPER, *_SEARCH,
         _Option("resolution", "--resolution", float, 1e-4,
                 help="bisection resolution of the interval"),
     )),

@@ -44,8 +44,6 @@ __all__ = [
     "TABLE1_VD",
     "TABLE1_VB",
     "reproduce_table1",
-    "delta_surface",
-    "pair_deltas",
     "fixed_n_curve",
     "stability_report",
     "vb_crossover",
@@ -281,48 +279,6 @@ def reproduce_table1(
     return rows
 
 
-def delta_surface(
-    grid: SweepGrid,
-    strategy_a: DetectionStrategy,
-    mode_a: OptimizationMode,
-    strategy_b: DetectionStrategy,
-    mode_b: OptimizationMode,
-    settings: OptimizerSettings | None = None,
-    n_ref: int = 100,
-    threshold: float = 1e-3,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> list[ResultRow]:
-    """Maximal probability of configuration A and B on every grid cell.
-
-    Emits two rows per cell, A first; :func:`pair_deltas` turns the list
-    into per-cell differences.
-    """
-    rows: list[ResultRow] = []
-    for cell in grid.cells():
-        spec = MultiplexerSpec(
-            v_r=cell["v_r"],
-            v_b=cell["v_b"],
-            v_d=cell["v_d"],
-            n_units=1,
-            v_t=grid.v_t,
-            source=grid.source,
-        )
-        for strategy, mode in ((strategy_a, mode_a), (strategy_b, mode_b)):
-            rows.append(_search_row(spec, strategy, mode, settings, n_ref, threshold, trunc))
-    return rows
-
-
-def pair_deltas(rows: Sequence[ResultRow]) -> list[tuple[dict[str, float], float]]:
-    """Per-cell p1 difference (A minus B) from a delta-surface row list."""
-    if len(rows) % 2:
-        raise ParameterError("delta rows must come in (A, B) pairs")
-    out = []
-    for a, b in zip(rows[0::2], rows[1::2]):
-        coords = {"v_r": a.v_r, "v_d": a.v_d, "v_b": a.v_b}
-        out.append((coords, a.p1 - b.p1))
-    return out
-
-
 def fixed_n_curve(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
@@ -393,13 +349,17 @@ def stability_report(
     return row
 
 
+# vb_crossover: the low-loss corner grid, the v_b bracket and its
+# bisection tolerance, and the saturated size of both optima
+_CROSSOVER_V_R = (0.80, 0.82, 0.84)
+_CROSSOVER_V_D = (0.80, 0.85, 0.90)
+_CROSSOVER_BRACKET = (0.80, 0.90)
+_CROSSOVER_TOL = 0.005
+_CROSSOVER_N_SAT = 60
+
+
 def vb_crossover(
     settings: OptimizerSettings | None = None,
-    v_r_values: Sequence[float] = (0.80, 0.82, 0.84),
-    v_d_values: Sequence[float] = (0.80, 0.85, 0.90),
-    bracket: tuple[float, float] = (0.80, 0.90),
-    tol: float = 0.005,
-    n_sat: int = 60,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> float:
     """Largest v_b at which accepting two counts still beats single-photon.
@@ -415,15 +375,15 @@ def vb_crossover(
 
     def max_advantage(v_b: float) -> float:
         best = -np.inf
-        for v_r in v_r_values:
-            for v_d in v_d_values:
-                spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=n_sat)
+        for v_r in _CROSSOVER_V_R:
+            for v_d in _CROSSOVER_V_D:
+                spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=_CROSSOVER_N_SAT)
                 p_12 = optimize_pump(spec, s12, settings, trunc=trunc).best_p1
                 p_spd = optimize_pump(spec, spd, settings, trunc=trunc).best_p1
                 best = max(best, p_12 - p_spd)
         return best
 
-    lo, hi = bracket
+    lo, hi = _CROSSOVER_BRACKET
     adv_lo = max_advantage(lo)
     adv_hi = max_advantage(hi)
     if adv_lo < 0.0 or adv_hi > 0.0:
@@ -431,7 +391,7 @@ def vb_crossover(
             f"bracket [{lo}, {hi}] does not straddle the crossover "
             f"(advantages {adv_lo:.4f}, {adv_hi:.4f})"
         )
-    while hi - lo > tol:
+    while hi - lo > _CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if max_advantage(mid) >= 0.0:
             lo = mid

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _MAX_TRIALS = np.iinfo(np.int64).max
+# expected counts added to every bucket's tolerance in McComparison.within
+_COUNT_SLACK = 10.0
 
 
 @dataclass(frozen=True)
@@ -204,14 +206,14 @@ class McComparison:
         p = self.analytic
         return np.sqrt(p * (1.0 - p) / self.result.trials)
 
-    def within(self, n_sigma: float, count_slack: float = 10.0) -> bool:
+    def within(self, n_sigma: float) -> bool:
         """True when every estimate sits within ``n_sigma`` standard errors.
 
         The additive slack of a few expected counts keeps buckets whose
         analytic probability is essentially zero from failing on a
         single stray sample.
         """
-        tolerance = n_sigma * self.analytic_std_errors + count_slack / self.result.trials
+        tolerance = n_sigma * self.analytic_std_errors + _COUNT_SLACK / self.result.trials
         return bool(np.all(self.deviations <= tolerance))
 
 

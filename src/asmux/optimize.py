@@ -98,16 +98,13 @@ class OptimizationMode(str, Enum):
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Search bounds on the pump mean photon numbers."""
+    """Upper search bound on the pump mean photon numbers; the lower one is 0."""
 
-    lambda_lower: float = 0.0
     lambda_upper: float = 5.0
 
     def __post_init__(self) -> None:
-        if not self.lambda_lower < self.lambda_upper:
-            raise ParameterError("lambda_lower must be strictly below lambda_upper")
-        if self.lambda_lower < 0.0:
-            raise ParameterError("lambda_lower must be >= 0")
+        if not self.lambda_upper > 0.0:
+            raise ParameterError(f"lambda_upper must be > 0, got {self.lambda_upper!r}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,9 @@ class StabilityInterval:
 
 @lru_cache(maxsize=16)
 def _grid_tables(
-    family: SourceFamily, l_max: int, lower: float, upper: float, points: int
+    family: SourceFamily, l_max: int, upper: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(lower, upper, points)
+    grid = np.linspace(0.0, upper, points)
     pmf = source_pmf(family, grid, l_max)
     grid.flags.writeable = False
     pmf.flags.writeable = False
@@ -191,7 +188,6 @@ class _Chain:
     ) -> None:
         self.sizes = sizes
         self.family = spec.source
-        self.lower = settings.lambda_lower
         self.upper = settings.lambda_upper
         self.l_max = required_lmax(spec.source, self.upper, trunc)
         self.w = acceptance_weights(strategy, spec.v_d, self.l_max)
@@ -220,9 +216,7 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     value per size larger than the current unit; a size joins at its
     last unit with an empty tail.
     """
-    grid, pmf = _grid_tables(
-        chain.family, chain.l_max, chain.lower, chain.upper, _GRID_POINTS
-    )
+    grid, pmf = _grid_tables(chain.family, chain.l_max, chain.upper, _GRID_POINTS)
     step = grid[1] - grid[0]
     quiet = 1.0 - pmf @ chain.w  # (G,)
     t_through = chain.through @ pmf.T  # (n_max-1, G)
@@ -251,7 +245,7 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
         refine = np.flatnonzero((best > 0) & (best < grid.size - 1) & (den < 0.0))
         if refine.size:
             vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
-            vertex = np.clip(vertex, chain.lower, chain.upper)
+            vertex = np.clip(vertex, 0.0, chain.upper)
             # the joining size, if refined, is the first refined row
             weights = np.empty((refine.size, chain.l_max + 1))
             joined = int(joins and refine[0] == 0)
@@ -423,7 +417,7 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray, xtol: float = 1e-6):
 def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
     """Best one-parameter profile of every size, one zero-padded row per size."""
     sizes = chain.sizes
-    grid = np.linspace(chain.lower, chain.upper, _SCALAR_GRID)
+    grid = np.linspace(0.0, chain.upper, _SCALAR_GRID)
     table = _scalar_p1(chain, scaled, grid)
     cols = np.arange(sizes.size)
     k = np.argmax(table, axis=0)
@@ -595,6 +589,8 @@ def find_optimal_n(
     """
     if int(n_ref) < 2:
         raise ParameterError(f"n_ref must be >= 2, got {n_ref}")
+    if not 0.0 < threshold < math.inf:
+        raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
     reports = optimize_sizes(spec, strategy, range(1, int(n_ref) + 1), settings, mode, trunc)
     p_by_n = np.array([r.best_p1 for r in reports])
     reference = float(p_by_n[-1])
@@ -619,6 +615,8 @@ def strategy_scan(
     soon as the achievable maximum drops below the previous ceiling's;
     threshold detection is always evaluated alongside.
     """
+    if int(max_accept) < 1:
+        raise ParameterError(f"max_accept must be >= 1, got {max_accept}")
     entries: list[StrategyScanEntry] = []
     previous = -np.inf
     for j in range(1, int(max_accept) + 1):
@@ -653,6 +651,8 @@ def stability_interval(
     zero) and each side of zero is bisected to ``resolution``.  If the
     unshifted profile does not reach the baseline the interval is empty.
     """
+    if not 0.0 < resolution < math.inf:
+        raise ParameterError(f"resolution must be positive and finite, got {resolution!r}")
     base = optimal_pump.as_array()
     if base.size != spec.n_units:
         raise ParameterError(
@@ -682,6 +682,8 @@ def stability_interval(
         lo, hi = feasible, bound
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # a resolution finer than the float spacing
+                break
             if p1_at(sign * mid) >= baseline_p1:
                 lo = mid
             else:

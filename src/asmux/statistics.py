@@ -167,16 +167,6 @@ class DetectionStrategy:
             return f"upto:{members[-1]}"
         return "set:" + ",".join(str(m) for m in members)
 
-    @property
-    def display(self) -> str:
-        """Human-oriented label."""
-        if self.is_threshold:
-            return "ThD"
-        members = sorted(self.accepted)
-        if members == [1]:
-            return "SPD"
-        return "S={" + ",".join(str(m) for m in members) + "}"
-
     def accept_mask(self, counts: np.ndarray) -> np.ndarray:
         """Boolean mask of detected counts that trigger admission."""
         counts = np.asarray(counts)
@@ -534,8 +524,8 @@ def p1_profile_batch(
     """Single-photon probability for a batch of pump profiles.
 
     ``lam_matrix`` holds one profile per row (last axis = unit index).
-    This is the optimizer's fitness kernel; it evaluates only the one-
-    photon component and shares the series cutoff across the batch.
+    It evaluates only the one-photon component and shares the series
+    cutoff across the batch; the stability interval bisects with it.
     """
     lam = np.asarray(lam_matrix, dtype=float)
     if lam.shape[-1] != spec.n_units:

@@ -127,6 +127,40 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan", "inf"])
+    def test_bad_stability_resolution_is_domain_error(self, capsys, value):
+        # a zero resolution used to hang and a negative one to invert the interval
+        code, out, err = run(
+            capsys, "stability", "--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9",
+            "--n-ref", "10", "--resolution", value,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: resolution must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "command", ["find-n", "scan-strategies", "stability", "sweep", "table1"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_threshold_is_domain_error(self, capsys, command, value):
+        # no size met a threshold <= 0 or NaN, which reported n_opt = 1
+        point = (["--rows", "0.95,0.9,0.9"] if command == "table1"
+                 else ["--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9"])
+        code, out, err = run(capsys, command, *point, "--n-ref", "20", "--threshold", value)
+        assert code == 3
+        assert "n_opt" not in out
+        assert err.startswith("error: threshold must be positive and finite")
+
+    def test_max_j_zero_is_domain_error(self, capsys):
+        # it used to scan threshold detection alone
+        code, out, err = run(
+            capsys, "scan-strategies", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--n-ref", "10", "--max-j", "0",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: max_accept must be >= 1")
+
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["eval", "--no-such-flag"]) == 2
 
@@ -214,6 +248,13 @@ class TestConfigResolution:
         assert code == 0
         assert float(out.splitlines()[1].split()[1]) > 0.29
 
+    def test_colon_line_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v_r: 0.9\nv_b = 0.9\nv_d = 0.9\n")
+        code, _, err = run(capsys, "find-n", "--config", str(cfg), "--n-ref", "5")
+        assert code == 2
+        assert "config line 1 has no '='" in err
+
     def test_json_null(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"v_r": 0.9, "v_b": 0.9, "v_d": 0.9, "n_ref": 5, "out": None}))
@@ -233,16 +274,18 @@ REMOVED_KEYS = (
     + [(command, "strategy") for command in ("scan-strategies", "sweep", "table1")]
     + [(command, "mode") for command in ("sweep", "table1", "stability")]
     + [("mc-validate", "format"), ("mc-validate", "chunk_trials")]
+    + [(command, "lambda_lower")
+       for command in ("optimize", "find-n", "scan-strategies", "sweep", "table1", "stability")]
 )
 REMOVED_VALUES = {
     "threads": "2", "i_max": "3", "n": "3", "strategy": "thd", "mode": "uniform",
-    "format": "json", "chunk_trials": "50000",
+    "format": "json", "chunk_trials": "50000", "lambda_lower": "0.1",
 }
 
 
 class TestRemovedKeys:
     def test_count(self):
-        assert len(REMOVED_KEYS) == 27
+        assert len(REMOVED_KEYS) == 33
 
     @pytest.mark.parametrize("command,key", REMOVED_KEYS)
     def test_flag_is_config_error(self, capsys, command, key):
@@ -258,6 +301,53 @@ class TestRemovedKeys:
         code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+
+# every key each command accepts, as a flag and as a config-file key
+ACCEPTED_KEYS = {
+    "eval": (
+        "config format i_max l_hard_cap lam n out pump_file source strategy "
+        "tail_epsilon v_b v_d v_r v_t"
+    ),
+    "optimize": (
+        "config format l_hard_cap lambda_upper mode n out source strategy "
+        "tail_epsilon v_b v_d v_r v_t"
+    ),
+    "find-n": (
+        "config format full_curve l_hard_cap lambda_upper mode n_ref out source "
+        "strategy tail_epsilon threshold v_b v_d v_r v_t"
+    ),
+    "scan-strategies": (
+        "config format l_hard_cap lambda_upper max_j mode n_ref out source "
+        "tail_epsilon threshold v_b v_d v_r v_t"
+    ),
+    "sweep": (
+        "axis config format l_hard_cap lambda_upper modes n_ref out resume source "
+        "strategies tail_epsilon threshold v_b v_d v_r v_t"
+    ),
+    "table1": "config format l_hard_cap lambda_upper n_ref out rows tail_epsilon threshold",
+    "stability": (
+        "config format l_hard_cap lambda_upper n_ref out resolution source strategy "
+        "tail_epsilon threshold v_b v_d v_r v_t"
+    ),
+    "mc-validate": "cases config l_hard_cap max_count out seed sigma tail_epsilon trials",
+}
+
+
+class TestOptionInventory:
+    """A new or dropped option shows up here as a reviewed diff."""
+
+    def test_commands(self):
+        assert sorted(_COMMANDS) == sorted(ACCEPTED_KEYS)
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+    def test_accepted_keys(self, command):
+        dests = [o.dest for o in _COMMANDS[command][2]]
+        assert len(dests) == len(set(dests))
+        assert sorted(dests) == ACCEPTED_KEYS[command].split()
+
+    def test_count(self):
+        assert sum(len(keys.split()) for keys in ACCEPTED_KEYS.values()) == 110
 
 
 # value strategies for the options whose text a converter checks
@@ -479,6 +569,43 @@ class TestSweepCommand:
     def test_bad_axis_is_config_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "v_d=0.85")
         assert code == 2
+
+
+class TestFullCurve:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_row_per_size(self, capsys, tmp_path, fmt):
+        from asmux.experiments import ResultRow, read_csv
+        from asmux.multiplexer import MultiplexerSpec
+        from asmux.optimize import find_optimal_n
+        from asmux.statistics import DetectionStrategy
+
+        out = tmp_path / f"curve.{fmt}"
+        code, text, _ = run(
+            capsys, "find-n", "--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9",
+            "--n-ref", "20", "--full-curve", "--format", fmt, "--out", str(out),
+        )
+        assert code == 0
+        if fmt == "csv":
+            rows = read_csv(out)
+        else:
+            rows = [
+                ResultRow(**{**r, "lambdas": tuple(r["lambdas"])})
+                for r in json.loads(out.read_text())["rows"]
+            ]
+        search = find_optimal_n(
+            MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=1),
+            DetectionStrategy.single_photon(),
+            n_ref=20,
+        )
+        assert text.splitlines()[0] == f"n_opt {search.n_opt}"
+        assert [r.n_units for r in rows] == list(range(1, 21))
+        assert [r.n_opt for r in rows] == [
+            search.n_opt if n == search.n_opt else None for n in range(1, 21)
+        ]
+        assert [r.p1 for r in rows] == search.p1_by_n.tolist()
+        for row in rows:
+            assert len(row.lambdas) == row.n_units
+            assert abs(row.reevaluate() - row.p1) <= 1e-12
 
 
 class TestOtherCommands:

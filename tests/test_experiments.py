@@ -8,9 +8,7 @@ from asmux.experiments import (
     CSV_COLUMNS,
     Axis,
     SweepGrid,
-    delta_surface,
     fixed_n_curve,
-    pair_deltas,
     read_csv,
     reproduce_table1,
     run_sweep,
@@ -231,24 +229,6 @@ class TestCurvesAndDeltas:
         )
         p1s = [r.p1 for r in rows]
         assert all(b >= a - 1e-3 for a, b in zip(p1s, p1s[1:]))
-
-    def test_delta_surface_pairs(self):
-        grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
-        rows = delta_surface(
-            grid,
-            SPD,
-            OptimizationMode.PER_UNIT,
-            SPD,
-            OptimizationMode.UNIFORM,
-            n_ref=25,
-        )
-        assert len(rows) == 2
-        deltas = pair_deltas(rows)
-        assert len(deltas) == 1
-        coords, delta = deltas[0]
-        assert coords == {"v_r": 0.9, "v_d": 0.85, "v_b": 0.9}
-        # richer search space wins
-        assert delta >= -1e-9
 
 
 class TestStabilityReport:

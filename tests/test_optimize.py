@@ -200,6 +200,18 @@ class TestFindOptimalN:
         with pytest.raises(ParameterError):
             find_optimal_n(spec, SPD, n_ref=1)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_validation(self, monkeypatch, threshold):
+        # an all-False saturation mask would report n_opt = 1; the check
+        # comes before any optimization
+        def no_search(*args, **kwargs):
+            raise AssertionError("optimized before checking the threshold")
+
+        monkeypatch.setattr(asmux.optimize, "optimize_sizes", no_search)
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(ParameterError, match="threshold must be positive and finite"):
+            find_optimal_n(spec, SPD, n_ref=20, threshold=threshold)
+
 
 class TestStrategyScan:
     def test_scan_stops_after_decline_and_ranks(self):
@@ -221,6 +233,17 @@ class TestStrategyScan:
         assert entries[0].strategy.key == "spd"
         thd_entry = next(e for e in entries if e.strategy.key == "thd")
         assert entries[0].p1_max > thd_entry.p1_max
+
+    @pytest.mark.parametrize("max_accept", [0, -3])
+    def test_max_accept_validation(self, monkeypatch, max_accept):
+        # with no ceiling to raise, the scan would rank threshold detection alone
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking max_accept")
+
+        monkeypatch.setattr(asmux.optimize, "find_optimal_n", no_search)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(ParameterError, match="max_accept must be >= 1"):
+            strategy_scan(spec, n_ref=10, max_accept=max_accept)
 
     def test_single_photon_beats_threshold_once_multiplexed(self):
         # from two units on, single-photon heralding dominates threshold
@@ -267,6 +290,40 @@ class TestStabilityInterval:
         assert interval.empty
         assert (interval.delta_minus, interval.delta_plus) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan, math.inf])
+    def test_resolution_validation(self, monkeypatch, resolution):
+        # a zero step never doubles past zero and a negative one inverts the
+        # interval; both are refused before any P1 evaluation
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated P1 before checking the resolution")
+
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", no_evaluation)
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.9, v_d=1.0, n_units=1)
+        with pytest.raises(ParameterError, match="resolution must be positive and finite"):
+            stability_interval(spec, SPD, PumpProfile((1.0,)), 0.3, resolution=resolution)
+
+    def test_resolution_below_float_spacing_terminates(self, monkeypatch):
+        # the bisection ends at adjacent floats instead of repeating its midpoint
+        calls = []
+        evaluate = asmux.optimize.p1_profile_batch
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 5000:
+                raise AssertionError("bisection does not terminate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", counted)
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.9, v_d=1.0, n_units=1)
+        baseline = 0.95 * math.exp(-1.0) * 0.9
+        coarse = stability_interval(spec, SPD, PumpProfile((1.0,)), baseline)
+        fine = stability_interval(spec, SPD, PumpProfile((1.0,)), baseline, resolution=1e-300)
+        assert fine.delta_minus == pytest.approx(coarse.delta_minus, abs=2e-4)
+        assert fine.delta_plus == pytest.approx(coarse.delta_plus, abs=2e-4)
+        for delta in (fine.delta_minus, fine.delta_plus):
+            shifted = PumpProfile((max(1.0 + delta, 0.0),))
+            assert single_photon_prob(spec, shifted, SPD) >= baseline
+
     def test_interval_endpoints_keep_baseline(self):
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)
         per_unit = optimize_pump(spec, SPD)
@@ -282,7 +339,7 @@ class TestStabilityInterval:
 
 class TestSettingsValidation:
     def test_invariants(self):
-        with pytest.raises(ParameterError):
-            OptimizerSettings(lambda_lower=2.0, lambda_upper=1.0)
-        with pytest.raises(ParameterError):
-            OptimizerSettings(lambda_lower=-0.5)
+        for upper in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="lambda_upper must be > 0"):
+                OptimizerSettings(lambda_upper=upper)
+        assert OptimizerSettings(lambda_upper=1e-3).lambda_upper == 1e-3

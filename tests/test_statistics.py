@@ -341,11 +341,6 @@ class TestDetectionStrategy:
         ):
             assert DetectionStrategy.parse(strat.key) == strat
 
-    def test_display(self):
-        assert DetectionStrategy.single_photon().display == "SPD"
-        assert DetectionStrategy.threshold().display == "ThD"
-        assert DetectionStrategy.explicit({1, 2}).display == "S={1,2}"
-
     def test_accept_mask(self):
         counts = np.array([0, 1, 2, 3, 4])
         assert DetectionStrategy.threshold().accept_mask(counts).tolist() == [
