@@ -206,8 +206,8 @@ def _parse_config_text(text: str) -> dict:
         return {_KEY_ALIASES.get(k, k).replace("-", "_"): v for k, v in data.items()}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):  # a '#' after the start is part of the value
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -351,9 +351,7 @@ def _cmd_eval(cfg: dict) -> int:
                 "truncation_mass": dist.truncation_mass,
                 "lambdas": list(pump.lambdas),
             }
-            with open(out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            exp._dump_json(payload, out)
         _write_log(out, time.perf_counter() - started, len(dist.probs))
     return EXIT_OK
 
@@ -371,8 +369,7 @@ def _cmd_optimize(cfg: dict) -> int:
     print(f"p1 {report.best_p1!r}")
     print(f"n_units {report.n_units}")
     print("lambdas " + ",".join(repr(x) for x in report.best_pump.lambdas))
-    row = exp._row_from_report(spec, report, n_opt=None, wall_time_s=elapsed)
-    _write_rows(cfg, [row], elapsed)
+    _write_rows(cfg, [exp._row_from_report(spec, report)], elapsed)
     return EXIT_OK
 
 
@@ -392,24 +389,13 @@ def _cmd_find_n(cfg: dict) -> int:
         trunc=trunc,
     )
     elapsed = time.perf_counter() - started
-    print(f"n_opt {result.n_opt}")
+    n_opt = result.n_opt
+    print(f"n_opt {n_opt}")
     print(f"p1 {result.p1_max!r}")
-    if cfg.get("full_curve"):
-        rows = [
-            exp._row_from_report(
-                spec.with_units(r.n_units), r,
-                n_opt=result.n_opt if r.n_units == result.n_opt else None,
-                wall_time_s=0.0,
-            )
-            for r in result.reports
-        ]
-    else:
-        report = result.reports[result.n_opt - 1]
-        rows = [
-            exp._row_from_report(
-                spec.with_units(result.n_opt), report, n_opt=result.n_opt, wall_time_s=elapsed
-            )
-        ]
+    reports = result.reports if cfg.get("full_curve") else [result.reports[n_opt - 1]]
+    rows = [
+        exp._row_from_report(spec, r, n_opt if r.n_units == n_opt else None) for r in reports
+    ]
     _write_rows(cfg, rows, elapsed)
     return EXIT_OK
 
@@ -433,11 +419,7 @@ def _cmd_scan_strategies(cfg: dict) -> int:
     for entry in entries:
         print(f"{entry.strategy.key} n_opt={entry.n_opt} p1={entry.p1_max!r}")
         report = entry.result.reports[entry.n_opt - 1]
-        rows.append(
-            exp._row_from_report(
-                spec.with_units(entry.n_opt), report, n_opt=entry.n_opt, wall_time_s=0.0
-            )
-        )
+        rows.append(exp._row_from_report(spec, report, entry.n_opt))
     _write_rows(cfg, rows, elapsed)
     return EXIT_OK
 
@@ -558,6 +540,11 @@ def _cmd_mc_validate(cfg: dict) -> int:
     sigma = cfg["sigma"]
     if not 0.0 < sigma < math.inf:
         raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
+    if cfg["max_count"] > trunc.l_hard_cap:
+        # no output count can exceed the pair-number cutoff; higher buckets are zero
+        raise ParameterError(
+            f"max_count must not exceed l_hard_cap ({trunc.l_hard_cap}), got {cfg['max_count']}"
+        )
     entries = VALIDATION_CORPUS
     if cfg["cases"] is not None:
         if cfg["cases"] < 1:
@@ -598,10 +585,7 @@ def _cmd_mc_validate(cfg: dict) -> int:
     )
     out = cfg.get("out")
     if out:
-        payload = {"config": cfg, "cases": report}
-        with open(out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        exp._dump_json({"config": cfg, "cases": report}, out)
         _write_log(out, elapsed, len(report))
     if failures:
         print(f"{failures} case(s) beyond {sigma} sigma", file=sys.stderr)

@@ -9,7 +9,9 @@ the data files so outputs are byte-stable for a fixed configuration.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,12 +75,17 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in _AXIS_NAMES:
             raise ParameterError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
-        if self.step <= 0 or self.stop < self.start:
+        finite = all(map(math.isfinite, (self.start, self.stop, self.step)))
+        if not finite or self.step <= 0 or self.stop < self.start:
             raise ParameterError(f"bad axis range {self.start}:{self.stop}:{self.step}")
+        if not self._count() < np.iinfo(np.intp).max:
+            raise ParameterError(f"axis {self.name} has too many cells: step {self.step}")
+
+    def _count(self) -> float:
+        return np.floor((self.stop - self.start) / self.step + 1e-9) + 1
 
     def values(self) -> np.ndarray:
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return np.round(self.start + self.step * np.arange(count), 10)
+        return np.round(self.start + self.step * np.arange(int(self._count())), 10)
 
 
 @dataclass(frozen=True)
@@ -123,29 +130,21 @@ class SweepGrid:
 
     def cells(self) -> list[dict[str, float]]:
         """All parameter combinations, row-major in axis order."""
-        base = dict(self.fixed)
-        if not self.axes:
-            return [dict(base)]
-        grids = [axis.values() for axis in self.axes]
-        out = []
-        if len(grids) == 1:
-            for x in grids[0]:
-                cell = dict(base)
-                cell[self.axes[0].name] = float(x)
-                out.append(cell)
-        else:
-            for x in grids[0]:
-                for y in grids[1]:
-                    cell = dict(base)
-                    cell[self.axes[0].name] = float(x)
-                    cell[self.axes[1].name] = float(y)
-                    out.append(cell)
-        return out
+        names = [axis.name for axis in self.axes]
+        return [
+            {**dict(self.fixed), **dict(zip(names, map(float, point)))}
+            for point in itertools.product(*(axis.values() for axis in self.axes))
+        ]
 
 
 @dataclass
 class ResultRow:
-    """One optimization outcome, self-contained and re-runnable."""
+    """One optimization outcome, self-contained and re-runnable.
+
+    Only size-search rows (the sweep and the reference table) set
+    ``wall_time_s``, the search's wall time; the benchmark reads it as
+    the sweep's per-cell latency.  No output file holds it.
+    """
 
     v_r: float
     v_t: float
@@ -206,10 +205,7 @@ CSV_COLUMNS = (
 
 
 def _row_from_report(
-    spec: MultiplexerSpec,
-    report: OptimizationReport,
-    n_opt: int | None,
-    wall_time_s: float,
+    spec: MultiplexerSpec, report: OptimizationReport, n_opt: int | None = None
 ) -> ResultRow:
     lambdas = report.best_pump.lambdas
     uniform = lambdas[0] if report.mode is OptimizationMode.UNIFORM else None
@@ -226,7 +222,6 @@ def _row_from_report(
         p1=report.best_p1,
         lambda_uniform=uniform,
         lambdas=lambdas,
-        wall_time_s=wall_time_s,
     )
 
 
@@ -243,13 +238,9 @@ def _search_row(
     result = find_optimal_n(
         spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
     )
-    report = result.reports[result.n_opt - 1]
-    return _row_from_report(
-        spec.with_units(result.n_opt),
-        report,
-        n_opt=result.n_opt,
-        wall_time_s=time.perf_counter() - started,
-    )
+    row = _row_from_report(spec, result.reports[result.n_opt - 1], result.n_opt)
+    row.wall_time_s = time.perf_counter() - started
+    return row
 
 
 def reproduce_table1(
@@ -289,21 +280,16 @@ def fixed_n_curve(
 ) -> list[ResultRow]:
     """Optimized probability at each fixed unit count, per pump mode.
 
-    Each mode solves all sizes in one pass; a row's ``wall_time_s`` is
-    its share of that pass.  Rows are ordered mode-major, then by size.
+    Each mode solves all sizes in one pass.  Rows are ordered mode-major,
+    then by size.
     """
     sizes = sorted(int(n) for n in n_range)
     if not sizes or sizes[0] < 1:
         raise ParameterError("n_range must contain positive sizes")
     rows: list[ResultRow] = []
     for mode in modes:
-        started = time.perf_counter()
         reports = optimize_sizes(spec, strategy, sizes, settings, mode, trunc)
-        share = (time.perf_counter() - started) / len(reports)
-        rows.extend(
-            _row_from_report(spec.with_units(r.n_units), r, n_opt=None, wall_time_s=share)
-            for r in reports
-        )
+        rows.extend(_row_from_report(spec, r) for r in reports)
     return rows
 
 
@@ -323,7 +309,6 @@ def stability_report(
     The row carries the per-unit maximum as ``p1``, the uniform maximum
     as ``baseline_p1`` and the shift interval endpoints.
     """
-    started = time.perf_counter()
     uniform_search = find_optimal_n(
         spec,
         strategy,
@@ -340,9 +325,7 @@ def stability_report(
     interval = stability_interval(
         spec_star, strategy, report.best_pump, baseline, resolution=resolution, trunc=trunc
     )
-    row = _row_from_report(
-        spec_star, report, n_opt=n_star, wall_time_s=time.perf_counter() - started
-    )
+    row = _row_from_report(spec_star, report, n_star)
     row.delta_minus = interval.delta_minus
     row.delta_plus = interval.delta_plus
     row.baseline_p1 = baseline
@@ -617,7 +600,11 @@ def _row_dict(row: ResultRow) -> dict:
 
 def write_json(rows: Sequence[ResultRow], path: str | Path, config: dict | None = None) -> None:
     """Write rows plus the resolved configuration as one JSON document."""
-    payload = {"config": config or {}, "rows": [_row_dict(r) for r in rows]}
+    _dump_json({"config": config or {}, "rows": [_row_dict(r) for r in rows]}, path)
+
+
+def _dump_json(payload: dict, path: str | Path) -> None:
+    """Write ``payload`` as indented, key-sorted JSON ending in a newline."""
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -82,11 +82,6 @@ class McResult:
     def estimates(self) -> np.ndarray:
         return self.counts / self.trials
 
-    @property
-    def std_errors(self) -> np.ndarray:
-        p = self.estimates
-        return np.sqrt(p * (1.0 - p) / self.trials)
-
 
 def _poisson_hazard(lam: float, pairs: int) -> float:
     """P(X = pairs | X >= pairs) for X ~ Poisson(lam).

@@ -50,6 +50,7 @@ from .statistics import (
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
+    _validate_pump,
     acceptance_weights,
     p1_profile_batch,
     required_lmax,
@@ -653,11 +654,7 @@ def stability_interval(
     """
     if not 0.0 < resolution < math.inf:
         raise ParameterError(f"resolution must be positive and finite, got {resolution!r}")
-    base = optimal_pump.as_array()
-    if base.size != spec.n_units:
-        raise ParameterError(
-            f"pump profile has {base.size} entries but the spec has {spec.n_units} units"
-        )
+    base = _validate_pump(spec, optimal_pump)
 
     def p1_at(delta: float) -> float:
         shifted = np.clip(base + delta, 0.0, None)
@@ -667,19 +664,13 @@ def stability_interval(
         return StabilityInterval(0.0, 0.0, empty=True)
 
     def edge(sign: float) -> float:
-        step = resolution
-        if p1_at(sign * step) < baseline_p1:
-            return 0.0
-        feasible = step
-        bound = step
-        while bound < 10.0:
-            bound *= 2.0
-            if p1_at(sign * bound) < baseline_p1:
-                break
-            feasible = bound
-        else:
-            return sign * feasible
-        lo, hi = feasible, bound
+        # double the shift while it holds (up to 10), then bisect the last step
+        lo, hi = 0.0, resolution
+        while p1_at(sign * hi) >= baseline_p1:
+            lo = hi
+            if hi >= 10.0:
+                return sign * lo
+            hi *= 2.0
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # a resolution finer than the float spacing
@@ -688,6 +679,6 @@ def stability_interval(
                 lo = mid
             else:
                 hi = mid
-        return sign * lo
+        return sign * lo if lo else 0.0  # +0.0, not -0.0, when no shift holds
 
     return StabilityInterval(delta_minus=edge(-1.0), delta_plus=edge(+1.0))

@@ -172,8 +172,8 @@ class DetectionStrategy:
         counts = np.asarray(counts)
         if self.is_threshold:
             return counts >= 1
-        # one comparison per member: accepted sets are small, and this is
-        # an order of magnitude faster than np.isin on sampler-sized arrays
+        # one comparison per member: accepted sets are small; the sampler
+        # calls this once per run, on at most max(accepted) + 2 counts
         mask = np.zeros(counts.shape, dtype=bool)
         for j in self.accepted:
             mask |= counts == j

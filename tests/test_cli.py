@@ -224,6 +224,41 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: " + message) and err.count("\n") == 1
 
+    def test_max_count_above_l_hard_cap_is_domain_error(self, capsys, monkeypatch):
+        # no output count exceeds the pair-number cutoff, yet the tables of
+        # every bucket up to max_count were built (1e8 got the process killed)
+        import asmux.cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking max_count")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(asmux.cli, "compare_with_analytic", no_sampling)
+            code, out, err = run(capsys, "mc-validate", "--cases", "1", "--trials", "1000",
+                                 "--max-count", "401")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: max_count must not exceed l_hard_cap (400)")
+        code, out, _ = run(capsys, "mc-validate", "--cases", "1", "--trials", "1000",
+                           "--max-count", "400")
+        assert code == 0
+        assert out.startswith("case 00 PASS")
+
+    @pytest.mark.parametrize(
+        "axis", ["0.8:0.82:nan", "nan:0.9:0.01", "0.8:0.82:inf", "0.8:0.82:1e-300"]
+    )
+    def test_bad_axis_range_is_domain_error(self, capsys, axis):
+        # NaN and vanishing steps used to end in a traceback, an infinite one
+        # in a message about v_d
+        code, out, err = run(
+            capsys, "sweep", "--axis", "v_d=" + axis, "--v-r", "0.9", "--v-b", "0.9",
+            "--n-ref", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "axis" in err
+
 
 class TestConfigResolution:
     def test_file_plus_flag_override(self, capsys, tmp_path):
@@ -254,6 +289,26 @@ class TestConfigResolution:
         code, _, err = run(capsys, "find-n", "--config", str(cfg), "--n-ref", "5")
         assert code == 2
         assert "config line 1 has no '='" in err
+
+    def test_hash_inside_value_is_kept(self, capsys, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"# a comment\nv_r = 0.9\nv_b = 0.9\nv_d = 0.9\n  # another\n"
+            f"out = {tmp_path}/run#1.json\n"
+        )
+        code, _, err = run(capsys, "find-n", "--config", str(cfg), "--n-ref", "5")
+        assert code == 0, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run#1.json", "run#1.json.log", "run.cfg",
+        ]
+
+    def test_inline_comment_after_number_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v_r = 0.9\nv_b = 0.9\nv_d = 0.9\nn_ref = 5  # small\n")
+        code, _, err = run(capsys, "find-n", "--config", str(cfg))
+        assert code == 2
+        assert "n_ref must be a number" in err
 
     def test_json_null(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

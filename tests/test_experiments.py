@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ class TestGridTypes:
             Axis("v_q", 0.8, 0.9, 0.05)
         with pytest.raises(ParameterError):
             Axis("v_r", 0.9, 0.8, 0.05)
+        for start, stop, step in [
+            (0.8, 0.82, math.nan),
+            (math.nan, 0.9, 0.01),
+            (0.8, math.nan, 0.01),
+            (0.8, 0.82, math.inf),
+            (0.8, math.inf, 0.01),
+            (-math.inf, 0.9, 0.01),
+            (0.8, 0.82, 1e-300),  # more cells than an array can index
+        ]:
+            with pytest.raises(ParameterError):
+                Axis("v_d", start, stop, step)
 
     def test_grid_must_pin_all_parameters(self):
         with pytest.raises(ParameterError):
@@ -59,6 +71,12 @@ class TestGridTypes:
         cells = grid.cells()
         assert len(cells) == 2 * 3
         assert all(set(c) == {"v_r", "v_d", "v_b"} for c in cells)
+        # row-major in axis order, fixed keys first
+        assert [list(c.items()) for c in cells] == [
+            [("v_b", 0.9), ("v_r", v_r), ("v_d", v_d)]
+            for v_r in (0.8, 0.9)
+            for v_d in (0.8, 0.85, 0.9)
+        ]
 
 
 class TestRows:

@@ -221,8 +221,6 @@ class TestCorpus:
         mc = McSettings(trials=50_000, seed=seed)
         result = simulate(spec, pump, strategy, mc)
         assert result.estimates.shape == (mc.max_count + 1,)
-        assert result.std_errors.shape == (mc.max_count + 1,)
-        assert np.all(result.std_errors >= 0.0)
 
 
 # The 1e9-trial oracle: two tests at a false-alarm rate of 1e-3 each, so

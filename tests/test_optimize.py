@@ -16,7 +16,13 @@ from asmux.optimize import (
     stability_interval,
     strategy_scan,
 )
-from asmux.statistics import DetectionStrategy, PumpProfile, single_photon_prob, source_pmf
+from asmux.statistics import (
+    DetectionStrategy,
+    PumpProfile,
+    p1_profile_batch,
+    single_photon_prob,
+    source_pmf,
+)
 
 SPD = DetectionStrategy.single_photon()
 
@@ -335,6 +341,18 @@ class TestStabilityInterval:
                 tuple(max(x + delta, 0.0) for x in per_unit.best_pump.lambdas)
             )
             assert single_photon_prob(spec, shifted, SPD) >= baseline - 1e-9
+
+    def test_failed_first_step_gives_positive_zero(self):
+        # P1 rises with the pump here, so the first shift down already fails;
+        # the endpoint is +0.0, which output files print as 0.0, never -0.0
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
+        pump = PumpProfile.uniform(0.1, 3)
+        baseline = float(p1_profile_batch(spec, SPD, pump.as_array()[None, :])[0])
+        interval = stability_interval(spec, SPD, pump, baseline)
+        assert not interval.empty
+        assert interval.delta_minus == 0.0
+        assert math.copysign(1.0, interval.delta_minus) == 1.0
+        assert interval.delta_plus > 0.0
 
 
 class TestSettingsValidation:
