@@ -303,15 +303,12 @@ def _build_pump(cfg: dict, n_units: int) -> PumpProfile:
     return PumpProfile(tuple(values))
 
 
-def _write_rows(cfg: dict, rows: list, elapsed: float) -> None:
+def _write_rows(cfg: dict, rows: list) -> tuple[int, int]:
     out = cfg.get("out")
-    if not out:
-        return
-    if cfg["format"] == "csv":
-        exp.write_csv(rows, out, config=cfg)
-    else:
-        exp.write_json(rows, out, config=cfg)
-    _write_log(out, elapsed, len(rows))
+    if out:
+        write = exp.write_csv if cfg["format"] == "csv" else exp.write_json
+        write(rows, out, config=cfg)
+    return EXIT_OK, len(rows)
 
 
 def _write_log(out: str, elapsed: float, n_rows: int) -> None:
@@ -321,15 +318,14 @@ def _write_log(out: str, elapsed: float, n_rows: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, records written)
 # ----------------------------------------------------------------------
 
-def _cmd_eval(cfg: dict) -> int:
+def _cmd_eval(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     pump = _build_pump(cfg, spec.n_units)
     strategy = DetectionStrategy.parse(cfg["strategy"])
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     dist = output_distribution(spec, pump, strategy, i_max=cfg["i_max"], trunc=trunc)
     for i, p in enumerate(dist.probs):
         print(f"P_{i} {float(p)!r}")
@@ -352,33 +348,28 @@ def _cmd_eval(cfg: dict) -> int:
                 "lambdas": list(pump.lambdas),
             }
             exp._dump_json(payload, out)
-        _write_log(out, time.perf_counter() - started, len(dist.probs))
-    return EXIT_OK
+    return EXIT_OK, len(dist.probs)
 
 
-def _cmd_optimize(cfg: dict) -> int:
+def _cmd_optimize(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     (report,) = optimize_sizes(
         spec, strategy, [spec.n_units], settings, mode=cfg["mode"], trunc=trunc
     )
-    elapsed = time.perf_counter() - started
     print(f"p1 {report.best_p1!r}")
     print(f"n_units {report.n_units}")
     print("lambdas " + ",".join(repr(x) for x in report.best_pump.lambdas))
-    _write_rows(cfg, [exp._row_from_report(spec, report)], elapsed)
-    return EXIT_OK
+    return _write_rows(cfg, [exp._row_from_report(spec, report)])
 
 
-def _cmd_find_n(cfg: dict) -> int:
+def _cmd_find_n(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     result = find_optimal_n(
         spec,
         strategy,
@@ -388,7 +379,6 @@ def _cmd_find_n(cfg: dict) -> int:
         mode=cfg["mode"],
         trunc=trunc,
     )
-    elapsed = time.perf_counter() - started
     n_opt = result.n_opt
     print(f"n_opt {n_opt}")
     print(f"p1 {result.p1_max!r}")
@@ -396,15 +386,13 @@ def _cmd_find_n(cfg: dict) -> int:
     rows = [
         exp._row_from_report(spec, r, n_opt if r.n_units == n_opt else None) for r in reports
     ]
-    _write_rows(cfg, rows, elapsed)
-    return EXIT_OK
+    return _write_rows(cfg, rows)
 
 
-def _cmd_scan_strategies(cfg: dict) -> int:
+def _cmd_scan_strategies(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     entries = strategy_scan(
         spec,
         settings,
@@ -414,14 +402,12 @@ def _cmd_scan_strategies(cfg: dict) -> int:
         max_accept=cfg["max_j"],
         trunc=trunc,
     )
-    elapsed = time.perf_counter() - started
     rows = []
     for entry in entries:
         print(f"{entry.strategy.key} n_opt={entry.n_opt} p1={entry.p1_max!r}")
         report = entry.result.reports[entry.n_opt - 1]
         rows.append(exp._row_from_report(spec, report, entry.n_opt))
-    _write_rows(cfg, rows, elapsed)
-    return EXIT_OK
+    return _write_rows(cfg, rows)
 
 
 def _parse_axis(text: str) -> exp.Axis:
@@ -435,7 +421,7 @@ def _parse_axis(text: str) -> exp.Axis:
     return exp.Axis(name=name.strip().replace("-", "_"), start=start, stop=stop, step=step)
 
 
-def _cmd_sweep(cfg: dict) -> int:
+def _cmd_sweep(cfg: dict) -> tuple[int, int]:
     axes = tuple(_parse_axis(a) for a in cfg["axis"])
     axis_names = {a.name for a in axes}
     fixed = []
@@ -459,7 +445,6 @@ def _cmd_sweep(cfg: dict) -> int:
     trunc = _build_trunc(cfg)
     out = cfg.get("out")
     use_csv = bool(out) and cfg["format"] == "csv"
-    started = time.perf_counter()
     rows = exp.run_sweep(
         grid,
         settings,
@@ -470,16 +455,13 @@ def _cmd_sweep(cfg: dict) -> int:
         resume=cfg["resume"],
         trunc=trunc,
     )
-    elapsed = time.perf_counter() - started
     print(f"cells {len(rows)}")
     if out and not use_csv:
         exp.write_json(rows, out, config=cfg)
-    if out:
-        _write_log(out, elapsed, len(rows))
-    return EXIT_OK
+    return EXIT_OK, len(rows)
 
 
-def _cmd_table1(cfg: dict) -> int:
+def _cmd_table1(cfg: dict) -> tuple[int, int]:
     combos = None
     if cfg.get("rows"):
         combos = []
@@ -493,7 +475,6 @@ def _cmd_table1(cfg: dict) -> int:
             combos.append(combo)
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     rows = exp.reproduce_table1(
         settings,
         combos=combos,
@@ -501,23 +482,20 @@ def _cmd_table1(cfg: dict) -> int:
         threshold=cfg["threshold"],
         trunc=trunc,
     )
-    elapsed = time.perf_counter() - started
     for row in rows:
         lam = f" lambda={row.lambda_uniform!r}" if row.lambda_uniform is not None else ""
         print(
             f"v_r={row.v_r} v_d={row.v_d} v_b={row.v_b} {row.mode}: "
             f"n_opt={row.n_opt} p1={row.p1:.4f}{lam}"
         )
-    _write_rows(cfg, rows, elapsed)
-    return EXIT_OK
+    return _write_rows(cfg, rows)
 
 
-def _cmd_stability(cfg: dict) -> int:
+def _cmd_stability(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    started = time.perf_counter()
     row = exp.stability_report(
         spec,
         strategy,
@@ -527,15 +505,13 @@ def _cmd_stability(cfg: dict) -> int:
         resolution=cfg["resolution"],
         trunc=trunc,
     )
-    elapsed = time.perf_counter() - started
     print(f"interval [{row.delta_minus!r}, {row.delta_plus!r}]")
     print(f"p1 {row.p1!r}")
     print(f"baseline_p1 {row.baseline_p1!r}")
-    _write_rows(cfg, [row], elapsed)
-    return EXIT_OK
+    return _write_rows(cfg, [row])
 
 
-def _cmd_mc_validate(cfg: dict) -> int:
+def _cmd_mc_validate(cfg: dict) -> tuple[int, int]:
     trunc = _build_trunc(cfg)
     sigma = cfg["sigma"]
     if not 0.0 < sigma < math.inf:
@@ -551,7 +527,6 @@ def _cmd_mc_validate(cfg: dict) -> int:
             raise ParameterError(f"cases must be >= 1, got {cfg['cases']}")
         entries = entries[: cfg["cases"]]
     mc_base = dict(trials=cfg["trials"], max_count=cfg["max_count"])
-    started = time.perf_counter()
     report = []
     failures = 0
     for index, entry in enumerate(entries):
@@ -577,7 +552,6 @@ def _cmd_mc_validate(cfg: dict) -> int:
                 "seed": mc.seed,
             }
         )
-    elapsed = time.perf_counter() - started
     buckets = len(report) * (cfg["max_count"] + 1)
     print(
         f"expected buckets beyond {sigma} sigma if the model holds: "
@@ -586,11 +560,9 @@ def _cmd_mc_validate(cfg: dict) -> int:
     out = cfg.get("out")
     if out:
         exp._dump_json({"config": cfg, "cases": report}, out)
-        _write_log(out, elapsed, len(report))
     if failures:
         print(f"{failures} case(s) beyond {sigma} sigma", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return (EXIT_VALIDATION if failures else EXIT_OK), len(report)
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +646,11 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_CONFIG
     try:
         cfg = resolve_run_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        started = time.perf_counter()  # the .log time covers the whole command
+        code, records = _COMMANDS[args.command][0](cfg)
+        if cfg.get("out"):
+            _write_log(cfg["out"], time.perf_counter() - started, records)
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

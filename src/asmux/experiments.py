@@ -94,8 +94,7 @@ class SweepGrid:
 
     The remaining parameters of {v_r, v_d, v_b} take fixed values; the
     router through-transmission defaults to 0.985 and can be pinned via
-    ``v_t``.  Grids outside the supported loss ranges require
-    ``allow_extended``.
+    ``v_t``.  Swept axes must stay inside the supported loss ranges.
     """
 
     axes: tuple[Axis, ...]
@@ -104,7 +103,6 @@ class SweepGrid:
     modes: tuple[OptimizationMode, ...] = (OptimizationMode.PER_UNIT,)
     v_t: float = 0.985
     source: str = "poisson"
-    allow_extended: bool = False
 
     def __post_init__(self) -> None:
         if len(self.axes) > 2:
@@ -117,14 +115,10 @@ class SweepGrid:
         if covered != set(_AXIS_NAMES):
             missing = set(_AXIS_NAMES) - covered
             raise ParameterError(f"grid must pin every loss parameter; missing {missing}")
-        if not self.allow_extended:
-            for axis in self.axes:
-                lo, hi = _DEFAULT_RANGES[axis.name]
-                if axis.start < lo - 1e-12 or axis.stop > hi + 1e-12:
-                    raise ParameterError(
-                        f"axis {axis.name} outside supported range [{lo}, {hi}]; "
-                        "set allow_extended to override"
-                    )
+        for axis in self.axes:
+            lo, hi = _DEFAULT_RANGES[axis.name]
+            if axis.start < lo - 1e-12 or axis.stop > hi + 1e-12:
+                raise ParameterError(f"axis {axis.name} outside supported range [{lo}, {hi}]")
         if not self.strategies or not self.modes:
             raise ParameterError("grid needs at least one strategy and one mode")
 
@@ -422,11 +416,10 @@ def run_sweep(
 
     handle = None
     if path is not None:
-        handle = open(path, "a" if append else "w", newline="")
-        writer = csv.writer(handle)
         if not append:
-            handle.write(_config_lines(config))
-            writer.writerow(CSV_COLUMNS)
+            write_csv([], path, config)
+        handle = open(path, "a", newline="")
+        writer = csv.writer(handle)
     rows: list[ResultRow] = []
     try:
         for cell in grid.cells():

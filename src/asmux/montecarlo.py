@@ -172,7 +172,10 @@ def simulate(
     for lam_k, v_k in zip(pump.lambdas, transmission_vector(spec)):
         pairs = _pair_histogram(rng, pending, lam_k, spec.source)
         admitted = _thin(rng, pairs, spec.v_d, detect_cap)[:, accepted].sum(axis=1)
-        totals += _thin(rng, admitted, v_k, mc.max_count + 1).sum(axis=0)
+        # no trial carries as many photons as there are pair groups, so a
+        # higher cap adds only empty columns (binomial(0, p) draws nothing)
+        cap = min(mc.max_count + 1, admitted.size)
+        totals[: cap + 1] += _thin(rng, admitted, v_k, cap).sum(axis=0)
         pending -= int(admitted.sum())
         if pending == 0:
             break

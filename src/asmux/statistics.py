@@ -65,12 +65,12 @@ class PumpProfile:
 
     def __post_init__(self) -> None:
         try:
-            lams = tuple(float(x) for x in self.lambdas)
+            lams = tuple(map(float, self.lambdas))
         except (TypeError, ValueError):
             raise ParameterError(f"lambdas must be a sequence of reals, got {self.lambdas!r}")
-        if len(lams) == 0:
+        if not lams:
             raise ParameterError("pump profile must contain at least one value")
-        if any(not math.isfinite(x) or x < 0.0 for x in lams):
+        if not all(map(math.isfinite, lams)) or min(lams) < 0.0:
             raise ParameterError("input mean photon numbers must be finite and >= 0")
         object.__setattr__(self, "lambdas", lams)
 
@@ -478,23 +478,29 @@ def output_distribution(
     no_fire = pmf @ (1.0 - w)
     prefix = np.concatenate(([1.0], np.cumprod(no_fire)[:-1]))
 
+    # no output count exceeds the series cutoff, so the counts above it
+    # are zeros and the cube stops there
+    top = min(i_max, l_max)
     ls = np.arange(l_max + 1)
-    counts = np.arange(i_max + 1)
+    counts = np.arange(top + 1)
     trans = _binom_pmf(
         counts[:, None, None], ls[None, None, :], v[None, :, None]
-    )  # (i_max+1, N, L+1)
+    )  # (top+1, N, L+1)
     contrib = np.einsum("inl,nl,l->in", trans, pmf, w)
 
-    probs = contrib @ prefix
+    probs = np.zeros(i_max + 1)
+    probs[: top + 1] = contrib @ prefix
     probs[0] += float(np.prod(no_fire))
 
-    # more than i_max of l photons survive exactly when the (i_max+1)-th
-    # survivor is photon m for some m <= l: P = sum_m v * pmf(i_max; m-1, v),
-    # a sum of positive terms (no 1 - cdf) that needs no (k, N, L+1) cube
-    overflow = np.zeros((len(v), l_max + 1))  # (N, L+1)
-    overflow[:, 1:] = v[:, None] * np.cumsum(trans[i_max, :, :-1], axis=-1)
-    exceed = np.einsum("nl,nl,l->n", overflow, pmf, w)
-    truncation_mass = float(prefix @ exceed + prefix @ tails)
+    exceed = 0.0  # more than i_max photons; none when i_max >= l_max
+    if i_max < l_max:
+        # more than i_max of l photons survive exactly when the (i_max+1)-th
+        # survivor is photon m for some m <= l: P = sum_m v * pmf(i_max; m-1, v),
+        # a sum of positive terms (no 1 - cdf) that needs no (k, N, L+1) cube
+        overflow = np.zeros((len(v), l_max + 1))  # (N, L+1)
+        overflow[:, 1:] = v[:, None] * np.cumsum(trans[i_max, :, :-1], axis=-1)
+        exceed = prefix @ np.einsum("nl,nl,l->n", overflow, pmf, w)
+    truncation_mass = float(exceed + prefix @ tails)
 
     total = float(probs.sum()) + truncation_mass
     if abs(total - 1.0) > 1e-8:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import asmux
 from asmux.cli import _COMMANDS, _build_parser, main, resolve_run_config
 
 def run(capsys, *argv):
@@ -210,6 +215,24 @@ class TestExitCodes:
         )
         assert code == 4
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("status,argv", [
+        (0, ["eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+             "--lambda", "0.5"]),
+        (2, ["eval", "--no-such-flag"]),
+        (3, ["optimize", "--n", "0", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9"]),
+        (4, ["mc-validate", "--cases", "1", "--trials", "50000", "--sigma", "0.0001"]),
+    ])
+    def test_process_exit_status(self, status, argv):
+        # the status a shell sees, and no traceback on stderr
+        src = Path(asmux.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "asmux.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-5000", "seed must be >= 0"),

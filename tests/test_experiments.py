@@ -56,12 +56,6 @@ class TestGridTypes:
                 axes=(Axis("v_r", 0.5, 0.9, 0.1),),
                 fixed=(("v_d", 0.9), ("v_b", 0.9)),
             )
-        grid = SweepGrid(
-            axes=(Axis("v_r", 0.5, 0.9, 0.2),),
-            fixed=(("v_d", 0.9), ("v_b", 0.9)),
-            allow_extended=True,
-        )
-        assert len(grid.cells()) == 3
 
     def test_two_axis_cells(self):
         grid = SweepGrid(

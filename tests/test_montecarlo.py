@@ -137,6 +137,21 @@ class TestSimulate:
         assert peak < 1_000_000
         assert result.counts.sum() + result.overflow == mc.trials
 
+    def test_memory_follows_pair_groups_not_max_count(self):
+        # no trial carries more photons than its pair groups allow, so the
+        # arm tables stop there however large max_count is
+        spec, pump, strategy, seed = corpus_case(VALIDATION_CORPUS[0])
+        mc = McSettings(trials=1000, seed=seed, max_count=10**5)
+        tracemalloc.start()
+        try:
+            result = simulate(spec, pump, strategy, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert result.counts.size == mc.max_count + 1
+        assert result.counts.sum() + result.overflow == mc.trials
+
     def test_bright_thermal_pump_completes(self):
         # about a thousand pair-number groups per unit at lambda = 50
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source="thermal")

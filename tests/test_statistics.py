@@ -448,6 +448,30 @@ class TestOutputDistribution:
         with pytest.raises(ParameterError):
             output_distribution(spec, PumpProfile((0.5,)), DetectionStrategy.threshold(), i_max=0)
 
+    def test_large_i_max_pads_zeros(self):
+        # no output count exceeds the series cutoff: a larger i_max only appends zeros
+        spec = MultiplexerSpec(v_r=0.93, v_b=0.89, v_d=0.91, n_units=2, source="thermal")
+        pump = PumpProfile((1.1, 0.9))
+        strategy = DetectionStrategy.explicit({1, 3})
+        l_max = required_lmax(spec.source, 1.1)
+        at_cutoff = output_distribution(spec, pump, strategy, i_max=l_max)
+        wide = output_distribution(spec, pump, strategy, i_max=400)
+        assert wide.probs.tolist() == at_cutoff.probs.tolist() + [0.0] * (400 - l_max)
+        assert wide.truncation_mass == at_cutoff.truncation_mass
+
+    def test_memory_follows_series_cutoff(self):
+        # the binomial cube stops at the cutoff (about 12 here), not at i_max
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=2)
+        pump, strategy = PumpProfile((0.4, 0.7)), DetectionStrategy.single_photon()
+        tracemalloc.start()
+        try:
+            dist = output_distribution(spec, pump, strategy, i_max=10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert dist.probs.size == 10**5 + 1
+
     def test_truncation_error(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1, source="thermal")
         tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
@@ -471,6 +495,12 @@ class TestPolicyAndProfileValidation:
             PumpProfile((-0.1,))
         with pytest.raises(ParameterError):
             PumpProfile((float("nan"),))
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            PumpProfile((0.4, math.inf))
+        with pytest.raises(ParameterError, match="sequence of reals"):
+            PumpProfile((0.4, "bright"))
+        with pytest.raises(ParameterError, match="sequence of reals"):
+            PumpProfile(0.4)
         profile = PumpProfile.uniform(0.4, 3)
         assert profile.lambdas == (0.4, 0.4, 0.4)
         assert len(profile) == 3
