@@ -23,7 +23,6 @@ from .optimize import (
     OptimizationReport,
     OptimizerSettings,
     StabilityInterval,
-    StrategyScanEntry,
     find_optimal_n,
     optimize_pump,
     optimize_scaled_reference,
@@ -61,7 +60,6 @@ __all__ = [
     "OptimizerSettings",
     "OptimizationReport",
     "OptimalSizeResult",
-    "StrategyScanEntry",
     "StabilityInterval",
     "optimize_sizes",
     "optimize_pump",

@@ -232,6 +232,8 @@ def resolve_run_config(args: argparse.Namespace) -> dict:
             text = Path(path).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from None
+        except UnicodeError as err:
+            raise ConfigError(f"cannot read config file {path!r}: {err}") from None
         file_values = _parse_config_text(text)
         unknown = set(file_values) - set(options)
         if unknown:
@@ -274,7 +276,7 @@ def _build_settings(cfg: dict) -> OptimizerSettings:
 def _load_pump_file(path: str) -> tuple[float, ...]:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read pump file {path!r}: {err}") from None
     try:
         if isinstance(data, dict):
@@ -393,7 +395,7 @@ def _cmd_scan_strategies(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     settings = _build_settings(cfg)
     trunc = _build_trunc(cfg)
-    entries = strategy_scan(
+    results = strategy_scan(
         spec,
         settings,
         mode=cfg["mode"],
@@ -403,10 +405,10 @@ def _cmd_scan_strategies(cfg: dict) -> tuple[int, int]:
         trunc=trunc,
     )
     rows = []
-    for entry in entries:
-        print(f"{entry.strategy.key} n_opt={entry.n_opt} p1={entry.p1_max!r}")
-        report = entry.result.reports[entry.n_opt - 1]
-        rows.append(exp._row_from_report(spec, report, entry.n_opt))
+    for result in results:
+        print(f"{result.strategy.key} n_opt={result.n_opt} p1={result.p1_max!r}")
+        report = result.reports[result.n_opt - 1]
+        rows.append(exp._row_from_report(spec, report, result.n_opt))
     return _write_rows(cfg, rows)
 
 
@@ -653,6 +655,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # input files raise ConfigError, so this is --out or its .log
+        print(f"config error: cannot write output: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParameterError, TruncationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -76,7 +76,6 @@ class McResult:
     counts: np.ndarray
     overflow: int
     trials: int
-    seed: int
 
     @property
     def estimates(self) -> np.ndarray:
@@ -184,7 +183,6 @@ def simulate(
         counts=totals[: mc.max_count + 1],
         overflow=int(totals[mc.max_count + 1]),
         trials=mc.trials,
-        seed=mc.seed,
     )
 
 
@@ -222,10 +220,9 @@ def compare_with_analytic(
     mc: McSettings = McSettings(),
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> McComparison:
-    """Run the sampler and pair it with the analytic distribution."""
-    result = simulate(spec, pump, strategy, mc)
+    """Pair the sampler with the model, run first so that a refused input costs no sampling."""
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count, trunc=trunc)
-    return McComparison(result=result, analytic=dist.probs)
+    return McComparison(result=simulate(spec, pump, strategy, mc), analytic=dist.probs)
 
 
 def expected_exceedances(buckets: int, n_sigma: float) -> float:

@@ -64,7 +64,6 @@ __all__ = [
     "OptimizerSettings",
     "OptimizationReport",
     "OptimalSizeResult",
-    "StrategyScanEntry",
     "StabilityInterval",
     "optimize_sizes",
     "optimize_pump",
@@ -104,8 +103,8 @@ class OptimizerSettings:
     lambda_upper: float = 5.0
 
     def __post_init__(self) -> None:
-        if not self.lambda_upper > 0.0:
-            raise ParameterError(f"lambda_upper must be > 0, got {self.lambda_upper!r}")
+        if not 0.0 < self.lambda_upper < math.inf:
+            raise ParameterError(f"lambda_upper must be > 0 and finite, got {self.lambda_upper!r}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,10 @@ class OptimalSizeResult:
     def p1_by_n(self) -> np.ndarray:
         return np.array([r.best_p1 for r in self.reports])
 
-
-@dataclass(frozen=True)
-class StrategyScanEntry:
-    strategy: DetectionStrategy
-    n_opt: int
-    p1_max: float
-    result: "OptimalSizeResult | None" = None
+    @property
+    def strategy(self) -> DetectionStrategy:
+        """The detection strategy of every report."""
+        return self.reports[0].strategy
 
 
 @dataclass(frozen=True)
@@ -609,8 +605,8 @@ def strategy_scan(
     threshold: float = 1e-3,
     max_accept: int = 6,
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> list[StrategyScanEntry]:
-    """Scan accept-up-to strategies and threshold detection, best first.
+) -> list[OptimalSizeResult]:
+    """Size searches of accept-up-to strategies and threshold detection, best first.
 
     Raises the accepted-count ceiling one step at a time and stops as
     soon as the achievable maximum drops below the previous ceiling's;
@@ -618,24 +614,20 @@ def strategy_scan(
     """
     if int(max_accept) < 1:
         raise ParameterError(f"max_accept must be >= 1, got {max_accept}")
-    entries: list[StrategyScanEntry] = []
-    previous = -np.inf
-    for j in range(1, int(max_accept) + 1):
-        strat = DetectionStrategy.accept_up_to(j)
-        result = find_optimal_n(
-            spec, strat, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
+
+    def search(strategy: DetectionStrategy) -> OptimalSizeResult:
+        return find_optimal_n(
+            spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
         )
-        entries.append(StrategyScanEntry(strat, result.n_opt, result.p1_max, result))
-        if result.p1_max < previous:
+
+    results = [search(DetectionStrategy.accept_up_to(1))]
+    for j in range(2, int(max_accept) + 1):
+        results.append(search(DetectionStrategy.accept_up_to(j)))
+        if results[-1].p1_max < results[-2].p1_max:
             break
-        previous = result.p1_max
-    thd = DetectionStrategy.threshold()
-    result = find_optimal_n(
-        spec, thd, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
-    )
-    entries.append(StrategyScanEntry(thd, result.n_opt, result.p1_max, result))
-    entries.sort(key=lambda e: -e.p1_max)
-    return entries
+    results.append(search(DetectionStrategy.threshold()))
+    results.sort(key=lambda r: -r.p1_max)
+    return results
 
 
 def stability_interval(

@@ -182,16 +182,15 @@ class DetectionStrategy:
 
 @dataclass(eq=False)
 class OutputDistribution:
-    """Probabilities of 0..i_max photons at the multiplexer output.
+    """Probabilities of 0, 1, ..., ``len(probs) - 1`` photons at the multiplexer output.
 
     ``truncation_mass`` is everything not covered by ``probs``: the
-    probability of more than ``i_max`` output photons plus the pair-number
-    series tail dropped by the truncation policy.  Each ``probs[i]`` is a
-    lower bound on the exact probability.
+    probability of more output photons plus the pair-number series tail
+    dropped by the truncation policy.  Each ``probs[i]`` is a lower bound
+    on the exact probability.
     """
 
     probs: np.ndarray
-    i_max: int
     truncation_mass: float
 
 
@@ -508,7 +507,7 @@ def output_distribution(
             f"distribution accounting is off by {total - 1.0:.3e}; "
             "tighten the truncation policy"
         )
-    return OutputDistribution(probs=probs, i_max=i_max, truncation_mass=truncation_mass)
+    return OutputDistribution(probs=probs, truncation_mass=truncation_mass)
 
 
 def single_photon_prob(

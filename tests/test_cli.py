@@ -66,6 +66,29 @@ class TestEval:
             0.5 * math.exp(-0.5) * 0.98, rel=1e-12
         )
 
+    def test_json_output_of_a_pump_list(self, capsys, tmp_path):
+        # a comma list gives each unit its own mean
+        out = tmp_path / "dist.json"
+        code, text, err = run(
+            capsys, "eval", "--n", "2", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--lambda", "0.4,0.7", "--i-max", "3", "--format", "json", "--out", str(out),
+        )
+        assert code == 0, err
+        payload = json.loads(out.read_text())
+        assert payload["lambdas"] == [0.4, 0.7]
+        assert payload["config"]["lam"] == "0.4,0.7"
+        dist = asmux.output_distribution(
+            asmux.MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2),
+            asmux.PumpProfile((0.4, 0.7)),
+            asmux.DetectionStrategy.single_photon(),
+            i_max=3,
+        )
+        assert payload["probs"] == dist.probs.tolist()
+        assert payload["truncation_mass"] == dist.truncation_mass
+        assert text.splitlines() == [f"P_{i} {p!r}" for i, p in enumerate(payload["probs"])] + [
+            f"truncation_mass {dist.truncation_mass!r}"
+        ]
+
     def test_loose_tail_epsilon_completes_to_one(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--n", "8", "--v-r", "0.9", "--v-b", "0.9",
@@ -156,6 +179,52 @@ class TestExitCodes:
         assert "n_opt" not in out
         assert err.startswith("error: threshold must be positive and finite")
 
+    def test_infinite_lambda_upper_is_domain_error(self, capsys):
+        # it used to fail later, on a mean photon number, without naming the flag
+        code, out, err = run(
+            capsys, "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--lambda-upper", "inf",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: lambda_upper must be > 0 and finite, got inf\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        ([], "specify --lambda or --pump-file"),
+        (["--lambda", "0.5,x"], "cannot parse pump means '0.5,x'"),
+    ])
+    def test_eval_without_pump_means_is_config_error(self, capsys, extra, message):
+        code, out, err = run(
+            capsys, "eval", "--n", "2", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+    def test_pump_file_without_lambdas_is_config_error(self, capsys, tmp_path):
+        pump = tmp_path / "pump.json"
+        pump.write_text(json.dumps({"lambda": [0.5]}))
+        code, _, err = run(
+            capsys, "eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--pump-file", str(pump),
+        )
+        assert code == 2
+        assert err == f"config error: pump file {str(pump)!r} holds no 'lambdas'\n"
+
+    def test_unpinned_sweep_parameter_is_config_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--v-r", "0.9", "--v-b", "0.9", "--n-ref", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "config error: parameter v_d is neither an axis nor fixed\n"
+
+    @pytest.mark.parametrize("rows", ["0.9,0.9", "0.9,0.9,x", "0.9,0.9,0.9;"])
+    def test_bad_table_row_is_config_error(self, capsys, rows):
+        code, out, err = run(capsys, "table1", "--rows", rows, "--n-ref", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: bad table row ")
+        assert err.endswith("; expected v_r,v_d,v_b\n")
+
     def test_max_j_zero_is_domain_error(self, capsys):
         # it used to scan threshold detection alone
         code, out, err = run(
@@ -222,9 +291,25 @@ class TestExitCodes:
         (2, ["eval", "--no-such-flag"]),
         (3, ["optimize", "--n", "0", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9"]),
         (4, ["mc-validate", "--cases", "1", "--trials", "50000", "--sigma", "0.0001"]),
+        # files that cannot be decoded or written; {tmp} holds bad.cfg and
+        # bad.json, which are not UTF-8, and the directory dir
+        (2, ["find-n", "--config", "{tmp}/bad.cfg"]),
+        (2, ["eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+             "--pump-file", "{tmp}/bad.json"]),
+        (2, ["find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n-ref", "5",
+             "--out", "/nonexistent/x.json"]),
+        (2, ["eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+             "--lambda", "0.5", "--out", "{tmp}/dir"]),
+        (2, ["sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n-ref", "3",
+             "--format", "csv", "--out", "{tmp}/dir"]),
     ])
-    def test_process_exit_status(self, status, argv):
-        # the status a shell sees, and no traceback on stderr
+    def test_process_exit_status(self, status, argv, tmp_path):
+        # the status a shell sees, and no traceback on stderr; a file that
+        # fails is named there
+        (tmp_path / "bad.cfg").write_bytes(b"v_r = 0.9\xff\n")
+        (tmp_path / "bad.json").write_bytes(b'{"lambdas": [0.5]}\xff')
+        (tmp_path / "dir").mkdir()
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         src = Path(asmux.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
@@ -233,6 +318,9 @@ class TestExitCodes:
         )
         assert proc.returncode == status, proc.stderr
         assert "Traceback" not in proc.stderr
+        for flag, path in zip(argv, argv[1:]):
+            if flag in ("--config", "--pump-file", "--out"):
+                assert path in proc.stderr
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-5000", "seed must be >= 0"),
@@ -332,6 +420,22 @@ class TestConfigResolution:
         code, _, err = run(capsys, "find-n", "--config", str(cfg))
         assert code == 2
         assert "n_ref must be a number" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"v_r": 0.9,}', "config file is not valid JSON: "),
+        ("[0.9, 0.9, 0.9]", "config line 1 has no '='"),  # only an object is read as JSON
+        ("resume = maybe\n", "resume: expected true or false, got 'maybe'"),
+        ("strategies = spd,upto:x\n", "strategies: cannot parse detection strategy 'upto:x'"),
+    ])
+    def test_bad_config_file_is_config_error(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(
+            capsys, "sweep", "--config", str(cfg), "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: " + message)
 
     def test_json_null(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -635,6 +739,18 @@ class TestSweepCommand:
 
         rows = read_csv(out)
         assert [r.strategy for r in rows] == ["spd", "set:1,3"] * 2
+
+    def test_json_output(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        code, text, err = run(
+            capsys, "sweep", "--axis", "v_d=0.85:0.9:0.05", "--v-r", "0.9", "--v-b", "0.9",
+            "--n-ref", "5", "--format", "json", "--out", str(out),
+        )
+        assert code == 0, err
+        assert text == "cells 2\n"
+        payload = json.loads(out.read_text())
+        assert [r["v_d"] for r in payload["rows"]] == [0.85, 0.9]
+        assert payload["config"]["axis"] == ["v_d=0.85:0.9:0.05"]
 
     def test_integer_after_upto_is_config_error(self, capsys):
         code, _, err = run(

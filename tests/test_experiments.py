@@ -165,6 +165,15 @@ class TestSweep:
             run_sweep(grid, n_ref=5, out_csv=path)
         assert path.read_bytes() == old
 
+    def test_resume_of_a_file_without_records_starts_afresh(self, tmp_path):
+        grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
+        fresh, comments = tmp_path / "fresh.csv", tmp_path / "comments.csv"
+        run_sweep(grid, n_ref=5, out_csv=fresh, config={"n_ref": 5})
+        comments.write_text("# n_ref = 5\n# interrupted before its column header\n")
+        rows = run_sweep(grid, n_ref=5, out_csv=comments, config={"n_ref": 5})
+        assert len(rows) == 1
+        assert comments.read_bytes() == fresh.read_bytes()
+
     def test_sweep_deterministic(self):
         grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
         a = run_sweep(grid, n_ref=20)
@@ -224,6 +233,12 @@ class TestReadCsv:
         _corrupt_last_field(sweep_csv, column, value)
         with pytest.raises(ParameterError, match="line 4"):
             read_csv(sweep_csv)
+
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("# n_ref = 5\nv_r,v_t,seed\r\n0.9,0.985,7\r\n")
+        with pytest.raises(ParameterError, match="line 2: expected the columns"):
+            read_csv(path)
 
     def test_wrong_field_count(self, sweep_csv):
         sweep_csv.write_text(sweep_csv.read_text() + "0.9,0.985\r\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from asmux.exceptions import ParameterError
+from asmux.exceptions import ParameterError, TruncationError
 from asmux.montecarlo import (
     McComparison,
     McSettings,
@@ -236,6 +236,18 @@ class TestCorpus:
         mc = McSettings(trials=50_000, seed=seed)
         result = simulate(spec, pump, strategy, mc)
         assert result.estimates.shape == (mc.max_count + 1,)
+
+    def test_model_refuses_before_sampling(self, monkeypatch):
+        # a Poisson mean above the hard cap used to cost a full sampler pass first
+        import asmux.montecarlo
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the model refused the input")
+
+        monkeypatch.setattr(asmux.montecarlo, "simulate", no_sampling)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(TruncationError):
+            compare_with_analytic(spec, PumpProfile((1e5,)), SPD, McSettings(trials=1000))
 
 
 # The 1e9-trial oracle: two tests at a false-alarm rate of 1e-3 each, so

@@ -397,7 +397,13 @@ class TestStabilityInterval:
 
 class TestSettingsValidation:
     def test_invariants(self):
-        for upper in (0.0, -1.0, math.nan):
+        for upper in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ParameterError, match="lambda_upper must be > 0"):
                 OptimizerSettings(lambda_upper=upper)
         assert OptimizerSettings(lambda_upper=1e-3).lambda_upper == 1e-3
+
+    @pytest.mark.parametrize("sizes", [[], [0, 3]])
+    def test_sizes_must_be_positive_and_nonempty(self, sizes):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(ParameterError, match="sizes must be a nonempty set"):
+            optimize_sizes(spec, SPD, sizes)

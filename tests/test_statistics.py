@@ -1,7 +1,10 @@
+import itertools
 import math
 import subprocess
 import sys
 import tracemalloc
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +482,22 @@ class TestOutputDistribution:
             output_distribution(spec, PumpProfile((5.0,)), DetectionStrategy.threshold(), trunc=tight)
 
 
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        import importlib
+        import pkgutil
+
+        import asmux
+
+        modules = [asmux] + [
+            importlib.import_module(f"asmux.{info.name}")
+            for info in pkgutil.iter_modules(asmux.__path__)
+        ]
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
 class TestPolicyAndProfileValidation:
     def test_truncation_policy_invariants(self):
         with pytest.raises(ParameterError):
@@ -504,3 +523,127 @@ class TestPolicyAndProfileValidation:
         profile = PumpProfile.uniform(0.4, 3)
         assert profile.lambdas == (0.4, 0.4, 0.4)
         assert len(profile) == 3
+
+
+# Exact enumeration oracle.  A thermal source with a rational mean has a
+# rational pmf and tail, so with rational losses the whole output
+# distribution is rational; Poisson weights are floats summed by fsum.
+# Fields: (strategy, accepted counts or None for threshold, v_r, v_t, v_b,
+# v_d, pump means, i_max)
+_ENUMERATION_CASES = [
+    ("spd", {1}, "0.9", "0.985", "0.8", "0.85", ("1/7", "1/6", "1/9"), 10),
+    ("thd", None, "0.95", "0.97", "0.9", "0.7", ("1/8", "1/7", "1/10"), 3),
+    ("upto:2", {1, 2}, "0.85", "0.985", "0.92", "0.8", ("1/4", "1/5"), 10),
+    ("set:1,3", {1, 3}, "0.9", "0.99", "0.85", "0.75", ("1/6", "1/6", "1/9"), 10),
+    ("spd", {1}, "0.8", "0.985", "0.9", "0.9", ("1/8", "0", "1/7"), 2),
+]
+_ENUMERATION_EPSILON = 5e-7
+
+
+def _pair_numbers(source, lam, l_max):
+    """Pair-number pmf up to ``l_max`` and the mass beyond it: Fractions for
+    thermal, floats for Poisson."""
+    if source == "thermal":
+        pmf = [lam**l / (1 + lam) ** (l + 1) for l in range(l_max + 1)]
+        return pmf, (lam / (1 + lam)) ** (l_max + 1)
+    terms = [math.exp(-lam) * lam**l / math.factorial(l) for l in range(l_max + 40)]
+    return terms[: l_max + 1], math.fsum(terms[l_max + 1 :])
+
+
+def _enumeration_cutoff(source, lam_max):
+    """Smallest cutoff whose source tail is within the enumeration tail bound."""
+    l_max = 0
+    while _pair_numbers(source, lam_max, l_max)[1] > _ENUMERATION_EPSILON:
+        l_max += 1
+    return l_max
+
+
+def _unit_outcomes(source, lam, v_d, accepted, l_max):
+    """(pairs, admitted, weight) of every outcome of one unit.
+
+    Each pair number up to ``l_max`` comes with every detected count;
+    one last outcome, with ``pairs`` None, holds every pair number beyond
+    the cutoff.
+    """
+    pmf, tail = _pair_numbers(source, lam, l_max)
+    outcomes = []
+    for pairs, p in enumerate(pmf):
+        for d in range(pairs + 1):
+            admitted = d >= 1 if accepted is None else d in accepted
+            detect = math.comb(pairs, d) * v_d**d * (1 - v_d) ** (pairs - d)
+            outcomes.append((pairs, admitted, p * detect))
+    outcomes.append((None, False, tail))
+    return outcomes
+
+
+def _enumerate(units, arms, i_max):
+    """Output probabilities 0..i_max and the truncation mass, from every joint outcome.
+
+    The admitted unit of lowest index wins; each of its pairs' photons
+    then survives its arm independently.  Outcomes in which a unit beyond
+    the cutoff comes before any admitted unit, and outputs above
+    ``i_max``, make up the truncation mass.
+    """
+    exact = isinstance(units[0][0][2], Fraction)
+    scale = Fraction(1) if exact else 1.0
+    if exact:
+        # integer weights over one denominator per unit make every joint
+        # weight an integer product; Fraction products would take seconds
+        scaled = []
+        for outcomes in units:
+            den = math.lcm(*(w.denominator for _, _, w in outcomes))
+            scaled.append([(l, a, w.numerator * (den // w.denominator)) for l, a, w in outcomes])
+            scale /= den
+        units = scaled
+    joint_weights = defaultdict(list)  # winner and its pairs, "none" or "cut"
+    for joint in itertools.product(*units):
+        key = "none"
+        for unit, (pairs, admitted, _) in enumerate(joint):
+            if pairs is None or admitted:
+                key = "cut" if pairs is None else (unit, pairs)
+                break
+        joint_weights[key].append(math.prod(w for _, _, w in joint))
+    add = sum if exact else math.fsum
+    mass = {key: add(ws) * scale for key, ws in joint_weights.items()}
+    probs = [[] for _ in range(i_max + 1)]
+    probs[0].append(mass.pop("none", 0))
+    truncation = [mass.pop("cut", 0)]
+    for (unit, pairs), m in mass.items():
+        v = arms[unit]
+        for i in range(pairs + 1):
+            term = m * math.comb(pairs, i) * v**i * (1 - v) ** (pairs - i)
+            (probs[i] if i <= i_max else truncation).append(term)
+    return [float(add(terms)) for terms in probs], float(add(truncation))
+
+
+class TestExactEnumeration:
+    @pytest.mark.parametrize("source", ["thermal", "poisson"])
+    @pytest.mark.parametrize(
+        "case", _ENUMERATION_CASES, ids=["spd", "thd-i_max-3", "upto:2", "set:1,3", "zero-pump"]
+    )
+    def test_output_distribution_matches_enumeration(self, source, case):
+        key, accepted, v_r, v_t, v_b, v_d, lambdas, i_max = case
+        v_r, v_t, v_b, v_d = map(Fraction, (v_r, v_t, v_b, v_d))
+        lams = [Fraction(lam) for lam in lambdas]
+        if source == "poisson":
+            v_r, v_t, v_b, v_d = map(float, (v_r, v_t, v_b, v_d))
+            lams = list(map(float, lams))
+        n = len(lams)
+        arms = [v_b * v_t * v_r**k for k in range(n - 1)] + [v_b * v_r ** (n - 1)]
+        l_max = _enumeration_cutoff(source, max(lams))
+        units = [_unit_outcomes(source, lam, v_d, accepted, l_max) for lam in lams]
+        probs, truncation = _enumerate(units, arms, i_max)
+
+        spec = MultiplexerSpec(
+            v_r=float(v_r), v_t=float(v_t), v_b=float(v_b), v_d=float(v_d),
+            n_units=n, source=source,
+        )
+        dist = output_distribution(
+            spec,
+            PumpProfile(tuple(map(float, lams))),
+            DetectionStrategy.parse(key),
+            i_max=i_max,
+            trunc=TruncationPolicy(tail_epsilon=_ENUMERATION_EPSILON),
+        )
+        np.testing.assert_allclose(dist.probs, probs, rtol=1e-13, atol=0.0)
+        assert dist.truncation_mass == pytest.approx(truncation, rel=1e-13, abs=0.0)
