@@ -269,8 +269,15 @@ def _build_trunc(cfg: dict) -> TruncationPolicy:
     return TruncationPolicy(tail_epsilon=cfg["tail_epsilon"], l_hard_cap=cfg["l_hard_cap"])
 
 
-def _build_settings(cfg: dict) -> OptimizerSettings:
-    return OptimizerSettings(lambda_upper=cfg["lambda_upper"])
+def _search_args(cfg: dict) -> dict:
+    """The keywords of every size search: optimizer settings, saturation
+    reference size and threshold, and truncation policy."""
+    return dict(
+        settings=OptimizerSettings(lambda_upper=cfg["lambda_upper"]),
+        n_ref=cfg["n_ref"],
+        threshold=cfg["threshold"],
+        trunc=_build_trunc(cfg),
+    )
 
 
 def _load_pump_file(path: str) -> tuple[float, ...]:
@@ -356,10 +363,9 @@ def _cmd_eval(cfg: dict) -> tuple[int, int]:
 def _cmd_optimize(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
     (report,) = optimize_sizes(
-        spec, strategy, [spec.n_units], settings, mode=cfg["mode"], trunc=trunc
+        spec, strategy, [spec.n_units], OptimizerSettings(lambda_upper=cfg["lambda_upper"]),
+        mode=cfg["mode"], trunc=_build_trunc(cfg),
     )
     print(f"p1 {report.best_p1!r}")
     print(f"n_units {report.n_units}")
@@ -370,17 +376,7 @@ def _cmd_optimize(cfg: dict) -> tuple[int, int]:
 def _cmd_find_n(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
-    result = find_optimal_n(
-        spec,
-        strategy,
-        settings,
-        n_ref=cfg["n_ref"],
-        threshold=cfg["threshold"],
-        mode=cfg["mode"],
-        trunc=trunc,
-    )
+    result = find_optimal_n(spec, strategy, mode=cfg["mode"], **_search_args(cfg))
     n_opt = result.n_opt
     print(f"n_opt {n_opt}")
     print(f"p1 {result.p1_max!r}")
@@ -393,16 +389,8 @@ def _cmd_find_n(cfg: dict) -> tuple[int, int]:
 
 def _cmd_scan_strategies(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
     results = strategy_scan(
-        spec,
-        settings,
-        mode=cfg["mode"],
-        n_ref=cfg["n_ref"],
-        threshold=cfg["threshold"],
-        max_accept=cfg["max_j"],
-        trunc=trunc,
+        spec, mode=cfg["mode"], max_accept=cfg["max_j"], **_search_args(cfg)
     )
     rows = []
     for result in results:
@@ -443,19 +431,11 @@ def _cmd_sweep(cfg: dict) -> tuple[int, int]:
         v_t=cfg["v_t"],
         source=cfg["source"],
     )
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
     out = cfg.get("out")
     use_csv = bool(out) and cfg["format"] == "csv"
     rows = exp.run_sweep(
-        grid,
-        settings,
-        n_ref=cfg["n_ref"],
-        threshold=cfg["threshold"],
-        out_csv=out if use_csv else None,
-        config=cfg,
-        resume=cfg["resume"],
-        trunc=trunc,
+        grid, out_csv=out if use_csv else None, config=cfg, resume=cfg["resume"],
+        **_search_args(cfg),
     )
     print(f"cells {len(rows)}")
     if out and not use_csv:
@@ -475,15 +455,7 @@ def _cmd_table1(cfg: dict) -> tuple[int, int]:
             if len(combo) != 3:
                 raise ConfigError(f"bad table row {chunk!r}; expected v_r,v_d,v_b")
             combos.append(combo)
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
-    rows = exp.reproduce_table1(
-        settings,
-        combos=combos,
-        n_ref=cfg["n_ref"],
-        threshold=cfg["threshold"],
-        trunc=trunc,
-    )
+    rows = exp.reproduce_table1(combos=combos, **_search_args(cfg))
     for row in rows:
         lam = f" lambda={row.lambda_uniform!r}" if row.lambda_uniform is not None else ""
         print(
@@ -496,16 +468,8 @@ def _cmd_table1(cfg: dict) -> tuple[int, int]:
 def _cmd_stability(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     strategy = DetectionStrategy.parse(cfg["strategy"])
-    settings = _build_settings(cfg)
-    trunc = _build_trunc(cfg)
     row = exp.stability_report(
-        spec,
-        strategy,
-        settings,
-        n_ref=cfg["n_ref"],
-        threshold=cfg["threshold"],
-        resolution=cfg["resolution"],
-        trunc=trunc,
+        spec, strategy, resolution=cfg["resolution"], **_search_args(cfg)
     )
     print(f"interval [{row.delta_minus!r}, {row.delta_plus!r}]")
     print(f"p1 {row.p1!r}")

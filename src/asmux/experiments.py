@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -135,9 +135,10 @@ class SweepGrid:
 class ResultRow:
     """One optimization outcome, self-contained and re-runnable.
 
-    Only size-search rows (the sweep and the reference table) set
-    ``wall_time_s``, the search's wall time; the benchmark reads it as
-    the sweep's per-cell latency.  No output file holds it.
+    The compared fields are the file columns, in order.  Only size-search
+    rows (the sweep and the reference table) set ``wall_time_s``, the
+    search's wall time, which the benchmark reads as the sweep's per-cell
+    latency; it is not compared, so no output file holds it.
     """
 
     v_r: float
@@ -152,7 +153,7 @@ class ResultRow:
     p1: float
     lambda_uniform: float | None
     lambdas: tuple[float, ...]
-    wall_time_s: float = 0.0
+    wall_time_s: float = field(default=0.0, compare=False)
     delta_minus: float | None = None
     delta_plus: float | None = None
     baseline_p1: float | None = None
@@ -177,25 +178,7 @@ class ResultRow:
         )
 
 
-# Timing is excluded on purpose: data files must be byte-stable, wall
-# times go to the sidecar log.
-CSV_COLUMNS = (
-    "v_r",
-    "v_t",
-    "v_b",
-    "v_d",
-    "source",
-    "strategy",
-    "mode",
-    "n_units",
-    "n_opt",
-    "p1",
-    "lambda_uniform",
-    "lambdas",
-    "delta_minus",
-    "delta_plus",
-    "baseline_p1",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.compare)
 
 
 def _row_from_report(
@@ -553,10 +536,10 @@ def read_csv(path: str | Path) -> list[ResultRow]:
     return rows
 
 
-def _parse_record(fields: list[str]) -> ResultRow:
-    if len(fields) != len(CSV_COLUMNS):
-        raise ParameterError(f"{len(fields)} fields, expected {len(CSV_COLUMNS)}")
-    rec = dict(zip(CSV_COLUMNS, fields))
+def _parse_record(values: list[str]) -> ResultRow:
+    if len(values) != len(CSV_COLUMNS):
+        raise ParameterError(f"{len(values)} fields, expected {len(CSV_COLUMNS)}")
+    rec = dict(zip(CSV_COLUMNS, values))
 
     def optional(col: str, kind: type = float):
         return kind(rec[col]) if rec[col] else None

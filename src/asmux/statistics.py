@@ -86,6 +86,12 @@ class PumpProfile:
         return len(self.lambdas)
 
 
+# Largest accepted count.  No count above the series cutoff is ever
+# detected, so a larger one changes nothing, yet its set grows with it
+# (1.5 MB at this bound).
+MAX_ACCEPTED_COUNT = 10_000
+
+
 @dataclass(frozen=True)
 class DetectionStrategy:
     """Set of detected idler counts for which the signal is admitted.
@@ -105,6 +111,8 @@ class DetectionStrategy:
             raise ParameterError("accepted count set must be nonempty")
         if min(members) < 1:
             raise ParameterError("accepted counts must be >= 1")
+        if max(members) > MAX_ACCEPTED_COUNT:
+            raise ParameterError(f"accepted counts must be <= {MAX_ACCEPTED_COUNT}")
         object.__setattr__(self, "accepted", members)
 
     # -- constructors -------------------------------------------------
@@ -117,8 +125,10 @@ class DetectionStrategy:
     def accept_up_to(cls, j: int) -> "DetectionStrategy":
         """Accept every detected count from 1 up to ``j``."""
         j = int(j)
-        if j < 1:
-            raise ParameterError(f"maximum accepted count must be >= 1, got {j}")
+        if not 1 <= j <= MAX_ACCEPTED_COUNT:
+            raise ParameterError(
+                f"maximum accepted count must be in [1, {MAX_ACCEPTED_COUNT}], got {j}"
+            )
         return cls(frozenset(range(1, j + 1)))
 
     @classmethod
@@ -405,7 +415,8 @@ def _acceptance_weights_cached(
     if strategy.is_threshold:
         w = 1.0 - (1.0 - v_d) ** ls
     else:
-        members = np.array(sorted(strategy.accepted))
+        # a count above l_max has weight 0 at every l, so the table stops there
+        members = np.array(sorted(j for j in strategy.accepted if j <= l_max))
         w = _binom_pmf(members[:, None], ls[None, :], v_d).sum(axis=0)
     w.flags.writeable = False
     return w

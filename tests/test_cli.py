@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 import asmux
 from asmux.cli import _COMMANDS, _build_parser, main, resolve_run_config
+from asmux.optimize import OptimizerSettings
+from asmux.statistics import TruncationPolicy
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -302,6 +306,11 @@ class TestExitCodes:
              "--lambda", "0.5", "--out", "{tmp}/dir"]),
         (2, ["sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n-ref", "3",
              "--format", "csv", "--out", "{tmp}/dir"]),
+        # an accepted count beyond the bound is refused before its set is built
+        (2, ["eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+             "--lambda", "0.5", "--strategy", "upto:99999999"]),
+        (2, ["sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n-ref", "3",
+             "--strategies", "spd,upto:99999999"]),
     ])
     def test_process_exit_status(self, status, argv, tmp_path):
         # the status a shell sees, and no traceback on stderr; a file that
@@ -800,6 +809,43 @@ class TestFullCurve:
         for row in rows:
             assert len(row.lambdas) == row.n_units
             assert abs(row.reevaluate() - row.p1) <= 1e-12
+
+
+class TestSearchFlags:
+    """Each searching command hands every search flag to its size search."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("find-n", "asmux.cli.find_optimal_n"),
+        ("scan-strategies", "asmux.cli.strategy_scan"),
+        ("sweep", "asmux.experiments.run_sweep"),
+        ("table1", "asmux.experiments.reproduce_table1"),
+        ("stability", "asmux.experiments.stability_report"),
+    ])
+    def test_non_default_values_reach_the_search(self, monkeypatch, command, target):
+        class Searched(Exception):
+            pass
+
+        module, name = target.rsplit(".", 1)
+        signature = inspect.signature(getattr(importlib.import_module(module), name))
+        received = {}
+
+        def record(*args, **kwargs):
+            received.update(signature.bind(*args, **kwargs).arguments)
+            raise Searched
+
+        monkeypatch.setattr(target, record)
+        spec = [] if command == "table1" else ["--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9"]
+        with pytest.raises(Searched):
+            main([
+                command, *spec, "--lambda-upper", "3", "--tail-epsilon", "1e-10",
+                "--l-hard-cap", "300", "--n-ref", "7", "--threshold", "0.002",
+            ])
+        assert {key: received.get(key) for key in ("settings", "n_ref", "threshold", "trunc")} == {
+            "settings": OptimizerSettings(lambda_upper=3.0),
+            "n_ref": 7,
+            "threshold": 0.002,
+            "trunc": TruncationPolicy(tail_epsilon=1e-10, l_hard_cap=300),
+        }
 
 
 class TestOtherCommands:

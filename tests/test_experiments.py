@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestGridTypes:
         with pytest.raises(ParameterError):
             SweepGrid(axes=(Axis("v_r", 0.8, 0.9, 0.1),), fixed=(("v_d", 0.9),))
 
+    def test_grid_rejects_extra_or_repeated_axes_and_empty_choices(self):
+        r, d, b = (Axis(name, 0.8, 0.9, 0.05) for name in ("v_r", "v_d", "v_b"))
+        with pytest.raises(ParameterError, match="at most two axes"):
+            SweepGrid(axes=(r, d, b), fixed=())
+        with pytest.raises(ParameterError, match="distinct"):
+            SweepGrid(axes=(d, d), fixed=(("v_r", 0.9), ("v_b", 0.9)))
+        fixed = (("v_r", 0.9), ("v_d", 0.9), ("v_b", 0.9))
+        for empty in ({"strategies": ()}, {"modes": ()}):
+            with pytest.raises(ParameterError, match="at least one strategy and one mode"):
+                SweepGrid(axes=(), fixed=fixed, **empty)
+
     def test_grid_range_guard(self):
         with pytest.raises(ParameterError):
             SweepGrid(
@@ -98,6 +110,12 @@ class TestRows:
         text = path.read_text()
         assert text.startswith("# purpose")
 
+    def test_readme_documents_the_csv_columns(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CSV columns\n", 1)[1]
+        block = section.split("```", 2)[1]
+        assert tuple(block.replace(",", " ").split()) == CSV_COLUMNS
+
     def test_json_embeds_config(self, tmp_path):
         import json
 
@@ -125,6 +143,14 @@ class TestSweep:
         assert rows[0].n_opt == direct.n_opt
         assert rows[0].p1 == direct.p1_max
         assert rows[0].lambdas == direct.reports[direct.n_opt - 1].best_pump.lambdas
+
+    def test_returned_rows_equal_rows_read_back(self, tmp_path):
+        # the wall time is not row content: a timed row equals its CSV record
+        grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.9), ("v_b", 0.9)))
+        path = tmp_path / "sweep.csv"
+        rows = run_sweep(grid, n_ref=10, out_csv=path)
+        assert rows[0].wall_time_s > 0.0
+        assert rows == read_csv(path)
 
     def test_resume_skips_finished_cells(self, tmp_path):
         grid = SweepGrid(

@@ -124,6 +124,26 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(spec, PumpProfile((0.5,)), SPD, QUICK)
 
+    def test_stops_once_every_trial_is_admitted(self, monkeypatch):
+        # a bright first unit behind a perfect detector admits every trial;
+        # with lossless through paths its arm is the one-unit arm, so no
+        # later unit is drawn and the seeded counts are the one-unit run's
+        import asmux.montecarlo
+
+        thd = DetectionStrategy.threshold()
+        mc = McSettings(trials=100_000, seed=11)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=1.0, v_t=1.0, n_units=1)
+        one = simulate(spec, PumpProfile((50.0,)), thd, mc)
+        draws = []
+        draw = asmux.montecarlo._pair_histogram
+        monkeypatch.setattr(
+            asmux.montecarlo, "_pair_histogram", lambda *args: draws.append(args) or draw(*args)
+        )
+        three = simulate(spec.with_units(3), PumpProfile((50.0, 0.5, 0.5)), thd, mc)
+        assert len(draws) == 1
+        assert np.array_equal(three.counts, one.counts)
+        assert three.overflow == one.overflow
+
     def test_billion_trials_in_bounded_memory(self):
         # the sampler keeps group counts, never one entry per trial
         spec, pump, strategy, seed = corpus_case(VALIDATION_CORPUS[5])

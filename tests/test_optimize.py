@@ -336,6 +336,14 @@ class TestStabilityInterval:
         assert interval.empty
         assert (interval.delta_minus, interval.delta_plus) == (0.0, 0.0)
 
+    def test_baseline_held_everywhere_stops_doubling(self):
+        # P1 >= 0 at every shift, so each side doubles until it passes 10
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.9, v_d=1.0, n_units=1)
+        interval = stability_interval(spec, SPD, PumpProfile((1.0,)), baseline_p1=0.0)
+        assert not interval.empty
+        assert interval.delta_minus <= -10.0
+        assert interval.delta_plus >= 10.0
+
     @pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan, math.inf])
     def test_resolution_validation(self, monkeypatch, resolution):
         # a zero step never doubles past zero and a negative one inverts the

@@ -17,6 +17,7 @@ from asmux.multiplexer import MultiplexerSpec
 import asmux.statistics as model_statistics
 from asmux.statistics import (
     DEFAULT_TRUNCATION,
+    MAX_ACCEPTED_COUNT,
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
@@ -99,6 +100,13 @@ class TestPairGenProb:
             required_lmax("poisson", -0.1)
         with pytest.raises(ParameterError):
             p1_profile_batch(spec, DetectionStrategy.single_photon(), np.array([[-0.1]]))
+
+    def test_batch_shape_checks(self):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2)
+        spd = DetectionStrategy.single_photon()
+        with pytest.raises(ParameterError, match="profiles have 3 entries but the spec has 2"):
+            p1_profile_batch(spec, spd, np.full((4, 3), 0.5))
+        assert p1_profile_batch(spec, spd, np.zeros((0, 2))).shape == (0,)
 
 
 class TestDetectCondProb:
@@ -331,6 +339,35 @@ class TestDetectionStrategy:
             DetectionStrategy.explicit({0, 1})
         with pytest.raises(ParameterError):
             DetectionStrategy.accept_up_to(0)
+
+    def test_accepted_counts_are_bounded_before_the_set_is_built(self):
+        # an accepted count above any series cutoff changes nothing, yet its
+        # set and weight table grew with it (upto:99999999 got the process killed)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="maximum accepted count must be in"):
+                DetectionStrategy.accept_up_to(10**8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ParameterError, match=f"must be <= {MAX_ACCEPTED_COUNT}"):
+            DetectionStrategy.explicit({1, MAX_ACCEPTED_COUNT + 1})
+        widest = DetectionStrategy.parse(f"upto:{MAX_ACCEPTED_COUNT}")
+        assert widest.key == f"upto:{MAX_ACCEPTED_COUNT}"
+
+    def test_weight_table_stops_at_the_cutoff(self):
+        # counts above l_max weigh 0; a table of all 10 000 rows took 229 MB
+        # at l_max = 400
+        widest = DetectionStrategy.accept_up_to(MAX_ACCEPTED_COUNT)
+        tracemalloc.start()
+        try:
+            w = acceptance_weights(widest, 0.87, 61)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(w, acceptance_weights(DetectionStrategy.accept_up_to(61), 0.87, 61))
 
     def test_accept_up_to_equals_explicit_range(self):
         assert DetectionStrategy.accept_up_to(3) == DetectionStrategy.explicit({1, 2, 3})
