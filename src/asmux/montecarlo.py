@@ -170,9 +170,11 @@ def simulate(
     pending = mc.trials
     for lam_k, v_k in zip(pump.lambdas, transmission_vector(spec)):
         pairs = _pair_histogram(rng, pending, lam_k, spec.source)
-        admitted = _thin(rng, pairs, spec.v_d, detect_cap)[:, accepted].sum(axis=1)
-        # no trial carries as many photons as there are pair groups, so a
-        # higher cap adds only empty columns (binomial(0, p) draws nothing)
+        # no trial carries as many photons as there are pair groups, so in
+        # both tables a higher cap adds only empty columns (binomial(0, p)
+        # draws nothing)
+        cap = min(detect_cap, pairs.size)
+        admitted = _thin(rng, pairs, spec.v_d, cap)[:, accepted[: cap + 1]].sum(axis=1)
         cap = min(mc.max_count + 1, admitted.size)
         totals[: cap + 1] += _thin(rng, admitted, v_k, cap).sum(axis=0)
         pending -= int(admitted.sum())

@@ -18,14 +18,17 @@ every size.
   exact up to the stage refinement.
 * Uniform and scaled-reference: running products and sums over the
   units give P1 for every grid value and every size at once; each
-  size's grid maximum is then refined by a golden-section search,
-  vectorized over sizes.  A uniform scalar needs one pmf row for all
-  units.  A rescaled mean ``x / V_n`` grows along the chain and is
-  capped at the upper bound, so every capped cell shares the bound's
-  pmf row; only the other cells get one of their own, and the
-  refinement of a size reads only the arms of that size.  The
-  refinement forms each cell's values on its own, so near a flat
-  optimum its comparisons do not depend on which sizes share a batch.
+  size's grid maximum is then refined by a root solve of the slope of
+  P1 on the grid points around it, vectorized over sizes.  P1 is linear
+  in each unit's pair-number pmf, so the slope takes the same pmf rows,
+  one more weight table per arm and the product rule on the running
+  products.  A uniform scalar needs one pmf row for all units.  A
+  rescaled mean ``x / V_n`` grows along the chain and is capped at the
+  upper bound, so every capped cell shares the bound's pmf row and adds
+  no slope; only the other cells get one of their own, and the
+  refinement of a size reads only the arms of that size.  A root of the
+  slope moves with rounding by about eps |f'| / |f''|, so the optimum
+  does not depend on which sizes share a batch.
 
 Reported probabilities are evaluated once for all sizes together, from
 the units of each size only and with the series cutoff
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -76,7 +79,8 @@ __all__ = [
 
 _GRID_POINTS = 1001
 _SCALAR_GRID = 513
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# bracket width, relative to the upper bound, at which a slope root stops
+_XTOL = 1e-12
 # pair-number pmf cells per batch of profiles; bounds the memory of the tables
 _CHUNK_CELLS = 1 << 20
 
@@ -165,14 +169,24 @@ def _grid_tables(
     return grid, pmf
 
 
+class _Arms(NamedTuple):
+    """One set of arms as the one-parameter modes read them."""
+
+    v: np.ndarray  # transmissions
+    weights: np.ndarray  # one-photon weights, one row per arm
+    lifted: np.ndarray  # their slope weights, see _lift
+    capped: np.ndarray  # one-photon values at a mean on the upper bound
+
+
 class _Chain:
     """Arm weights of every requested size, on one series cutoff.
 
     ``through`` holds the one-photon weights of the arms 1..n_max-1 that
     pass a router's through port, ``last`` those of the last arm of each
     size in ``sizes``; both already include the admission weights.
-    ``quiet_capped``, ``through_capped`` and ``last_capped`` are the
-    no-admission and one-photon values at a mean on the upper bound.
+    ``through_arms`` and ``last_arms`` add what the one-parameter modes
+    need, and ``quiet_capped`` is the no-admission value at a mean on
+    the upper bound.
     """
 
     def __init__(
@@ -192,11 +206,13 @@ class _Chain:
         self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
         self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
         self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
-        # formed as the values of a cell with its own pmf row
+        self.w_lift = _lift(self.family, self.w)
         capped = source_pmf(self.family, self.upper, self.l_max)
-        self.quiet_capped = float(_quiet(capped, self.w))
-        self.through_capped = np.einsum("nl,l->n", self.through, capped)
-        self.last_capped = np.einsum("nl,l->n", self.last, capped)
+        self.quiet_capped = 1.0 - float(capped @ self.w)
+        self.through_arms, self.last_arms = (
+            _Arms(v, weights, _lift(self.family, weights), weights @ capped)
+            for v, weights in ((self.v_through, self.through), (self.v_last, self.last))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +288,27 @@ def _in_batches(n: int, cells_per_item: int, fn) -> np.ndarray:
     return np.concatenate([fn(slice(s, s + step)) for s in range(0, n, step)])
 
 
-def _quiet(pmf: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``1 - pmf @ w`` with one dot product per row.
+def _lift(family: SourceFamily, a: np.ndarray) -> np.ndarray:
+    """Weights ``b`` with which :func:`_slope` differentiates ``pmf @ a`` in the mean.
 
-    A matrix-vector product may round a row differently with the rows
-    around it; a dot product per row does not, so each value depends on
-    its own mean only.
+    Poisson: pmf'_l = pmf_{l-1} - pmf_l, so b_l = a_{l+1}.  Thermal:
+    pmf'_l = (l pmf_{l-1} / (1 + lam) - pmf_l) / (1 + lam), so
+    b_l = (l + 1) a_{l+1}.  Both take a_{L+1} = 0: the slope is that of
+    the truncated sum.
     """
-    return 1.0 - (pmf[..., None, :] @ w)[..., 0]
+    b = np.zeros_like(a)
+    b[..., :-1] = a[..., 1:]
+    if family is SourceFamily.THERMAL:
+        b[..., :-1] *= np.arange(1.0, a.shape[-1])
+    return b
+
+
+def _slope(family: SourceFamily, lam, value: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """d(pmf @ a)/d lam from ``value = pmf @ a`` and ``lifted = pmf @ _lift(a)``."""
+    if family is SourceFamily.POISSON:
+        return lifted - value
+    g = 1.0 / (1.0 + lam)
+    return g * (g * lifted - value)
 
 
 def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
@@ -291,58 +320,77 @@ def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
 
 def _capped_cells(
     chain: _Chain,
-    lam: np.ndarray,
+    x: np.ndarray,
+    arms: _Arms,
     arm: np.ndarray,
-    weights: np.ndarray,
-    at_cap: np.ndarray,
     live: np.ndarray | None = None,
+    slope: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """No-admission and one-photon values of cells at means ``lam`` <= upper.
+    """No-admission and one-photon values of rescaled cells.
 
-    The cells at position ``j`` of the last axis use weight row
-    ``weights[arm[j]]``, whose values at the upper bound are
-    ``at_cap[arm[j]]``.  Cells on the bound share those values; a pmf row
-    is computed only for the other ``live`` cells.  Cells that are not
-    live get the capped values and must go unread.
+    The cell at position ``j`` of the last axis is arm ``arm[j]`` of
+    ``arms`` at mean ``x / v`` (see :func:`_rescaled`).  Cells on the
+    bound share the values there; a pmf row is computed only for the
+    other ``live`` cells.  Cells that are not live get the capped values
+    and must go unread.  Each result has a leading axis holding the
+    values and, with ``slope``, their derivatives in ``x``: zero on the
+    bound and on an arm that transmits nothing.
     """
+    v = arms.v[arm]
+    lam = _rescaled(x, v, chain.upper)
     free = lam < chain.upper
     if live is not None:
         free &= live
     cells = free.nonzero()
+    cell_arm = arm[cells[-1]]
     pmf = source_pmf(chain.family, lam[cells], chain.l_max)
-    quiet = np.full(lam.shape, chain.quiet_capped)
-    quiet[cells] = _quiet(pmf, chain.w)
-    t = np.empty(lam.shape)
-    t[...] = at_cap[arm]
-    t[cells] = np.einsum("cl,cl->c", pmf, weights[arm[cells[-1]]])
+    quiet = np.zeros((1 + slope,) + lam.shape)
+    t = np.zeros((1 + slope,) + lam.shape)
+    quiet[0] = chain.quiet_capped
+    t[0] = arms.capped[arm]
+    admit = pmf @ chain.w
+    quiet[0][cells] = 1.0 - admit
+    t[0][cells] = np.einsum("cl,cl->c", pmf, arms.weights[cell_arm])
+    if slope:
+        lam, v = lam[cells], np.broadcast_to(v, free.shape)[cells]
+        rate = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)  # d lam / dx
+        quiet[1][cells] = -rate * _slope(chain.family, lam, admit, pmf @ chain.w_lift)
+        lifted = np.einsum("cl,cl->c", pmf, arms.lifted[cell_arm])
+        t[1][cells] = rate * _slope(chain.family, lam, t[0][cells], lifted)
     return quiet, t
 
 
 def _scalar_p1(
-    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None = None
+    chain: _Chain,
+    scaled: bool,
+    xs: np.ndarray,
+    cols: np.ndarray | None = None,
+    slope: bool = False,
 ) -> np.ndarray:
     """P1 of the one-parameter profiles at scalars ``xs``.
 
     Without ``cols`` the result is a (len(xs), len(sizes)) table over
     every size; with ``cols``, scalar ``xs[i]`` is taken at size
-    ``sizes[cols[i]]`` only.
+    ``sizes[cols[i]]`` only, and ``slope`` adds a second column with the
+    derivative of P1 in the scalar.
     """
     n_arms = chain.v_through.size + chain.sizes.size
     row = chain.l_max + 1
-    # per scalar, scaled: up to a pmf row and a gathered weight row per
-    # arm; uniform: one pmf row and a value per arm
-    cells = 2 * n_arms * row if scaled else n_arms + row
+    # per scalar, scaled: up to a pmf row and a gathered weight row (and a
+    # lifted one for the slope) per arm; uniform: one pmf row and a value
+    # (and a slope) per arm
+    cells = (2 + slope) * n_arms * row if scaled else (1 + slope) * n_arms + row
     return _in_batches(
         xs.size,
         cells,
         lambda part: _scalar_p1_batch(
-            chain, scaled, xs[part], None if cols is None else cols[part]
+            chain, scaled, xs[part], None if cols is None else cols[part], slope
         ),
     )
 
 
 def _scalar_p1_batch(
-    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None
+    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None, slope: bool
 ) -> np.ndarray:
     # The arms before the last one do not depend on the size: their
     # running no-admission products and one-photon sums serve every size.
@@ -354,61 +402,90 @@ def _scalar_p1_batch(
     at = chain.sizes[pick] - 1
     if scaled:
         arms = np.arange(n_through)
-        quiet, t = _capped_cells(
-            chain,
-            _rescaled(xs[:, None], chain.v_through, chain.upper),
-            arms,
-            chain.through,
-            chain.through_capped,
-            None if cols is None else arms < at[:, None],
-        )
-        _, t_last = _capped_cells(
-            chain,
-            _rescaled(x, chain.v_last[pick], chain.upper),
-            pick,
-            chain.last,
-            chain.last_capped,
-        )
+        live = None if cols is None else arms < at[:, None]
+        quiet, t = _capped_cells(chain, xs[:, None], chain.through_arms, arms, live, slope)
+        _, t_last = _capped_cells(chain, x, chain.last_arms, pick, slope=slope)
     else:  # one mean for every unit, so one pmf row per scalar
         pmf = source_pmf(chain.family, xs, chain.l_max)
-        if cols is None:  # the table: BLAS products
-            quiet = 1.0 - pmf @ chain.w
-            t = pmf @ chain.through.T  # (K, n_through)
-            t_last = pmf @ chain.last.T
-        else:
-            # Near a flat optimum the refinement compares values that
-            # differ in their last bits, so each cell is its own dot
-            # product, rounded the same in any batch.
-            quiet = _quiet(pmf, chain.w)
-            t = np.einsum("kl,nl->kn", pmf, chain.through)
-            t_last = np.einsum("kl,kl->k", pmf, chain.last[cols])
-        quiet = np.broadcast_to(quiet[:, None], (xs.size, n_through))
+        lam = xs[:, None]
+
+        def values(weights, lifted):
+            value = pmf @ weights.T
+            if not slope:
+                return value[None]
+            return np.stack([value, _slope(chain.family, lam, value, pmf @ lifted.T)])
+
+        t = values(chain.through_arms.weights, chain.through_arms.lifted)
+        t_last = values(chain.last_arms.weights, chain.last_arms.lifted)[:, rows, pick]
+        quiet = -values(chain.w[None], chain.w_lift[None])
+        quiet[0] += 1.0
+        quiet = np.broadcast_to(quiet, t.shape)
     prefix = np.ones((xs.size, n_through + 1))
-    np.cumprod(quiet, axis=1, out=prefix[:, 1:])
+    np.cumprod(quiet[0], axis=1, out=prefix[:, 1:])
     head = np.zeros((xs.size, n_through + 1))
-    np.cumsum(prefix[:, :-1] * t, axis=1, out=head[:, 1:])
-    return head[rows, at] + prefix[rows, at] * t_last
+    np.cumsum(prefix[:, :-1] * t[0], axis=1, out=head[:, 1:])
+    p1 = head[rows, at] + prefix[rows, at] * t_last[0]
+    if not slope:
+        return p1
+    # product rule: d prefix = prefix * (running sum of d quiet / quiet),
+    # where quiet >= pmf_0 > 0 unless it rounds to zero
+    run = np.zeros((xs.size, n_through + 1))
+    np.cumsum(
+        np.divide(quiet[1], quiet[0], out=np.zeros(t[0].shape), where=quiet[0] != 0.0),
+        axis=1,
+        out=run[:, 1:],
+    )
+    np.cumsum(prefix[:, :-1] * (run[:, :-1] * t[0] + t[1]), axis=1, out=head[:, 1:])
+    d_p1 = head[rows, at] + prefix[rows, at] * (run[rows, at] * t_last[0] + t_last[1])
+    return np.stack([p1, d_p1], axis=-1)
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray, xtol: float = 1e-6):
-    """Golden-section maximization on every interval [a_i, b_i] at once.
+def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
+    """Maximize on every interval [lo_i, hi_i] at once from the sign of the slope.
 
-    ``f`` maps a vector of points, one per interval, to their values.
+    ``fdf(xs, lanes)`` gives the value and the slope, as two columns, of
+    interval ``lanes[i]`` at ``xs[i]``.  A zero slope counts as not
+    rising.  An interval that is not rising at ``lo``, or still rising at
+    ``hi``, keeps that end.  On the others the point where the slope
+    stops rising is bracketed to ``xtol`` by regula falsi with the
+    Illinois step (an end kept twice in a row has its slope halved), and
+    by bisection while the end that is not rising has a zero slope, as
+    on the plateau where every rescaled mean is capped; the point is then
+    the linear root of the slope in the last bracket.  Returns the points
+    and, for each, the value at the kept end or the larger one at the
+    ends of the last bracket.
     """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while np.max(b - a) > xtol:
-        left = fc > fd  # the maximum lies in [a, d]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_probe = f(probe)
-        c, fc = np.where(left, probe, keep), np.where(left, f_probe, f_keep)
-        d, fd = np.where(left, keep, probe), np.where(left, f_keep, f_probe)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    n = lo.size
+    lanes = np.arange(n)
+    ends = fdf(np.concatenate([lo, hi]), np.concatenate([lanes, lanes]))
+    (f_lo, d_lo), (f_hi, d_hi) = ends[:n].T, ends[n:].T
+    x = np.where(d_lo > 0.0, hi, lo)
+    fx = np.where(d_lo > 0.0, f_hi, f_lo)
+    lanes = np.flatnonzero((d_lo > 0.0) & ~(d_hi > 0.0))
+    lo, hi, f_lo, f_hi, d_lo, d_hi = (a[lanes] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    moved = np.zeros(lanes.size)  # +1 if the last step moved lo, -1 if hi
+    while lanes.size:
+        secant = lo + (hi - lo) * d_lo / (d_lo - d_hi)
+        xs = np.where(d_hi < 0.0, secant, 0.5 * (lo + hi))
+        xs = np.clip(xs, lo + 0.5 * xtol, hi - 0.5 * xtol)
+        f, d = fdf(xs, lanes).T
+        up = d > 0.0
+        d_hi = np.where(up & (moved > 0.0), 0.5 * d_hi, d_hi)
+        d_lo = np.where(~up & (moved < 0.0), 0.5 * d_lo, d_lo)
+        lo, f_lo, d_lo = np.where(up, xs, lo), np.where(up, f, f_lo), np.where(up, d, d_lo)
+        hi, f_hi, d_hi = np.where(up, hi, xs), np.where(up, f_hi, f), np.where(up, d_hi, d)
+        moved = np.where(up, 1.0, -1.0)
+        done = hi - lo <= xtol
+        if done.any():
+            end = lanes[done]
+            # the slope's linear root: a smooth function of the bracket,
+            # unlike a choice of end by value
+            x[end] = (lo + (hi - lo) * d_lo / (d_lo - d_hi))[done]
+            fx[end] = np.maximum(f_lo, f_hi)[done]
+            keep = ~done
+            lanes, moved = lanes[keep], moved[keep]
+            lo, hi, f_lo, f_hi, d_lo, d_hi = (a[keep] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    return x, fx
 
 
 def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
@@ -418,9 +495,12 @@ def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
     table = _scalar_p1(chain, scaled, grid)
     cols = np.arange(sizes.size)
     k = np.argmax(table, axis=0)
-    a = grid[np.maximum(k - 1, 0)]
-    b = grid[np.minimum(k + 1, grid.size - 1)]
-    x, fx = _golden_max(lambda xs: _scalar_p1(chain, scaled, xs, cols), a, b)
+    x, fx = _slope_root(
+        lambda xs, lanes: _scalar_p1(chain, scaled, xs, lanes, slope=True),
+        grid[np.maximum(k - 1, 0)],
+        grid[np.minimum(k + 1, grid.size - 1)],
+        _XTOL * chain.upper,
+    )
     best = np.where(fx > table[k, cols], x, grid[k])
 
     n_max = int(sizes[-1])

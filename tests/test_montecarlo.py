@@ -172,6 +172,24 @@ class TestSimulate:
         assert result.counts.size == mc.max_count + 1
         assert result.counts.sum() + result.overflow == mc.trials
 
+    def test_memory_follows_pair_groups_not_accepted_count(self):
+        # no trial detects more photons than its pair groups allow, so the
+        # detection table stops there however large the accepted counts
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source="thermal")
+        pump = PumpProfile((5.0,) * 3)
+        mc = McSettings(trials=1_000_000, seed=11)
+        tracemalloc.start()
+        try:
+            wide = simulate(spec, pump, DetectionStrategy.accept_up_to(10_000), mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        # about 80 pair groups at this pump and trial count
+        narrow = simulate(spec, pump, DetectionStrategy.accept_up_to(400), mc)
+        assert np.array_equal(wide.counts, narrow.counts)
+        assert wide.overflow == narrow.overflow
+
     def test_bright_thermal_pump_completes(self):
         # about a thousand pair-number groups per unit at lambda = 50
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source="thermal")

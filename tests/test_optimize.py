@@ -205,11 +205,13 @@ class TestDpOptimality:
 class TestWork:
     def test_scaled_reference_evaluates_only_live_unclamped_cells(self, monkeypatch):
         # The one-parameter search at n_ref = 100 and (v_r, v_d, v_b) =
-        # (0.9, 0.85, 0.8) evaluates its 28-term pmf at 513 grid scalars
-        # and in 24 refinement steps of 100 scalars.  Over all 99 through
-        # arms and the last arm of every size, that is a dense cube of
-        # 28 * (513 * 199 + 24 * 100 * 100) = 9,578,436 pmf entries; cells
-        # on the bound share one row, and a size reads only its own arms.
+        # (0.9, 0.85, 0.8) evaluates its 28-term pmf at 513 grid scalars,
+        # then at 200 bracket ends and in about 6 slope root steps of 100
+        # scalars.  The yardstick is a dense cube over all 99 through arms
+        # and the last arm of every size, at the grid scalars and 24 steps
+        # of 100 scalars: 28 * (513 * 199 + 24 * 100 * 100) = 9,578,436
+        # pmf entries.  Cells on the bound share one row, and a size reads
+        # only its own arms.
         entries = []
 
         def counting_pmf(family, lams, l_max):
@@ -219,7 +221,42 @@ class TestWork:
         monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
-        assert sum(entries) <= 0.2 * 9_578_436
+        assert sum(entries) <= 0.1 * 9_578_436
+
+    def test_uniform_refines_every_size_in_a_few_batched_steps(self, monkeypatch):
+        # one pmf call each for the bound, the grid, the bracket ends, each
+        # slope root step and the reported values
+        calls = []
+
+        def counting_pmf(family, lams, l_max):
+            calls.append(np.size(lams))
+            return source_pmf(family, lams, l_max)
+
+        monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
+        find_optimal_n(spec, SPD, n_ref=100, mode="uniform")
+        assert len(calls) <= 12
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    def test_size_alone_matches_size_in_batch(self, mode):
+        # a size's optimum must not depend on which other sizes share its pass
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            spec = MultiplexerSpec(
+                v_r=rng.uniform(0.8, 0.99),
+                v_b=rng.uniform(0.8, 0.98),
+                v_d=rng.uniform(0.7, 0.98),
+                n_units=1,
+                source=str(rng.choice(["poisson", "thermal"])),
+            )
+            strategy = DetectionStrategy.parse(str(rng.choice(["spd", "upto:2", "thd", "set:1,3"])))
+            batch = optimize_sizes(spec, strategy, range(1, 61), mode=mode)
+            for n in (7, 27, 44, 60):
+                (alone,) = optimize_sizes(spec, strategy, [n], mode=mode)
+                lams = np.array(alone.best_pump.lambdas)
+                assert np.max(np.abs(lams - batch[n - 1].best_pump.lambdas)) <= 1e-10
 
 
 class TestFindOptimalN:

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmux.multiplexer import MultiplexerSpec
+from asmux.multiplexer import MultiplexerSpec, transmission_vector
 from asmux.optimize import OptimizationMode, OptimizerSettings, find_optimal_n, optimize_sizes
 from asmux.statistics import (
     DetectionStrategy,
@@ -11,6 +11,7 @@ from asmux.statistics import (
     TruncationPolicy,
     output_distribution,
     required_lmax,
+    single_photon_prob,
 )
 
 DETECTION = st.one_of(
@@ -97,3 +98,30 @@ def test_threshold_equals_accept_up_to_series_cutoff(model):
     upto = output_distribution(spec, pump, DetectionStrategy.accept_up_to(l_max))
     assert np.allclose(thd.probs, upto.probs, rtol=0.0, atol=1e-12)
     assert abs(thd.truncation_mass - upto.truncation_mass) <= 1e-12
+
+
+def _scalar_profile(spec, mode, x, upper):
+    """The one-parameter profile at scalar ``x``, as the optimizer builds it."""
+    if mode == "uniform":
+        return PumpProfile.uniform(x, spec.n_units)
+    with np.errstate(divide="ignore"):  # an arm that transmits nothing takes the bound
+        lams = np.minimum(x / transmission_vector(spec), upper) if x > 0.0 else np.zeros(spec.n_units)
+    return PumpProfile(tuple(lams.tolist()))
+
+
+@PROPERTY
+@given(models(), st.integers(1, 30), st.sampled_from(["uniform", "scaled-reference"]))
+def test_scalar_optimum_is_a_local_maximum(model, n, mode):
+    # P1 at nearby scalars, evaluated by the model itself and not by the
+    # optimizer's slope, never beats the reported optimum
+    spec, strategy, _ = model
+    spec = spec.with_units(n)
+    upper = OptimizerSettings().lambda_upper
+    (report,) = optimize_sizes(spec, strategy, [n], mode=mode)
+    # the arm that transmits most is the last to reach the bound
+    v = transmission_vector(spec) if mode == "scaled-reference" else np.ones(n)
+    x = report.best_pump.lambdas[int(np.argmax(v))] * v.max()
+    for h in (1e-6, 1e-4, 1e-2):
+        for nearby in (x - h, x + h):
+            pump = _scalar_profile(spec, mode, min(max(nearby, 0.0), upper), upper)
+            assert single_photon_prob(spec, pump, strategy) <= report.best_p1 + 1e-14, (h, nearby - x)
