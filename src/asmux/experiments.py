@@ -25,6 +25,7 @@ from .optimize import (
     OptimizationMode,
     OptimizationReport,
     OptimizerSettings,
+    _check_resolution,
     find_optimal_n,
     optimize_pump,
     optimize_sizes,
@@ -286,6 +287,7 @@ def stability_report(
     The row carries the per-unit maximum as ``p1``, the uniform maximum
     as ``baseline_p1`` and the shift interval endpoints.
     """
+    _check_resolution(resolution)  # before the searches it would waste
     uniform_search = find_optimal_n(
         spec,
         strategy,

@@ -83,6 +83,8 @@ _SCALAR_GRID = 513
 _XTOL = 1e-12
 # pair-number pmf cells per batch of profiles; bounds the memory of the tables
 _CHUNK_CELLS = 1 << 20
+# bisection levels of a stability edge tested per P1 call
+_BISECT_DEPTH = 3
 
 
 class OptimizationMode(str, Enum):
@@ -710,6 +712,62 @@ def strategy_scan(
     return results
 
 
+def _check_resolution(resolution: float) -> None:
+    if not 0.0 < resolution < math.inf:
+        raise ParameterError(f"resolution must be positive and finite, got {resolution!r}")
+
+
+def _bisection_mid(lo: float, hi: float, resolution: float) -> float | None:
+    """Midpoint the bisection of [lo, hi] tests next, or None once it stops.
+
+    It stops at width ``resolution``, or when the midpoint is not
+    strictly inside (a resolution finer than the float spacing).
+    """
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > resolution and lo < mid < hi else None
+
+
+def _midpoints(lo: float, hi: float, resolution: float) -> list[float]:
+    """Every midpoint the bisection of [lo, hi] may test in its next _BISECT_DEPTH steps."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(_BISECT_DEPTH):
+        below = []
+        for a, b in level:
+            mid = _bisection_mid(a, b, resolution)
+            if mid is not None:
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
+
+
+def _edge_walk(resolution: float):
+    """One edge's search for the largest shift magnitude that holds the baseline.
+
+    A generator: it yields the magnitudes to test next and is sent
+    whether each held.  The shift doubles while it holds (up to 10);
+    the last step is then bisected to ``resolution``.  It returns the
+    largest magnitude found to hold.
+    """
+    lo, hi = 0.0, resolution
+    while (yield [hi])[0]:
+        lo = hi
+        if hi >= 10.0:
+            return lo
+        hi *= 2.0
+    while mids := _midpoints(lo, hi, resolution):
+        held = dict(zip(mids, (yield mids)))
+        for _ in range(_BISECT_DEPTH):
+            mid = _bisection_mid(lo, hi, resolution)
+            if mid is None:
+                break
+            if held[mid]:
+                lo = mid
+            else:
+                hi = mid
+    return lo
+
+
 def stability_interval(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
@@ -723,34 +781,37 @@ def stability_interval(
     The same additive shift is applied to all units (entries clamped at
     zero) and each side of zero is bisected to ``resolution``.  If the
     unshifted profile does not reach the baseline the interval is empty.
+
+    Both edges walk in lockstep: one :func:`p1_profile_batch` call tests
+    the next doubling step of each, or for a bisecting edge every
+    midpoint of its next _BISECT_DEPTH levels, of which it follows one
+    path.  So each edge takes the decisions it would take walking alone,
+    one shift per call.  Shifts down only lower the means, and midpoints
+    lie inside brackets already tested, so only a doubling step up can
+    exceed the series cutoff cap, at the step where a lone walk would.
     """
-    if not 0.0 < resolution < math.inf:
-        raise ParameterError(f"resolution must be positive and finite, got {resolution!r}")
+    _check_resolution(resolution)
+    if math.isnan(baseline_p1):
+        raise ParameterError("baseline_p1 must not be NaN")
     base = _validate_pump(spec, optimal_pump)
 
-    def p1_at(delta: float) -> float:
-        shifted = np.clip(base + delta, 0.0, None)
-        return float(p1_profile_batch(spec, strategy, shifted[None, :], trunc)[0])
+    def held_at(deltas: list[float]) -> list[bool]:
+        shifted = np.clip(base + np.array(deltas)[:, None], 0.0, None)
+        return (p1_profile_batch(spec, strategy, shifted, trunc) >= baseline_p1).tolist()
 
-    if p1_at(0.0) < baseline_p1:
+    if not held_at([0.0])[0]:
         return StabilityInterval(0.0, 0.0, empty=True)
 
-    def edge(sign: float) -> float:
-        # double the shift while it holds (up to 10), then bisect the last step
-        lo, hi = 0.0, resolution
-        while p1_at(sign * hi) >= baseline_p1:
-            lo = hi
-            if hi >= 10.0:
-                return sign * lo
-            hi *= 2.0
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # a resolution finer than the float spacing
-                break
-            if p1_at(sign * mid) >= baseline_p1:
-                lo = mid
-            else:
-                hi = mid
-        return sign * lo if lo else 0.0  # +0.0, not -0.0, when no shift holds
-
-    return StabilityInterval(delta_minus=edge(-1.0), delta_plus=edge(+1.0))
+    walks = {sign: _edge_walk(resolution) for sign in (-1.0, +1.0)}
+    tests = {sign: next(walk) for sign, walk in walks.items()}
+    ends = {}
+    while tests:
+        held = held_at([sign * x for sign, xs in tests.items() for x in xs])
+        for sign, xs in list(tests.items()):
+            outcome, held = held[: len(xs)], held[len(xs):]
+            try:
+                tests[sign] = walks[sign].send(outcome)
+            except StopIteration as stop:
+                del tests[sign]
+                ends[sign] = sign * stop.value if stop.value else 0.0  # +0.0, never -0.0
+    return StabilityInterval(delta_minus=ends[-1.0], delta_plus=ends[+1.0])

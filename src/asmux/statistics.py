@@ -531,6 +531,20 @@ def single_photon_prob(
     return float(output_distribution(spec, pump, strategy, trunc=trunc).probs[1])
 
 
+# an interval's walk meets a few cutoffs; the tables are (N, L+1) each
+@lru_cache(maxsize=16)
+def _one_photon_weights(
+    spec: MultiplexerSpec, strategy: DetectionStrategy, l_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per arm and pair number, the chance of admission with exactly one photon out,
+    and the chance of no admission; cached and read-only."""
+    w = acceptance_weights(strategy, spec.v_d, l_max)
+    lf = transmit_one_weights(transmission_vector(spec), l_max) * w[None, :]  # (N, L+1)
+    quiet = 1.0 - w
+    lf.flags.writeable = quiet.flags.writeable = False
+    return lf, quiet
+
+
 def p1_profile_batch(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
@@ -540,8 +554,10 @@ def p1_profile_batch(
     """Single-photon probability for a batch of pump profiles.
 
     ``lam_matrix`` holds one profile per row (last axis = unit index).
-    It evaluates only the one-photon component and shares the series
-    cutoff across the batch; the stability interval bisects with it.
+    It evaluates only the one-photon component.  Each row's pair-number
+    series is cut at that row's own cutoff (one cutoff search for the
+    batch), so a row's value does not depend on the rows beside it, up
+    to rounding; the stability interval batches its walk with it.
     """
     lam = np.asarray(lam_matrix, dtype=float)
     if lam.shape[-1] != spec.n_units:
@@ -550,20 +566,22 @@ def p1_profile_batch(
         )
     if lam.size == 0:
         return np.zeros(lam.shape[:-1])
-    if np.any(~np.isfinite(lam)) or np.any(lam < 0.0):
+    row_max = lam.max(axis=-1)
+    # a NaN fails both tests, as it propagates through min and max
+    if not (lam.min() >= 0.0 and np.isfinite(row_max).all()):
         raise ParameterError("input mean photon numbers must be finite and >= 0")
 
-    l_max = required_lmax(spec.source, float(lam.max()), trunc)
-    w = acceptance_weights(strategy, spec.v_d, l_max)
-    v = transmission_vector(spec)
-    lf = transmit_one_weights(v, l_max) * w[None, :]  # (N, L+1)
+    cutoffs = series_cutoffs(spec.source, row_max, trunc)
+    l_max = int(cutoffs.max())
+    lf, quiet = _one_photon_weights(spec, strategy, l_max)
 
     pmf = source_pmf(spec.source, lam, l_max)  # (..., N, L+1)
-    no_fire = pmf @ (1.0 - w)  # (..., N), inside the cut series
+    if cutoffs.min() < l_max:
+        pmf *= np.arange(l_max + 1) <= cutoffs[..., None, None]
+    no_fire = pmf @ quiet  # (..., N), inside the cut series
     t_one = np.einsum("...nl,nl->...n", pmf, lf)
     cum = np.cumprod(no_fire, axis=-1)
     prefix = np.concatenate(
         [np.ones(no_fire.shape[:-1] + (1,)), cum[..., :-1]], axis=-1
     )
     return np.einsum("...n,...n->...", prefix, t_one)
-

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import asmux.experiments
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
     CSV_COLUMNS,
@@ -293,3 +294,15 @@ class TestStabilityReport:
         assert row.baseline_p1 is not None
         assert row.p1 >= row.baseline_p1
         assert abs(row.reevaluate() - row.p1) <= 1e-12
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan, math.inf])
+    def test_resolution_checked_before_the_searches(self, monkeypatch, resolution):
+        # a bad resolution used to be refused only after both optima were found
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking the resolution")
+
+        monkeypatch.setattr(asmux.experiments, "find_optimal_n", no_search)
+        monkeypatch.setattr(asmux.experiments, "optimize_pump", no_search)
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(ParameterError, match="resolution must be positive and finite"):
+            stability_report(spec, SPD, n_ref=25, resolution=resolution)

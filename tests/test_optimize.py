@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asmux.optimize
-from asmux.exceptions import ParameterError
+from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import (
     OptimizationMode,
@@ -18,6 +20,7 @@ from asmux.optimize import (
     strategy_scan,
 )
 from asmux.statistics import (
+    DEFAULT_TRUNCATION,
     DetectionStrategy,
     PumpProfile,
     p1_profile_batch,
@@ -341,6 +344,47 @@ class TestStrategyScan:
             assert p_spd > p_thd
 
 
+def sequential_interval(
+    spec, strategy, pump, baseline_p1, resolution=1e-4, trunc=DEFAULT_TRUNCATION,
+    evaluate=p1_profile_batch,
+):
+    """Reference walk: each edge alone, one single-profile P1 call per shift.
+
+    This is the former implementation of ``stability_interval``; it
+    returns ``(delta_minus, delta_plus, empty)``.
+    """
+    base = pump.as_array()
+
+    def p1_at(delta):
+        shifted = np.clip(base + delta, 0.0, None)
+        return float(evaluate(spec, strategy, shifted[None, :], trunc)[0])
+
+    if p1_at(0.0) < baseline_p1:
+        return 0.0, 0.0, True
+
+    def edge(sign):
+        lo, hi = 0.0, resolution
+        while p1_at(sign * hi) >= baseline_p1:
+            lo = hi
+            if hi >= 10.0:
+                return sign * lo
+            hi *= 2.0
+        while hi - lo > resolution:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if p1_at(sign * mid) >= baseline_p1:
+                lo = mid
+            else:
+                hi = mid
+        return sign * lo if lo else 0.0
+
+    return edge(-1.0), edge(+1.0), False
+
+
+WALK_STRATEGIES = [DetectionStrategy.parse(key) for key in ("spd", "upto:2", "thd", "set:1,3")]
+
+
 class TestStabilityInterval:
     def test_closed_form_single_unit(self):
         # objective lam * exp(-lam) * v_b; with baseline at 95% of the peak the
@@ -393,6 +437,24 @@ class TestStabilityInterval:
         with pytest.raises(ParameterError, match="resolution must be positive and finite"):
             stability_interval(spec, SPD, PumpProfile((1.0,)), 0.3, resolution=resolution)
 
+    def test_nan_baseline_refused(self, monkeypatch):
+        # every comparison with NaN is false, which gave a non-empty [0, 0]
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated P1 before checking the baseline")
+
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", no_evaluation)
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.9, v_d=1.0, n_units=3)
+        with pytest.raises(ParameterError, match="baseline_p1 must not be NaN"):
+            stability_interval(spec, SPD, PumpProfile((0.5, 0.6, 0.7)), math.nan)
+
+    @pytest.mark.parametrize("baseline,empty", [(math.inf, True), (-math.inf, False)])
+    def test_infinite_baselines(self, baseline, empty):
+        # +inf is never reached; -inf is held at every shift
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.9, v_d=1.0, n_units=3)
+        interval = stability_interval(spec, SPD, PumpProfile((0.5, 0.6, 0.7)), baseline)
+        assert interval.empty is empty
+        assert empty or (interval.delta_minus <= -10.0 and interval.delta_plus >= 10.0)
+
     def test_resolution_below_float_spacing_terminates(self, monkeypatch):
         # the bisection ends at adjacent floats instead of repeating its midpoint
         calls = []
@@ -438,6 +500,76 @@ class TestStabilityInterval:
         assert interval.delta_minus == 0.0
         assert math.copysign(1.0, interval.delta_minus) == 1.0
         assert interval.delta_plus > 0.0
+
+
+class TestLockstepWalk:
+    """The batched walk against the former one-shift-per-call walk."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        source=st.sampled_from(["poisson", "thermal"]),
+        strategy=st.sampled_from(WALK_STRATEGIES),
+        losses=st.tuples(st.floats(0.8, 0.99), st.floats(0.8, 0.98), st.floats(0.8, 0.98)),
+        pump=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8),
+        level=st.one_of(st.just(1.0), st.floats(0.0, 1.2)),
+        # a power of two makes bracket widths hit the resolution exactly
+        resolution=st.one_of(
+            st.floats(-300.0, math.log10(0.3)).map(lambda e: 10.0 ** e),
+            st.integers(-40, -2).map(lambda k: 2.0 ** k),
+        ),
+    )
+    def test_same_interval_as_sequential_walk(
+        self, source, strategy, losses, pump, level, resolution
+    ):
+        # the baseline runs from 0 to above P1 at zero shift, exactly at it
+        # included; the resolution from 1e-300 to 0.3
+        v_r, v_b, v_d = losses
+        spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=len(pump), source=source)
+        profile = PumpProfile(tuple(pump))
+        baseline = level * float(p1_profile_batch(spec, strategy, profile.as_array()[None, :])[0])
+        try:
+            expected = sequential_interval(spec, strategy, profile, baseline, resolution)
+        except TruncationError as error:
+            with pytest.raises(TruncationError) as raised:
+                stability_interval(spec, strategy, profile, baseline, resolution)
+            assert str(raised.value) == str(error)
+            return
+        interval = stability_interval(spec, strategy, profile, baseline, resolution)
+        # repr tells -0.0 from +0.0
+        assert repr((interval.delta_minus, interval.delta_plus, interval.empty)) == repr(expected)
+
+    def test_same_truncation_error_as_sequential_walk(self):
+        # every shift holds a zero baseline, so the + edge doubles until the
+        # mean 1 + 13.1072 needs a cutoff of 403, beyond the cap of 400
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source="thermal")
+        pump = PumpProfile((1.0, 1.0))
+        with pytest.raises(TruncationError) as reference:
+            sequential_interval(spec, SPD, pump, 0.0)
+        with pytest.raises(TruncationError) as raised:
+            stability_interval(spec, SPD, pump, 0.0)
+        assert str(raised.value) == str(reference.value)
+        assert "mean 14.1072 needs a cutoff of 403" in str(raised.value)
+
+    def test_call_count_against_sequential_walk(self, monkeypatch):
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)
+        pump = optimize_pump(spec, SPD).best_pump
+        baseline = optimize_uniform(spec, SPD).best_p1
+        calls = {"sequential": 0, "lockstep": 0}
+
+        def counter(name):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return p1_profile_batch(*args, **kwargs)
+            return counted
+
+        expected = sequential_interval(spec, SPD, pump, baseline, evaluate=counter("sequential"))
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", counter("lockstep"))
+        interval = stability_interval(spec, SPD, pump, baseline)
+        assert (interval.delta_minus, interval.delta_plus, interval.empty) == expected
+        # each edge takes 12 doubling steps and 11 bisection levels: one shift
+        # per call that is 1 + 2 * (12 + 11) = 47 calls, in lockstep with three
+        # levels per call 1 + 12 + 4 = 17
+        assert (calls["sequential"], calls["lockstep"]) == (47, 17)
 
 
 class TestSettingsValidation:

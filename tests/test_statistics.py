@@ -14,6 +14,7 @@ from scipy.stats import binom, poisson
 
 from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
+from asmux.optimize import OptimizerSettings
 import asmux.statistics as model_statistics
 from asmux.statistics import (
     DEFAULT_TRUNCATION,
@@ -477,6 +478,21 @@ class TestOutputDistribution:
             batch = float(p1_profile_batch(spec, strategy, pump.as_array()[None, :])[0])
             canonical = single_photon_prob(spec, pump, strategy)
             assert batch == pytest.approx(canonical, abs=1e-13)
+
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    @pytest.mark.parametrize("key", ["spd", "upto:2", "thd", "set:1,3"])
+    def test_batch_row_matches_row_alone(self, source, key):
+        # each row is cut at its own cutoff: a shared cutoff set by the
+        # partner at the search bound added series terms worth up to 7e-13
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=4, source=source)
+        strategy = DetectionStrategy.parse(key)
+        profile = np.full(4, 1.0)
+        partner = np.full(4, OptimizerSettings().lambda_upper)
+        alone = p1_profile_batch(spec, strategy, profile[None, :])[0]
+        first = p1_profile_batch(spec, strategy, np.stack([profile, partner]))[0]
+        last = p1_profile_batch(spec, strategy, np.stack([partner, profile]))[1]
+        assert abs(first - alone) <= 1e-15
+        assert abs(last - alone) <= 1e-15
 
     def test_length_mismatch(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
