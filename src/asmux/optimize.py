@@ -19,16 +19,20 @@ every size.
 * Uniform and scaled-reference: running products and sums over the
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a root solve of the slope of
-  P1 on the grid points around it, vectorized over sizes.  P1 is linear
-  in each unit's pair-number pmf, so the slope takes the same pmf rows,
-  one more weight table per arm and the product rule on the running
-  products.  A uniform scalar needs one pmf row for all units.  A
-  rescaled mean ``x / V_n`` grows along the chain and is capped at the
-  upper bound, so every capped cell shares the bound's pmf row and adds
-  no slope; only the other cells get one of their own, and the
-  refinement of a size reads only the arms of that size.  A root of the
-  slope moves with rounding by about eps |f'| / |f''|, so the optimum
-  does not depend on which sizes share a batch.
+  P1 on the grid points around it, vectorized over sizes, with the
+  product rule on the running products.  A uniform scalar needs one
+  pair-number pmf row for all units: P1 is linear in it, so the slope
+  takes the same row and one more weight table per arm.  In the
+  scaled-reference mode every unit has its own mean, and a unit's two
+  numbers, its admission probability and its chance of admission with
+  one photon out, are read in closed form with their slopes
+  (:func:`~asmux.statistics.one_photon_terms`), so the search builds no
+  pmf rows.  A rescaled mean ``x / V_n`` grows along the chain and is
+  capped at the upper bound, so every capped cell shares the values on
+  the bound and adds no slope; only the other cells are evaluated, and
+  the refinement of a size reads only the arms of that size.  A root of
+  the slope moves with rounding by about eps |f'| / |f''|, so the
+  optimum does not depend on which sizes share a batch.
 
 Reported probabilities are evaluated once for all sizes together, from
 the units of each size only and with the series cutoff
@@ -55,6 +59,7 @@ from .statistics import (
     TruncationPolicy,
     _validate_pump,
     acceptance_weights,
+    one_photon_terms,
     p1_profile_batch,
     required_lmax,
     series_cutoffs,
@@ -172,7 +177,11 @@ def _grid_tables(
 
 
 class _Arms(NamedTuple):
-    """One set of arms as the one-parameter modes read them."""
+    """One set of arms as the one-parameter modes read them.
+
+    The uniform mode reads the weight rows; the scaled-reference mode
+    reads the transmissions and the closed-form values on the bound.
+    """
 
     v: np.ndarray  # transmissions
     weights: np.ndarray  # one-photon weights, one row per arm
@@ -185,10 +194,12 @@ class _Chain:
 
     ``through`` holds the one-photon weights of the arms 1..n_max-1 that
     pass a router's through port, ``last`` those of the last arm of each
-    size in ``sizes``; both already include the admission weights.
+    size in ``sizes``; both already include the admission weights.  The
+    per-unit and uniform searches and every reported P1 read them.
     ``through_arms`` and ``last_arms`` add what the one-parameter modes
     need, and ``quiet_capped`` is the no-admission value at a mean on
-    the upper bound.
+    the upper bound.  The scaled-reference search reads no weight row:
+    its values are closed forms (:meth:`terms`).
     """
 
     def __init__(
@@ -201,6 +212,8 @@ class _Chain:
     ) -> None:
         self.sizes = sizes
         self.family = spec.source
+        self.strategy = strategy
+        self.v_d = spec.v_d
         self.upper = settings.lambda_upper
         self.l_max = required_lmax(spec.source, self.upper, trunc)
         self.w = acceptance_weights(strategy, spec.v_d, self.l_max)
@@ -209,11 +222,20 @@ class _Chain:
         self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
         self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
         self.w_lift = _lift(self.family, self.w)
-        capped = source_pmf(self.family, self.upper, self.l_max)
-        self.quiet_capped = 1.0 - float(capped @ self.w)
+        admit, t = self.terms(self.upper, np.concatenate([self.v_through, self.v_last]))
+        self.quiet_capped = 1.0 - float(admit[0, 0])
         self.through_arms, self.last_arms = (
-            _Arms(v, weights, _lift(self.family, weights), weights @ capped)
-            for v, weights in ((self.v_through, self.through), (self.v_last, self.last))
+            _Arms(v, weights, _lift(self.family, weights), capped)
+            for v, weights, capped in (
+                (self.v_through, self.through, t[0, : self.v_through.size]),
+                (self.v_last, self.last, t[0, self.v_through.size :]),
+            )
+        )
+
+    def terms(self, lam: np.ndarray, v: np.ndarray, slope: bool = False):
+        """:func:`~asmux.statistics.one_photon_terms` of this chain's units."""
+        return one_photon_terms(
+            self.family, self.strategy, self.v_d, lam, v, self.l_max, slope
         )
 
 
@@ -332,11 +354,13 @@ def _capped_cells(
 
     The cell at position ``j`` of the last axis is arm ``arm[j]`` of
     ``arms`` at mean ``x / v`` (see :func:`_rescaled`).  Cells on the
-    bound share the values there; a pmf row is computed only for the
-    other ``live`` cells.  Cells that are not live get the capped values
-    and must go unread.  Each result has a leading axis holding the
-    values and, with ``slope``, their derivatives in ``x``: zero on the
-    bound and on an arm that transmits nothing.
+    bound share the values there; only the other ``live`` cells are
+    evaluated, in closed form
+    (:func:`~asmux.statistics.one_photon_terms`), so no cell needs a pmf
+    row.  Cells that are not live get the capped values and must go
+    unread.  Each result has a leading axis holding the values and, with
+    ``slope``, their derivatives in ``x``: zero on the bound and on an
+    arm that transmits nothing.
     """
     v = arms.v[arm]
     lam = _rescaled(x, v, chain.upper)
@@ -344,21 +368,18 @@ def _capped_cells(
     if live is not None:
         free &= live
     cells = free.nonzero()
-    cell_arm = arm[cells[-1]]
-    pmf = source_pmf(chain.family, lam[cells], chain.l_max)
+    v = v[cells[-1]]
+    admit, t_free = chain.terms(lam[cells], v, slope)
     quiet = np.zeros((1 + slope,) + lam.shape)
     t = np.zeros((1 + slope,) + lam.shape)
     quiet[0] = chain.quiet_capped
     t[0] = arms.capped[arm]
-    admit = pmf @ chain.w
-    quiet[0][cells] = 1.0 - admit
-    t[0][cells] = np.einsum("cl,cl->c", pmf, arms.weights[cell_arm])
+    quiet[0][cells] = 1.0 - admit[0]
+    t[0][cells] = t_free[0]
     if slope:
-        lam, v = lam[cells], np.broadcast_to(v, free.shape)[cells]
-        rate = np.divide(1.0, v, out=np.zeros_like(v), where=v > 0.0)  # d lam / dx
-        quiet[1][cells] = -rate * _slope(chain.family, lam, admit, pmf @ chain.w_lift)
-        lifted = np.einsum("cl,cl->c", pmf, arms.lifted[cell_arm])
-        t[1][cells] = rate * _slope(chain.family, lam, t[0][cells], lifted)
+        rate = np.divide(1.0, v, out=np.zeros(v.shape), where=v > 0.0)  # d lam / dx
+        quiet[1][cells] = -rate * admit[1]
+        t[1][cells] = rate * t_free[1]
     return quiet, t
 
 
@@ -377,11 +398,10 @@ def _scalar_p1(
     derivative of P1 in the scalar.
     """
     n_arms = chain.v_through.size + chain.sizes.size
-    row = chain.l_max + 1
-    # per scalar, scaled: up to a pmf row and a gathered weight row (and a
-    # lifted one for the slope) per arm; uniform: one pmf row and a value
-    # (and a slope) per arm
-    cells = (2 + slope) * n_arms * row if scaled else (1 + slope) * n_arms + row
+    # per scalar, scaled: about eight closed-form terms per arm, twice as
+    # many with the slope; uniform: one pmf row and a value (and a slope)
+    # per arm
+    cells = 8 * (1 + slope) * n_arms if scaled else (1 + slope) * n_arms + chain.l_max + 1
     return _in_batches(
         xs.size,
         cells,

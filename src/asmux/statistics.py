@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -346,10 +346,10 @@ def series_cutoffs(
 ) -> np.ndarray:
     """:func:`required_lmax` of every mean in ``lams``, as an integer array of its shape.
 
-    Poisson means share one window search; a thermal cutoff is closed
-    form, so :func:`required_lmax` gives each.  A mean that is not
-    finite, is negative or cannot be cut below the hard cap raises the
-    error :func:`required_lmax` raises for it.
+    Poisson means share one window search; thermal cutoffs are closed
+    form, computed as one array expression.  A mean that is not finite,
+    is negative or cannot be cut below the hard cap raises the error
+    :func:`required_lmax` raises for it.
     """
     family = SourceFamily.coerce(family)
     lams = np.asarray(lams, dtype=float)
@@ -362,8 +362,16 @@ def series_cutoffs(
     pos = lams > 0.0
     if family is SourceFamily.POISSON:
         cutoffs[pos] = _poisson_cutoffs(lams[pos], trunc)
-    else:
-        cutoffs[pos] = [required_lmax(family, lam, trunc) for lam in lams[pos].tolist()]
+    else:  # as required_lmax, with no cutoff where the ratio rounds to one
+        ratio = lams[pos] / (1.0 + lams[pos])
+        with np.errstate(divide="ignore"):
+            needed = np.where(
+                ratio < 1.0, np.ceil(math.log(trunc.tail_epsilon) / np.log(ratio)) - 1.0, np.inf
+            )
+        over = needed > trunc.l_hard_cap
+        if over.any():
+            required_lmax(family, lams[pos][over][0], trunc)  # raises
+        cutoffs[pos] = np.maximum(needed, 0.0)
     return cutoffs
 
 
@@ -443,6 +451,189 @@ def transmit_one_weights(v: np.ndarray, l_max: int) -> np.ndarray:
     ls = np.arange(l_max + 1, dtype=float)
     expo = np.clip(ls - 1.0, 0.0, None)
     return ls[None, :] * v[:, None] * (1.0 - v[:, None]) ** expo[None, :]
+
+
+# Counts below this bound sum their Poisson terms x^i / i! by Horner on the
+# coefficients 1/i!; 1/171! is below the float range.
+_HORNER_COUNTS = 150
+# e^-x is a normal float below this x
+_EXP_NORMAL = 700.0
+
+
+class _Series(NamedTuple):
+    """``e^-x Σ_i c_i x^i / i!`` for coefficients ``c_i >= 0``; see :func:`_poisson_series`."""
+
+    coef: tuple[float, ...]  # c_i, trailing zeros dropped
+    horner: tuple[float, ...] | None  # c_i / i!, when every i < _HORNER_COUNTS
+
+
+def _series(c: np.ndarray) -> _Series:
+    coef = tuple(np.trim_zeros(c, "b").tolist()) or (0.0,)
+    horner = None
+    if len(coef) <= _HORNER_COUNTS:
+        horner = tuple(c_i / math.factorial(i) for i, c_i in enumerate(coef))
+    return _Series(coef, horner)
+
+
+def _horner(coefs: tuple[float, ...], x: np.ndarray):
+    """Σ_i coefs[i] x^i: a new array of the shape of ``x``, or a constant float."""
+    if len(coefs) == 1:
+        return coefs[0]
+    out = coefs[-1] * x
+    for c in coefs[-2:0:-1]:
+        if c:
+            out += c
+        out *= x
+    if coefs[0]:
+        out += coefs[0]
+    return out
+
+
+def _poisson_series(s: _Series, x: np.ndarray, decay: np.ndarray | None) -> np.ndarray:
+    """``e^-x Σ_i c_i x^i / i!`` at every ``x >= 0``, as a new array.
+
+    ``decay`` is e^-x, or None where that leaves the normal float range
+    somewhere.  Every term is positive, so Horner's relative rounding
+    error stays within a few ulps per term.  Past the Horner range each
+    Poisson term is the last one times x / i, from e^-x, so none leaves
+    the float range.  Without ``decay`` each term is taken from its
+    logarithm, to a relative error of about x ulps.
+    """
+    if decay is None:
+        out = s.coef[0] * np.exp(-x)
+        with np.errstate(divide="ignore"):  # x = 0 leaves the constant term
+            log_x = np.log(x)
+        for i, c in enumerate(s.coef[1:], 1):
+            if c:
+                out += np.exp(i * log_x + (math.log(c) - math.lgamma(i + 1.0) - x))
+        return out
+    if s.horner is not None:
+        return _horner(s.horner, x) * decay
+    term = decay.copy()
+    out = s.coef[0] * term
+    for i, c in enumerate(s.coef[1:], 1):
+        term *= x
+        term /= i
+        if c:
+            out += c * term
+    return out
+
+
+@lru_cache(maxsize=64)
+def _count_polynomials(
+    family: SourceFamily, strategy: DetectionStrategy, v_d: float, l_max: int
+) -> tuple:
+    """The four polynomials :func:`one_photon_terms` reads for a count set A.
+
+    With a_i = [i in A], e_i = v_d a_{i+1} + (1 - v_d) a_i is the chance
+    that i pairs with a detected idler and a lost signal, plus the one
+    pair whose signal is kept, leave a detected count in A.  Returned:
+    the Poisson series of e_i, e_{i+1}, a_i and a_{i+1}, or the thermal
+    Horner coefficients (i + 1) e_i, (i + 1)(i + 2) e_{i+1}, a_i and
+    (i + 1) a_{i+1}.
+    """
+    # a count above l_max is never detected in the cut series, see acceptance_weights
+    members = [j for j in strategy.accepted if j <= l_max]
+    admit = np.zeros(max(members, default=0) + 2)
+    admit[members] = 1.0
+    pair = (1.0 - v_d) * admit
+    pair[:-1] += v_d * admit[1:]
+    if family is SourceFamily.POISSON:
+        return tuple(map(_series, (pair, pair[1:], admit, admit[1:])))
+    i = np.arange(1.0, admit.size + 1)
+    polys = (i * pair, i[:-1] * i[1:] * pair[1:], admit, i[:-1] * admit[1:])
+    return tuple(tuple(np.trim_zeros(p, "b").tolist()) or (0.0,) for p in polys)
+
+
+def one_photon_terms(
+    family: SourceFamily | str,
+    strategy: DetectionStrategy,
+    v_d: float,
+    lam,
+    v,
+    l_max: int,
+    slope: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Admission probability and one-photon probability of a unit, in closed form.
+
+    For a unit at mean ``lam >= 0`` whose arm transmits ``v``, with J the
+    detected idler count and K the number of signal photons that survive
+    the arm, returns P(J ∈ A) and t = P(J ∈ A, K = 1), broadcast over
+    ``lam`` and ``v``.  A is the accepted count set cut at ``l_max``, as
+    :func:`acceptance_weights` cuts it; threshold detection accepts every
+    count >= 1.  Each result has a leading axis holding the values and,
+    with ``slope``, their derivatives in ``lam``.
+
+    Each pair falls in one of four classes: idler detected or not, signal
+    kept or not.  The class counts are independent Poissons for a Poisson
+    source and negative-multinomial for a thermal one, so each value is a
+    prefactor times a polynomial over the accepted counts.  There is no
+    series cutoff: the values differ from the cut-series sums by at most
+    the dropped tail.
+    """
+    family = SourceFamily.coerce(family)
+    lam, v = np.asarray(lam, dtype=float), np.asarray(v, dtype=float)
+    lv = lam * v
+    shape = (1 + slope,) + lv.shape
+    admit, t = np.empty(shape), np.empty(shape)
+    m = lam * v_d  # mean detected idlers
+    k = v_d * (1.0 - v)  # chance of a pair with its idler detected and its signal lost
+    mu = lam * k
+    if family is SourceFamily.POISSON:
+        kept = np.exp(-lv)  # no other pair keeps its signal
+        if strategy.is_threshold:
+            # P(K = 1) - P(J = 0, K = 1) in positive terms
+            h = v_d - (1.0 - v_d) * np.expm1(-mu)
+            admit[0] = -np.expm1(-m)
+            t[0] = lv * kept * h
+            if slope:
+                admit[1] = v_d * np.exp(-m)
+                t[1] = v * kept * ((1.0 - lv) * h + (1.0 - v_d) * mu * np.exp(-mu))
+            return admit, t
+        pair, pair_up, accept, accept_up = _count_polynomials(
+            family, strategy, float(v_d), int(l_max)
+        )
+        normal = lam.max(initial=0.0) < _EXP_NORMAL
+        decay_m = np.exp(-m) if normal else None
+        decay_mu = np.exp(-mu) if normal else None
+        admit[0] = _poisson_series(accept, m, decay_m)
+        s = _poisson_series(pair, mu, decay_mu)
+        t[0] = lv * kept * s
+        if slope:
+            admit[1] = v_d * (_poisson_series(accept_up, m, decay_m) - admit[0])
+            s_up = _poisson_series(pair_up, mu, decay_mu)
+            t[1] = v * kept * ((1.0 - lv - mu) * s + mu * s_up)
+        return admit, t
+    # thermal: c = 1 + lam (v + k), one plus the mean number of pairs
+    # that have their idler detected or their signal kept, and r = mu / c < 1
+    g = 1.0 / (1.0 + lv + mu)
+    r = mu * g
+    g_m = 1.0 / (1.0 + m)
+    rho = m * g_m  # detected-idler ratio
+    if strategy.is_threshold:
+        # P(K = 1) - P(J = 0, K = 1) in positive terms, with (1 - r) c = 1 + lam v
+        u = r * (2.0 - r)
+        d = 1.0 / (1.0 + lv)
+        h = v_d + (1.0 - v_d) * u
+        admit[0] = rho
+        t[0] = lv * h * d * d
+        if slope:
+            admit[1] = v_d * g_m * g_m
+            du = 2.0 * (1.0 - r) * k * g * g
+            t[1] = v * d * d * ((1.0 - lv) * d * h + lam * (1.0 - v_d) * du)
+        return admit, t
+    pair, pair_up, accept, accept_up = _count_polynomials(
+        family, strategy, float(v_d), int(l_max)
+    )
+    p_accept = _horner(accept, rho)
+    q = _horner(pair, r)
+    admit[0] = g_m * p_accept
+    t[0] = lv * g * g * q
+    if slope:
+        admit[1] = v_d * g_m * g_m * (g_m * _horner(accept_up, rho) - p_accept)
+        # d/dlam of lam v q(r) / c^2, with dr/dlam = k / c^2
+        t[1] = v * g * g * ((2.0 * g - 1.0) * q + mu * g * g * _horner(pair_up, r))
+    return admit, t
 
 
 def _validate_pump(spec: MultiplexerSpec, pump: PumpProfile) -> np.ndarray:

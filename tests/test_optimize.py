@@ -206,29 +206,36 @@ class TestDpOptimality:
 
 
 class TestWork:
-    def test_scaled_reference_evaluates_only_live_unclamped_cells(self, monkeypatch):
+    def test_scaled_reference_builds_pmf_rows_only_in_the_reported_pass(self, monkeypatch):
         # The one-parameter search at n_ref = 100 and (v_r, v_d, v_b) =
-        # (0.9, 0.85, 0.8) evaluates its 28-term pmf at 513 grid scalars,
-        # then at 200 bracket ends and in about 6 slope root steps of 100
-        # scalars.  The yardstick is a dense cube over all 99 through arms
-        # and the last arm of every size, at the grid scalars and 24 steps
-        # of 100 scalars: 28 * (513 * 199 + 24 * 100 * 100) = 9,578,436
-        # pmf entries.  Cells on the bound share one row, and a size reads
-        # only its own arms.
-        entries = []
+        # (0.9, 0.85, 0.8) reads closed forms (one_photon_terms) at every
+        # grid scalar and slope root step.  Only the reported pass builds
+        # pair-number pmf rows: at most one 28-term row per unit of each
+        # size, 5050 * 28 = 141,400 entries.
+        reporting, entries = [], []
+        report_batch = asmux.optimize._reported_p1_batch
 
         def counting_pmf(family, lams, l_max):
+            assert reporting, "a pmf row outside the reported pass"
             entries.append(np.size(lams) * (l_max + 1))
             return source_pmf(family, lams, l_max)
 
+        def reported_p1_batch(*args):
+            reporting.append(True)
+            try:
+                return report_batch(*args)
+            finally:
+                reporting.pop()
+
         monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
+        monkeypatch.setattr(asmux.optimize, "_reported_p1_batch", reported_p1_batch)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
-        assert sum(entries) <= 0.1 * 9_578_436
+        assert 0 < sum(entries) <= 5050 * 28
 
     def test_uniform_refines_every_size_in_a_few_batched_steps(self, monkeypatch):
-        # one pmf call each for the bound, the grid, the bracket ends, each
-        # slope root step and the reported values
+        # one pmf call each for the grid, the bracket ends, each slope root
+        # step and the reported values
         calls = []
 
         def counting_pmf(family, lams, l_max):

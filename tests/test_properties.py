@@ -1,17 +1,31 @@
 """Property tests of the model and the all-sizes optimizer over random models."""
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmux.multiplexer import MultiplexerSpec, transmission_vector
-from asmux.optimize import OptimizationMode, OptimizerSettings, find_optimal_n, optimize_sizes
+from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
+from asmux.optimize import (
+    OptimizationMode,
+    OptimizerSettings,
+    _lift,
+    _slope,
+    find_optimal_n,
+    optimize_sizes,
+)
 from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
+    acceptance_weights,
+    one_photon_terms,
     output_distribution,
     required_lmax,
     single_photon_prob,
+    source_pmf,
+    transmit_one_weights,
 )
 
 DETECTION = st.one_of(
@@ -125,3 +139,120 @@ def test_scalar_optimum_is_a_local_maximum(model, n, mode):
         for nearby in (x - h, x + h):
             pump = _scalar_profile(spec, mode, min(max(nearby, 0.0), upper), upper)
             assert single_photon_prob(spec, pump, strategy) <= report.best_p1 + 1e-14, (h, nearby - x)
+
+
+# ----------------------------------------------------------------------
+# closed-form one-photon terms against the cut pair-number series
+# ----------------------------------------------------------------------
+
+KERNEL_DETECTION = st.sampled_from(["spd", "upto:2", "set:1,3", "set:1,2,3,4", "thd"]).map(
+    DetectionStrategy.parse
+)
+FINE = TruncationPolicy(tail_epsilon=1e-16)
+
+
+def cut_series_terms(family, strategy, v_d, lam, v, l_max):
+    """P(J in A) and t = P(J in A, K = 1) from the pmf row cut at ``l_max``, then their slopes."""
+    family = SourceFamily.coerce(family)
+    admit = acceptance_weights(strategy, v_d, l_max)
+    one = transmit_one_weights(np.array([v]), l_max)[0] * admit
+    pmf = source_pmf(family, lam, l_max)
+    values = [float(pmf @ admit), float(pmf @ one)]
+    slopes = [
+        float(_slope(family, lam, value, pmf @ _lift(family, weights)))
+        for value, weights in zip(values, (admit, one))
+    ]
+    return values, slopes
+
+
+def reference_cutoff(family, lam):
+    # twenty terms past the 1e-16 cutoff: at a tiny mean that cutoff is one
+    # or two pairs, and its dropped tail, though below 1e-16, is not small
+    # next to the terms themselves
+    return required_lmax(family, lam, FINE) + 20
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["poisson", "thermal"]),
+    KERNEL_DETECTION,
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.3, 1.0),
+)
+def test_one_photon_terms_match_the_cut_series(family, strategy, lam, v, v_d):
+    l_max = reference_cutoff(family, lam)
+    values, slopes = cut_series_terms(family, strategy, v_d, lam, v, l_max)
+    got = one_photon_terms(family, strategy, v_d, lam, v, l_max, slope=True)
+    for (g_value, g_slope), value, slope in zip(got, values, slopes):
+        # below the normal float range only an absolute error is left
+        assert abs(g_value - value) <= 1e-13 * value + 1e-300
+        # the pmf path forms a slope as a difference of two sums of its size
+        assert abs(g_slope - slope) <= 1e-12 * (abs(slope) + value) + 1e-300
+
+
+@pytest.mark.parametrize(
+    "family,lam,key",
+    [
+        ("poisson", 150.0, "upto:400"),
+        ("poisson", 240.0, "upto:400"),
+        ("poisson", 150.0, "set:200,230,260"),
+        ("poisson", 240.0, "set:200,230,260"),
+        ("thermal", 14.0, "upto:400"),
+    ],
+)
+def test_one_photon_terms_past_the_factorial_range(family, lam, key):
+    # accepted counts past 170 have 1/j! below the float range; the
+    # reference sums the pmf to 1000 pairs, past the mass of every count
+    strategy = DetectionStrategy.parse(key)
+    for v in (0.0, 0.01, 0.3, 1.0):
+        for v_d in (0.5, 0.9, 1.0):
+            values, slopes = cut_series_terms(family, strategy, v_d, lam, v, 1000)
+            got = one_photon_terms(family, strategy, v_d, lam, v, 1000, slope=True)
+            for (g_value, g_slope), value, slope in zip(got, values, slopes):
+                assert abs(g_value - value) <= 1e-13 * value + 1e-300
+                assert abs(g_slope - slope) <= 1e-12 * (abs(slope) + value) + 1e-300
+
+
+@pytest.mark.parametrize("key", ["spd", "upto:3", "set:700,800,900", "upto:1000"])
+def test_one_photon_terms_past_the_normal_range_of_the_decay(key):
+    # at a Poisson mean of 800, e^-800 is below the float range; both
+    # sides then carry an exponent rounding of about 800 ulps
+    strategy = DetectionStrategy.parse(key)
+    for v in (0.0, 0.01, 0.3, 1.0):
+        for v_d in (0.5, 0.9):
+            values, _ = cut_series_terms("poisson", strategy, v_d, 800.0, v, 1400)
+            got = one_photon_terms("poisson", strategy, v_d, 800.0, v, 1400)
+            for value, g_value in zip(values, got):
+                assert abs(g_value[0] - value) <= 1e-11 * value + 1e-300
+
+
+@pytest.mark.parametrize("family", ["poisson", "thermal"])
+@pytest.mark.parametrize("key", ["spd", "upto:2", "set:1,3", "set:2,3", "thd"])
+def test_one_photon_terms_at_edge_cells(family, key):
+    # (lam, v) = (0, 0), (0, 1), (0.7, 0), (0.7, 1), at v_d below and at one
+    strategy = DetectionStrategy.parse(key)
+    single = 1.0 if strategy.is_threshold or 1 in strategy.accepted else 0.0
+    lam = np.array([0.0, 0.0, 0.7, 0.7])
+    v = np.array([0.0, 1.0, 0.0, 1.0])
+    one_pair = 0.7 * math.exp(-0.7) if family == "poisson" else 0.7 / 1.7**2
+    for v_d in (0.8, 1.0):
+        admit, t = one_photon_terms(family, strategy, v_d, lam, v, 30, slope=True)
+        # no pair: nothing admitted or delivered, at the slopes of one pair
+        assert admit[:, :2].tolist() == [[0.0, 0.0], [v_d * single] * 2]
+        assert t[:, :2].tolist() == [[0.0, 0.0], [0.0, v_d * single]]
+        # an arm that transmits nothing delivers nothing
+        assert t[:, 2].tolist() == [0.0, 0.0]
+        # a lossless arm delivers one photon from exactly one pair
+        assert t[0, 3] == pytest.approx(v_d * single * one_pair, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["poisson", "thermal"])
+def test_counts_past_the_cutoff_are_dropped(family):
+    # as in acceptance_weights, which no count above its cutoff reaches
+    lam = np.linspace(0.0, 5.0, 11)
+    capped, kept = (
+        one_photon_terms(family, DetectionStrategy.parse(key), 0.9, lam, 0.7, 40, slope=True)
+        for key in ("set:1,3,60", "set:1,3")
+    )
+    assert np.array_equal(capped[0], kept[0]) and np.array_equal(capped[1], kept[1])

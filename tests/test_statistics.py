@@ -312,6 +312,18 @@ class TestSeriesCutoffs:
         assert cutoffs[:, 0].tolist() == [l_max for _, l_max in expected]
         assert series_cutoffs(family, np.array([]), trunc).shape == (0,)
 
+    def test_thermal_cutoffs_equal_scalar_cutoffs_on_many_means(self):
+        # the thermal cutoffs are one array expression; each must round as
+        # the scalar rule does, from the smallest positive means up to 14
+        rng = np.random.default_rng(11)
+        lams = np.concatenate(
+            (np.geomspace(1e-300, 14.0, 200_000), rng.uniform(0.0, 14.0, 200_000))
+        )
+        expected = [required_lmax("thermal", lam) for lam in lams.tolist()]
+        cutoffs = series_cutoffs("thermal", lams)
+        assert cutoffs.tolist() == expected
+        assert max(expected) == DEFAULT_TRUNCATION.l_hard_cap
+
     @pytest.mark.parametrize(
         "family,lam,trunc",
         [
