@@ -25,6 +25,7 @@ from .statistics import (
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
+    _validate_pump,
     output_distribution,
 )
 
@@ -159,10 +160,7 @@ def simulate(
     the overflow bucket, so the output count stops there.  Trials that
     no unit admits count as zero output photons.
     """
-    if len(pump) != spec.n_units:
-        raise ParameterError(
-            f"pump profile has {len(pump)} entries but the spec has {spec.n_units} units"
-        )
+    _validate_pump(spec, pump)
     rng = np.random.default_rng(mc.seed)
     detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
     accepted = strategy.accept_mask(np.arange(detect_cap + 1))

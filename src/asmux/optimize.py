@@ -22,31 +22,32 @@ every size.
   P1 on the grid points around it, vectorized over sizes, with the
   product rule on the running products.  A uniform scalar needs one
   pair-number pmf row for all units: P1 is linear in it, so the slope
-  takes the same row and one more weight table per arm.  In the
-  scaled-reference mode every unit has its own mean, and a unit's two
-  numbers, its admission probability and its chance of admission with
-  one photon out, are read in closed form with their slopes
-  (:func:`~asmux.statistics.one_photon_terms`), so the search builds no
-  pmf rows.  A rescaled mean ``x / V_n`` grows along the chain and is
-  capped at the upper bound, so every capped cell shares the values on
-  the bound and adds no slope; only the other cells are evaluated, and
-  the refinement of a size reads only the arms of that size.  A root of
-  the slope moves with rounding by about eps |f'| / |f''|, so the
-  optimum does not depend on which sizes share a batch.
+  takes the same row and one more weight table per arm, which only this
+  mode builds.  In the scaled-reference mode every unit has its own
+  mean, and a unit's two numbers, its admission probability and its
+  chance of admission with one photon out, are read in closed form with
+  their slopes (:func:`~asmux.statistics.one_photon_terms`), so the
+  search builds no pmf rows.  A rescaled mean ``x / V_n`` grows along
+  the chain and is capped at the upper bound, so every capped cell
+  shares the values on the bound, which only this mode builds, and adds
+  no slope; only the other cells are evaluated, and the refinement of a
+  size reads only the arms of that size.  A root of the slope moves with
+  rounding by about eps |f'| / |f''|, so the optimum does not depend on
+  which sizes share a batch.
 
 Reported probabilities are evaluated once for all sizes together, from
 the units of each size only and with the series cutoff
 :func:`~asmux.statistics.output_distribution` uses for each profile
-(one cutoff search for all profiles), so every report re-evaluates to
-its ``best_p1``.
+(:func:`~asmux.statistics.series_cutoffs`, the one cutoff rule, on all
+profiles at once), so every report re-evaluates to its ``best_p1``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -176,30 +177,18 @@ def _grid_tables(
     return grid, pmf
 
 
-class _Arms(NamedTuple):
-    """One set of arms as the one-parameter modes read them.
-
-    The uniform mode reads the weight rows; the scaled-reference mode
-    reads the transmissions and the closed-form values on the bound.
-    """
-
-    v: np.ndarray  # transmissions
-    weights: np.ndarray  # one-photon weights, one row per arm
-    lifted: np.ndarray  # their slope weights, see _lift
-    capped: np.ndarray  # one-photon values at a mean on the upper bound
-
-
 class _Chain:
     """Arm weights of every requested size, on one series cutoff.
 
     ``through`` holds the one-photon weights of the arms 1..n_max-1 that
     pass a router's through port, ``last`` those of the last arm of each
-    size in ``sizes``; both already include the admission weights.  The
-    per-unit and uniform searches and every reported P1 read them.
-    ``through_arms`` and ``last_arms`` add what the one-parameter modes
-    need, and ``quiet_capped`` is the no-admission value at a mean on
-    the upper bound.  The scaled-reference search reads no weight row:
-    its values are closed forms (:meth:`terms`).
+    size in ``sizes``; both already include the admission weights ``w``.
+    The per-unit and uniform searches and every reported P1 read them.
+    Each one-parameter mode builds its own tables on first read: the
+    uniform mode the slope weights ``lifted``, the scaled-reference mode
+    the closed-form values on the upper bound, ``capped``.  The
+    scaled-reference search reads no weight row: its values are closed
+    forms (:meth:`terms`).
     """
 
     def __init__(
@@ -221,16 +210,22 @@ class _Chain:
         self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
         self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
         self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
-        self.w_lift = _lift(self.family, self.w)
+
+    @cached_property
+    def lifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_lift` of ``through``, ``last`` and ``w``, for the uniform slope."""
+        return tuple(_lift(self.family, a) for a in (self.through, self.last, self.w))
+
+    @cached_property
+    def capped(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Values at a mean on the upper bound, for the scaled-reference search.
+
+        The no-admission value, and the one-photon values of the through
+        arms and of the last arms.
+        """
         admit, t = self.terms(self.upper, np.concatenate([self.v_through, self.v_last]))
-        self.quiet_capped = 1.0 - float(admit[0, 0])
-        self.through_arms, self.last_arms = (
-            _Arms(v, weights, _lift(self.family, weights), capped)
-            for v, weights, capped in (
-                (self.v_through, self.through, t[0, : self.v_through.size]),
-                (self.v_last, self.last, t[0, self.v_through.size :]),
-            )
-        )
+        t_through, t_last = np.split(t[0], [self.v_through.size])
+        return 1.0 - float(admit[0, 0]), t_through, t_last
 
     def terms(self, lam: np.ndarray, v: np.ndarray, slope: bool = False):
         """:func:`~asmux.statistics.one_photon_terms` of this chain's units."""
@@ -345,24 +340,24 @@ def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
 def _capped_cells(
     chain: _Chain,
     x: np.ndarray,
-    arms: _Arms,
-    arm: np.ndarray,
+    v: np.ndarray,
+    capped: np.ndarray,
     live: np.ndarray | None = None,
     slope: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """No-admission and one-photon values of rescaled cells.
 
-    The cell at position ``j`` of the last axis is arm ``arm[j]`` of
-    ``arms`` at mean ``x / v`` (see :func:`_rescaled`).  Cells on the
-    bound share the values there; only the other ``live`` cells are
-    evaluated, in closed form
+    The cell at position ``j`` of the last axis is an arm that transmits
+    ``v[j]``, at mean ``x / v[j]`` (see :func:`_rescaled`); ``capped[j]``
+    is its one-photon value on the upper bound (see ``_Chain.capped``).
+    Cells on the bound share the values there; only the other ``live``
+    cells are evaluated, in closed form
     (:func:`~asmux.statistics.one_photon_terms`), so no cell needs a pmf
     row.  Cells that are not live get the capped values and must go
     unread.  Each result has a leading axis holding the values and, with
     ``slope``, their derivatives in ``x``: zero on the bound and on an
     arm that transmits nothing.
     """
-    v = arms.v[arm]
     lam = _rescaled(x, v, chain.upper)
     free = lam < chain.upper
     if live is not None:
@@ -372,8 +367,8 @@ def _capped_cells(
     admit, t_free = chain.terms(lam[cells], v, slope)
     quiet = np.zeros((1 + slope,) + lam.shape)
     t = np.zeros((1 + slope,) + lam.shape)
-    quiet[0] = chain.quiet_capped
-    t[0] = arms.capped[arm]
+    quiet[0] = chain.capped[0]
+    t[0] = capped
     quiet[0][cells] = 1.0 - admit[0]
     t[0][cells] = t_free[0]
     if slope:
@@ -423,10 +418,10 @@ def _scalar_p1_batch(
         rows, x, pick = np.arange(xs.size), xs, cols
     at = chain.sizes[pick] - 1
     if scaled:
-        arms = np.arange(n_through)
-        live = None if cols is None else arms < at[:, None]
-        quiet, t = _capped_cells(chain, xs[:, None], chain.through_arms, arms, live, slope)
-        _, t_last = _capped_cells(chain, x, chain.last_arms, pick, slope=slope)
+        _, capped, capped_last = chain.capped
+        live = None if cols is None else np.arange(n_through) < at[:, None]
+        quiet, t = _capped_cells(chain, xs[:, None], chain.v_through, capped, live, slope)
+        _, t_last = _capped_cells(chain, x, chain.v_last[pick], capped_last[pick], slope=slope)
     else:  # one mean for every unit, so one pmf row per scalar
         pmf = source_pmf(chain.family, xs, chain.l_max)
         lam = xs[:, None]
@@ -437,9 +432,10 @@ def _scalar_p1_batch(
                 return value[None]
             return np.stack([value, _slope(chain.family, lam, value, pmf @ lifted.T)])
 
-        t = values(chain.through_arms.weights, chain.through_arms.lifted)
-        t_last = values(chain.last_arms.weights, chain.last_arms.lifted)[:, rows, pick]
-        quiet = -values(chain.w[None], chain.w_lift[None])
+        through_lifted, last_lifted, w_lifted = chain.lifted
+        t = values(chain.through, through_lifted)
+        t_last = values(chain.last, last_lifted)[:, rows, pick]
+        quiet = -values(chain.w[None], w_lifted[None])
         quiet[0] += 1.0
         quiet = np.broadcast_to(quiet, t.shape)
     prefix = np.ones((xs.size, n_through + 1))
@@ -473,7 +469,8 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     Illinois step (an end kept twice in a row has its slope halved), and
     by bisection while the end that is not rising has a zero slope, as
     on the plateau where every rescaled mean is capped; the point is then
-    the linear root of the slope in the last bracket.  Returns the points
+    the linear root of the slope in the last bracket.  A secant step that
+    lands on a zero slope ends its interval there.  Returns the points
     and, for each, the value at the kept end or the larger one at the
     ends of the last bracket.
     """
@@ -487,8 +484,8 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     lo, hi, f_lo, f_hi, d_lo, d_hi = (a[lanes] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
     moved = np.zeros(lanes.size)  # +1 if the last step moved lo, -1 if hi
     while lanes.size:
-        secant = lo + (hi - lo) * d_lo / (d_lo - d_hi)
-        xs = np.where(d_hi < 0.0, secant, 0.5 * (lo + hi))
+        secant = d_hi < 0.0
+        xs = np.where(secant, lo + (hi - lo) * d_lo / (d_lo - d_hi), 0.5 * (lo + hi))
         xs = np.clip(xs, lo + 0.5 * xtol, hi - 0.5 * xtol)
         f, d = fdf(xs, lanes).T
         up = d > 0.0
@@ -497,12 +494,15 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
         lo, f_lo, d_lo = np.where(up, xs, lo), np.where(up, f, f_lo), np.where(up, d, d_lo)
         hi, f_hi, d_hi = np.where(up, hi, xs), np.where(up, f_hi, f), np.where(up, d_hi, d)
         moved = np.where(up, 1.0, -1.0)
-        done = hi - lo <= xtol
+        # a secant step onto a zero slope is the root: the hi end it
+        # replaced was falling, so the bracket holds no plateau
+        root = secant & (d == 0.0)
+        done = (hi - lo <= xtol) | root
         if done.any():
             end = lanes[done]
             # the slope's linear root: a smooth function of the bracket,
             # unlike a choice of end by value
-            x[end] = (lo + (hi - lo) * d_lo / (d_lo - d_hi))[done]
+            x[end] = np.where(root, xs, lo + (hi - lo) * d_lo / (d_lo - d_hi))[done]
             fx[end] = np.maximum(f_lo, f_hi)[done]
             keep = ~done
             lanes, moved = lanes[keep], moved[keep]

@@ -283,25 +283,24 @@ def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
     return terms[..., ::-1][..., : l_hi - l_lo + 1]
 
 
-def _poisson_cap_error(lam: float, trunc: TruncationPolicy) -> TruncationError:
-    return TruncationError(
-        f"Poisson tail at mean {float(lam)} stays above {trunc.tail_epsilon} "
-        f"up to the hard cap {trunc.l_hard_cap}"
-    )
-
-
 def _poisson_cutoffs(
     lams: np.ndarray, trunc: TruncationPolicy, lo: int = 0, hi: int = 64
 ) -> np.ndarray:
-    """Cutoffs of Poisson means in (0, cap), searched for all of them at once.
+    """Cutoffs of positive Poisson means, searched for all of them at once.
 
     The windows of cutoffs double in length, so the work follows the
     cutoffs found and not the cap.  Tails never grow with the cutoff, so
     a mean is done once the last tail of a window is within the bound;
-    the means still open search the next window.
+    the means still open search the next window.  A mean whose tail stays
+    above the bound up to the cap raises, and a mean at or above the cap
+    (a tail of about one half there) raises before any search.
     """
-    if lo > trunc.l_hard_cap:
-        raise _poisson_cap_error(lams.flat[0], trunc)
+    over = lams >= trunc.l_hard_cap
+    if lo > trunc.l_hard_cap or over.any():
+        raise TruncationError(
+            f"Poisson tail at mean {float(lams.flat[over.argmax()])} stays above "
+            f"{trunc.tail_epsilon} up to the hard cap {trunc.l_hard_cap}"
+        )
     hi = min(hi, trunc.l_hard_cap)
     tails = _poisson_tails(lams, lo, hi)
     cutoffs = lo + (tails <= trunc.tail_epsilon).argmax(axis=-1)
@@ -312,67 +311,53 @@ def _poisson_cutoffs(
     return cutoffs
 
 
-def required_lmax(
-    family: SourceFamily | str, lam_max: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> int:
-    """Smallest series cutoff whose source tail mass is below the policy bound."""
-    family = SourceFamily.coerce(family)
-    lam_max = float(lam_max)
-    if not math.isfinite(lam_max) or lam_max < 0.0:
-        raise ParameterError(f"mean photon number must be finite and >= 0, got {lam_max!r}")
-    if lam_max == 0.0:
-        return 0
-    if family is SourceFamily.POISSON:
-        # a cap at or below the mean leaves a tail of about one half
-        if lam_max >= trunc.l_hard_cap:
-            raise _poisson_cap_error(lam_max, trunc)
-        return int(_poisson_cutoffs(np.asarray(lam_max), trunc))
-    # the thermal tail beyond l is (lam / (1 + lam))^(l+1)
-    ratio = lam_max / (1.0 + lam_max)
-    if ratio < 1.0:
-        needed = max(math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1, 0)
-    else:  # the ratio rounds to one, and no cutoff bounds the tail
-        needed = math.inf
-    if needed > trunc.l_hard_cap:
-        raise TruncationError(
-            f"thermal tail at mean {lam_max} needs a cutoff of {needed}, "
-            f"beyond the hard cap {trunc.l_hard_cap}"
-        )
-    return needed
-
-
 def series_cutoffs(
     family: SourceFamily | str, lams, trunc: TruncationPolicy = DEFAULT_TRUNCATION
 ) -> np.ndarray:
-    """:func:`required_lmax` of every mean in ``lams``, as an integer array of its shape.
+    """Series cutoff of every mean in ``lams``, as an integer array of its shape.
 
-    Poisson means share one window search; thermal cutoffs are closed
-    form, computed as one array expression.  A mean that is not finite,
-    is negative or cannot be cut below the hard cap raises the error
-    :func:`required_lmax` raises for it.
+    This is the one cutoff rule (see :class:`TruncationPolicy`);
+    :func:`required_lmax` applies it to one mean.  Poisson means share
+    one window search; the thermal tail beyond l is (lam / (1 + lam))^(l+1),
+    so its cutoffs are one array expression.  A mean that is not finite
+    or is negative raises :class:`ParameterError`, and one that cannot be
+    cut within the hard cap raises :class:`TruncationError`.
     """
     family = SourceFamily.coerce(family)
     lams = np.asarray(lams, dtype=float)
-    cutoffs = np.zeros(lams.shape, dtype=np.int64)
     bad = ~np.isfinite(lams) | (lams < 0.0)
-    if family is SourceFamily.POISSON:
-        bad |= lams >= trunc.l_hard_cap
     if bad.any():
-        required_lmax(family, lams[bad].flat[0], trunc)  # raises
+        raise ParameterError(
+            f"mean photon number must be finite and >= 0, got {float(lams[bad].flat[0])!r}"
+        )
+    cutoffs = np.zeros(lams.shape, dtype=np.int64)
     pos = lams > 0.0
     if family is SourceFamily.POISSON:
         cutoffs[pos] = _poisson_cutoffs(lams[pos], trunc)
-    else:  # as required_lmax, with no cutoff where the ratio rounds to one
-        ratio = lams[pos] / (1.0 + lams[pos])
-        with np.errstate(divide="ignore"):
-            needed = np.where(
-                ratio < 1.0, np.ceil(math.log(trunc.tail_epsilon) / np.log(ratio)) - 1.0, np.inf
-            )
-        over = needed > trunc.l_hard_cap
-        if over.any():
-            required_lmax(family, lams[pos][over][0], trunc)  # raises
-        cutoffs[pos] = np.maximum(needed, 0.0)
+        return cutoffs
+    ratio = lams[pos] / (1.0 + lams[pos])
+    with np.errstate(divide="ignore"):  # a ratio that rounds to one has no cutoff
+        needed = np.where(
+            ratio < 1.0, np.ceil(math.log(trunc.tail_epsilon) / np.log(ratio)) - 1.0, np.inf
+        )
+    over = needed > trunc.l_hard_cap
+    if over.any():
+        raise TruncationError(
+            f"thermal tail at mean {float(lams[pos][over][0])} needs a cutoff of "
+            f"{needed[over][0]:.0f}, beyond the hard cap {trunc.l_hard_cap}"
+        )
+    cutoffs[pos] = np.maximum(needed, 0.0)
     return cutoffs
+
+
+def required_lmax(
+    family: SourceFamily | str, lam_max: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
+) -> int:
+    """Smallest series cutoff whose source tail mass is below the policy bound.
+
+    This is :func:`series_cutoffs` of one mean.
+    """
+    return int(series_cutoffs(family, float(lam_max), trunc))
 
 
 def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:

@@ -247,6 +247,42 @@ class TestWork:
         find_optimal_n(spec, SPD, n_ref=100, mode="uniform")
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize(
+        "mode,builds",
+        [("per-unit", set()), ("uniform", {"_lift"}), ("scaled-reference", {"one_photon_terms"})],
+        ids=["per-unit", "uniform", "scaled-reference"],
+    )
+    def test_each_mode_builds_only_the_tables_it_reads(self, monkeypatch, mode, builds):
+        # the uniform slope weights (_lift) and the scaled-reference closed
+        # forms (one_photon_terms) are built only by the mode that reads them
+        calls = {name: 0 for name in ("one_photon_terms", "_lift")}
+        for name in calls:
+            original = getattr(asmux.optimize, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(asmux.optimize, name, counting)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
+        optimize_sizes(spec, SPD, range(1, 31), mode=mode)
+        assert {name for name, count in calls.items() if count} == builds
+
+    def test_slope_root_ends_a_lane_at_an_exact_root(self, monkeypatch):
+        # a secant step of size 4 lands on a zero slope; bisecting that lane
+        # to xtol took 18 more single-lane calls (26 in all)
+        calls = []
+        scalar_p1 = asmux.optimize._scalar_p1
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scalar_p1(*args, **kwargs)
+
+        monkeypatch.setattr(asmux.optimize, "_scalar_p1", counting)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
+        find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
+        assert len(calls) <= 9
+
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("mode", list(OptimizationMode))

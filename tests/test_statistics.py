@@ -283,8 +283,35 @@ class TestNumpyKernels:
         assert run.stdout.strip() == "[]"
 
 
+def thermal_cutoff(lam, trunc=DEFAULT_TRUNCATION):
+    """The thermal cutoff rule written out for one mean, or None above the cap.
+
+    The tail beyond l is r^(l+1) with r = lam / (1 + lam); where r rounds
+    to one no cutoff bounds it.
+    """
+    if lam == 0.0:
+        return 0
+    ratio = lam / (1.0 + lam)
+    if ratio == 1.0:
+        return None
+    needed = max(math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1, 0)
+    return needed if needed <= trunc.l_hard_cap else None
+
+
+def poisson_cutoff(lam, trunc=DEFAULT_TRUNCATION):
+    """First l up to the cap whose tail P(X > l) = P(l + 1, lam) is within the bound, or None."""
+    if lam == 0.0:
+        return 0
+    tails = gammainc(np.arange(trunc.l_hard_cap + 1) + 1.0, lam)
+    within = np.flatnonzero(tails <= trunc.tail_epsilon)
+    return int(within[0]) if within.size else None
+
+
+_MEAN_ERROR = "mean photon number must be finite and >= 0, got "
+
+
 class TestSeriesCutoffs:
-    """The cutoff of many means in one call against one call per mean."""
+    """The cutoffs of many means in one call against the rule written out per mean."""
 
     POLICIES = (
         DEFAULT_TRUNCATION,
@@ -299,49 +326,76 @@ class TestSeriesCutoffs:
         lams = np.concatenate(
             ([0.0, 1e-14, 0.0], rng.uniform(0.0, 5.0, 40), np.geomspace(1e-6, 300.0, 60))
         )
-        expected = []
-        for lam in lams:  # the means the scalar search can cut
-            try:
-                expected.append((lam, required_lmax(family, lam, trunc)))
-            except TruncationError:
-                pass
-        means = np.array([lam for lam, _ in expected])
+        rule = poisson_cutoff if family == "poisson" else thermal_cutoff
+        expected = [(lam, rule(lam, trunc)) for lam in lams.tolist()]
+        cut = [(lam, l_max) for lam, l_max in expected if l_max is not None]
+        means = np.array([lam for lam, _ in cut])
         assert np.sum(means == 0.0) == 2 and means.size > 60
         cutoffs = series_cutoffs(family, means.reshape(-1, 1), trunc)
         assert cutoffs.shape == (means.size, 1)
-        assert cutoffs[:, 0].tolist() == [l_max for _, l_max in expected]
+        assert cutoffs[:, 0].tolist() == [l_max for _, l_max in cut]
+        assert [required_lmax(family, lam, trunc) for lam, _ in cut] == cutoffs[:, 0].tolist()
         assert series_cutoffs(family, np.array([]), trunc).shape == (0,)
+        for lam, l_max in expected:  # the means no cutoff within the cap bounds
+            if l_max is None:
+                with pytest.raises(TruncationError):
+                    series_cutoffs(family, np.array([0.5, lam]), trunc)
 
     def test_thermal_cutoffs_equal_scalar_cutoffs_on_many_means(self):
         # the thermal cutoffs are one array expression; each must round as
-        # the scalar rule does, from the smallest positive means up to 14
+        # the rule written with math does, from the smallest positive means up to 14
         rng = np.random.default_rng(11)
         lams = np.concatenate(
             (np.geomspace(1e-300, 14.0, 200_000), rng.uniform(0.0, 14.0, 200_000))
         )
-        expected = [required_lmax("thermal", lam) for lam in lams.tolist()]
+        expected = [thermal_cutoff(lam) for lam in lams.tolist()]
         cutoffs = series_cutoffs("thermal", lams)
         assert cutoffs.tolist() == expected
         assert max(expected) == DEFAULT_TRUNCATION.l_hard_cap
 
     @pytest.mark.parametrize(
-        "family,lam,trunc",
+        "family,lam,trunc,error,message",
         [
-            ("poisson", float("nan"), DEFAULT_TRUNCATION),
-            ("thermal", -0.5, DEFAULT_TRUNCATION),
-            ("poisson", float("inf"), DEFAULT_TRUNCATION),
-            ("poisson", 400.0, DEFAULT_TRUNCATION),  # at the cap
-            ("poisson", 45.0, TruncationPolicy(l_hard_cap=50)),  # tail above at the cap
-            ("thermal", 5.0, TruncationPolicy(l_hard_cap=50)),
-            ("thermal", 1e17, DEFAULT_TRUNCATION),  # lam / (1 + lam) rounds to one
+            pytest.param(
+                "poisson", float("nan"), DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "nan",
+                id="poisson-nan-trunc0",
+            ),
+            pytest.param(
+                "thermal", -0.5, DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "-0.5",
+                id="thermal--0.5-trunc1",
+            ),
+            pytest.param(
+                "poisson", float("inf"), DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "inf",
+                id="poisson-inf-trunc2",
+            ),
+            pytest.param(  # at the cap
+                "poisson", 400.0, DEFAULT_TRUNCATION, TruncationError,
+                "Poisson tail at mean 400.0 stays above 1e-12 up to the hard cap 400",
+                id="poisson-400.0-trunc3",
+            ),
+            pytest.param(  # tail above the bound at the cap
+                "poisson", 45.0, TruncationPolicy(l_hard_cap=50), TruncationError,
+                "Poisson tail at mean 45.0 stays above 1e-12 up to the hard cap 50",
+                id="poisson-45.0-trunc4",
+            ),
+            pytest.param(
+                "thermal", 5.0, TruncationPolicy(l_hard_cap=50), TruncationError,
+                "thermal tail at mean 5.0 needs a cutoff of 151, beyond the hard cap 50",
+                id="thermal-5.0-trunc5",
+            ),
+            pytest.param(  # lam / (1 + lam) rounds to one
+                "thermal", 1e17, DEFAULT_TRUNCATION, TruncationError,
+                "thermal tail at mean 1e+17 needs a cutoff of inf, beyond the hard cap 400",
+                id="thermal-1e+17-trunc6",
+            ),
         ],
     )
-    def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, trunc):
-        with pytest.raises((ParameterError, TruncationError)) as scalar:
+    def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, trunc, error, message):
+        with pytest.raises(error) as scalar:
             required_lmax(family, lam, trunc)
-        with pytest.raises(scalar.type) as array:
+        with pytest.raises(error) as array:
             series_cutoffs(family, np.array([0.0, 0.5, lam, 1.0]), trunc)
-        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == str(array.value) == message
 
 
 class TestDetectionStrategy:
