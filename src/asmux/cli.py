@@ -174,8 +174,10 @@ _SPEC = (
 _N = _Option("n", "--n", int, help="number of multiplexed units")
 _TRUNC = (
     _Option("tail_epsilon", "--tail-epsilon", float, 1e-12,
-            help="largest neglected tail mass of the pair-number series"),
-    _Option("l_hard_cap", "--l-hard-cap", int, 400, help="largest series cutoff"),
+            help="largest neglected tail mass of the search grids' pair-number series"),
+    _Option("l_hard_cap", "--l-hard-cap", int, 400,
+            help="largest series cutoff of the search grids; bounds mc-validate's "
+            "--max-count and pump means"),
 )
 _STRATEGY = _Option("strategy", "--strategy", _checked(DetectionStrategy.parse), "spd",
                     help="spd | thd | upto:J | set:a,b,...")

@@ -27,6 +27,7 @@ from .statistics import (
     TruncationPolicy,
     _validate_pump,
     output_distribution,
+    series_cutoffs,
 )
 
 __all__ = [
@@ -220,7 +221,14 @@ def compare_with_analytic(
     mc: McSettings = McSettings(),
     trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> McComparison:
-    """Pair the sampler with the model, run first so that a refused input costs no sampling."""
+    """Pair the sampler with the model, run first so that a refused input costs no sampling.
+
+    The sampler's work grows with the pair numbers it draws, so a pump
+    mean whose pair-number series ``trunc`` cannot cut is refused here
+    (:func:`~asmux.statistics.series_cutoffs` raises), as ``max_count``
+    is bounded by its cap.
+    """
+    series_cutoffs(spec.source, pump.as_array(), trunc)
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count, trunc=trunc)
     return McComparison(result=simulate(spec, pump, strategy, mc), analytic=dist.probs)
 

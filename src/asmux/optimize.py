@@ -35,11 +35,11 @@ every size.
   rounding by about eps |f'| / |f''|, so the optimum does not depend on
   which sizes share a batch.
 
-Reported probabilities are evaluated once for all sizes together, from
-the units of each size only and with the series cutoff
-:func:`~asmux.statistics.output_distribution` uses for each profile
-(:func:`~asmux.statistics.series_cutoffs`, the one cutoff rule, on all
-profiles at once), so every report re-evaluates to its ``best_p1``.
+Reported probabilities are evaluated once for all sizes together, in
+closed form from the units of each size only, as
+:func:`~asmux.statistics.output_distribution` evaluates them, so every
+report re-evaluates to its ``best_p1``.  Only the searches cut the
+pair-number series, at the cutoff of the upper bound.
 """
 from __future__ import annotations
 
@@ -58,12 +58,12 @@ from .statistics import (
     DetectionStrategy,
     PumpProfile,
     TruncationPolicy,
+    _chain_p1,
     _validate_pump,
     acceptance_weights,
     one_photon_terms,
     p1_profile_batch,
     required_lmax,
-    series_cutoffs,
     source_pmf,
     transmit_one_weights,
 )
@@ -183,7 +183,8 @@ class _Chain:
     ``through`` holds the one-photon weights of the arms 1..n_max-1 that
     pass a router's through port, ``last`` those of the last arm of each
     size in ``sizes``; both already include the admission weights ``w``.
-    The per-unit and uniform searches and every reported P1 read them.
+    The per-unit and uniform searches read them; the reported P1 reads
+    only the arm transmissions ``v_through`` and ``v_last``.
     Each one-parameter mode builds its own tables on first read: the
     uniform mode the slope weights ``lifted``, the scaled-reference mode
     the closed-form values on the upper bound, ``capped``.  The
@@ -542,44 +543,25 @@ def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
 # public optimizers
 # ----------------------------------------------------------------------
 
-def _reported_p1(chain: _Chain, lam: np.ndarray, trunc: TruncationPolicy) -> np.ndarray:
+def _reported_p1(chain: _Chain, lam: np.ndarray) -> np.ndarray:
     """P1 of each zero-padded profile (one row per size) at its size.
 
-    Each profile's pair-number series is cut where
-    :func:`~asmux.statistics.output_distribution` cuts it, so both agree
-    to rounding.  That cutoff never exceeds the chain's, whose weights
-    are elementwise in the pair number and so serve truncated.  Only the
-    units of each size get a pmf row; the padding never fires and
-    delivers nothing.
+    Closed forms over a (sizes, n_max) matrix of arm transmissions: the
+    through arms, then each size's last arm.  A padded unit has mean 0,
+    so it is never admitted and delivers nothing.  The values are those
+    :func:`~asmux.statistics.output_distribution` gives, with no series
+    cutoff.  Each row is evaluated on its own, so batches of rows bound
+    the memory.
     """
-    return _in_batches(
-        lam.shape[0],
-        # a pmf row and a gathered weight row per unit
-        2 * lam.shape[1] * (chain.l_max + 1),
-        lambda part: _reported_p1_batch(chain, lam, part, trunc),
-    )
 
+    def batch(part: slice) -> np.ndarray:
+        v = np.zeros(lam[part].shape)
+        v[:, :-1] = chain.v_through
+        v[np.arange(v.shape[0]), chain.sizes[part] - 1] = chain.v_last[part]
+        return _chain_p1(chain.family, chain.strategy, chain.v_d, lam[part], v)
 
-def _reported_p1_batch(
-    chain: _Chain, lam: np.ndarray, part: slice, trunc: TruncationPolicy
-) -> np.ndarray:
-    lam, sizes = lam[part], chain.sizes[part]
-    cutoffs = series_cutoffs(chain.family, lam.max(axis=1), trunc)
-    keep = int(cutoffs.max()) + 1
-    row, unit = np.nonzero(np.arange(lam.shape[1]) < sizes[:, None])
-    last = unit == sizes[row] - 1  # one per row, in row order
-    pmf = source_pmf(chain.family, lam[row, unit], keep - 1)  # (units, keep)
-    pmf *= np.arange(keep) <= cutoffs[row, None]
-    weights = np.empty(pmf.shape)
-    weights[~last] = chain.through[unit[~last], :keep]
-    weights[last] = chain.last[part, :keep]
-    t = np.zeros(lam.shape)
-    t[row, unit] = np.einsum("cl,cl->c", pmf, weights)
-    quiet = np.ones(lam.shape)
-    quiet[row, unit] = pmf @ (1.0 - chain.w[:keep])
-    prefix = np.ones(lam.shape)
-    np.cumprod(quiet[:, :-1], axis=1, out=prefix[:, 1:])
-    return np.einsum("sn,sn->s", prefix, t)
+    # about a dozen closed-form temporaries per unit
+    return _in_batches(lam.shape[0], 16 * lam.shape[1], batch)
 
 
 def optimize_sizes(
@@ -606,7 +588,7 @@ def optimize_sizes(
         lam = _per_unit_profiles(chain)
     else:
         lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
-    p1 = _reported_p1(chain, lam, trunc)
+    p1 = _reported_p1(chain, lam)
     reports = []
     for row, n, value in zip(lam, sizes.tolist(), p1.tolist()):
         profile = row[:n]
@@ -806,9 +788,8 @@ def stability_interval(
     the next doubling step of each, or for a bisecting edge every
     midpoint of its next _BISECT_DEPTH levels, of which it follows one
     path.  So each edge takes the decisions it would take walking alone,
-    one shift per call.  Shifts down only lower the means, and midpoints
-    lie inside brackets already tested, so only a doubling step up can
-    exceed the series cutoff cap, at the step where a lone walk would.
+    one shift per call.  P1 is a closed form at every shift, so no step
+    of either edge can fail.  ``trunc`` is not read.
     """
     _check_resolution(resolution)
     if math.isnan(baseline_p1):

@@ -5,9 +5,10 @@ generation in every unit (Poisson or thermal), photon-number-resolved
 heralding through a detector of efficiency ``v_d``, and binomial photon
 loss along the multiplexer arm of the unit that wins priority.  Priority
 goes to the accepted unit with the smallest index, i.e. the one with the
-smallest loss.  The output distribution composes these stages exactly,
-up to an explicit truncation of the pair-number series whose discarded
-mass is tracked analytically.
+smallest loss.  The evaluators compose these stages exactly, in closed
+form per unit, with no pair-number series.  The optimizers' search grids
+read pair-number pmf rows, cut where the source tail falls below a
+:class:`TruncationPolicy` bound.
 """
 from __future__ import annotations
 
@@ -34,11 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Finite cutoff rule for the (formally infinite) pair-number sums.
+    """Finite cutoff rule for the pair-number pmf rows of the search grids.
 
     The series over generated pairs is cut at the smallest count whose
     source tail mass falls below ``tail_epsilon``, and never beyond
-    ``l_hard_cap``.
+    ``l_hard_cap``.  The policy bounds only the searches' pmf series and
+    the Monte Carlo side (its ``max_count`` and the pump means it
+    samples); the evaluators have no series to cut.
     """
 
     tail_epsilon: float = 1e-12
@@ -86,9 +89,9 @@ class PumpProfile:
         return len(self.lambdas)
 
 
-# Largest accepted count.  No count above the series cutoff is ever
-# detected, so a larger one changes nothing, yet its set grows with it
-# (1.5 MB at this bound).
+# Largest accepted count.  Its set and coefficient tables grow with it
+# (1.5 MB at this bound), while the evaluators' series stop where the
+# detected-count mass falls below double precision.
 MAX_ACCEPTED_COUNT = 10_000
 
 
@@ -194,10 +197,8 @@ class DetectionStrategy:
 class OutputDistribution:
     """Probabilities of 0, 1, ..., ``len(probs) - 1`` photons at the multiplexer output.
 
-    ``truncation_mass`` is everything not covered by ``probs``: the
-    probability of more output photons plus the pair-number series tail
-    dropped by the truncation policy.  Each ``probs[i]`` is a lower bound
-    on the exact probability.
+    ``truncation_mass`` is the probability of more output photons, so
+    ``probs.sum() + truncation_mass`` is one up to rounding.
     """
 
     probs: np.ndarray
@@ -211,7 +212,7 @@ def _log_factorials(n: int) -> np.ndarray:
     """Read-only ``log(k!)`` for k = 0..n, from a table grown on demand.
 
     The table grows to at most twice the largest count asked for, so its
-    size follows the series cutoffs in use.
+    size follows the counts in use.
     """
     global _log_factorial_table
     table = _log_factorial_table
@@ -388,18 +389,6 @@ def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.n
     return rows.reshape(shape + (l_max + 1,))
 
 
-def source_tail(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
-    """Exact source mass beyond the cutoff, per mean in ``lams``."""
-    family = SourceFamily.coerce(family)
-    lams = np.asarray(lams, dtype=float)
-    if family is SourceFamily.POISSON:
-        with np.errstate(divide="ignore"):  # a zero mean has log -inf and no tail
-            return _poisson_tails(lams, l_max, l_max)[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (lams / (1.0 + lams)) ** (l_max + 1)
-    return np.where(lams > 0.0, out, 0.0)
-
-
 @lru_cache(maxsize=256)
 def _acceptance_weights_cached(
     strategy: DetectionStrategy, v_d: float, l_max: int
@@ -438,26 +427,41 @@ def transmit_one_weights(v: np.ndarray, l_max: int) -> np.ndarray:
     return ls[None, :] * v[:, None] * (1.0 - v[:, None]) ** expo[None, :]
 
 
-# Counts below this bound sum their Poisson terms x^i / i! by Horner on the
-# coefficients 1/i!; 1/171! is below the float range.
+# Shorter coefficient lists are summed by Horner; for Poisson terms on the
+# coefficients c_i / i!, and 1/171! is below the float range.
 _HORNER_COUNTS = 150
 # e^-x is a normal float below this x
 _EXP_NORMAL = 700.0
+# A term whose remaining series is within this fraction of the running sum
+# is below half an ulp of it, and so is every term after it.
+_NEGLIGIBLE = 2.0**-56
 
 
 class _Series(NamedTuple):
-    """``e^-x Σ_i c_i x^i / i!`` for coefficients ``c_i >= 0``; see :func:`_poisson_series`."""
+    """``Σ_i c_i w_i(x)`` for coefficients ``0 <= c_i <= 1``; see :func:`_series_sum`.
+
+    ``shape`` 0 weighs count i by the Poisson term e^-x x^i / i!; a shape
+    k >= 1 by (i + 1) ... (i + k - 1) x^i, the negative binomial term of
+    shape k without its factor (1 - x)^k / (k - 1)!.
+    """
 
     coef: tuple[float, ...]  # c_i, trailing zeros dropped
-    horner: tuple[float, ...] | None  # c_i / i!, when every i < _HORNER_COUNTS
+    shape: int
+    horner: tuple[float, ...] | None  # c_i w_i(x) / x^i, for short lists
 
 
-def _series(c: np.ndarray) -> _Series:
+def _series(c: np.ndarray, shape: int = 0) -> _Series:
     coef = tuple(np.trim_zeros(c, "b").tolist()) or (0.0,)
     horner = None
     if len(coef) <= _HORNER_COUNTS:
-        horner = tuple(c_i / math.factorial(i) for i, c_i in enumerate(coef))
-    return _Series(coef, horner)
+        if shape == 0:
+            horner = tuple(c_i / math.factorial(i) for i, c_i in enumerate(coef))
+        else:
+            weights = np.ones(len(coef))
+            for j in range(1, shape):
+                weights *= np.arange(j, j + len(coef))
+            horner = tuple((weights * coef).tolist())
+    return _Series(coef, shape, horner)
 
 
 def _horner(coefs: tuple[float, ...], x: np.ndarray):
@@ -474,60 +478,103 @@ def _horner(coefs: tuple[float, ...], x: np.ndarray):
     return out
 
 
-def _poisson_series(s: _Series, x: np.ndarray, decay: np.ndarray | None) -> np.ndarray:
-    """``e^-x Σ_i c_i x^i / i!`` at every ``x >= 0``, as a new array.
+def _weighted_sum(coef, count: int, term: np.ndarray, ratio) -> np.ndarray:
+    """``Σ_n coef(n) w_n`` over n < ``count``, as a new array.
 
-    ``decay`` is e^-x, or None where that leaves the normal float range
-    somewhere.  Every term is positive, so Horner's relative rounding
-    error stays within a few ulps per term.  Past the Horner range each
-    Poisson term is the last one times x / i, from e^-x, so none leaves
-    the float range.  Without ``decay`` each term is taken from its
-    logarithm, to a relative error of about x ulps.
+    The weights are positive: w_0 = ``term``, and w_n = w_{n-1} ratio(n)
+    with ratio(n) nonincreasing in n.  Each ``coef(n)`` lies in [0, 1]
+    and broadcasts against the weights.  The sum stops once, in every
+    cell, the weights left are bounded by a geometric series within
+    ``_NEGLIGIBLE`` of the sum so far (or have underflowed): each of them
+    would then leave the sum unchanged, so the result does not depend on
+    the cells beside it, and the work follows the mass of the weights,
+    not ``count``.
     """
-    if decay is None:
-        out = s.coef[0] * np.exp(-x)
-        with np.errstate(divide="ignore"):  # x = 0 leaves the constant term
-            log_x = np.log(x)
-        for i, c in enumerate(s.coef[1:], 1):
-            if c:
-                out += np.exp(i * log_x + (math.log(c) - math.lgamma(i + 1.0) - x))
+    term = np.array(term, dtype=float)
+    out = coef(0) * term
+    for n in range(1, count):
+        term *= ratio(n)
+        c = coef(n)
+        if np.ndim(c) or c:
+            out += c * term
+        if n % 8 == 0:
+            rho = ratio(n + 1)
+            if np.all((term == 0.0) | (term * rho <= _NEGLIGIBLE * (1.0 - rho) * out)):
+                break
+    return out
+
+
+def _series_sum(s: _Series, x: np.ndarray) -> np.ndarray:
+    """The series ``s`` at every ``x`` in [0, 1) (shape k) or >= 0 (Poisson).
+
+    Returns a new array of the shape of ``x``, or for a one-term thermal
+    series a constant float.
+
+    Short series go by Horner; every term is positive, so its relative
+    rounding error stays within a few ulps per term.  Longer ones sum
+    their terms forward, each the last times x / i (Poisson) or
+    x (i + k - 1) / i, and stop with the mass of the terms
+    (:func:`_weighted_sum`).  A Poisson cell whose e^-x leaves the normal
+    float range takes each term from its logarithm, to a relative error
+    of about x ulps.
+    """
+    if s.shape:
+        if s.horner is not None:
+            return _horner(s.horner, x)
+        k = s.shape
+        return _weighted_sum(
+            s.coef.__getitem__, len(s.coef), np.full(np.shape(x), float(math.factorial(k - 1))),
+            lambda i: x * ((i + k - 1) / i),
+        )
+    far = x >= _EXP_NORMAL
+    if far.any():
+        out = np.empty(x.shape)
+        out[~far] = _series_sum(s, x[~far])
+        out[far] = _poisson_series_far(s, x[far])
         return out
+    decay = np.exp(-x)
     if s.horner is not None:
         return _horner(s.horner, x) * decay
-    term = decay.copy()
-    out = s.coef[0] * term
+    return _weighted_sum(s.coef.__getitem__, len(s.coef), decay, lambda i: x / i)
+
+
+def _poisson_series_far(s: _Series, x: np.ndarray) -> np.ndarray:
+    """The Poisson series at means whose e^-x is not a normal float, term by term from logarithms."""
+    out = s.coef[0] * np.exp(-x)
+    log_x = np.log(x)
     for i, c in enumerate(s.coef[1:], 1):
-        term *= x
-        term /= i
+        log_term = i * log_x - (math.lgamma(i + 1.0) + x)
         if c:
-            out += c * term
+            out += np.exp(log_term + math.log(c))
+        if i % 8 == 0:
+            rho = x / (i + 1)
+            if np.all((rho < 1.0) & (np.exp(log_term) * rho <= _NEGLIGIBLE * (1.0 - rho) * out)):
+                break
     return out
 
 
 @lru_cache(maxsize=64)
 def _count_polynomials(
-    family: SourceFamily, strategy: DetectionStrategy, v_d: float, l_max: int
-) -> tuple:
-    """The four polynomials :func:`one_photon_terms` reads for a count set A.
+    family: SourceFamily, strategy: DetectionStrategy, v_d: float, l_max: int | None
+) -> tuple[_Series, ...]:
+    """The four series :func:`one_photon_terms` reads for a count set A.
 
     With a_i = [i in A], e_i = v_d a_{i+1} + (1 - v_d) a_i is the chance
     that i pairs with a detected idler and a lost signal, plus the one
     pair whose signal is kept, leave a detected count in A.  Returned:
-    the Poisson series of e_i, e_{i+1}, a_i and a_{i+1}, or the thermal
-    Horner coefficients (i + 1) e_i, (i + 1)(i + 2) e_{i+1}, a_i and
-    (i + 1) a_{i+1}.
+    the series of e_i, e_{i+1}, a_i and a_{i+1}; Poisson, or for a
+    thermal source of shapes 2, 3, 1 and 2.  ``l_max`` drops the counts
+    above it, as :func:`acceptance_weights` does; None keeps every count.
     """
-    # a count above l_max is never detected in the cut series, see acceptance_weights
-    members = [j for j in strategy.accepted if j <= l_max]
+    members = [j for j in strategy.accepted if l_max is None or j <= l_max]
     admit = np.zeros(max(members, default=0) + 2)
     admit[members] = 1.0
     pair = (1.0 - v_d) * admit
     pair[:-1] += v_d * admit[1:]
+    coefs = (pair, pair[1:], admit, admit[1:])
     if family is SourceFamily.POISSON:
-        return tuple(map(_series, (pair, pair[1:], admit, admit[1:])))
-    i = np.arange(1.0, admit.size + 1)
-    polys = (i * pair, i[:-1] * i[1:] * pair[1:], admit, i[:-1] * admit[1:])
-    return tuple(tuple(np.trim_zeros(p, "b").tolist()) or (0.0,) for p in polys)
+        return tuple(map(_series, coefs))
+    return tuple(map(_series, coefs, (2, 3, 1, 2)))
 
 
 def one_photon_terms(
@@ -536,7 +583,7 @@ def one_photon_terms(
     v_d: float,
     lam,
     v,
-    l_max: int,
+    l_max: int | None = None,
     slope: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Admission probability and one-photon probability of a unit, in closed form.
@@ -544,17 +591,19 @@ def one_photon_terms(
     For a unit at mean ``lam >= 0`` whose arm transmits ``v``, with J the
     detected idler count and K the number of signal photons that survive
     the arm, returns P(J ∈ A) and t = P(J ∈ A, K = 1), broadcast over
-    ``lam`` and ``v``.  A is the accepted count set cut at ``l_max``, as
-    :func:`acceptance_weights` cuts it; threshold detection accepts every
-    count >= 1.  Each result has a leading axis holding the values and,
-    with ``slope``, their derivatives in ``lam``.
+    ``lam`` and ``v``.  A is the accepted count set; ``l_max`` cuts it
+    there, as :func:`acceptance_weights` cuts it for the search grids,
+    and None keeps every count.  Threshold detection accepts every count
+    >= 1.  Each result has a leading axis holding the values and, with
+    ``slope``, their derivatives in ``lam``.  Every cell is evaluated on
+    its own, so a value does not depend on the cells beside it.
 
     Each pair falls in one of four classes: idler detected or not, signal
     kept or not.  The class counts are independent Poissons for a Poisson
     source and negative-multinomial for a thermal one, so each value is a
-    prefactor times a polynomial over the accepted counts.  There is no
-    series cutoff: the values differ from the cut-series sums by at most
-    the dropped tail.
+    prefactor times a series over the accepted counts, summed until its
+    terms fall below double precision.  There is no pair-number series
+    and no cutoff on it.
     """
     family = SourceFamily.coerce(family)
     lam, v = np.asarray(lam, dtype=float), np.asarray(v, dtype=float)
@@ -575,18 +624,13 @@ def one_photon_terms(
                 admit[1] = v_d * np.exp(-m)
                 t[1] = v * kept * ((1.0 - lv) * h + (1.0 - v_d) * mu * np.exp(-mu))
             return admit, t
-        pair, pair_up, accept, accept_up = _count_polynomials(
-            family, strategy, float(v_d), int(l_max)
-        )
-        normal = lam.max(initial=0.0) < _EXP_NORMAL
-        decay_m = np.exp(-m) if normal else None
-        decay_mu = np.exp(-mu) if normal else None
-        admit[0] = _poisson_series(accept, m, decay_m)
-        s = _poisson_series(pair, mu, decay_mu)
+        pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d), l_max)
+        admit[0] = _series_sum(accept, m)
+        s = _series_sum(pair, mu)
         t[0] = lv * kept * s
         if slope:
-            admit[1] = v_d * (_poisson_series(accept_up, m, decay_m) - admit[0])
-            s_up = _poisson_series(pair_up, mu, decay_mu)
+            admit[1] = v_d * (_series_sum(accept_up, m) - admit[0])
+            s_up = _series_sum(pair_up, mu)
             t[1] = v * kept * ((1.0 - lv - mu) * s + mu * s_up)
         return admit, t
     # thermal: c = 1 + lam (v + k), one plus the mean number of pairs
@@ -607,17 +651,15 @@ def one_photon_terms(
             du = 2.0 * (1.0 - r) * k * g * g
             t[1] = v * d * d * ((1.0 - lv) * d * h + lam * (1.0 - v_d) * du)
         return admit, t
-    pair, pair_up, accept, accept_up = _count_polynomials(
-        family, strategy, float(v_d), int(l_max)
-    )
-    p_accept = _horner(accept, rho)
-    q = _horner(pair, r)
+    pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d), l_max)
+    p_accept = _series_sum(accept, rho)
+    q = _series_sum(pair, r)
     admit[0] = g_m * p_accept
     t[0] = lv * g * g * q
     if slope:
-        admit[1] = v_d * g_m * g_m * (g_m * _horner(accept_up, rho) - p_accept)
+        admit[1] = v_d * g_m * g_m * (g_m * _series_sum(accept_up, rho) - p_accept)
         # d/dlam of lam v q(r) / c^2, with dr/dlam = k / c^2
-        t[1] = v * g * g * ((2.0 * g - 1.0) * q + mu * g * g * _horner(pair_up, r))
+        t[1] = v * g * g * ((2.0 * g - 1.0) * q + mu * g * g * _series_sum(pair_up, r))
     return admit, t
 
 
@@ -629,6 +671,110 @@ def _validate_pump(spec: MultiplexerSpec, pump: PumpProfile) -> np.ndarray:
     return pump.as_array()
 
 
+def _kept_counts(family: SourceFamily, kappa: np.ndarray, end: int) -> np.ndarray:
+    """P(K = i) for i = 0..end at each mean ``kappa`` of kept signals; adds a trailing axis.
+
+    Thinning keeps the family: K is Poisson for a Poisson source and
+    geometric for a thermal one.
+    """
+    i = np.arange(end + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero mean is masked below
+        if family is SourceFamily.POISSON:
+            logs = np.multiply.outer(np.log(kappa), i) - kappa[:, None] - _log_factorials(end)
+        else:
+            log1p = np.log1p(kappa)[:, None]
+            logs = (np.log(kappa)[:, None] - log1p) * i - log1p
+    p = np.exp(logs)
+    p[kappa == 0.0] = i == 0.0
+    return p
+
+
+def _admitted_counts(
+    family: SourceFamily,
+    strategy: DetectionStrategy,
+    v_d: float,
+    lam: np.ndarray,
+    v: np.ndarray,
+    admit: np.ndarray,
+    i_max: int,
+) -> np.ndarray:
+    """P(J ∈ A, K = i) of each unit for i = 0..end, a (units, end + 1) table.
+
+    Given K = i kept signals, S ~ Bin(i, v_d) of them have their idler
+    detected, and independently N₂ pairs have a detected idler and a lost
+    signal: Poisson at mean mu = lam v_d (1 - v), or for a thermal source
+    negative binomial of shape i + 1 and ratio r = mu / (1 + lam v + mu).
+    So P(J ∈ A, K = i) = P(K = i) Σ_n P(N₂ = n | K = i) P(S + n ∈ A);
+    threshold detection takes P(J = 0 | K = i) = (1 - v_d)^i P(N₂ = 0 | K = i)
+    in positive terms.
+
+    ``end`` grows until, for every unit, what the table leaves out is
+    within 2^-54 of its mass beyond ``i_max``, or while ``end`` is not
+    beyond ``i_max``, of its admission probability ``admit``.  It leaves
+    out at most P(K > end) P(Bin(end + 1, v_d) <= max A), and at most
+    ``admit``.
+    """
+    kappa = lam * v  # mean kept signals
+    mu = lam * v_d * (1.0 - v)
+    r = mu / (1.0 + kappa + mu)
+    if not strategy.is_threshold:
+        top = max(strategy.accepted)
+        members = np.fromiter(strategy.accepted, dtype=np.int64)
+    k_max = float(kappa.max())
+    if family is SourceFamily.POISSON:
+        span = k_max + 8.0 * math.sqrt(k_max) + 24.0
+    else:  # about 2^-54 of the geometric tail
+        span = 38.0 / math.log1p(1.0 / k_max) + 8.0 if k_max > 0.0 else 8.0
+    end = min(i_max, 16) + int(span)
+    while True:
+        i = np.arange(end + 1)
+        p_kept = _kept_counts(family, kappa, end + 1)
+        if strategy.is_threshold:
+            with np.errstate(divide="ignore", invalid="ignore"):  # v_d = 1 detects them all
+                missed = np.where(i > 0, i * np.log1p(-v_d), 0.0)
+            if family is SourceFamily.POISSON:
+                none_lost = -mu[:, None]
+            else:
+                none_lost = (i + 1.0) * np.log1p(-r)[:, None]
+            table = -np.expm1(missed + none_lost)
+        else:
+            width = min(end + 1, top)
+            detected = _binom_pmf(np.arange(width + 1), np.arange(end + 2)[:, None], v_d)
+            accepted = np.zeros(top + width + 1)
+            accepted[members] = 1.0
+
+            def in_set(n):  # P(S + n ∈ A | K = i) for every i
+                return detected[:-1] @ accepted[n : n + width + 1]
+
+            if family is SourceFamily.POISSON:
+                mu_col = mu[:, None]
+                table = _weighted_sum(in_set, top + 1, np.exp(-mu_col), lambda n: mu_col / n)
+            else:
+                r_col = r[:, None]
+                table = _weighted_sum(
+                    in_set, top + 1, np.exp((i + 1.0) * np.log1p(-r_col)),
+                    lambda n: r_col * ((n + i) / n),
+                )
+        table *= p_kept[:, :-1]
+
+        # P(K > end), from P(K = end + 1): a geometric tail, or for a
+        # Poisson one a ratio bound past the mean
+        if family is SourceFamily.POISSON:
+            ahead = end + 2.0 - kappa
+            left = np.divide(
+                p_kept[:, -1] * (end + 2.0), ahead, out=np.ones(kappa.shape), where=ahead > 0.0
+            )
+        else:
+            left = p_kept[:, -1] * (1.0 + kappa)
+        if not strategy.is_threshold and top <= end:
+            left *= detected[-1].sum()
+        left = np.minimum(left, admit)
+        scale = table[:, i_max + 1 :].sum(axis=1) if end > i_max else admit
+        if np.all(left <= 2.0**-54 * scale):
+            return table
+        end *= 2
+
+
 def output_distribution(
     spec: MultiplexerSpec,
     pump: PumpProfile,
@@ -638,61 +784,41 @@ def output_distribution(
 ) -> OutputDistribution:
     """Exact output photon-number distribution of the multiplexed source.
 
-    Composes, per unit, the admission probability with the joint
-    probability of the generated pair number and the surviving photon
-    count on that unit's arm, weighting unit ``n`` by the probability
-    that no lower-index unit was admitted.  The no-admission event
-    contributes to zero output photons only.
+    Unit ``n`` is admitted when its detected idler count J_n is accepted;
+    it then delivers the K_n signal photons that survive its arm, unless
+    a lower-index unit was admitted.  So P(i photons) is
+    Σ_n Π_{m<n} (1 - P(J_m ∈ A)) P(J_n ∈ A, K_n = i), and the
+    no-admission event adds to zero photons only.  Every unit term is a
+    closed form (:func:`one_photon_terms` for admission and one photon,
+    :func:`_admitted_counts` for every count), with no pair-number series.
 
-    Probabilities for 0..i_max output photons are returned together with
-    the analytically tracked remainder (more than ``i_max`` photons plus
-    the series tail), so the total always completes to one.
+    Probabilities for 0..i_max output photons are returned with the
+    probability of more than ``i_max``, summed from positive terms until
+    they fall below double precision.  The work and memory follow the
+    probability mass, not ``i_max``.  ``trunc`` is not read.
     """
     i_max = int(i_max)
     if i_max < 1:
         raise ParameterError(f"i_max must be >= 1, got {i_max}")
     lam = _validate_pump(spec, pump)
-
-    l_max = required_lmax(spec.source, float(lam.max()), trunc)
-    w = acceptance_weights(strategy, spec.v_d, l_max)
-    pmf = source_pmf(spec.source, lam, l_max)  # (N, L+1)
-    tails = source_tail(spec.source, lam, l_max)  # (N,)
     v = transmission_vector(spec)
-
-    # no-admission probability inside the cut series; 1 - pmf @ w would
-    # also count the dropped tail, which truncation_mass already holds
-    no_fire = pmf @ (1.0 - w)
-    prefix = np.concatenate(([1.0], np.cumprod(no_fire)[:-1]))
-
-    # no output count exceeds the series cutoff, so the counts above it
-    # are zeros and the cube stops there
-    top = min(i_max, l_max)
-    ls = np.arange(l_max + 1)
-    counts = np.arange(top + 1)
-    trans = _binom_pmf(
-        counts[:, None, None], ls[None, None, :], v[None, :, None]
-    )  # (top+1, N, L+1)
-    contrib = np.einsum("inl,nl,l->in", trans, pmf, w)
-
+    admit, t = one_photon_terms(spec.source, strategy, spec.v_d, lam, v)
+    quiet = 1.0 - admit[0]
+    prefix = np.ones(lam.size)
+    np.cumprod(quiet[:-1], out=prefix[1:])
+    counts = _admitted_counts(spec.source, strategy, spec.v_d, lam, v, admit[0], i_max)
+    counts[:, 1] = t[0]  # the same closed form p1_profile_batch reads
+    top = min(i_max, counts.shape[1] - 1)
     probs = np.zeros(i_max + 1)
-    probs[: top + 1] = contrib @ prefix
-    probs[0] += float(np.prod(no_fire))
-
-    exceed = 0.0  # more than i_max photons; none when i_max >= l_max
-    if i_max < l_max:
-        # more than i_max of l photons survive exactly when the (i_max+1)-th
-        # survivor is photon m for some m <= l: P = sum_m v * pmf(i_max; m-1, v),
-        # a sum of positive terms (no 1 - cdf) that needs no (k, N, L+1) cube
-        overflow = np.zeros((len(v), l_max + 1))  # (N, L+1)
-        overflow[:, 1:] = v[:, None] * np.cumsum(trans[i_max, :, :-1], axis=-1)
-        exceed = prefix @ np.einsum("nl,nl,l->n", overflow, pmf, w)
-    truncation_mass = float(exceed + prefix @ tails)
+    probs[: top + 1] = prefix @ counts[:, : top + 1]
+    probs[0] += float(np.prod(quiet))
+    truncation_mass = float(prefix @ counts[:, i_max + 1 :].sum(axis=1))
 
     total = float(probs.sum()) + truncation_mass
     if abs(total - 1.0) > 1e-8:
         raise TruncationError(
             f"distribution accounting is off by {total - 1.0:.3e}; "
-            "tighten the truncation policy"
+            "a pump mean this bright leaves the float range"
         )
     return OutputDistribution(probs=probs, truncation_mass=truncation_mass)
 
@@ -707,18 +833,19 @@ def single_photon_prob(
     return float(output_distribution(spec, pump, strategy, trunc=trunc).probs[1])
 
 
-# an interval's walk meets a few cutoffs; the tables are (N, L+1) each
-@lru_cache(maxsize=16)
-def _one_photon_weights(
-    spec: MultiplexerSpec, strategy: DetectionStrategy, l_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per arm and pair number, the chance of admission with exactly one photon out,
-    and the chance of no admission; cached and read-only."""
-    w = acceptance_weights(strategy, spec.v_d, l_max)
-    lf = transmit_one_weights(transmission_vector(spec), l_max) * w[None, :]  # (N, L+1)
-    quiet = 1.0 - w
-    lf.flags.writeable = quiet.flags.writeable = False
-    return lf, quiet
+def _chain_p1(
+    family: SourceFamily, strategy: DetectionStrategy, v_d: float, lam: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """P1 = Σ_n Π_{m<n} (1 - P(J_m ∈ A)) P(J_n ∈ A, K_n = 1) along the last axis.
+
+    Unit ``n`` of each profile in ``lam`` has arm transmission ``v[..., n]``;
+    a unit at mean 0 is never admitted and delivers nothing.
+    """
+    admit, t = one_photon_terms(family, strategy, v_d, lam, v)
+    quiet = 1.0 - admit[0]
+    prefix = np.ones(quiet.shape)
+    np.cumprod(quiet[..., :-1], axis=-1, out=prefix[..., 1:])
+    return np.einsum("...n,...n->...", prefix, t[0])
 
 
 def p1_profile_batch(
@@ -730,10 +857,10 @@ def p1_profile_batch(
     """Single-photon probability for a batch of pump profiles.
 
     ``lam_matrix`` holds one profile per row (last axis = unit index).
-    It evaluates only the one-photon component.  Each row's pair-number
-    series is cut at that row's own cutoff (one cutoff search for the
-    batch), so a row's value does not depend on the rows beside it, up
-    to rounding; the stability interval batches its walk with it.
+    It evaluates only the one-photon component, in closed form
+    (:func:`_chain_p1`), so each row's value does not depend on the rows
+    beside it; the stability interval batches its walk with it.
+    ``trunc`` is not read.
     """
     lam = np.asarray(lam_matrix, dtype=float)
     if lam.shape[-1] != spec.n_units:
@@ -742,22 +869,7 @@ def p1_profile_batch(
         )
     if lam.size == 0:
         return np.zeros(lam.shape[:-1])
-    row_max = lam.max(axis=-1)
     # a NaN fails both tests, as it propagates through min and max
-    if not (lam.min() >= 0.0 and np.isfinite(row_max).all()):
+    if not (lam.min() >= 0.0 and np.isfinite(lam.max())):
         raise ParameterError("input mean photon numbers must be finite and >= 0")
-
-    cutoffs = series_cutoffs(spec.source, row_max, trunc)
-    l_max = int(cutoffs.max())
-    lf, quiet = _one_photon_weights(spec, strategy, l_max)
-
-    pmf = source_pmf(spec.source, lam, l_max)  # (..., N, L+1)
-    if cutoffs.min() < l_max:
-        pmf *= np.arange(l_max + 1) <= cutoffs[..., None, None]
-    no_fire = pmf @ quiet  # (..., N), inside the cut series
-    t_one = np.einsum("...nl,nl->...n", pmf, lf)
-    cum = np.cumprod(no_fire, axis=-1)
-    prefix = np.concatenate(
-        [np.ones(no_fire.shape[:-1] + (1,)), cum[..., :-1]], axis=-1
-    )
-    return np.einsum("...n,...n->...", prefix, t_one)
+    return _chain_p1(spec.source, strategy, spec.v_d, lam, transmission_vector(spec))

@@ -104,11 +104,16 @@ class TestEval:
         assert abs(sum(float(line.split()[1]) for line in out.splitlines()) - 1.0) <= 1e-12
 
     def test_truncation_failure_is_domain_error(self, capsys):
-        code, _, err = run(
-            capsys, "eval", "--n", "1", "--v-r", "0.9", "--v-b", "0.9",
-            "--v-d", "0.9", "--source", "thermal", "--lambda", "5.0",
-            "--l-hard-cap", "50",
+        # the cap bounds the search grids' series: eval of a mean whose
+        # series it cannot cut succeeds, and a search up to that mean fails
+        common = (
+            "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--source", "thermal", "--l-hard-cap", "50",
         )
+        code, out, _ = run(capsys, "eval", *common, "--lambda", "5.0")
+        assert code == 0
+        assert abs(sum(float(line.split()[1]) for line in out.splitlines()) - 1.0) <= 1e-13
+        code, _, err = run(capsys, "optimize", *common, "--lambda-upper", "5.0")
         assert code == 3
         assert "tail" in err
 

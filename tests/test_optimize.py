@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asmux.optimize
-from asmux.exceptions import ParameterError, TruncationError
+import asmux.statistics
+from asmux.exceptions import ParameterError
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import (
     OptimizationMode,
@@ -206,32 +207,47 @@ class TestDpOptimality:
 
 
 class TestWork:
-    def test_scaled_reference_builds_pmf_rows_only_in_the_reported_pass(self, monkeypatch):
-        # The one-parameter search at n_ref = 100 and (v_r, v_d, v_b) =
-        # (0.9, 0.85, 0.8) reads closed forms (one_photon_terms) at every
-        # grid scalar and slope root step.  Only the reported pass builds
-        # pair-number pmf rows: at most one 28-term row per unit of each
-        # size, 5050 * 28 = 141,400 entries.
-        reporting, entries = [], []
-        report_batch = asmux.optimize._reported_p1_batch
+    def test_no_evaluator_builds_a_pmf_row(self, monkeypatch):
+        # p1_profile_batch, the reported pass and output_distribution are
+        # closed forms; only the per-unit and uniform search grids build
+        # pair-number pmf rows, and the scaled-reference search builds none
+        evaluating, searched = [], []
 
-        def counting_pmf(family, lams, l_max):
-            assert reporting, "a pmf row outside the reported pass"
-            entries.append(np.size(lams) * (l_max + 1))
+        def guarded_pmf(family, lams, l_max):
+            assert not evaluating, "a pmf row inside an evaluator"
+            searched.append(np.size(lams))
             return source_pmf(family, lams, l_max)
 
-        def reported_p1_batch(*args):
-            reporting.append(True)
-            try:
-                return report_batch(*args)
-            finally:
-                reporting.pop()
+        def evaluator(fn):
+            def guarded(*args, **kwargs):
+                evaluating.append(True)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    evaluating.pop()
+            return guarded
 
-        monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
-        monkeypatch.setattr(asmux.optimize, "_reported_p1_batch", reported_p1_batch)
+        monkeypatch.setattr(asmux.statistics, "source_pmf", guarded_pmf)
+        monkeypatch.setattr(asmux.optimize, "source_pmf", guarded_pmf)
+        for module, name in (
+            (asmux.statistics, "output_distribution"),
+            (asmux.statistics, "p1_profile_batch"),
+            (asmux.optimize, "p1_profile_batch"),
+            (asmux.optimize, "_reported_p1"),
+        ):
+            monkeypatch.setattr(module, name, evaluator(getattr(module, name)))
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
-        assert 0 < sum(entries) <= 5050 * 28
+        assert searched == []
+        for source in ("poisson", "thermal"):
+            spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=6, source=source)
+            for key in ("spd", "upto:2", "thd", "set:1,3"):
+                strategy = DetectionStrategy.parse(key)
+                for mode in OptimizationMode:
+                    report = optimize_sizes(spec, strategy, [6], mode=mode)[0]
+                    stability_interval(spec, strategy, report.best_pump, report.best_p1)
+                    asmux.statistics.output_distribution(spec, report.best_pump, strategy)
+        assert searched  # the guard was installed where the searches read it
 
     def test_uniform_refines_every_size_in_a_few_batched_steps(self, monkeypatch):
         # one pmf call each for the grid, the bracket ends, each slope root
@@ -570,28 +586,10 @@ class TestLockstepWalk:
         spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=len(pump), source=source)
         profile = PumpProfile(tuple(pump))
         baseline = level * float(p1_profile_batch(spec, strategy, profile.as_array()[None, :])[0])
-        try:
-            expected = sequential_interval(spec, strategy, profile, baseline, resolution)
-        except TruncationError as error:
-            with pytest.raises(TruncationError) as raised:
-                stability_interval(spec, strategy, profile, baseline, resolution)
-            assert str(raised.value) == str(error)
-            return
+        expected = sequential_interval(spec, strategy, profile, baseline, resolution)
         interval = stability_interval(spec, strategy, profile, baseline, resolution)
         # repr tells -0.0 from +0.0
         assert repr((interval.delta_minus, interval.delta_plus, interval.empty)) == repr(expected)
-
-    def test_same_truncation_error_as_sequential_walk(self):
-        # every shift holds a zero baseline, so the + edge doubles until the
-        # mean 1 + 13.1072 needs a cutoff of 403, beyond the cap of 400
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source="thermal")
-        pump = PumpProfile((1.0, 1.0))
-        with pytest.raises(TruncationError) as reference:
-            sequential_interval(spec, SPD, pump, 0.0)
-        with pytest.raises(TruncationError) as raised:
-            stability_interval(spec, SPD, pump, 0.0)
-        assert str(raised.value) == str(reference.value)
-        assert "mean 14.1072 needs a cutoff of 403" in str(raised.value)
 
     def test_call_count_against_sequential_walk(self, monkeypatch):
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)

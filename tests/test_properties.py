@@ -22,6 +22,7 @@ from asmux.statistics import (
     acceptance_weights,
     one_photon_terms,
     output_distribution,
+    p1_profile_batch,
     required_lmax,
     single_photon_prob,
     source_pmf,
@@ -91,21 +92,41 @@ def pumped_models(draw):
 @PROPERTY
 @given(pumped_models(), st.integers(1, 10), st.sampled_from([1e-12, 1e-10, 1e-8, 5e-7]))
 def test_distribution_completes_to_one(model, i_max, tail_epsilon):
+    # the distribution has no series cutoff, so the policy changes nothing
     spec, pump, strategy = model
     trunc = TruncationPolicy(tail_epsilon=tail_epsilon)
     dist = output_distribution(spec, pump, strategy, i_max=i_max, trunc=trunc)
     assert np.all(dist.probs >= 0.0)
     assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-12
-    # each entry is a lower bound, and truncation_mass covers what it misses
-    reference = output_distribution(spec, pump, strategy, i_max=i_max).probs
-    assert np.all(dist.probs <= reference + 1e-15)
-    assert np.all(reference <= dist.probs + dist.truncation_mass)
+    reference = output_distribution(spec, pump, strategy, i_max=i_max)
+    assert dist.probs.tolist() == reference.probs.tolist()
+    assert dist.truncation_mass == reference.truncation_mass
+
+
+@PROPERTY
+@given(models(), st.sampled_from(list(OptimizationMode)), pumped_models())
+def test_closed_form_evaluators_agree(model, mode, pumped):
+    # a p1_profile_batch row, the reported P1 and output_distribution's
+    # probs[1] read one closed form; every distribution completes to one
+    spec, strategy, n_ref = model
+    reports = optimize_sizes(spec, strategy, range(1, n_ref + 1), mode=mode)
+    cases = [(spec.with_units(r.n_units), r.best_pump, strategy, r.best_p1) for r in reports]
+    cases.append(pumped + (None,))
+    for spec_n, pump, strat, reported in cases:
+        row = float(p1_profile_batch(spec_n, strat, pump.as_array()[None, :])[0])
+        dist = output_distribution(spec_n, pump, strat)
+        assert abs(float(dist.probs[1]) - row) <= 1e-15
+        if reported is not None:
+            assert abs(reported - row) <= 1e-15
+        assert dist.truncation_mass >= 0.0
+        assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-13
 
 
 @PROPERTY
 @given(pumped_models())
 def test_threshold_equals_accept_up_to_series_cutoff(model):
-    # no unit can detect more pairs than the series cutoff keeps
+    # the two differ only where a unit detects more idlers than the series
+    # cutoff of its mean, whose mass is within the policy's tail bound
     spec, pump, _ = model
     l_max = required_lmax(spec.source, max(pump.lambdas))
     thd = output_distribution(spec, pump, DetectionStrategy.threshold())

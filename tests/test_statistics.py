@@ -14,7 +14,7 @@ from scipy.stats import binom, poisson
 
 from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
-from asmux.optimize import OptimizerSettings
+from asmux.optimize import OptimizerSettings, optimize_pump
 import asmux.statistics as model_statistics
 from asmux.statistics import (
     DEFAULT_TRUNCATION,
@@ -30,7 +30,6 @@ from asmux.statistics import (
     series_cutoffs,
     single_photon_prob,
     source_pmf,
-    source_tail,
 )
 
 
@@ -92,7 +91,11 @@ class TestPairGenProb:
         lams = np.array([0.3, 1.0, 2.5])
         for family in ("poisson", "thermal"):
             l_max = required_lmax(family, float(lams.max()))
-            total = source_pmf(family, lams, l_max).sum(axis=-1) + source_tail(family, lams, l_max)
+            if family == "poisson":
+                tail = model_statistics._poisson_tails(lams, l_max, l_max)[..., 0]
+            else:
+                tail = (lams / (1.0 + lams)) ** (l_max + 1)
+            total = source_pmf(family, lams, l_max).sum(axis=-1) + tail
             assert np.all(np.abs(total - 1.0) <= 1e-14)
 
     def test_negative_lambda_rejected(self):
@@ -234,7 +237,7 @@ class TestNumpyKernels:
             keep = reference >= 1e-300
             if not keep.any():
                 break
-            tails = source_tail("poisson", lams, l_max)
+            tails = model_statistics._poisson_tails(lams, l_max, l_max)[..., 0]
             np.testing.assert_allclose(tails[keep], reference[keep], rtol=1e-12, atol=0.0)
             checked += int(keep.sum())
         assert checked > 500
@@ -247,15 +250,15 @@ class TestNumpyKernels:
                 assert required_lmax("poisson", lam, TruncationPolicy(tail_epsilon=eps)) == expected
 
     def test_overflow_is_the_upper_binomial_sum(self):
-        # one unit: the mass beyond i_max photons is sum_l pmf(l) w(l) P(Bin(l, v) > i_max)
+        # one unit: the mass beyond i_max photons is sum_l pmf(l) w(l) P(Bin(l, v) > i_max),
+        # over every pair number l (the terms past 80 are below 1e-60)
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.85, n_units=1)
         strategy = DetectionStrategy.threshold()
         lam, i_max = 2.5, 2
-        l_max = required_lmax("poisson", lam)
-        ls = np.arange(l_max + 1)
+        ls = np.arange(81)
         v = 0.9  # the last arm of a chain skips v_t
-        exceed = poisson.pmf(ls, lam) * acceptance_weights(strategy, 0.85, l_max)
-        expected = float(exceed @ binom.sf(i_max, ls, v)) + float(gammainc(l_max + 1.0, lam))
+        exceed = poisson.pmf(ls, lam) * acceptance_weights(strategy, 0.85, 80)
+        expected = math.fsum(exceed * binom.sf(i_max, ls, v))
         dist = output_distribution(spec, PumpProfile((lam,)), strategy, i_max=i_max)
         assert dist.truncation_mass == pytest.approx(expected, rel=1e-13)
 
@@ -492,12 +495,20 @@ class TestOutputDistribution:
             assert np.all(dist.probs >= 0.0) and np.all(dist.probs <= 1.0)
 
     def test_threshold_equals_large_accept_ceiling(self):
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.85, n_units=4)
+        # no unit detects 10 000 idlers at a mass above double precision;
+        # the series over so many accepted counts stops with that mass
+        thd, big = DetectionStrategy.threshold(), DetectionStrategy.accept_up_to(MAX_ACCEPTED_COUNT)
         pump = PumpProfile((0.5, 0.8, 1.1, 1.4))
-        thd = output_distribution(spec, pump, DetectionStrategy.threshold())
-        big = DetectionStrategy.accept_up_to(DEFAULT_TRUNCATION.l_hard_cap)
-        acc = output_distribution(spec, pump, big)
-        assert np.max(np.abs(thd.probs - acc.probs)) <= 1e-10
+        for source in ("poisson", "thermal"):
+            spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.85, n_units=4, source=source)
+            expected = output_distribution(spec, pump, thd)
+            got = output_distribution(spec, pump, big)
+            np.testing.assert_allclose(got.probs, expected.probs, rtol=1e-14, atol=0.0)
+            assert got.truncation_mass == pytest.approx(expected.truncation_mass, rel=1e-13)
+            lam = np.array([pump.lambdas])
+            assert p1_profile_batch(spec, big, lam) == pytest.approx(
+                p1_profile_batch(spec, thd, lam), rel=1e-14, abs=0.0
+            )
 
     def test_identical_mean_reduction(self):
         # the batch kernel and the canonical evaluator agree on a shared mean
@@ -548,8 +559,9 @@ class TestOutputDistribution:
     @pytest.mark.parametrize("source", ["poisson", "thermal"])
     @pytest.mark.parametrize("key", ["spd", "upto:2", "thd", "set:1,3"])
     def test_batch_row_matches_row_alone(self, source, key):
-        # each row is cut at its own cutoff: a shared cutoff set by the
-        # partner at the search bound added series terms worth up to 7e-13
+        # every cell is a closed form of its own mean; a shared series
+        # cutoff, set by the partner at the search bound, once added terms
+        # worth up to 7e-13
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=4, source=source)
         strategy = DetectionStrategy.parse(key)
         profile = np.full(4, 1.0)
@@ -557,8 +569,8 @@ class TestOutputDistribution:
         alone = p1_profile_batch(spec, strategy, profile[None, :])[0]
         first = p1_profile_batch(spec, strategy, np.stack([profile, partner]))[0]
         last = p1_profile_batch(spec, strategy, np.stack([partner, profile]))[1]
-        assert abs(first - alone) <= 1e-15
-        assert abs(last - alone) <= 1e-15
+        assert first == alone
+        assert last == alone
 
     def test_length_mismatch(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
@@ -571,18 +583,21 @@ class TestOutputDistribution:
             output_distribution(spec, PumpProfile((0.5,)), DetectionStrategy.threshold(), i_max=0)
 
     def test_large_i_max_pads_zeros(self):
-        # no output count exceeds the series cutoff: a larger i_max only appends zeros
+        # a larger i_max moves the mass beyond i_max into the new entries
+        # and keeps the others; past the float range they are zeros
         spec = MultiplexerSpec(v_r=0.93, v_b=0.89, v_d=0.91, n_units=2, source="thermal")
         pump = PumpProfile((1.1, 0.9))
         strategy = DetectionStrategy.explicit({1, 3})
-        l_max = required_lmax(spec.source, 1.1)
-        at_cutoff = output_distribution(spec, pump, strategy, i_max=l_max)
-        wide = output_distribution(spec, pump, strategy, i_max=400)
-        assert wide.probs.tolist() == at_cutoff.probs.tolist() + [0.0] * (400 - l_max)
-        assert wide.truncation_mass == at_cutoff.truncation_mass
+        narrow = output_distribution(spec, pump, strategy, i_max=12)
+        wide = output_distribution(spec, pump, strategy, i_max=4000)
+        assert wide.probs[:13].tolist() == narrow.probs.tolist()
+        assert math.fsum(wide.probs[13:]) == pytest.approx(narrow.truncation_mass, rel=1e-13)
+        assert wide.truncation_mass == 0.0
+        assert 13 < np.flatnonzero(wide.probs)[-1] < 1000
 
     def test_memory_follows_series_cutoff(self):
-        # the binomial cube stops at the cutoff (about 12 here), not at i_max
+        # the per-count tables stop where the mass leaves the float range
+        # (about 130 counts here), not at i_max
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=2)
         pump, strategy = PumpProfile((0.4, 0.7)), DetectionStrategy.single_photon()
         tracemalloc.start()
@@ -595,10 +610,17 @@ class TestOutputDistribution:
         assert dist.probs.size == 10**5 + 1
 
     def test_truncation_error(self):
+        # the policy bounds only the search grids: a profile whose series
+        # it cannot cut evaluates, and a search up to that mean refuses
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1, source="thermal")
         tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
+        thd = DetectionStrategy.threshold()
+        dist = output_distribution(spec, PumpProfile((5.0,)), thd, trunc=tight)
+        assert dist.probs.sum() + dist.truncation_mass == pytest.approx(1.0, abs=1e-13)
+        assert dist.truncation_mass > 0.0
+        assert dist.probs[1] == p1_profile_batch(spec, thd, np.array([[5.0]]), tight)[0]
         with pytest.raises(TruncationError):
-            output_distribution(spec, PumpProfile((5.0,)), DetectionStrategy.threshold(), trunc=tight)
+            optimize_pump(spec, thd, OptimizerSettings(lambda_upper=5.0), tight)
 
 
 class TestExports:
@@ -644,9 +666,11 @@ class TestPolicyAndProfileValidation:
         assert len(profile) == 3
 
 
-# Exact enumeration oracle.  A thermal source with a rational mean has a
-# rational pmf and tail, so with rational losses the whole output
-# distribution is rational; Poisson weights are floats summed by fsum.
+# Uncut enumeration oracle.  A thermal source with a rational mean has a
+# rational pmf, so with rational losses every outcome of a unit has a
+# rational probability; Poisson weights are floats summed by fsum.  Each
+# unit's pair numbers run to a far cutoff whose source tail is below
+# _FAR_TAIL, far below 1e-13 of every compared value.
 # Fields: (strategy, accepted counts or None for threshold, v_r, v_t, v_b,
 # v_d, pump means, i_max)
 _ENUMERATION_CASES = [
@@ -656,83 +680,73 @@ _ENUMERATION_CASES = [
     ("set:1,3", {1, 3}, "0.9", "0.99", "0.85", "0.75", ("1/6", "1/6", "1/9"), 10),
     ("spd", {1}, "0.8", "0.985", "0.9", "0.9", ("1/8", "0", "1/7"), 2),
 ]
-_ENUMERATION_EPSILON = 5e-7
+_FAR_TAIL = 1e-40
 
 
-def _pair_numbers(source, lam, l_max):
-    """Pair-number pmf up to ``l_max`` and the mass beyond it: Fractions for
-    thermal, floats for Poisson."""
+def _pair_numbers(source, lam):
+    """Pair-number pmf up to a cutoff whose tail is below _FAR_TAIL: Fractions
+    for thermal, floats for Poisson."""
+    if lam == 0:
+        return [1]
     if source == "thermal":
-        pmf = [lam**l / (1 + lam) ** (l + 1) for l in range(l_max + 1)]
-        return pmf, (lam / (1 + lam)) ** (l_max + 1)
-    terms = [math.exp(-lam) * lam**l / math.factorial(l) for l in range(l_max + 40)]
-    return terms[: l_max + 1], math.fsum(terms[l_max + 1 :])
+        ratio = lam / (1 + lam)
+        l_max = 0
+        while ratio ** (l_max + 1) >= _FAR_TAIL:
+            l_max += 1
+        return [lam**l / (1 + lam) ** (l + 1) for l in range(l_max + 1)]
+    terms = [math.exp(-lam) * lam**l / math.factorial(l) for l in range(80)]
+    l_max = next(l for l in range(80) if math.fsum(terms[l + 1 :]) < _FAR_TAIL)
+    return terms[: l_max + 1]
 
 
-def _enumeration_cutoff(source, lam_max):
-    """Smallest cutoff whose source tail is within the enumeration tail bound."""
-    l_max = 0
-    while _pair_numbers(source, lam_max, l_max)[1] > _ENUMERATION_EPSILON:
-        l_max += 1
-    return l_max
+def _binomial(n, k, p):
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
 
 
-def _unit_outcomes(source, lam, v_d, accepted, l_max):
-    """(pairs, admitted, weight) of every outcome of one unit.
+def _unit_outcomes(source, lam, v_d, v, accepted):
+    """(no admission, {photons out: admission with that many}) of one unit.
 
-    Each pair number up to ``l_max`` comes with every detected count;
-    one last outcome, with ``pairs`` None, holds every pair number beyond
-    the cutoff.
+    Sums every (pairs, detected idlers, surviving signals) outcome: the
+    detector and the arm thin the same pairs independently, and the
+    signal photons that survive the arm are the unit's output.
     """
-    pmf, tail = _pair_numbers(source, lam, l_max)
-    outcomes = []
-    for pairs, p in enumerate(pmf):
+    add = sum if source == "thermal" else math.fsum
+    quiet, out = [], defaultdict(list)
+    for pairs, p in enumerate(_pair_numbers(source, lam)):
+        admitted = []
         for d in range(pairs + 1):
-            admitted = d >= 1 if accepted is None else d in accepted
-            detect = math.comb(pairs, d) * v_d**d * (1 - v_d) ** (pairs - d)
-            outcomes.append((pairs, admitted, p * detect))
-    outcomes.append((None, False, tail))
-    return outcomes
+            weight = p * _binomial(pairs, d, v_d)
+            (admitted if (d >= 1 if accepted is None else d in accepted) else quiet).append(weight)
+        if admitted:
+            admitted = add(admitted)
+            for k in range(pairs + 1):
+                out[k].append(admitted * _binomial(pairs, k, v))
+    return add(quiet), {k: add(weights) for k, weights in out.items()}
 
 
-def _enumerate(units, arms, i_max):
-    """Output probabilities 0..i_max and the truncation mass, from every joint outcome.
+def _enumerate(units, i_max):
+    """Output probabilities 0..i_max and the mass beyond i_max, from every joint outcome.
 
-    The admitted unit of lowest index wins; each of its pairs' photons
-    then survives its arm independently.  Outcomes in which a unit beyond
-    the cutoff comes before any admitted unit, and outputs above
-    ``i_max``, make up the truncation mass.
+    Walks every joint pattern of admitted and quiet units: the admitted
+    unit of lowest index wins and delivers its photons; no admission
+    delivers none.
     """
-    exact = isinstance(units[0][0][2], Fraction)
-    scale = Fraction(1) if exact else 1.0
-    if exact:
-        # integer weights over one denominator per unit make every joint
-        # weight an integer product; Fraction products would take seconds
-        scaled = []
-        for outcomes in units:
-            den = math.lcm(*(w.denominator for _, _, w in outcomes))
-            scaled.append([(l, a, w.numerator * (den // w.denominator)) for l, a, w in outcomes])
-            scale /= den
-        units = scaled
-    joint_weights = defaultdict(list)  # winner and its pairs, "none" or "cut"
-    for joint in itertools.product(*units):
-        key = "none"
-        for unit, (pairs, admitted, _) in enumerate(joint):
-            if pairs is None or admitted:
-                key = "cut" if pairs is None else (unit, pairs)
-                break
-        joint_weights[key].append(math.prod(w for _, _, w in joint))
+    exact = not isinstance(units[0][0], float)
     add = sum if exact else math.fsum
-    mass = {key: add(ws) * scale for key, ws in joint_weights.items()}
     probs = [[] for _ in range(i_max + 1)]
-    probs[0].append(mass.pop("none", 0))
-    truncation = [mass.pop("cut", 0)]
-    for (unit, pairs), m in mass.items():
-        v = arms[unit]
-        for i in range(pairs + 1):
-            term = m * math.comb(pairs, i) * v**i * (1 - v) ** (pairs - i)
-            (probs[i] if i <= i_max else truncation).append(term)
-    return [float(add(terms)) for terms in probs], float(add(truncation))
+    beyond = []
+    for pattern in itertools.product((False, True), repeat=len(units)):
+        rest = math.prod(
+            (add(out.values()) if admitted else quiet)
+            for unit, ((quiet, out), admitted) in enumerate(zip(units, pattern))
+            if unit != (pattern.index(True) if True in pattern else None)
+        )
+        if True not in pattern:
+            probs[0].append(rest)
+            continue
+        for k, weight in units[pattern.index(True)][1].items():
+            (probs[k] if k <= i_max else beyond).append(rest * weight)
+    return [float(add(terms)) for terms in probs], float(add(beyond))
 
 
 class TestExactEnumeration:
@@ -749,20 +763,15 @@ class TestExactEnumeration:
             lams = list(map(float, lams))
         n = len(lams)
         arms = [v_b * v_t * v_r**k for k in range(n - 1)] + [v_b * v_r ** (n - 1)]
-        l_max = _enumeration_cutoff(source, max(lams))
-        units = [_unit_outcomes(source, lam, v_d, accepted, l_max) for lam in lams]
-        probs, truncation = _enumerate(units, arms, i_max)
+        units = [_unit_outcomes(source, lam, v_d, v, accepted) for lam, v in zip(lams, arms)]
+        probs, beyond = _enumerate(units, i_max)
 
         spec = MultiplexerSpec(
             v_r=float(v_r), v_t=float(v_t), v_b=float(v_b), v_d=float(v_d),
             n_units=n, source=source,
         )
         dist = output_distribution(
-            spec,
-            PumpProfile(tuple(map(float, lams))),
-            DetectionStrategy.parse(key),
-            i_max=i_max,
-            trunc=TruncationPolicy(tail_epsilon=_ENUMERATION_EPSILON),
+            spec, PumpProfile(tuple(map(float, lams))), DetectionStrategy.parse(key), i_max=i_max
         )
         np.testing.assert_allclose(dist.probs, probs, rtol=1e-13, atol=0.0)
-        assert dist.truncation_mass == pytest.approx(truncation, rel=1e-13, abs=0.0)
+        assert dist.truncation_mass == pytest.approx(beyond, rel=1e-13, abs=0.0)
