@@ -32,11 +32,9 @@ from .optimize import (
     strategy_scan,
 )
 from .statistics import (
-    DEFAULT_TRUNCATION,
     DetectionStrategy,
     OutputDistribution,
     PumpProfile,
-    TruncationPolicy,
     output_distribution,
     single_photon_prob,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "transmission_vector",
     "DetectionStrategy",
     "PumpProfile",
-    "TruncationPolicy",
-    "DEFAULT_TRUNCATION",
     "OutputDistribution",
     "output_distribution",
     "single_photon_prob",

@@ -44,17 +44,16 @@ from .optimize import (
     optimize_sizes,
     strategy_scan,
 )
-from .statistics import (
-    DetectionStrategy,
-    PumpProfile,
-    TruncationPolicy,
-    output_distribution,
-)
+from .statistics import DetectionStrategy, PumpProfile, output_distribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VALIDATION = 4
+
+# largest mc-validate --max-count: every case builds and writes each
+# bucket up to it (1e8 got the process killed)
+_MAX_COUNT = 400
 
 
 class ConfigError(Exception):
@@ -172,13 +171,6 @@ _SPEC = (
             help="pair statistics"),
 )
 _N = _Option("n", "--n", int, help="number of multiplexed units")
-_TRUNC = (
-    _Option("tail_epsilon", "--tail-epsilon", float, 1e-12,
-            help="largest neglected tail mass of the search grids' pair-number series"),
-    _Option("l_hard_cap", "--l-hard-cap", int, 400,
-            help="largest series cutoff of the search grids; bounds mc-validate's "
-            "--max-count and pump means"),
-)
 _STRATEGY = _Option("strategy", "--strategy", _checked(DetectionStrategy.parse), "spd",
                     help="spd | thd | upto:J | set:a,b,...")
 _MODE = _Option("mode", "--mode", default="per-unit",
@@ -267,18 +259,13 @@ def _build_spec(cfg: dict) -> MultiplexerSpec:
     )
 
 
-def _build_trunc(cfg: dict) -> TruncationPolicy:
-    return TruncationPolicy(tail_epsilon=cfg["tail_epsilon"], l_hard_cap=cfg["l_hard_cap"])
-
-
 def _search_args(cfg: dict) -> dict:
     """The keywords of every size search: optimizer settings, saturation
-    reference size and threshold, and truncation policy."""
+    reference size and threshold."""
     return dict(
         settings=OptimizerSettings(lambda_upper=cfg["lambda_upper"]),
         n_ref=cfg["n_ref"],
         threshold=cfg["threshold"],
-        trunc=_build_trunc(cfg),
     )
 
 
@@ -336,8 +323,7 @@ def _cmd_eval(cfg: dict) -> tuple[int, int]:
     spec = _build_spec(cfg)
     pump = _build_pump(cfg, spec.n_units)
     strategy = DetectionStrategy.parse(cfg["strategy"])
-    trunc = _build_trunc(cfg)
-    dist = output_distribution(spec, pump, strategy, i_max=cfg["i_max"], trunc=trunc)
+    dist = output_distribution(spec, pump, strategy, i_max=cfg["i_max"])
     for i, p in enumerate(dist.probs):
         print(f"P_{i} {float(p)!r}")
     print(f"truncation_mass {float(dist.truncation_mass)!r}")
@@ -367,7 +353,7 @@ def _cmd_optimize(cfg: dict) -> tuple[int, int]:
     strategy = DetectionStrategy.parse(cfg["strategy"])
     (report,) = optimize_sizes(
         spec, strategy, [spec.n_units], OptimizerSettings(lambda_upper=cfg["lambda_upper"]),
-        mode=cfg["mode"], trunc=_build_trunc(cfg),
+        mode=cfg["mode"],
     )
     print(f"p1 {report.best_p1!r}")
     print(f"n_units {report.n_units}")
@@ -480,15 +466,11 @@ def _cmd_stability(cfg: dict) -> tuple[int, int]:
 
 
 def _cmd_mc_validate(cfg: dict) -> tuple[int, int]:
-    trunc = _build_trunc(cfg)
     sigma = cfg["sigma"]
     if not 0.0 < sigma < math.inf:
         raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
-    if cfg["max_count"] > trunc.l_hard_cap:
-        # no output count can exceed the pair-number cutoff; higher buckets are zero
-        raise ParameterError(
-            f"max_count must not exceed l_hard_cap ({trunc.l_hard_cap}), got {cfg['max_count']}"
-        )
+    if cfg["max_count"] > _MAX_COUNT:
+        raise ParameterError(f"max_count must not exceed {_MAX_COUNT}, got {cfg['max_count']}")
     entries = VALIDATION_CORPUS
     if cfg["cases"] is not None:
         if cfg["cases"] < 1:
@@ -500,7 +482,7 @@ def _cmd_mc_validate(cfg: dict) -> tuple[int, int]:
     for index, entry in enumerate(entries):
         spec, pump, strategy, case_seed = corpus_case(entry)
         mc = McSettings(seed=case_seed + cfg["seed"], **mc_base)
-        comparison = compare_with_analytic(spec, pump, strategy, mc, trunc=trunc)
+        comparison = compare_with_analytic(spec, pump, strategy, mc)
         ok = comparison.within(sigma)
         failures += 0 if ok else 1
         worst = float(
@@ -539,25 +521,25 @@ def _cmd_mc_validate(cfg: dict) -> tuple[int, int]:
 
 _COMMANDS = {
     "eval": (_cmd_eval, "evaluate the output photon-number distribution", (
-        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY,
+        *_IO, *_SPEC, _N, _STRATEGY,
         _Option("i_max", "--i-max", int, 10, help="largest reported photon count"),
         _Option("lam", "--lambda", help="pump mean(s): scalar or comma list"),
         _Option("pump_file", "--pump-file", help="JSON file with a 'lambdas' entry"),
     )),
     "optimize": (_cmd_optimize, "maximize p1 at a fixed system size", (
-        *_IO, *_SPEC, _N, *_TRUNC, _STRATEGY, _MODE, _UPPER,
+        *_IO, *_SPEC, _N, _STRATEGY, _MODE, _UPPER,
     )),
     "find-n": (_cmd_find_n, "search the optimal number of units", (
-        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _MODE, _UPPER, *_SEARCH,
+        *_IO, *_SPEC, _STRATEGY, _MODE, _UPPER, *_SEARCH,
         _Option("full_curve", "--full-curve", _boolean, False, action="store_true",
                 help="emit one row per system size instead of only the optimum"),
     )),
     "scan-strategies": (_cmd_scan_strategies, "compare detection strategies", (
-        *_IO, *_SPEC, *_TRUNC, _MODE, _UPPER, *_SEARCH,
+        *_IO, *_SPEC, _MODE, _UPPER, *_SEARCH,
         _Option("max_j", "--max-j", int, 6, help="largest accept-up-to ceiling"),
     )),
     "sweep": (_cmd_sweep, "optimize over a loss-parameter grid", (
-        *_IO, *_SPEC, *_TRUNC, _UPPER, *_SEARCH,
+        *_IO, *_SPEC, _UPPER, *_SEARCH,
         _Option("axis", "--axis", default=(), action="append",
                 help="swept axis, name=start:stop:step (max 2)"),
         _Option("strategies", "--strategies", _checked(DetectionStrategy.parse, _strategy_items),
@@ -568,20 +550,21 @@ _COMMANDS = {
                 help="overwrite existing sweep output instead of resuming"),
     )),
     "table1": (_cmd_table1, "reproduce the reference result table", (
-        *_IO, *_TRUNC, _UPPER, *_SEARCH,
+        *_IO, _UPPER, *_SEARCH,
         _Option("rows", "--rows", help="subset 'v_r,v_d,v_b;v_r,v_d,v_b;...'"),
     )),
     "stability": (_cmd_stability, "tolerable deviation around the optimum", (
-        *_IO, *_SPEC, *_TRUNC, _STRATEGY, _UPPER, *_SEARCH,
+        *_IO, *_SPEC, _STRATEGY, _UPPER, *_SEARCH,
         _Option("resolution", "--resolution", float, 1e-4,
                 help="bisection resolution of the interval"),
     )),
     "mc-validate": (_cmd_mc_validate, "check the model against sampling", (
-        _CONFIG, _OUT, *_TRUNC,
+        _CONFIG, _OUT,
         _Option("seed", "--seed", int, 0,
                 help="offset added to every case's sampler seed; each sum must be >= 0"),
         _Option("trials", "--trials", int, 10_000_000, help="trials per case"),
-        _Option("max_count", "--max-count", int, 10, help="largest tallied photon count"),
+        _Option("max_count", "--max-count", int, 10,
+                help=f"largest tallied photon count (at most {_MAX_COUNT})"),
         _Option("sigma", "--sigma", float, 4.0, help="allowed deviation in standard errors"),
         _Option("cases", "--cases", int, help="run only the first K corpus cases"),
     )),

@@ -31,13 +31,7 @@ from .optimize import (
     optimize_sizes,
     stability_interval,
 )
-from .statistics import (
-    DEFAULT_TRUNCATION,
-    DetectionStrategy,
-    PumpProfile,
-    TruncationPolicy,
-    single_photon_prob,
-)
+from .statistics import DetectionStrategy, PumpProfile, single_photon_prob
 
 __all__ = [
     "Axis",
@@ -169,13 +163,10 @@ class ResultRow:
             source=self.source,
         )
 
-    def reevaluate(self, trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+    def reevaluate(self) -> float:
         """Single-photon probability recomputed from the stored profile."""
         return single_photon_prob(
-            self.spec(),
-            PumpProfile(self.lambdas),
-            DetectionStrategy.parse(self.strategy),
-            trunc,
+            self.spec(), PumpProfile(self.lambdas), DetectionStrategy.parse(self.strategy)
         )
 
 
@@ -210,12 +201,9 @@ def _search_row(
     settings: OptimizerSettings,
     n_ref: int,
     threshold: float,
-    trunc: TruncationPolicy,
 ) -> ResultRow:
     started = time.perf_counter()
-    result = find_optimal_n(
-        spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
-    )
+    result = find_optimal_n(spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode)
     row = _row_from_report(spec, result.reports[result.n_opt - 1], result.n_opt)
     row.wall_time_s = time.perf_counter() - started
     return row
@@ -226,7 +214,6 @@ def reproduce_table1(
     combos: Sequence[tuple[float, float, float]] | None = None,
     n_ref: int = 100,
     threshold: float = 1e-3,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Optimal size and probability for the reference loss-parameter table.
 
@@ -244,7 +231,7 @@ def reproduce_table1(
     for v_r, v_d, v_b in combos:
         spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1)
         for mode in (OptimizationMode.PER_UNIT, OptimizationMode.UNIFORM):
-            rows.append(_search_row(spec, spd, mode, settings, n_ref, threshold, trunc))
+            rows.append(_search_row(spec, spd, mode, settings, n_ref, threshold))
     return rows
 
 
@@ -254,7 +241,6 @@ def fixed_n_curve(
     modes: Sequence[OptimizationMode],
     n_range: Iterable[int],
     settings: OptimizerSettings | None = None,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Optimized probability at each fixed unit count, per pump mode.
 
@@ -266,7 +252,7 @@ def fixed_n_curve(
         raise ParameterError("n_range must contain positive sizes")
     rows: list[ResultRow] = []
     for mode in modes:
-        reports = optimize_sizes(spec, strategy, sizes, settings, mode, trunc)
+        reports = optimize_sizes(spec, strategy, sizes, settings, mode)
         rows.extend(_row_from_report(spec, r) for r in reports)
     return rows
 
@@ -278,7 +264,6 @@ def stability_report(
     n_ref: int = 100,
     threshold: float = 1e-3,
     resolution: float = 1e-4,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> ResultRow:
     """Tolerable shared pump deviation around the per-unit optimum.
 
@@ -295,14 +280,13 @@ def stability_report(
         n_ref=n_ref,
         threshold=threshold,
         mode=OptimizationMode.UNIFORM,
-        trunc=trunc,
     )
     n_star = uniform_search.n_opt
     baseline = uniform_search.p1_max
     spec_star = spec.with_units(n_star)
-    report = optimize_pump(spec_star, strategy, settings, trunc=trunc)
+    report = optimize_pump(spec_star, strategy, settings)
     interval = stability_interval(
-        spec_star, strategy, report.best_pump, baseline, resolution=resolution, trunc=trunc
+        spec_star, strategy, report.best_pump, baseline, resolution=resolution
     )
     row = _row_from_report(spec_star, report, n_star)
     row.delta_minus = interval.delta_minus
@@ -320,10 +304,7 @@ _CROSSOVER_TOL = 0.005
 _CROSSOVER_N_SAT = 60
 
 
-def vb_crossover(
-    settings: OptimizerSettings | None = None,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> float:
+def vb_crossover(settings: OptimizerSettings | None = None) -> float:
     """Largest v_b at which accepting two counts still beats single-photon.
 
     Bisects v_b on the sign of the best advantage of the {1,2} strategy
@@ -340,8 +321,8 @@ def vb_crossover(
         for v_r in _CROSSOVER_V_R:
             for v_d in _CROSSOVER_V_D:
                 spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=_CROSSOVER_N_SAT)
-                p_12 = optimize_pump(spec, s12, settings, trunc=trunc).best_p1
-                p_spd = optimize_pump(spec, spd, settings, trunc=trunc).best_p1
+                p_12 = optimize_pump(spec, s12, settings).best_p1
+                p_spd = optimize_pump(spec, spd, settings).best_p1
                 best = max(best, p_12 - p_spd)
         return best
 
@@ -379,7 +360,6 @@ def run_sweep(
     config: dict | None = None,
     resume: bool = True,
     threads: int = 1,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[ResultRow]:
     """Optimize every (cell, strategy, mode) job of the grid, in grid order.
 
@@ -417,7 +397,7 @@ def run_sweep(
                     key = _job_key(cell["v_r"], cell["v_d"], cell["v_b"], strategy.key, mode.value)
                     row = done.get(key)
                     if row is None:
-                        row = _search_row(spec, strategy, mode, settings, n_ref, threshold, trunc)
+                        row = _search_row(spec, strategy, mode, settings, n_ref, threshold)
                         if handle is not None:
                             writer.writerow(_csv_record(row))
                             handle.flush()

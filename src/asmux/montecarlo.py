@@ -21,10 +21,8 @@ import numpy as np
 from .exceptions import ParameterError
 from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from .statistics import (
-    DEFAULT_TRUNCATION,
     DetectionStrategy,
     PumpProfile,
-    TruncationPolicy,
     _validate_pump,
     output_distribution,
     series_cutoffs,
@@ -219,17 +217,16 @@ def compare_with_analytic(
     pump: PumpProfile,
     strategy: DetectionStrategy,
     mc: McSettings = McSettings(),
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> McComparison:
     """Pair the sampler with the model, run first so that a refused input costs no sampling.
 
     The sampler's work grows with the pair numbers it draws, so a pump
-    mean whose pair-number series ``trunc`` cannot cut is refused here
-    (:func:`~asmux.statistics.series_cutoffs` raises), as ``max_count``
-    is bounded by its cap.
+    mean whose pair-number series the search grids' cutoff rule cannot
+    cut is refused here (:func:`~asmux.statistics.series_cutoffs` raises
+    :class:`~asmux.exceptions.TruncationError`).
     """
-    series_cutoffs(spec.source, pump.as_array(), trunc)
-    dist = output_distribution(spec, pump, strategy, i_max=mc.max_count, trunc=trunc)
+    series_cutoffs(spec.source, pump.as_array())
+    dist = output_distribution(spec, pump, strategy, i_max=mc.max_count)
     return McComparison(result=simulate(spec, pump, strategy, mc), analytic=dist.probs)
 
 

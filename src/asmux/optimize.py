@@ -38,8 +38,11 @@ every size.
 Reported probabilities are evaluated once for all sizes together, in
 closed form from the units of each size only, as
 :func:`~asmux.statistics.output_distribution` evaluates them, so every
-report re-evaluates to its ``best_p1``.  Only the searches cut the
-pair-number series, at the cutoff of the upper bound.
+report re-evaluates to its ``best_p1``.  Only the per-unit and uniform
+search grids cut the pair-number series, at the cutoff of the upper
+bound (:func:`~asmux.statistics.required_lmax`); an upper bound whose
+series that rule cannot cut raises
+:class:`~asmux.exceptions.TruncationError`.
 """
 from __future__ import annotations
 
@@ -54,10 +57,8 @@ import numpy as np
 from .exceptions import ParameterError
 from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from .statistics import (
-    DEFAULT_TRUNCATION,
     DetectionStrategy,
     PumpProfile,
-    TruncationPolicy,
     _chain_p1,
     _validate_pump,
     acceptance_weights,
@@ -197,7 +198,6 @@ class _Chain:
         spec: MultiplexerSpec,
         strategy: DetectionStrategy,
         settings: OptimizerSettings,
-        trunc: TruncationPolicy,
         sizes: np.ndarray,
     ) -> None:
         self.sizes = sizes
@@ -205,7 +205,7 @@ class _Chain:
         self.strategy = strategy
         self.v_d = spec.v_d
         self.upper = settings.lambda_upper
-        self.l_max = required_lmax(spec.source, self.upper, trunc)
+        self.l_max = required_lmax(spec.source, self.upper)
         self.w = acceptance_weights(strategy, spec.v_d, self.l_max)
         self.v_through = transmission_vector(spec.with_units(int(sizes[-1])))[:-1]
         self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
@@ -230,9 +230,7 @@ class _Chain:
 
     def terms(self, lam: np.ndarray, v: np.ndarray, slope: bool = False):
         """:func:`~asmux.statistics.one_photon_terms` of this chain's units."""
-        return one_photon_terms(
-            self.family, self.strategy, self.v_d, lam, v, self.l_max, slope
-        )
+        return one_photon_terms(self.family, self.strategy, self.v_d, lam, v, slope)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +568,6 @@ def optimize_sizes(
     sizes: Iterable[int],
     settings: OptimizerSettings | None = None,
     mode: OptimizationMode | str = OptimizationMode.PER_UNIT,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> tuple[OptimizationReport, ...]:
     """Maximize the single-photon probability at every size in ``sizes``.
 
@@ -583,7 +580,7 @@ def optimize_sizes(
     sizes = np.unique(np.asarray(list(sizes), dtype=int))
     if sizes.size == 0 or sizes[0] < 1:
         raise ParameterError("sizes must be a nonempty set of positive unit counts")
-    chain = _Chain(spec, strategy, settings, trunc, sizes)
+    chain = _Chain(spec, strategy, settings, sizes)
     if mode is OptimizationMode.PER_UNIT:
         lam = _per_unit_profiles(chain)
     else:
@@ -609,12 +606,9 @@ def optimize_pump(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
     settings: OptimizerSettings | None = None,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OptimizationReport:
     """Maximize the single-photon probability over per-unit pump means."""
-    (report,) = optimize_sizes(
-        spec, strategy, [spec.n_units], settings, OptimizationMode.PER_UNIT, trunc
-    )
+    (report,) = optimize_sizes(spec, strategy, [spec.n_units], settings, OptimizationMode.PER_UNIT)
     return report
 
 
@@ -622,15 +616,12 @@ def optimize_uniform(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
     settings: OptimizerSettings | None = None,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OptimizationReport:
     """Maximize the single-photon probability over one shared pump mean.
 
     The report carries the constant profile.
     """
-    (report,) = optimize_sizes(
-        spec, strategy, [spec.n_units], settings, OptimizationMode.UNIFORM, trunc
-    )
+    (report,) = optimize_sizes(spec, strategy, [spec.n_units], settings, OptimizationMode.UNIFORM)
     return report
 
 
@@ -638,7 +629,6 @@ def optimize_scaled_reference(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
     settings: OptimizerSettings | None = None,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OptimizationReport:
     """Maximize over one mean rescaled per unit by the inverse arm transmission.
 
@@ -647,7 +637,7 @@ def optimize_scaled_reference(
     exceed the upper bound are clamped there and the report flags it.
     """
     (report,) = optimize_sizes(
-        spec, strategy, [spec.n_units], settings, OptimizationMode.SCALED_REFERENCE, trunc
+        spec, strategy, [spec.n_units], settings, OptimizationMode.SCALED_REFERENCE
     )
     return report
 
@@ -659,7 +649,6 @@ def find_optimal_n(
     n_ref: int = 100,
     threshold: float = 1e-3,
     mode: OptimizationMode | str = OptimizationMode.PER_UNIT,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OptimalSizeResult:
     """Smallest unit count whose optimum sits within ``threshold`` of saturation.
 
@@ -672,7 +661,7 @@ def find_optimal_n(
         raise ParameterError(f"n_ref must be >= 2, got {n_ref}")
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
-    reports = optimize_sizes(spec, strategy, range(1, int(n_ref) + 1), settings, mode, trunc)
+    reports = optimize_sizes(spec, strategy, range(1, int(n_ref) + 1), settings, mode)
     p_by_n = np.array([r.best_p1 for r in reports])
     reference = float(p_by_n[-1])
     n_opt = int(np.argmax(reference - p_by_n < threshold)) + 1
@@ -688,7 +677,6 @@ def strategy_scan(
     n_ref: int = 100,
     threshold: float = 1e-3,
     max_accept: int = 6,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> list[OptimalSizeResult]:
     """Size searches of accept-up-to strategies and threshold detection, best first.
 
@@ -701,7 +689,7 @@ def strategy_scan(
 
     def search(strategy: DetectionStrategy) -> OptimalSizeResult:
         return find_optimal_n(
-            spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode, trunc=trunc
+            spec, strategy, settings, n_ref=n_ref, threshold=threshold, mode=mode
         )
 
     results = [search(DetectionStrategy.accept_up_to(1))]
@@ -776,7 +764,6 @@ def stability_interval(
     optimal_pump: PumpProfile,
     baseline_p1: float,
     resolution: float = 1e-4,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> StabilityInterval:
     """Largest shared shift of every pump mean that keeps P1 at or above baseline.
 
@@ -789,7 +776,7 @@ def stability_interval(
     midpoint of its next _BISECT_DEPTH levels, of which it follows one
     path.  So each edge takes the decisions it would take walking alone,
     one shift per call.  P1 is a closed form at every shift, so no step
-    of either edge can fail.  ``trunc`` is not read.
+    of either edge can fail.
     """
     _check_resolution(resolution)
     if math.isnan(baseline_p1):
@@ -798,7 +785,7 @@ def stability_interval(
 
     def held_at(deltas: list[float]) -> list[bool]:
         shifted = np.clip(base + np.array(deltas)[:, None], 0.0, None)
-        return (p1_profile_batch(spec, strategy, shifted, trunc) >= baseline_p1).tolist()
+        return (p1_profile_batch(spec, strategy, shifted) >= baseline_p1).tolist()
 
     if not held_at([0.0])[0]:
         return StabilityInterval(0.0, 0.0, empty=True)

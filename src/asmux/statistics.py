@@ -6,9 +6,10 @@ heralding through a detector of efficiency ``v_d``, and binomial photon
 loss along the multiplexer arm of the unit that wins priority.  Priority
 goes to the accepted unit with the smallest index, i.e. the one with the
 smallest loss.  The evaluators compose these stages exactly, in closed
-form per unit, with no pair-number series.  The optimizers' search grids
-read pair-number pmf rows, cut where the source tail falls below a
-:class:`TruncationPolicy` bound.
+form per unit, with no pair-number series.  The optimizers' per-unit and
+uniform search grids read pair-number pmf rows, cut where the source tail
+of the upper search bound falls below 1e-12, and never beyond 400 pairs
+(:data:`DEFAULT_TRUNCATION`).
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from .exceptions import ParameterError, TruncationError
 from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 
 __all__ = [
-    "TruncationPolicy",
-    "DEFAULT_TRUNCATION",
     "PumpProfile",
     "DetectionStrategy",
     "OutputDistribution",
@@ -39,9 +38,10 @@ class TruncationPolicy:
 
     The series over generated pairs is cut at the smallest count whose
     source tail mass falls below ``tail_epsilon``, and never beyond
-    ``l_hard_cap``.  The policy bounds only the searches' pmf series and
-    the Monte Carlo side (its ``max_count`` and the pump means it
-    samples); the evaluators have no series to cut.
+    ``l_hard_cap``.  The package applies only :data:`DEFAULT_TRUNCATION`:
+    to the per-unit and uniform search grids, at the upper search bound,
+    and to the pump means the Monte Carlo comparison samples.  The
+    evaluators have no series to cut.
     """
 
     tail_epsilon: float = 1e-12
@@ -555,7 +555,7 @@ def _poisson_series_far(s: _Series, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _count_polynomials(
-    family: SourceFamily, strategy: DetectionStrategy, v_d: float, l_max: int | None
+    family: SourceFamily, strategy: DetectionStrategy, v_d: float
 ) -> tuple[_Series, ...]:
     """The four series :func:`one_photon_terms` reads for a count set A.
 
@@ -563,11 +563,10 @@ def _count_polynomials(
     that i pairs with a detected idler and a lost signal, plus the one
     pair whose signal is kept, leave a detected count in A.  Returned:
     the series of e_i, e_{i+1}, a_i and a_{i+1}; Poisson, or for a
-    thermal source of shapes 2, 3, 1 and 2.  ``l_max`` drops the counts
-    above it, as :func:`acceptance_weights` does; None keeps every count.
+    thermal source of shapes 2, 3, 1 and 2.
     """
-    members = [j for j in strategy.accepted if l_max is None or j <= l_max]
-    admit = np.zeros(max(members, default=0) + 2)
+    members = list(strategy.accepted)
+    admit = np.zeros(max(members) + 2)
     admit[members] = 1.0
     pair = (1.0 - v_d) * admit
     pair[:-1] += v_d * admit[1:]
@@ -583,7 +582,6 @@ def one_photon_terms(
     v_d: float,
     lam,
     v,
-    l_max: int | None = None,
     slope: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Admission probability and one-photon probability of a unit, in closed form.
@@ -591,12 +589,11 @@ def one_photon_terms(
     For a unit at mean ``lam >= 0`` whose arm transmits ``v``, with J the
     detected idler count and K the number of signal photons that survive
     the arm, returns P(J ∈ A) and t = P(J ∈ A, K = 1), broadcast over
-    ``lam`` and ``v``.  A is the accepted count set; ``l_max`` cuts it
-    there, as :func:`acceptance_weights` cuts it for the search grids,
-    and None keeps every count.  Threshold detection accepts every count
-    >= 1.  Each result has a leading axis holding the values and, with
-    ``slope``, their derivatives in ``lam``.  Every cell is evaluated on
-    its own, so a value does not depend on the cells beside it.
+    ``lam`` and ``v``.  A is the whole accepted count set; threshold
+    detection accepts every count >= 1.  Each result has a leading axis
+    holding the values and, with ``slope``, their derivatives in ``lam``.
+    Every cell is evaluated on its own, so a value does not depend on the
+    cells beside it.
 
     Each pair falls in one of four classes: idler detected or not, signal
     kept or not.  The class counts are independent Poissons for a Poisson
@@ -624,7 +621,7 @@ def one_photon_terms(
                 admit[1] = v_d * np.exp(-m)
                 t[1] = v * kept * ((1.0 - lv) * h + (1.0 - v_d) * mu * np.exp(-mu))
             return admit, t
-        pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d), l_max)
+        pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d))
         admit[0] = _series_sum(accept, m)
         s = _series_sum(pair, mu)
         t[0] = lv * kept * s
@@ -651,7 +648,7 @@ def one_photon_terms(
             du = 2.0 * (1.0 - r) * k * g * g
             t[1] = v * d * d * ((1.0 - lv) * d * h + lam * (1.0 - v_d) * du)
         return admit, t
-    pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d), l_max)
+    pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d))
     p_accept = _series_sum(accept, rho)
     q = _series_sum(pair, r)
     admit[0] = g_m * p_accept
@@ -795,7 +792,8 @@ def output_distribution(
     Probabilities for 0..i_max output photons are returned with the
     probability of more than ``i_max``, summed from positive terms until
     they fall below double precision.  The work and memory follow the
-    probability mass, not ``i_max``.  ``trunc`` is not read.
+    probability mass, not ``i_max``.  ``trunc`` is not read; the
+    benchmark's tracer binds it by name.
     """
     i_max = int(i_max)
     if i_max < 1:
@@ -824,13 +822,10 @@ def output_distribution(
 
 
 def single_photon_prob(
-    spec: MultiplexerSpec,
-    pump: PumpProfile,
-    strategy: DetectionStrategy,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+    spec: MultiplexerSpec, pump: PumpProfile, strategy: DetectionStrategy
 ) -> float:
     """Probability of exactly one photon at the output."""
-    return float(output_distribution(spec, pump, strategy, trunc=trunc).probs[1])
+    return float(output_distribution(spec, pump, strategy).probs[1])
 
 
 def _chain_p1(
@@ -860,7 +855,7 @@ def p1_profile_batch(
     It evaluates only the one-photon component, in closed form
     (:func:`_chain_p1`), so each row's value does not depend on the rows
     beside it; the stability interval batches its walk with it.
-    ``trunc`` is not read.
+    ``trunc`` is not read; the benchmark's tracer binds it by name.
     """
     lam = np.asarray(lam_matrix, dtype=float)
     if lam.shape[-1] != spec.n_units:

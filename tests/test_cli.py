@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import asmux
 from asmux.cli import _COMMANDS, _build_parser, main, resolve_run_config
 from asmux.optimize import OptimizerSettings
-from asmux.statistics import TruncationPolicy
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -93,27 +92,18 @@ class TestEval:
             f"truncation_mass {dist.truncation_mass!r}"
         ]
 
-    def test_loose_tail_epsilon_completes_to_one(self, capsys):
-        code, out, _ = run(
-            capsys, "eval", "--n", "8", "--v-r", "0.9", "--v-b", "0.9",
-            "--v-d", "0.9", "--lambda", "1.5", "--strategy", "thd",
-            "--tail-epsilon", "1e-8",
+    def test_truncation_failure_is_domain_error(self, capsys):
+        # the search grids' series cutoff stops at 400 pairs, and a thermal
+        # mean of 20 needs 566: eval of that mean succeeds, and a search up
+        # to it fails
+        common = (
+            "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--source", "thermal",
         )
+        code, out, _ = run(capsys, "eval", *common, "--lambda", "20")
         assert code == 0
         # P_0..P_10 followed by truncation_mass
-        assert abs(sum(float(line.split()[1]) for line in out.splitlines()) - 1.0) <= 1e-12
-
-    def test_truncation_failure_is_domain_error(self, capsys):
-        # the cap bounds the search grids' series: eval of a mean whose
-        # series it cannot cut succeeds, and a search up to that mean fails
-        common = (
-            "--n", "1", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
-            "--source", "thermal", "--l-hard-cap", "50",
-        )
-        code, out, _ = run(capsys, "eval", *common, "--lambda", "5.0")
-        assert code == 0
         assert abs(sum(float(line.split()[1]) for line in out.splitlines()) - 1.0) <= 1e-13
-        code, _, err = run(capsys, "optimize", *common, "--lambda-upper", "5.0")
+        code, _, err = run(capsys, "optimize", *common, "--lambda-upper", "20")
         assert code == 3
         assert "tail" in err
 
@@ -349,9 +339,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: " + message) and err.count("\n") == 1
 
-    def test_max_count_above_l_hard_cap_is_domain_error(self, capsys, monkeypatch):
-        # no output count exceeds the pair-number cutoff, yet the tables of
-        # every bucket up to max_count were built (1e8 got the process killed)
+    def test_max_count_above_400_is_domain_error(self, capsys, monkeypatch):
+        # every bucket up to max_count is built and written for each case
+        # (1e8 got the process killed)
         import asmux.cli
 
         def no_sampling(*args, **kwargs):
@@ -363,7 +353,7 @@ class TestExitCodes:
                                  "--max-count", "401")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: max_count must not exceed l_hard_cap (400)")
+        assert err.startswith("error: max_count must not exceed 400, got 401")
         code, out, _ = run(capsys, "mc-validate", "--cases", "1", "--trials", "1000",
                            "--max-count", "400")
         assert code == 0
@@ -472,16 +462,18 @@ REMOVED_KEYS = (
     + [("mc-validate", "format"), ("mc-validate", "chunk_trials")]
     + [(command, "lambda_lower")
        for command in ("optimize", "find-n", "scan-strategies", "sweep", "table1", "stability")]
+    + [(command, key) for command in _COMMANDS for key in ("tail_epsilon", "l_hard_cap")]
 )
 REMOVED_VALUES = {
     "threads": "2", "i_max": "3", "n": "3", "strategy": "thd", "mode": "uniform",
     "format": "json", "chunk_trials": "50000", "lambda_lower": "0.1",
+    "tail_epsilon": "1e-10", "l_hard_cap": "300",
 }
 
 
 class TestRemovedKeys:
     def test_count(self):
-        assert len(REMOVED_KEYS) == 33
+        assert len(REMOVED_KEYS) == 49
 
     @pytest.mark.parametrize("command,key", REMOVED_KEYS)
     def test_flag_is_config_error(self, capsys, command, key):
@@ -501,32 +493,25 @@ class TestRemovedKeys:
 
 # every key each command accepts, as a flag and as a config-file key
 ACCEPTED_KEYS = {
-    "eval": (
-        "config format i_max l_hard_cap lam n out pump_file source strategy "
-        "tail_epsilon v_b v_d v_r v_t"
-    ),
-    "optimize": (
-        "config format l_hard_cap lambda_upper mode n out source strategy "
-        "tail_epsilon v_b v_d v_r v_t"
-    ),
+    "eval": "config format i_max lam n out pump_file source strategy v_b v_d v_r v_t",
+    "optimize": "config format lambda_upper mode n out source strategy v_b v_d v_r v_t",
     "find-n": (
-        "config format full_curve l_hard_cap lambda_upper mode n_ref out source "
-        "strategy tail_epsilon threshold v_b v_d v_r v_t"
+        "config format full_curve lambda_upper mode n_ref out source strategy threshold "
+        "v_b v_d v_r v_t"
     ),
     "scan-strategies": (
-        "config format l_hard_cap lambda_upper max_j mode n_ref out source "
-        "tail_epsilon threshold v_b v_d v_r v_t"
+        "config format lambda_upper max_j mode n_ref out source threshold v_b v_d v_r v_t"
     ),
     "sweep": (
-        "axis config format l_hard_cap lambda_upper modes n_ref out resume source "
-        "strategies tail_epsilon threshold v_b v_d v_r v_t"
+        "axis config format lambda_upper modes n_ref out resume source strategies threshold "
+        "v_b v_d v_r v_t"
     ),
-    "table1": "config format l_hard_cap lambda_upper n_ref out rows tail_epsilon threshold",
+    "table1": "config format lambda_upper n_ref out rows threshold",
     "stability": (
-        "config format l_hard_cap lambda_upper n_ref out resolution source strategy "
-        "tail_epsilon threshold v_b v_d v_r v_t"
+        "config format lambda_upper n_ref out resolution source strategy threshold "
+        "v_b v_d v_r v_t"
     ),
-    "mc-validate": "cases config l_hard_cap max_count out seed sigma tail_epsilon trials",
+    "mc-validate": "cases config max_count out seed sigma trials",
 }
 
 
@@ -543,7 +528,7 @@ class TestOptionInventory:
         assert sorted(dests) == ACCEPTED_KEYS[command].split()
 
     def test_count(self):
-        assert sum(len(keys.split()) for keys in ACCEPTED_KEYS.values()) == 110
+        assert sum(len(keys.split()) for keys in ACCEPTED_KEYS.values()) == 94
 
 
 # value strategies for the options whose text a converter checks
@@ -841,15 +826,11 @@ class TestSearchFlags:
         monkeypatch.setattr(target, record)
         spec = [] if command == "table1" else ["--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9"]
         with pytest.raises(Searched):
-            main([
-                command, *spec, "--lambda-upper", "3", "--tail-epsilon", "1e-10",
-                "--l-hard-cap", "300", "--n-ref", "7", "--threshold", "0.002",
-            ])
-        assert {key: received.get(key) for key in ("settings", "n_ref", "threshold", "trunc")} == {
+            main([command, *spec, "--lambda-upper", "3", "--n-ref", "7", "--threshold", "0.002"])
+        assert {key: received.get(key) for key in ("settings", "n_ref", "threshold")} == {
             "settings": OptimizerSettings(lambda_upper=3.0),
             "n_ref": 7,
             "threshold": 0.002,
-            "trunc": TruncationPolicy(tail_epsilon=1e-10, l_hard_cap=300),
         }
 
 

@@ -21,7 +21,6 @@ from asmux.optimize import (
     strategy_scan,
 )
 from asmux.statistics import (
-    DEFAULT_TRUNCATION,
     DetectionStrategy,
     PumpProfile,
     p1_profile_batch,
@@ -404,8 +403,7 @@ class TestStrategyScan:
 
 
 def sequential_interval(
-    spec, strategy, pump, baseline_p1, resolution=1e-4, trunc=DEFAULT_TRUNCATION,
-    evaluate=p1_profile_batch,
+    spec, strategy, pump, baseline_p1, resolution=1e-4, evaluate=p1_profile_batch
 ):
     """Reference walk: each edge alone, one single-profile P1 call per shift.
 
@@ -416,7 +414,7 @@ def sequential_interval(
 
     def p1_at(delta):
         shifted = np.clip(base + delta, 0.0, None)
-        return float(evaluate(spec, strategy, shifted[None, :], trunc)[0])
+        return float(evaluate(spec, strategy, shifted[None, :])[0])
 
     if p1_at(0.0) < baseline_p1:
         return 0.0, 0.0, True

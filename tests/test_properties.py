@@ -204,7 +204,7 @@ def reference_cutoff(family, lam):
 def test_one_photon_terms_match_the_cut_series(family, strategy, lam, v, v_d):
     l_max = reference_cutoff(family, lam)
     values, slopes = cut_series_terms(family, strategy, v_d, lam, v, l_max)
-    got = one_photon_terms(family, strategy, v_d, lam, v, l_max, slope=True)
+    got = one_photon_terms(family, strategy, v_d, lam, v, slope=True)
     for (g_value, g_slope), value, slope in zip(got, values, slopes):
         # below the normal float range only an absolute error is left
         assert abs(g_value - value) <= 1e-13 * value + 1e-300
@@ -229,7 +229,7 @@ def test_one_photon_terms_past_the_factorial_range(family, lam, key):
     for v in (0.0, 0.01, 0.3, 1.0):
         for v_d in (0.5, 0.9, 1.0):
             values, slopes = cut_series_terms(family, strategy, v_d, lam, v, 1000)
-            got = one_photon_terms(family, strategy, v_d, lam, v, 1000, slope=True)
+            got = one_photon_terms(family, strategy, v_d, lam, v, slope=True)
             for (g_value, g_slope), value, slope in zip(got, values, slopes):
                 assert abs(g_value - value) <= 1e-13 * value + 1e-300
                 assert abs(g_slope - slope) <= 1e-12 * (abs(slope) + value) + 1e-300
@@ -243,7 +243,7 @@ def test_one_photon_terms_past_the_normal_range_of_the_decay(key):
     for v in (0.0, 0.01, 0.3, 1.0):
         for v_d in (0.5, 0.9):
             values, _ = cut_series_terms("poisson", strategy, v_d, 800.0, v, 1400)
-            got = one_photon_terms("poisson", strategy, v_d, 800.0, v, 1400)
+            got = one_photon_terms("poisson", strategy, v_d, 800.0, v)
             for value, g_value in zip(values, got):
                 assert abs(g_value[0] - value) <= 1e-11 * value + 1e-300
 
@@ -258,7 +258,7 @@ def test_one_photon_terms_at_edge_cells(family, key):
     v = np.array([0.0, 1.0, 0.0, 1.0])
     one_pair = 0.7 * math.exp(-0.7) if family == "poisson" else 0.7 / 1.7**2
     for v_d in (0.8, 1.0):
-        admit, t = one_photon_terms(family, strategy, v_d, lam, v, 30, slope=True)
+        admit, t = one_photon_terms(family, strategy, v_d, lam, v, slope=True)
         # no pair: nothing admitted or delivered, at the slopes of one pair
         assert admit[:, :2].tolist() == [[0.0, 0.0], [v_d * single] * 2]
         assert t[:, :2].tolist() == [[0.0, 0.0], [0.0, v_d * single]]
@@ -266,14 +266,3 @@ def test_one_photon_terms_at_edge_cells(family, key):
         assert t[:, 2].tolist() == [0.0, 0.0]
         # a lossless arm delivers one photon from exactly one pair
         assert t[0, 3] == pytest.approx(v_d * single * one_pair, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("family", ["poisson", "thermal"])
-def test_counts_past_the_cutoff_are_dropped(family):
-    # as in acceptance_weights, which no count above its cutoff reaches
-    lam = np.linspace(0.0, 5.0, 11)
-    capped, kept = (
-        one_photon_terms(family, DetectionStrategy.parse(key), 0.9, lam, 0.7, 40, slope=True)
-        for key in ("set:1,3,60", "set:1,3")
-    )
-    assert np.array_equal(capped[0], kept[0]) and np.array_equal(capped[1], kept[1])

@@ -610,17 +610,17 @@ class TestOutputDistribution:
         assert dist.probs.size == 10**5 + 1
 
     def test_truncation_error(self):
-        # the policy bounds only the search grids: a profile whose series
-        # it cannot cut evaluates, and a search up to that mean refuses
+        # the cutoff rule bounds only the search grids: a thermal mean of 20
+        # needs a cutoff of 566, past the cap of 400, yet it evaluates, and
+        # a search up to that mean refuses
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1, source="thermal")
-        tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
         thd = DetectionStrategy.threshold()
-        dist = output_distribution(spec, PumpProfile((5.0,)), thd, trunc=tight)
+        dist = output_distribution(spec, PumpProfile((20.0,)), thd)
         assert dist.probs.sum() + dist.truncation_mass == pytest.approx(1.0, abs=1e-13)
         assert dist.truncation_mass > 0.0
-        assert dist.probs[1] == p1_profile_batch(spec, thd, np.array([[5.0]]), tight)[0]
-        with pytest.raises(TruncationError):
-            optimize_pump(spec, thd, OptimizerSettings(lambda_upper=5.0), tight)
+        assert dist.probs[1] == p1_profile_batch(spec, thd, np.array([[20.0]]))[0]
+        with pytest.raises(TruncationError, match="needs a cutoff of 566"):
+            optimize_pump(spec, thd, OptimizerSettings(lambda_upper=20.0))
 
 
 class TestExports:
