@@ -25,7 +25,7 @@ from .statistics import (
     PumpProfile,
     _validate_pump,
     output_distribution,
-    series_cutoffs,
+    required_lmax,
 )
 
 __all__ = [
@@ -221,11 +221,12 @@ def compare_with_analytic(
     """Pair the sampler with the model, run first so that a refused input costs no sampling.
 
     The sampler's work grows with the pair numbers it draws, so a pump
-    mean whose pair-number series the search grids' cutoff rule cannot
-    cut is refused here (:func:`~asmux.statistics.series_cutoffs` raises
-    :class:`~asmux.exceptions.TruncationError`).
+    whose largest mean the search grids' cutoff rule cannot cut is
+    refused here (:func:`~asmux.statistics.required_lmax` raises
+    :class:`~asmux.exceptions.TruncationError`); tails grow with the
+    mean, so the largest mean decides.
     """
-    series_cutoffs(spec.source, pump.as_array())
+    required_lmax(spec.source, max(pump.lambdas))
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count)
     return McComparison(result=simulate(spec, pump, strategy, mc), analytic=dist.probs)
 

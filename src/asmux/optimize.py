@@ -731,33 +731,6 @@ def _midpoints(lo: float, hi: float, resolution: float) -> list[float]:
     return mids
 
 
-def _edge_walk(resolution: float):
-    """One edge's search for the largest shift magnitude that holds the baseline.
-
-    A generator: it yields the magnitudes to test next and is sent
-    whether each held.  The shift doubles while it holds (up to 10);
-    the last step is then bisected to ``resolution``.  It returns the
-    largest magnitude found to hold.
-    """
-    lo, hi = 0.0, resolution
-    while (yield [hi])[0]:
-        lo = hi
-        if hi >= 10.0:
-            return lo
-        hi *= 2.0
-    while mids := _midpoints(lo, hi, resolution):
-        held = dict(zip(mids, (yield mids)))
-        for _ in range(_BISECT_DEPTH):
-            mid = _bisection_mid(lo, hi, resolution)
-            if mid is None:
-                break
-            if held[mid]:
-                lo = mid
-            else:
-                hi = mid
-    return lo
-
-
 def stability_interval(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
@@ -771,12 +744,13 @@ def stability_interval(
     zero) and each side of zero is bisected to ``resolution``.  If the
     unshifted profile does not reach the baseline the interval is empty.
 
-    Both edges walk in lockstep: one :func:`p1_profile_batch` call tests
-    the next doubling step of each, or for a bisecting edge every
-    midpoint of its next _BISECT_DEPTH levels, of which it follows one
-    path.  So each edge takes the decisions it would take walking alone,
-    one shift per call.  P1 is a closed form at every shift, so no step
-    of either edge can fail.
+    One :func:`p1_profile_batch` call tests the zero shift and every
+    rung of both doubling ladders (``resolution`` doubled up to the first
+    rung >= 10).  Each edge then bisects the bracket below its first
+    failed rung alone, one call per _BISECT_DEPTH levels: the call tests
+    every midpoint those levels may reach, and the edge follows one path.
+    P1 is a closed form at every shift, so a row's value does not depend
+    on the rows that share its call.
     """
     _check_resolution(resolution)
     if math.isnan(baseline_p1):
@@ -787,19 +761,25 @@ def stability_interval(
         shifted = np.clip(base + np.array(deltas)[:, None], 0.0, None)
         return (p1_profile_batch(spec, strategy, shifted) >= baseline_p1).tolist()
 
-    if not held_at([0.0])[0]:
+    ladder = [resolution]
+    while ladder[-1] < 10.0:
+        ladder.append(2.0 * ladder[-1])
+    held = held_at([0.0, *(-x for x in ladder), *ladder])
+    if not held[0]:
         return StabilityInterval(0.0, 0.0, empty=True)
-
-    walks = {sign: _edge_walk(resolution) for sign in (-1.0, +1.0)}
-    tests = {sign: next(walk) for sign, walk in walks.items()}
-    ends = {}
-    while tests:
-        held = held_at([sign * x for sign, xs in tests.items() for x in xs])
-        for sign, xs in list(tests.items()):
-            outcome, held = held[: len(xs)], held[len(xs):]
-            try:
-                tests[sign] = walks[sign].send(outcome)
-            except StopIteration as stop:
-                del tests[sign]
-                ends[sign] = sign * stop.value if stop.value else 0.0  # +0.0, never -0.0
-    return StabilityInterval(delta_minus=ends[-1.0], delta_plus=ends[+1.0])
+    ends = []
+    for sign, rungs in ((-1.0, held[1 : len(ladder) + 1]), (+1.0, held[len(ladder) + 1 :])):
+        if all(rungs):
+            lo = ladder[-1]
+        else:
+            k = rungs.index(False)
+            lo, hi = (ladder[k - 1] if k else 0.0), ladder[k]
+            while mids := _midpoints(lo, hi, resolution):
+                outcome = dict(zip(mids, held_at([sign * x for x in mids])))
+                for _ in range(_BISECT_DEPTH):
+                    mid = _bisection_mid(lo, hi, resolution)
+                    if mid is None:
+                        break
+                    lo, hi = (mid, hi) if outcome[mid] else (lo, mid)
+        ends.append(sign * lo if lo else 0.0)  # +0.0, never -0.0
+    return StabilityInterval(delta_minus=ends[0], delta_plus=ends[1])

@@ -38,10 +38,10 @@ class TruncationPolicy:
 
     The series over generated pairs is cut at the smallest count whose
     source tail mass falls below ``tail_epsilon``, and never beyond
-    ``l_hard_cap``.  The package applies only :data:`DEFAULT_TRUNCATION`:
-    to the per-unit and uniform search grids, at the upper search bound,
-    and to the pump means the Monte Carlo comparison samples.  The
-    evaluators have no series to cut.
+    ``l_hard_cap`` (:func:`required_lmax`).  The package applies only
+    :data:`DEFAULT_TRUNCATION`: to the per-unit and uniform search grids,
+    at the upper search bound, and to the largest pump mean the Monte
+    Carlo comparison samples.  The evaluators have no series to cut.
     """
 
     tail_epsilon: float = 1e-12
@@ -263,18 +263,13 @@ def _poisson_series_end(lam: float, l: int) -> int:
 
 
 def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
-    """P(X > l) for l = l_lo..l_hi at each Poisson mean in ``lams``; adds a trailing axis.
+    """P(X > l) for l = l_lo..l_hi at each positive Poisson mean in ``lams``; adds a trailing axis.
 
     Each tail is summed from the far end of the series down, smallest
-    terms first, so none is formed as ``1 - cdf``.  A zero mean among
-    others has zero tails, from ``log(0)``; callers with zero means
-    silence its divide warning.
+    terms first, so none is formed as ``1 - cdf``.
     """
     lams = np.asarray(lams, dtype=float)
-    lam_max = float(lams.max()) if lams.size else 0.0
-    if lam_max == 0.0:
-        return np.zeros(lams.shape + (l_hi - l_lo + 1,))
-    end = _poisson_series_end(lam_max, l_hi)
+    end = _poisson_series_end(float(lams.max()), l_hi)
     # the terms for k = end down to l_lo + 1, so their running sums are the tails
     terms = np.log(lams)[..., None] * np.arange(end, l_lo, -1.0)
     terms -= lams[..., None]
@@ -284,81 +279,47 @@ def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
     return terms[..., ::-1][..., : l_hi - l_lo + 1]
 
 
-def _poisson_cutoffs(
-    lams: np.ndarray, trunc: TruncationPolicy, lo: int = 0, hi: int = 64
-) -> np.ndarray:
-    """Cutoffs of positive Poisson means, searched for all of them at once.
+def required_lmax(
+    family: SourceFamily | str, lam: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
+) -> int:
+    """Smallest series cutoff whose source tail mass at ``lam`` is within the policy bound.
 
-    The windows of cutoffs double in length, so the work follows the
-    cutoffs found and not the cap.  Tails never grow with the cutoff, so
-    a mean is done once the last tail of a window is within the bound;
-    the means still open search the next window.  A mean whose tail stays
-    above the bound up to the cap raises, and a mean at or above the cap
-    (a tail of about one half there) raises before any search.
-    """
-    over = lams >= trunc.l_hard_cap
-    if lo > trunc.l_hard_cap or over.any():
-        raise TruncationError(
-            f"Poisson tail at mean {float(lams.flat[over.argmax()])} stays above "
-            f"{trunc.tail_epsilon} up to the hard cap {trunc.l_hard_cap}"
-        )
-    hi = min(hi, trunc.l_hard_cap)
-    tails = _poisson_tails(lams, lo, hi)
-    cutoffs = lo + (tails <= trunc.tail_epsilon).argmax(axis=-1)
-    still_open = tails[..., -1] > trunc.tail_epsilon
-    if np.count_nonzero(still_open):
-        cutoffs = np.array(cutoffs)
-        cutoffs[still_open] = _poisson_cutoffs(lams[still_open], trunc, hi + 1, 2 * hi)
-    return cutoffs
-
-
-def series_cutoffs(
-    family: SourceFamily | str, lams, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> np.ndarray:
-    """Series cutoff of every mean in ``lams``, as an integer array of its shape.
-
-    This is the one cutoff rule (see :class:`TruncationPolicy`);
-    :func:`required_lmax` applies it to one mean.  Poisson means share
-    one window search; the thermal tail beyond l is (lam / (1 + lam))^(l+1),
-    so its cutoffs are one array expression.  A mean that is not finite
-    or is negative raises :class:`ParameterError`, and one that cannot be
-    cut within the hard cap raises :class:`TruncationError`.
+    This is the one cutoff rule (see :class:`TruncationPolicy`).  The
+    thermal tail beyond l is (lam / (1 + lam))^(l+1), so its cutoff is a
+    closed form.  Poisson tails are searched in windows of cutoffs that
+    double in length, so the work follows the cutoff and not the cap; a
+    mean at or above the cap (a tail of about one half there) raises
+    before any search.  A mean that is not finite or is negative raises
+    :class:`ParameterError`, and one that cannot be cut within the hard
+    cap raises :class:`TruncationError`.  Tails grow with the mean, so
+    the largest mean of a profile decides whether it can be cut.
     """
     family = SourceFamily.coerce(family)
-    lams = np.asarray(lams, dtype=float)
-    bad = ~np.isfinite(lams) | (lams < 0.0)
-    if bad.any():
-        raise ParameterError(
-            f"mean photon number must be finite and >= 0, got {float(lams[bad].flat[0])!r}"
-        )
-    cutoffs = np.zeros(lams.shape, dtype=np.int64)
-    pos = lams > 0.0
-    if family is SourceFamily.POISSON:
-        cutoffs[pos] = _poisson_cutoffs(lams[pos], trunc)
-        return cutoffs
-    ratio = lams[pos] / (1.0 + lams[pos])
-    with np.errstate(divide="ignore"):  # a ratio that rounds to one has no cutoff
-        needed = np.where(
-            ratio < 1.0, np.ceil(math.log(trunc.tail_epsilon) / np.log(ratio)) - 1.0, np.inf
-        )
-    over = needed > trunc.l_hard_cap
-    if over.any():
-        raise TruncationError(
-            f"thermal tail at mean {float(lams[pos][over][0])} needs a cutoff of "
-            f"{needed[over][0]:.0f}, beyond the hard cap {trunc.l_hard_cap}"
-        )
-    cutoffs[pos] = np.maximum(needed, 0.0)
-    return cutoffs
-
-
-def required_lmax(
-    family: SourceFamily | str, lam_max: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> int:
-    """Smallest series cutoff whose source tail mass is below the policy bound.
-
-    This is :func:`series_cutoffs` of one mean.
-    """
-    return int(series_cutoffs(family, float(lam_max), trunc))
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ParameterError(f"mean photon number must be finite and >= 0, got {lam!r}")
+    if lam == 0.0:
+        return 0
+    eps, cap = trunc.tail_epsilon, trunc.l_hard_cap
+    if family is SourceFamily.THERMAL:
+        ratio = lam / (1.0 + lam)  # a ratio that rounds to one has no cutoff
+        needed = math.ceil(math.log(eps) / math.log(ratio)) - 1 if ratio < 1.0 else math.inf
+        if needed > cap:
+            raise TruncationError(
+                f"thermal tail at mean {lam} needs a cutoff of {needed:.0f}, "
+                f"beyond the hard cap {cap}"
+            )
+        return needed
+    lo, hi = 0, 64
+    while lo <= cap and lam < cap:
+        hi = min(hi, cap)
+        within = np.flatnonzero(_poisson_tails(lam, lo, hi) <= eps)
+        if within.size:
+            return lo + int(within[0])
+        lo, hi = hi + 1, 2 * hi
+    raise TruncationError(
+        f"Poisson tail at mean {lam} stays above {eps} up to the hard cap {cap}"
+    )
 
 
 def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
@@ -854,7 +815,8 @@ def p1_profile_batch(
     ``lam_matrix`` holds one profile per row (last axis = unit index).
     It evaluates only the one-photon component, in closed form
     (:func:`_chain_p1`), so each row's value does not depend on the rows
-    beside it; the stability interval batches its walk with it.
+    beside it; the stability interval tests both doubling ladders, or a
+    bisecting edge's next three levels, in one call.
     ``trunc`` is not read; the benchmark's tracer binds it by name.
     """
     lam = np.asarray(lam_matrix, dtype=float)

@@ -17,7 +17,7 @@ from asmux.montecarlo import (
     simulate,
 )
 from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
-from asmux.statistics import DetectionStrategy, PumpProfile, output_distribution
+from asmux.statistics import DetectionStrategy, PumpProfile, output_distribution, required_lmax
 
 SPD = DetectionStrategy.single_photon()
 QUICK = McSettings(trials=200_000, seed=77)
@@ -286,6 +286,20 @@ class TestCorpus:
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(TruncationError):
             compare_with_analytic(spec, PumpProfile((1e5,)), SPD, McSettings(trials=1000))
+
+    @pytest.mark.parametrize("source,lams", [("poisson", (0.5, 1e5)), ("thermal", (0.5, 50.0))])
+    def test_largest_mean_decides_the_refusal(self, monkeypatch, source, lams):
+        # the first mean can be cut and the largest cannot; tails grow with the mean
+        import asmux.montecarlo
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the model refused the input")
+
+        monkeypatch.setattr(asmux.montecarlo, "simulate", no_sampling)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source=source)
+        assert required_lmax(source, lams[0]) > 0
+        with pytest.raises(TruncationError, match=f"tail at mean {lams[1]} "):
+            compare_with_analytic(spec, PumpProfile(lams), SPD, McSettings(trials=1000))
 
 
 # The 1e9-trial oracle: two tests at a false-alarm rate of 1e-3 each, so

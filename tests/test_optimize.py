@@ -559,7 +559,15 @@ class TestStabilityInterval:
         assert interval.delta_plus > 0.0
 
 
-class TestLockstepWalk:
+def recorder(sizes):
+    """``p1_profile_batch`` that appends each call's profile count to ``sizes``."""
+    def recorded(spec, strategy, lam_matrix):
+        sizes.append(len(lam_matrix))
+        return p1_profile_batch(spec, strategy, lam_matrix)
+    return recorded
+
+
+class TestStabilityWalk:
     """The batched walk against the former one-shift-per-call walk."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -593,22 +601,32 @@ class TestLockstepWalk:
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=8)
         pump = optimize_pump(spec, SPD).best_pump
         baseline = optimize_uniform(spec, SPD).best_p1
-        calls = {"sequential": 0, "lockstep": 0}
-
-        def counter(name):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return p1_profile_batch(*args, **kwargs)
-            return counted
-
-        expected = sequential_interval(spec, SPD, pump, baseline, evaluate=counter("sequential"))
-        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", counter("lockstep"))
+        sequential, batched = [], []
+        expected = sequential_interval(spec, SPD, pump, baseline, evaluate=recorder(sequential))
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", recorder(batched))
         interval = stability_interval(spec, SPD, pump, baseline)
         assert (interval.delta_minus, interval.delta_plus, interval.empty) == expected
         # each edge takes 12 doubling steps and 11 bisection levels: one shift
-        # per call that is 1 + 2 * (12 + 11) = 47 calls, in lockstep with three
-        # levels per call 1 + 12 + 4 = 17
-        assert (calls["sequential"], calls["lockstep"]) == (47, 17)
+        # per call that is 1 + 2 * (12 + 11) = 47 calls.  Batched, one call
+        # tests zero and both ladders (1 + 2 * 18 rungs from 1e-4 up to 13.1),
+        # and each edge then bisects alone with three levels per call,
+        # 1 + 4 + 4 = 9
+        assert (len(sequential), len(batched)) == (47, 9)
+        assert batched[0] == 37
+
+    def test_smallest_subnormal_resolution(self, monkeypatch):
+        # the ladder doubles 2^-1074 up to 2^4 = 16: 1079 rungs per edge, all
+        # in the first call
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=4, source="thermal")
+        pump = optimize_pump(spec, SPD).best_pump
+        baseline = optimize_uniform(spec, SPD).best_p1
+        expected = sequential_interval(spec, SPD, pump, baseline, resolution=5e-324)
+        batched = []
+        monkeypatch.setattr(asmux.optimize, "p1_profile_batch", recorder(batched))
+        interval = stability_interval(spec, SPD, pump, baseline, resolution=5e-324)
+        assert repr((interval.delta_minus, interval.delta_plus, interval.empty)) == repr(expected)
+        assert not interval.empty
+        assert batched[0] == 1 + 2 * 1079
 
 
 class TestSettingsValidation:

@@ -27,7 +27,6 @@ from asmux.statistics import (
     output_distribution,
     p1_profile_batch,
     required_lmax,
-    series_cutoffs,
     single_photon_prob,
     source_pmf,
 )
@@ -314,7 +313,7 @@ _MEAN_ERROR = "mean photon number must be finite and >= 0, got "
 
 
 class TestSeriesCutoffs:
-    """The cutoffs of many means in one call against the rule written out per mean."""
+    """``required_lmax`` against the cutoff rule written out per mean."""
 
     POLICIES = (
         DEFAULT_TRUNCATION,
@@ -332,28 +331,21 @@ class TestSeriesCutoffs:
         rule = poisson_cutoff if family == "poisson" else thermal_cutoff
         expected = [(lam, rule(lam, trunc)) for lam in lams.tolist()]
         cut = [(lam, l_max) for lam, l_max in expected if l_max is not None]
-        means = np.array([lam for lam, _ in cut])
-        assert np.sum(means == 0.0) == 2 and means.size > 60
-        cutoffs = series_cutoffs(family, means.reshape(-1, 1), trunc)
-        assert cutoffs.shape == (means.size, 1)
-        assert cutoffs[:, 0].tolist() == [l_max for _, l_max in cut]
-        assert [required_lmax(family, lam, trunc) for lam, _ in cut] == cutoffs[:, 0].tolist()
-        assert series_cutoffs(family, np.array([]), trunc).shape == (0,)
+        assert sum(lam == 0.0 for lam, _ in cut) == 2 and len(cut) > 60
+        assert [required_lmax(family, lam, trunc) for lam, _ in cut] == [l_max for _, l_max in cut]
         for lam, l_max in expected:  # the means no cutoff within the cap bounds
             if l_max is None:
                 with pytest.raises(TruncationError):
-                    series_cutoffs(family, np.array([0.5, lam]), trunc)
+                    required_lmax(family, lam, trunc)
 
     def test_thermal_cutoffs_equal_scalar_cutoffs_on_many_means(self):
-        # the thermal cutoffs are one array expression; each must round as
-        # the rule written with math does, from the smallest positive means up to 14
+        # from the smallest positive means up to 14, where the cutoff meets the cap
         rng = np.random.default_rng(11)
         lams = np.concatenate(
             (np.geomspace(1e-300, 14.0, 200_000), rng.uniform(0.0, 14.0, 200_000))
-        )
-        expected = [thermal_cutoff(lam) for lam in lams.tolist()]
-        cutoffs = series_cutoffs("thermal", lams)
-        assert cutoffs.tolist() == expected
+        ).tolist()
+        expected = [thermal_cutoff(lam) for lam in lams]
+        assert [required_lmax("thermal", lam) for lam in lams] == expected
         assert max(expected) == DEFAULT_TRUNCATION.l_hard_cap
 
     @pytest.mark.parametrize(
@@ -394,11 +386,9 @@ class TestSeriesCutoffs:
         ],
     )
     def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, trunc, error, message):
-        with pytest.raises(error) as scalar:
+        with pytest.raises(error) as raised:
             required_lmax(family, lam, trunc)
-        with pytest.raises(error) as array:
-            series_cutoffs(family, np.array([0.0, 0.5, lam, 1.0]), trunc)
-        assert str(scalar.value) == str(array.value) == message
+        assert str(raised.value) == message
 
 
 class TestDetectionStrategy:
