@@ -221,7 +221,7 @@ def compare_with_analytic(
     """Pair the sampler with the model, run first so that a refused input costs no sampling.
 
     The sampler's work grows with the pair numbers it draws, so a pump
-    whose largest mean the search grids' cutoff rule cannot cut is
+    whose largest mean the per-unit grid's cutoff rule cannot cut is
     refused here (:func:`~asmux.statistics.required_lmax` raises
     :class:`~asmux.exceptions.TruncationError`); tails grow with the
     mean, so the largest mean decides.

@@ -20,29 +20,29 @@ every size.
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a root solve of the slope of
   P1 on the grid points around it, vectorized over sizes, with the
-  product rule on the running products.  A uniform scalar needs one
-  pair-number pmf row for all units: P1 is linear in it, so the slope
-  takes the same row and one more weight table per arm, which only this
-  mode builds.  In the scaled-reference mode every unit has its own
-  mean, and a unit's two numbers, its admission probability and its
-  chance of admission with one photon out, are read in closed form with
-  their slopes (:func:`~asmux.statistics.one_photon_terms`), so the
-  search builds no pmf rows.  A rescaled mean ``x / V_n`` grows along
-  the chain and is capped at the upper bound, so every capped cell
-  shares the values on the bound, which only this mode builds, and adds
-  no slope; only the other cells are evaluated, and the refinement of a
-  size reads only the arms of that size.  A root of the slope moves with
-  rounding by about eps |f'| / |f''|, so the optimum does not depend on
-  which sizes share a batch.
+  product rule on the running products.  A unit's two numbers, its
+  admission probability and its chance of admission with one photon
+  out, are read in closed form with their slopes
+  (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
+  arm (uniform) or ``x / V_n`` (scaled-reference), so neither search
+  builds a pmf row.  A rescaled mean grows along the chain and is capped
+  at the upper bound, so every capped cell shares the values on the
+  bound, which only the scaled-reference mode builds, and adds no slope;
+  only the other cells are evaluated, and its refinement of a size reads
+  only the arms of that size.  No batch reads an arm past the last arm of
+  its largest size.  A root of the slope moves with rounding by about
+  eps |f'| / |f''|, so the optimum does not depend on which sizes share
+  a batch.
 
 Reported probabilities are evaluated once for all sizes together, in
 closed form from the units of each size only, as
 :func:`~asmux.statistics.output_distribution` evaluates them, so every
-report re-evaluates to its ``best_p1``.  Only the per-unit and uniform
-search grids cut the pair-number series, at the cutoff of the upper
-bound (:func:`~asmux.statistics.required_lmax`); an upper bound whose
+report re-evaluates to its ``best_p1``.  Only the per-unit search grid
+cuts the pair-number series, at the cutoff of the upper bound
+(:func:`~asmux.statistics.required_lmax`); a per-unit upper bound whose
 series that rule cannot cut raises
-:class:`~asmux.exceptions.TruncationError`.
+:class:`~asmux.exceptions.TruncationError`.  The one-parameter searches
+have no such ceiling.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ _GRID_POINTS = 1001
 _SCALAR_GRID = 513
 # bracket width, relative to the upper bound, at which a slope root stops
 _XTOL = 1e-12
-# pair-number pmf cells per batch of profiles; bounds the memory of the tables
+# closed-form cells per batch of one-parameter profiles; bounds the memory of the tables
 _CHUNK_CELLS = 1 << 20
 # bisection levels of a stability edge tested per P1 call
 _BISECT_DEPTH = 3
@@ -179,18 +179,13 @@ def _grid_tables(
 
 
 class _Chain:
-    """Arm weights of every requested size, on one series cutoff.
+    """Arm transmissions of every requested size, and their closed-form values.
 
-    ``through`` holds the one-photon weights of the arms 1..n_max-1 that
-    pass a router's through port, ``last`` those of the last arm of each
-    size in ``sizes``; both already include the admission weights ``w``.
-    The per-unit and uniform searches read them; the reported P1 reads
-    only the arm transmissions ``v_through`` and ``v_last``.
-    Each one-parameter mode builds its own tables on first read: the
-    uniform mode the slope weights ``lifted``, the scaled-reference mode
-    the closed-form values on the upper bound, ``capped``.  The
-    scaled-reference search reads no weight row: its values are closed
-    forms (:meth:`terms`).
+    ``v_through`` holds the transmissions of the arms 1..n_max-1 that pass
+    a router's through port, ``v_last`` that of the last arm of each size
+    in ``sizes``.  Unit values are closed forms (:meth:`terms`); the
+    scaled-reference mode also reads the values on the upper bound,
+    ``capped``, built on first read.
     """
 
     def __init__(
@@ -205,17 +200,8 @@ class _Chain:
         self.strategy = strategy
         self.v_d = spec.v_d
         self.upper = settings.lambda_upper
-        self.l_max = required_lmax(spec.source, self.upper)
-        self.w = acceptance_weights(strategy, spec.v_d, self.l_max)
         self.v_through = transmission_vector(spec.with_units(int(sizes[-1])))[:-1]
         self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
-        self.through = transmit_one_weights(self.v_through, self.l_max) * self.w
-        self.last = transmit_one_weights(self.v_last, self.l_max) * self.w
-
-    @cached_property
-    def lifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_lift` of ``through``, ``last`` and ``w``, for the uniform slope."""
-        return tuple(_lift(self.family, a) for a in (self.through, self.last, self.w))
 
     @cached_property
     def capped(self) -> tuple[float, np.ndarray, np.ndarray]:
@@ -245,13 +231,19 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     unit stays quiet and the tail of the chain delivers", so a single
     last-to-first pass reaches the optimum.  The pass carries one tail
     value per size larger than the current unit; a size joins at its
-    last unit with an empty tail.
+    last unit with an empty tail.  The stage tables are pair-number pmf
+    rows on a grid, cut at the cutoff of the upper bound
+    (:func:`~asmux.statistics.required_lmax`, which may raise).
     """
-    grid, pmf = _grid_tables(chain.family, chain.l_max, chain.upper, _GRID_POINTS)
+    l_max = required_lmax(chain.family, chain.upper)
+    w = acceptance_weights(chain.strategy, chain.v_d, l_max)
+    through = transmit_one_weights(chain.v_through, l_max) * w
+    last = transmit_one_weights(chain.v_last, l_max) * w
+    grid, pmf = _grid_tables(chain.family, l_max, chain.upper, _GRID_POINTS)
     step = grid[1] - grid[0]
-    quiet = 1.0 - pmf @ chain.w  # (G,)
-    t_through = chain.through @ pmf.T  # (n_max-1, G)
-    t_last = chain.last @ pmf.T  # (sizes, G)
+    quiet = 1.0 - pmf @ w  # (G,)
+    t_through = through @ pmf.T  # (n_max-1, G)
+    t_last = last @ pmf.T  # (sizes, G)
     sizes = chain.sizes
     lam = np.zeros((sizes.size, int(sizes[-1])))
     carry = np.zeros(sizes.size)
@@ -278,16 +270,14 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
             vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
             vertex = np.clip(vertex, 0.0, chain.upper)
             # the joining size, if refined, is the first refined row
-            weights = np.empty((refine.size, chain.l_max + 1))
+            weights = np.empty((refine.size, l_max + 1))
             joined = int(joins and refine[0] == 0)
             if joined:
-                weights[0] = chain.last[first]
+                weights[0] = last[first]
             if joined < refine.size:
-                weights[joined:] = chain.through[unit]
-            p = source_pmf(chain.family, vertex, chain.l_max)
-            f_vertex = np.einsum("rl,rl->r", p, weights) + (
-                1.0 - p @ chain.w
-            ) * tail[refine]
+                weights[joined:] = through[unit]
+            p = source_pmf(chain.family, vertex, l_max)
+            f_vertex = np.einsum("rl,rl->r", p, weights) + (1.0 - p @ w) * tail[refine]
             better = f_vertex > f[refine]
             x[refine[better]] = vertex[better]
             f[refine[better]] = f_vertex[better]
@@ -304,29 +294,6 @@ def _in_batches(n: int, cells_per_item: int, fn) -> np.ndarray:
     """``fn`` over slices of ``range(n)`` of at most ``_CHUNK_CELLS`` cells, concatenated."""
     step = max(1, _CHUNK_CELLS // cells_per_item)
     return np.concatenate([fn(slice(s, s + step)) for s in range(0, n, step)])
-
-
-def _lift(family: SourceFamily, a: np.ndarray) -> np.ndarray:
-    """Weights ``b`` with which :func:`_slope` differentiates ``pmf @ a`` in the mean.
-
-    Poisson: pmf'_l = pmf_{l-1} - pmf_l, so b_l = a_{l+1}.  Thermal:
-    pmf'_l = (l pmf_{l-1} / (1 + lam) - pmf_l) / (1 + lam), so
-    b_l = (l + 1) a_{l+1}.  Both take a_{L+1} = 0: the slope is that of
-    the truncated sum.
-    """
-    b = np.zeros_like(a)
-    b[..., :-1] = a[..., 1:]
-    if family is SourceFamily.THERMAL:
-        b[..., :-1] *= np.arange(1.0, a.shape[-1])
-    return b
-
-
-def _slope(family: SourceFamily, lam, value: np.ndarray, lifted: np.ndarray) -> np.ndarray:
-    """d(pmf @ a)/d lam from ``value = pmf @ a`` and ``lifted = pmf @ _lift(a)``."""
-    if family is SourceFamily.POISSON:
-        return lifted - value
-    g = 1.0 / (1.0 + lam)
-    return g * (g * lifted - value)
 
 
 def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
@@ -392,13 +359,10 @@ def _scalar_p1(
     derivative of P1 in the scalar.
     """
     n_arms = chain.v_through.size + chain.sizes.size
-    # per scalar, scaled: about eight closed-form terms per arm, twice as
-    # many with the slope; uniform: one pmf row and a value (and a slope)
-    # per arm
-    cells = 8 * (1 + slope) * n_arms if scaled else (1 + slope) * n_arms + chain.l_max + 1
+    # about eight closed-form terms per arm and scalar, twice as many with the slope
     return _in_batches(
         xs.size,
-        cells,
+        8 * (1 + slope) * n_arms,
         lambda part: _scalar_p1_batch(
             chain, scaled, xs[part], None if cols is None else cols[part], slope
         ),
@@ -410,33 +374,23 @@ def _scalar_p1_batch(
 ) -> np.ndarray:
     # The arms before the last one do not depend on the size: their
     # running no-admission products and one-photon sums serve every size.
-    n_through = chain.v_through.size
     if cols is None:  # every size
         rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], np.arange(chain.sizes.size)
     else:  # xs[i] at size sizes[cols[i]], which reads the arms before its last only
         rows, x, pick = np.arange(xs.size), xs, cols
     at = chain.sizes[pick] - 1
+    n_through = int(at.max())  # no arm past the largest size's is read
+    v_through = chain.v_through[:n_through]
     if scaled:
         _, capped, capped_last = chain.capped
         live = None if cols is None else np.arange(n_through) < at[:, None]
-        quiet, t = _capped_cells(chain, xs[:, None], chain.v_through, capped, live, slope)
+        quiet, t = _capped_cells(chain, xs[:, None], v_through, capped[:n_through], live, slope)
         _, t_last = _capped_cells(chain, x, chain.v_last[pick], capped_last[pick], slope=slope)
-    else:  # one mean for every unit, so one pmf row per scalar
-        pmf = source_pmf(chain.family, xs, chain.l_max)
-        lam = xs[:, None]
-
-        def values(weights, lifted):
-            value = pmf @ weights.T
-            if not slope:
-                return value[None]
-            return np.stack([value, _slope(chain.family, lam, value, pmf @ lifted.T)])
-
-        through_lifted, last_lifted, w_lifted = chain.lifted
-        t = values(chain.through, through_lifted)
-        t_last = values(chain.last, last_lifted)[:, rows, pick]
-        quiet = -values(chain.w[None], w_lifted[None])
+    else:  # mean x on every arm, so d lam / dx = 1
+        admit, t = chain.terms(xs[:, None], v_through, slope)
+        quiet = -admit
         quiet[0] += 1.0
-        quiet = np.broadcast_to(quiet, t.shape)
+        _, t_last = chain.terms(x, chain.v_last[pick], slope)
     prefix = np.ones((xs.size, n_through + 1))
     np.cumprod(quiet[0], axis=1, out=prefix[:, 1:])
     head = np.zeros((xs.size, n_through + 1))
@@ -445,7 +399,7 @@ def _scalar_p1_batch(
     if not slope:
         return p1
     # product rule: d prefix = prefix * (running sum of d quiet / quiet),
-    # where quiet >= pmf_0 > 0 unless it rounds to zero
+    # where quiet >= P(no pair) > 0 unless it rounds to zero
     run = np.zeros((xs.size, n_through + 1))
     np.cumsum(
         np.divide(quiet[1], quiet[0], out=np.zeros(t[0].shape), where=quiet[0] != 0.0),

@@ -6,10 +6,10 @@ heralding through a detector of efficiency ``v_d``, and binomial photon
 loss along the multiplexer arm of the unit that wins priority.  Priority
 goes to the accepted unit with the smallest index, i.e. the one with the
 smallest loss.  The evaluators compose these stages exactly, in closed
-form per unit, with no pair-number series.  The optimizers' per-unit and
-uniform search grids read pair-number pmf rows, cut where the source tail
-of the upper search bound falls below 1e-12, and never beyond 400 pairs
-(:data:`DEFAULT_TRUNCATION`).
+form per unit, with no pair-number series.  Only the optimizers'
+per-unit search grid reads pair-number pmf rows, cut where the source
+tail of the upper search bound falls below 1e-12, and never beyond 400
+pairs (:data:`DEFAULT_TRUNCATION`).
 """
 from __future__ import annotations
 
@@ -34,14 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Finite cutoff rule for the pair-number pmf rows of the search grids.
+    """Finite cutoff rule for the pair-number pmf rows of the per-unit search grid.
 
     The series over generated pairs is cut at the smallest count whose
     source tail mass falls below ``tail_epsilon``, and never beyond
     ``l_hard_cap`` (:func:`required_lmax`).  The package applies only
-    :data:`DEFAULT_TRUNCATION`: to the per-unit and uniform search grids,
-    at the upper search bound, and to the largest pump mean the Monte
-    Carlo comparison samples.  The evaluators have no series to cut.
+    :data:`DEFAULT_TRUNCATION`: to the per-unit search grid, at the upper
+    search bound, and to the largest pump mean the Monte Carlo comparison
+    samples.  The evaluators and the uniform and scaled-reference
+    searches have no series to cut.
     """
 
     tail_epsilon: float = 1e-12
@@ -647,6 +648,11 @@ def _kept_counts(family: SourceFamily, kappa: np.ndarray, end: int) -> np.ndarra
     return p
 
 
+# cells of each table _admitted_counts builds: units × counts, and counts ×
+# accepted width (32 MiB of float64 each)
+_COUNT_CELLS = 1 << 22
+
+
 def _admitted_counts(
     family: SourceFamily,
     strategy: DetectionStrategy,
@@ -670,7 +676,10 @@ def _admitted_counts(
     within 2^-54 of its mass beyond ``i_max``, or while ``end`` is not
     beyond ``i_max``, of its admission probability ``admit``.  It leaves
     out at most P(K > end) P(Bin(end + 1, v_d) <= max A), and at most
-    ``admit``.
+    ``admit``.  Each table holds at most ``_COUNT_CELLS`` (2^22) cells:
+    units × counts, and counts × accepted width.  A pump whose kept
+    photons need more raises :class:`~asmux.exceptions.TruncationError`
+    before any table is built.
     """
     kappa = lam * v  # mean kept signals
     mu = lam * v_d * (1.0 - v)
@@ -683,8 +692,13 @@ def _admitted_counts(
         span = k_max + 8.0 * math.sqrt(k_max) + 24.0
     else:  # about 2^-54 of the geometric tail
         span = 38.0 / math.log1p(1.0 / k_max) + 8.0 if k_max > 0.0 else 8.0
-    end = min(i_max, 16) + int(span)
+    end = min(i_max, 16) + int(min(span, _COUNT_CELLS))
     while True:
+        width = 0 if strategy.is_threshold else min(end + 1, top)
+        if (end + 2) * max(kappa.size, width + 1) > _COUNT_CELLS:
+            raise TruncationError(
+                f"mean kept-photon number {k_max:.6g} needs count tables past {_COUNT_CELLS} cells"
+            )
         i = np.arange(end + 1)
         p_kept = _kept_counts(family, kappa, end + 1)
         if strategy.is_threshold:
@@ -696,7 +710,6 @@ def _admitted_counts(
                 none_lost = (i + 1.0) * np.log1p(-r)[:, None]
             table = -np.expm1(missed + none_lost)
         else:
-            width = min(end + 1, top)
             detected = _binom_pmf(np.arange(width + 1), np.arange(end + 2)[:, None], v_d)
             accepted = np.zeros(top + width + 1)
             accepted[members] = 1.0

@@ -108,6 +108,21 @@ class TestEval:
         assert "tail" in err
 
 
+class TestSearchBoundPastTheSeriesCutoff:
+    @pytest.mark.parametrize(
+        "mode,status", [("uniform", 0), ("scaled-reference", 0), ("per-unit", 3)]
+    )
+    def test_thermal_bound_of_20(self, capsys, mode, status):
+        # only the per-unit grid cuts the pair-number series, which stops at
+        # 400 pairs; a thermal bound of 20 needs 566
+        code, _, err = run(
+            capsys, "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
+            "--source", "thermal", "--lambda-upper", "20", "--mode", mode,
+        )
+        assert code == status, err
+        assert ("tail" in err) == (status == 3)
+
+
 class TestExitCodes:
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "1", "--lambda", "0.5")
@@ -306,6 +321,12 @@ class TestExitCodes:
              "--lambda", "0.5", "--strategy", "upto:99999999"]),
         (2, ["sweep", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n-ref", "3",
              "--strategies", "spd,upto:99999999"]),
+        # a pump whose output-count tables pass their budget is refused
+        # before they are built
+        (3, ["eval", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n", "2",
+             "--lambda", "1e300"]),
+        (3, ["eval", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n", "2",
+             "--lambda", "1e300", "--source", "thermal"]),
     ])
     def test_process_exit_status(self, status, argv, tmp_path):
         # the status a shell sees, and no traceback on stderr; a file that

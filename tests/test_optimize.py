@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import asmux.optimize
 import asmux.statistics
-from asmux.exceptions import ParameterError
+from asmux.exceptions import ParameterError, TruncationError
 from asmux.multiplexer import MultiplexerSpec
 from asmux.optimize import (
     OptimizationMode,
@@ -23,6 +23,7 @@ from asmux.optimize import (
 from asmux.statistics import (
     DetectionStrategy,
     PumpProfile,
+    output_distribution,
     p1_profile_batch,
     single_photon_prob,
     source_pmf,
@@ -208,8 +209,8 @@ class TestDpOptimality:
 class TestWork:
     def test_no_evaluator_builds_a_pmf_row(self, monkeypatch):
         # p1_profile_batch, the reported pass and output_distribution are
-        # closed forms; only the per-unit and uniform search grids build
-        # pair-number pmf rows, and the scaled-reference search builds none
+        # closed forms; only the per-unit search grid builds pair-number
+        # pmf rows, and the uniform and scaled-reference searches build none
         evaluating, searched = [], []
 
         def guarded_pmf(family, lams, l_max):
@@ -236,7 +237,8 @@ class TestWork:
         ):
             monkeypatch.setattr(module, name, evaluator(getattr(module, name)))
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
-        find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
+        for mode in ("uniform", "scaled-reference"):
+            find_optimal_n(spec, SPD, n_ref=100, mode=mode)
         assert searched == []
         for source in ("poisson", "thermal"):
             spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=6, source=source)
@@ -249,28 +251,33 @@ class TestWork:
         assert searched  # the guard was installed where the searches read it
 
     def test_uniform_refines_every_size_in_a_few_batched_steps(self, monkeypatch):
-        # one pmf call each for the grid, the bracket ends, each slope root
-        # step and the reported values
+        # one P1 call for the grid, one for the bracket ends and one for
+        # each slope root step, every size in the same call
         calls = []
+        scalar_p1 = asmux.optimize._scalar_p1
 
-        def counting_pmf(family, lams, l_max):
-            calls.append(np.size(lams))
-            return source_pmf(family, lams, l_max)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scalar_p1(*args, **kwargs)
 
-        monkeypatch.setattr(asmux.optimize, "source_pmf", counting_pmf)
+        monkeypatch.setattr(asmux.optimize, "_scalar_p1", counting)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         find_optimal_n(spec, SPD, n_ref=100, mode="uniform")
-        assert len(calls) <= 12
+        assert 3 <= len(calls) <= 9
 
     @pytest.mark.parametrize(
         "mode,builds",
-        [("per-unit", set()), ("uniform", {"_lift"}), ("scaled-reference", {"one_photon_terms"})],
+        [
+            ("per-unit", {"required_lmax"}),
+            ("uniform", {"one_photon_terms"}),
+            ("scaled-reference", {"one_photon_terms"}),
+        ],
         ids=["per-unit", "uniform", "scaled-reference"],
     )
     def test_each_mode_builds_only_the_tables_it_reads(self, monkeypatch, mode, builds):
-        # the uniform slope weights (_lift) and the scaled-reference closed
-        # forms (one_photon_terms) are built only by the mode that reads them
-        calls = {name: 0 for name in ("one_photon_terms", "_lift")}
+        # only the per-unit grid cuts the pair-number series (required_lmax);
+        # the one-parameter searches read closed forms (one_photon_terms)
+        calls = {name: 0 for name in ("one_photon_terms", "required_lmax")}
         for name in calls:
             original = getattr(asmux.optimize, name)
 
@@ -297,6 +304,33 @@ class TestWork:
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         find_optimal_n(spec, SPD, n_ref=100, mode="scaled-reference")
         assert len(calls) <= 9
+
+
+PAST_THE_CUTOFF = [("thermal", 20.0), ("thermal", 1e3), ("poisson", 300.0), ("poisson", 1e3)]
+
+
+class TestBoundsPastTheSeriesCutoff:
+    """Only the per-unit grid cuts the pair-number series, so only it has a ceiling."""
+
+    @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
+    @pytest.mark.parametrize("mode", ["uniform", "scaled-reference"])
+    def test_one_parameter_search_evaluates(self, source, upper, mode):
+        # past a Poisson mean of 700 the closed forms take their log path
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1, source=source)
+        settings = OptimizerSettings(lambda_upper=upper)
+        for key in ("spd", "thd", "upto:2", "set:1,30,35"):
+            strategy = DetectionStrategy.parse(key)
+            for report in optimize_sizes(spec, strategy, [1, 2, 5, 20, 60], settings, mode):
+                pump = report.best_pump
+                dist = output_distribution(spec.with_units(report.n_units), pump, strategy)
+                assert abs(dist.probs[1] - report.best_p1) <= 1e-15
+                assert report.upper_bound_hit == (max(pump.lambdas) >= upper)
+
+    @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
+    def test_per_unit_search_refuses(self, source, upper):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=3, source=source)
+        with pytest.raises(TruncationError):
+            optimize_pump(spec, SPD, OptimizerSettings(lambda_upper=upper))
 
 
 class TestBatchInvariance:

@@ -1,7 +1,9 @@
-"""Every module-level private name in the package is used somewhere in it.
+"""Every module-level private name in the package is used somewhere in it,
+and every name a module imports is read there.
 
 A private function, class or constant that only its own definition
-mentions is left over from code that was removed.
+mentions is left over from code that was removed, and so is an import
+that nothing reads.
 """
 import ast
 from collections import defaultdict
@@ -54,3 +56,31 @@ def test_every_private_name_is_used_outside_its_definition():
         if all(where == module and first <= line <= last for where, line in uses[name])
     ]
     assert unused == []
+
+
+def _imported(tree):
+    """(bound name, line) of each name the module imports, but ``__future__`` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import counts as a use above, so a leftover import would hide the
+    # dead code it names; __init__.py imports to re-export
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in read]
+    assert unread == []

@@ -10,8 +10,6 @@ from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from asmux.optimize import (
     OptimizationMode,
     OptimizerSettings,
-    _lift,
-    _slope,
     find_optimal_n,
     optimize_sizes,
 )
@@ -178,11 +176,15 @@ def cut_series_terms(family, strategy, v_d, lam, v, l_max):
     admit = acceptance_weights(strategy, v_d, l_max)
     one = transmit_one_weights(np.array([v]), l_max)[0] * admit
     pmf = source_pmf(family, lam, l_max)
+    # the derivative of the cut row: Poisson pmf'_l = pmf_{l-1} - pmf_l,
+    # thermal (l pmf_{l-1} / (1 + lam) - pmf_l) / (1 + lam)
+    before = np.concatenate(([0.0], pmf[:-1]))
+    if family is SourceFamily.POISSON:
+        d_pmf = before - pmf
+    else:
+        d_pmf = (np.arange(l_max + 1) * before / (1.0 + lam) - pmf) / (1.0 + lam)
     values = [float(pmf @ admit), float(pmf @ one)]
-    slopes = [
-        float(_slope(family, lam, value, pmf @ _lift(family, weights)))
-        for value, weights in zip(values, (admit, one))
-    ]
+    slopes = [float(d_pmf @ admit), float(d_pmf @ one)]
     return values, slopes
 
 

@@ -13,7 +13,7 @@ from scipy.special import gammainc
 from scipy.stats import binom, poisson
 
 from asmux.exceptions import ParameterError, TruncationError
-from asmux.multiplexer import MultiplexerSpec
+from asmux.multiplexer import MultiplexerSpec, transmission_vector
 from asmux.optimize import OptimizerSettings, optimize_pump
 import asmux.statistics as model_statistics
 from asmux.statistics import (
@@ -611,6 +611,48 @@ class TestOutputDistribution:
         assert dist.probs[1] == p1_profile_batch(spec, thd, np.array([[20.0]]))[0]
         with pytest.raises(TruncationError, match="needs a cutoff of 566"):
             optimize_pump(spec, thd, OptimizerSettings(lambda_upper=20.0))
+
+
+class TestCountTableBudget:
+    """``output_distribution``'s per-count tables stay within a fixed cell budget."""
+
+    @staticmethod
+    def refused_peak(spec, lam, strategy):
+        """tracemalloc peak of an evaluation that must refuse the pump."""
+        output_distribution(spec, PumpProfile.uniform(0.5, spec.n_units), strategy)  # warm caches
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="mean kept-photon number"):
+                output_distribution(spec, PumpProfile.uniform(lam, spec.n_units), strategy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    @pytest.mark.parametrize("key", ["spd", "thd", "upto:10000"])
+    def test_very_bright_pump_is_refused_before_any_table(self, source, key):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source=source)
+        assert self.refused_peak(spec, 1e300, DetectionStrategy.parse(key)) < 1_000_000
+
+    def test_units_by_counts_just_past_the_budget(self):
+        # the kept-photon mean alone puts units x counts past the budget;
+        # at 0.98 of that mean the counts still fit and evaluate
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2)
+        lam = model_statistics._COUNT_CELLS / (2 * transmission_vector(spec).max())
+        spd = DetectionStrategy.single_photon()
+        assert self.refused_peak(spec, lam, spd) < 1_000_000
+        dist = output_distribution(spec, PumpProfile.uniform(0.98 * lam, 2), spd)
+        assert dist.probs.sum() + dist.truncation_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_counts_by_width_past_the_budget(self):
+        # Poisson 1e4 under upto:10000 needs about 9700 counts of 9700
+        # accepted widths; Poisson 1e3 needs about 1200 of 1200
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2)
+        strategy = DetectionStrategy.accept_up_to(10_000)
+        assert self.refused_peak(spec, 1e4, strategy) < 1_000_000
+        dist = output_distribution(spec, PumpProfile.uniform(1e3, 2), strategy)
+        assert dist.probs.sum() + dist.truncation_mass == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExports:
