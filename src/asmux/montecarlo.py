@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, TruncationError
 from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from .statistics import (
     DetectionStrategy,
@@ -42,6 +42,11 @@ __all__ = [
 _MAX_TRIALS = np.iinfo(np.int64).max
 # expected counts added to every bucket's tolerance in McComparison.within
 _COUNT_SLACK = 10.0
+# pair-number groups one unit may walk (one per pair count); each costs a
+# hazard and a binomial layer of every thinning table
+_MAX_PAIR_GROUPS = 2048
+# largest chance allowed that some trial needs more groups than that
+_WALK_RISK = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,24 @@ def _poisson_hazard(lam: float, pairs: int) -> float:
         total += term
         if pairs + m >= 2.0 * lam and term <= total * 2.0**-54:
             return 1.0 / total
+
+
+def _log_walk_risk(family: SourceFamily, lam: float, trials: int) -> float:
+    """Log of a bound on the chance that a trial draws ``_MAX_PAIR_GROUPS`` pairs or more.
+
+    The union bound ``trials * P(X >= G)`` over the trials, with the
+    geometric tail (lam / (1 + lam))^G of a thermal source, or for a
+    Poisson one the Chernoff bound e^-lam (e lam / G)^G, valid for
+    G >= lam (and 1 below it).
+    """
+    g = _MAX_PAIR_GROUPS
+    if lam == 0.0:
+        return -math.inf
+    if family is SourceFamily.THERMAL:
+        log_tail = -g * math.log1p(1.0 / lam)
+    else:
+        log_tail = g - lam - g * math.log(g / lam) if lam < g else 0.0
+    return math.log(trials) + log_tail
 
 
 def _pair_histogram(
@@ -158,8 +181,22 @@ def simulate(
     1 for threshold); every output count above ``max_count`` lands in
     the overflow bucket, so the output count stops there.  Trials that
     no unit admits count as zero output photons.
+
+    A unit walks one pair-number group per pair count up to the largest
+    it draws.  A pump whose largest mean gives its trials a chance above
+    ``_WALK_RISK`` (2^-20) of needing more than ``_MAX_PAIR_GROUPS``
+    (2048) groups, by a tail bound (:func:`_log_walk_risk`), raises
+    :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
+    trials that admits thermal means up to about 58 and Poisson means up
+    to about 1690; a thermal mean of 50 walks about 1050 to 1300 groups.
     """
     _validate_pump(spec, pump)
+    lam_max = max(pump.lambdas)
+    if _log_walk_risk(spec.source, lam_max, mc.trials) > math.log(_WALK_RISK):
+        raise TruncationError(
+            f"mean {lam_max} may need more than {_MAX_PAIR_GROUPS} pair-number groups "
+            f"at {mc.trials} trials"
+        )
     rng = np.random.default_rng(mc.seed)
     detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
     accepted = strategy.accept_mask(np.arange(detect_cap + 1))

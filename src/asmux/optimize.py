@@ -20,9 +20,15 @@ every size.
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a root solve of the slope of
   P1 on the grid points around it, vectorized over sizes, with the
-  product rule on the running products.  A unit's two numbers, its
-  admission probability and its chance of admission with one photon
-  out, are read in closed form with their slopes
+  product rule on the running products.  The solve takes
+  Anderson-Björck steps and stops once a Newton step is within
+  tolerance: about five slope evaluations per search, the bracket ends
+  included.  In scaled-reference mode arm ``n`` reaches the upper bound
+  at ``x = lambda_upper * V_n``, where the slope jumps, so each bracket
+  is split at these kinks first; every piece is smooth, and the best
+  piece wins, or the kink itself when P1 peaks on it.  A unit's two
+  numbers, its admission probability and its chance of admission with
+  one photon out, are read in closed form with their slopes
   (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
   arm (uniform) or ``x / V_n`` (scaled-reference), so neither search
   builds a pmf row.  A rescaled mean grows along the chain and is capped
@@ -86,12 +92,15 @@ __all__ = [
 
 _GRID_POINTS = 1001
 _SCALAR_GRID = 513
-# bracket width, relative to the upper bound, at which a slope root stops
+# tolerance of a slope root, relative to the upper bound: the Newton step
+# at which it stops, or failing that the bracket width
 _XTOL = 1e-12
 # closed-form cells per batch of one-parameter profiles; bounds the memory of the tables
 _CHUNK_CELLS = 1 << 20
 # bisection levels of a stability edge tested per P1 call
 _BISECT_DEPTH = 3
+# relative offset that puts a point strictly on one side of a kink x = upper * V_n
+_NUDGE = 4.0 * np.finfo(float).eps
 
 
 class OptimizationMode(str, Enum):
@@ -415,17 +424,22 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     """Maximize on every interval [lo_i, hi_i] at once from the sign of the slope.
 
     ``fdf(xs, lanes)`` gives the value and the slope, as two columns, of
-    interval ``lanes[i]`` at ``xs[i]``.  A zero slope counts as not
-    rising.  An interval that is not rising at ``lo``, or still rising at
-    ``hi``, keeps that end.  On the others the point where the slope
-    stops rising is bracketed to ``xtol`` by regula falsi with the
-    Illinois step (an end kept twice in a row has its slope halved), and
-    by bisection while the end that is not rising has a zero slope, as
-    on the plateau where every rescaled mean is capped; the point is then
-    the linear root of the slope in the last bracket.  A secant step that
-    lands on a zero slope ends its interval there.  Returns the points
-    and, for each, the value at the kept end or the larger one at the
-    ends of the last bracket.
+    interval ``lanes[i]`` at ``xs[i]``; the slope must be continuous inside
+    each interval.  A zero slope counts as not rising.  An interval that
+    is not rising at ``lo``, or still rising at ``hi``, keeps that end.
+    On the others the point where the slope stops rising is bracketed by
+    regula falsi with the Anderson-Björck step: an end kept twice in a
+    row has its slope scaled by ``1 - d_new / d_old`` (halved if that is
+    not positive), so the steps converge superlinearly from either side.
+    While the end that is not rising has a zero slope, as on the plateau
+    where every rescaled mean is capped, the step bisects instead.  Every
+    step lands at least ``xtol / 2`` inside the bracket.  A lane stops once
+    the Newton step from its newest secant point, on the chord of the two
+    unscaled end slopes, is within ``xtol``, at the point that step
+    reaches; or once its bracket is narrower than ``xtol``, at the linear
+    root of the slope across it.  Returns the points and, for each, the
+    value at the kept end or the larger one at the ends of the last
+    bracket.
     """
     n = lo.size
     lanes = np.arange(n)
@@ -435,48 +449,109 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     fx = np.where(d_lo > 0.0, f_hi, f_lo)
     lanes = np.flatnonzero((d_lo > 0.0) & ~(d_hi > 0.0))
     lo, hi, f_lo, f_hi, d_lo, d_hi = (a[lanes] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    s_lo, s_hi = d_lo, d_hi  # the slopes the secant reads, scaled on an end kept again
     moved = np.zeros(lanes.size)  # +1 if the last step moved lo, -1 if hi
     while lanes.size:
         secant = d_hi < 0.0
-        xs = np.where(secant, lo + (hi - lo) * d_lo / (d_lo - d_hi), 0.5 * (lo + hi))
+        xs = np.where(secant, lo + (hi - lo) * s_lo / (s_lo - s_hi), 0.5 * (lo + hi))
         xs = np.clip(xs, lo + 0.5 * xtol, hi - 0.5 * xtol)
         f, d = fdf(xs, lanes).T
         up = d > 0.0
-        d_hi = np.where(up & (moved > 0.0), 0.5 * d_hi, d_hi)
-        d_lo = np.where(~up & (moved < 0.0), 0.5 * d_lo, d_lo)
+        side = np.where(up, 1.0, -1.0)
+        # Anderson-Björck: a secant step that replaces the same end again
+        # scales the kept end's slope; the end it replaces was the newest
+        # point, so its slope is unscaled
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - d / np.where(up, d_lo, d_hi)
+        scale = np.where(secant & (side == moved), np.where(scale > 0.0, scale, 0.5), 1.0)
+        s_hi = np.where(up, scale * s_hi, d)
+        s_lo = np.where(up, d, scale * s_lo)
         lo, f_lo, d_lo = np.where(up, xs, lo), np.where(up, f, f_lo), np.where(up, d, d_lo)
         hi, f_hi, d_hi = np.where(up, hi, xs), np.where(up, f_hi, f), np.where(up, d_hi, d)
-        moved = np.where(up, 1.0, -1.0)
-        # a secant step onto a zero slope is the root: the hi end it
-        # replaced was falling, so the bracket holds no plateau
-        root = secant & (d == 0.0)
-        done = (hi - lo <= xtol) | root
+        moved = side
+        # after a secant step the end that is not rising is falling or a
+        # root, so the bracket holds no plateau and the chord is finite
+        step = d * (hi - lo) / (d_lo - d_hi)
+        newton = secant & (np.abs(step) <= xtol)
+        done = newton | (hi - lo <= xtol)
         if done.any():
             end = lanes[done]
-            # the slope's linear root: a smooth function of the bracket,
-            # unlike a choice of end by value
-            x[end] = np.where(root, xs, lo + (hi - lo) * d_lo / (d_lo - d_hi))[done]
+            # both are smooth functions of the bracket, unlike a choice of end by value
+            x[end] = np.where(
+                newton, np.clip(xs + step, lo, hi), lo + (hi - lo) * d_lo / (d_lo - d_hi)
+            )[done]
             fx[end] = np.maximum(f_lo, f_hi)[done]
             keep = ~done
             lanes, moved = lanes[keep], moved[keep]
-            lo, hi, f_lo, f_hi, d_lo, d_hi = (a[keep] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+            lo, hi, f_lo, f_hi, d_lo, d_hi, s_lo, s_hi = (
+                a[keep] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi, s_lo, s_hi)
+            )
     return x, fx
 
 
+def _split_at_kinks(chain: _Chain, scaled: bool, lo: np.ndarray, hi: np.ndarray):
+    """Split the bracket [lo_i, hi_i] of each size ``sizes[i]`` where the slope of P1 jumps.
+
+    In scaled-reference mode arm ``n`` reaches the upper bound at
+    ``x = lambda_upper * V_n`` and stops adding slope; the uniform mode
+    has no kinks.  Returns the ends of every piece, in order of size and
+    then of ``x``; the ends nudged into the piece by ``_NUDGE``, where its
+    one-sided slopes are read; and the column of each piece's size.
+    Pieces between kinks closer than two nudges read the same point at
+    both ends.
+    """
+    cols = np.arange(chain.sizes.size)
+    if not scaled:
+        return lo, hi, lo, hi, cols
+    through = np.arange(chain.v_through.size) < chain.sizes[:, None] - 1
+    kink = chain.upper * np.column_stack([np.where(through, chain.v_through, np.nan), chain.v_last])
+    # NaN, an arm past the size, is never inside
+    inside = (lo[:, None] < kink * (1.0 - _NUDGE)) & (kink * (1.0 + _NUDGE) < hi[:, None])
+    if not inside.any():
+        return lo, hi, lo, hi, cols
+    col, arm = inside.nonzero()
+    kink = kink[col, arm]
+    starts = np.lexsort((np.append(lo, kink), np.append(cols, col)))
+    ends = np.lexsort((np.append(kink, hi), np.append(col, cols)))
+    return (
+        np.append(lo, kink)[starts],
+        np.append(kink, hi)[ends],
+        np.append(lo, kink * (1.0 + _NUDGE))[starts],
+        np.append(kink * (1.0 - _NUDGE), hi)[ends],
+        np.append(cols, col)[starts],
+    )
+
+
 def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
-    """Best one-parameter profile of every size, one zero-padded row per size."""
+    """Best one-parameter profile of every size, one zero-padded row per size.
+
+    Each size's grid maximum is refined on the grid bracket around it,
+    split at its kinks (:func:`_split_at_kinks`); the best piece wins.
+    """
     sizes = chain.sizes
     grid = np.linspace(0.0, chain.upper, _SCALAR_GRID)
     table = _scalar_p1(chain, scaled, grid)
     cols = np.arange(sizes.size)
     k = np.argmax(table, axis=0)
+    lo, hi, inner_lo, inner_hi, piece_cols = _split_at_kinks(
+        chain, scaled, grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+    )
     x, fx = _slope_root(
-        lambda xs, lanes: _scalar_p1(chain, scaled, xs, lanes, slope=True),
-        grid[np.maximum(k - 1, 0)],
-        grid[np.minimum(k + 1, grid.size - 1)],
+        lambda xs, lanes: _scalar_p1(
+            chain,
+            scaled,
+            np.clip(xs, inner_lo[lanes], inner_hi[lanes]),
+            piece_cols[lanes],
+            slope=True,
+        ),
+        lo,
+        hi,
         _XTOL * chain.upper,
     )
-    best = np.where(fx > table[k, cols], x, grid[k])
+    # the best piece of each size: the first of its column by falling value
+    order = np.lexsort((-fx, piece_cols))
+    pick = order[np.searchsorted(piece_cols[order], cols)]
+    best = np.where(fx[pick] > table[k, cols], x[pick], grid[k])
 
     n_max = int(sizes[-1])
     lam = np.zeros((sizes.size, n_max))

@@ -228,22 +228,37 @@ def _log_factorials(n: int) -> np.ndarray:
 def _binom_pmf(k, n, p) -> np.ndarray:
     """Binomial pmf ``C(n, k) p^k (1-p)^(n-k)``, broadcast over integer k, n >= 0 and p in [0, 1].
 
-    Evaluated in log space on the log-factorial table.  It is exactly zero
-    for k < 0 or k > n, and exact at p = 0, p = 1 and n = 0: a log(0) is
-    never weighted by a zero count, so 0^0 = 1.
+    Evaluated in log space on the log-factorial table, as
+    ``exp(lf[n] - lf[k] - lf[n - k] + k log p + (n - k) log(1 - p))``.  It
+    is exactly zero for k < 0 or k > n, and exact at p = 0, p = 1 and
+    n = 0: a log(0) is never weighted by a zero count, so 0^0 = 1.  Only
+    the result and one scratch array of the broadcast shape are live at
+    once, besides boolean masks; a cell outside 0 <= k <= n reads clipped
+    indices and is zeroed at the end.
     """
     k = np.asarray(k, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
     p = np.asarray(p, dtype=float)
     inside = (k >= 0) & (k <= n)
-    k = np.where(inside, k, 0)
-    n = np.where(inside, n, 0)
-    rest = n - k
     lf = _log_factorials(int(n.max(initial=0)))
+    shape = np.broadcast_shapes(k.shape, n.shape, p.shape)
+    rest = np.empty(shape, dtype=np.int64)
+    np.subtract(n, k, out=rest)
+    out = np.empty(shape)
+    lf.take(rest, mode="clip", out=out)
+    scratch = rest.view(np.float64)  # rest is not read again
     with np.errstate(divide="ignore", invalid="ignore"):
-        hits = np.where(k > 0, k * np.log(p), 0.0)
-        misses = np.where(rest > 0, rest * np.log1p(-p), 0.0)
-    return np.where(inside, np.exp(lf[n] - lf[k] - lf[rest] + hits + misses), 0.0)
+        np.subtract(lf.take(n, mode="clip"), lf.take(k, mode="clip"), out=scratch)
+        np.subtract(scratch, out, out=out)
+        out += np.where(k > 0, k * np.log(p), 0.0)
+        np.subtract(n, k, out=scratch, dtype=np.float64)  # exact below 2^53
+        quiet = scratch <= 0.0
+        scratch *= np.log1p(-p)
+        scratch[quiet] = 0.0
+        out += scratch
+    np.exp(out, out=out)
+    out[~inside] = 0.0
+    return out
 
 
 def _poisson_series_end(lam: float, l: int) -> int:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,43 @@ class TestSimulate:
         mc = McSettings(trials=1_000_000_000, seed=5)
         result = simulate(spec, PumpProfile((50.0,) * 3), SPD, mc)
         assert result.counts.sum() + result.overflow == mc.trials
+
+    def test_bright_poisson_pump_refused_before_any_draw(self, monkeypatch):
+        # about 1e5 pair groups, each re-summing a series of about 1e5 terms
+        import asmux.montecarlo
+
+        def no_draws(*args):
+            raise AssertionError("drew pairs before refusing the pump")
+
+        monkeypatch.setattr(asmux.montecarlo, "_pair_histogram", no_draws)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="2048 pair-number groups"):
+            simulate(spec, PumpProfile((1e5,)), SPD, McSettings(trials=1000, seed=1))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "source,admitted,refused", [("thermal", 58.0, 59.0), ("poisson", 1690.0, 1700.0)]
+    )
+    def test_largest_mean_decides_the_pair_group_bound(
+        self, monkeypatch, source, admitted, refused
+    ):
+        # the documented edges at 1e9 trials; the other unit's mean is small
+        import asmux.montecarlo
+
+        class Drawing(Exception):
+            pass
+
+        def drawing(*args):
+            raise Drawing
+
+        monkeypatch.setattr(asmux.montecarlo, "_pair_histogram", drawing)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source=source)
+        mc = McSettings(trials=1_000_000_000)
+        with pytest.raises(Drawing):
+            simulate(spec, PumpProfile((0.5, admitted)), SPD, mc)
+        with pytest.raises(TruncationError):
+            simulate(spec, PumpProfile((0.5, refused)), SPD, mc)
 
 
 class TestPoissonHazard:

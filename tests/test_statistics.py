@@ -220,6 +220,44 @@ class TestNumpyKernels:
                     _binom_pmf(ks, n, p), binom.pmf(ks, n, p), rtol=1e-11, atol=0.0
                 )
 
+    def test_binomial_matches_the_broadcast_expression(self):
+        # the same operations in the same order as one broadcast expression
+        # with every cell clipped into 0 <= k <= n, so the bits agree
+        def reference(k, n, p):
+            k, n, p = np.asarray(k), np.asarray(n), np.asarray(p, dtype=float)
+            inside = (k >= 0) & (k <= n)
+            k, n = np.where(inside, k, 0), np.where(inside, n, 0)
+            rest = n - k
+            lf = np.array([math.lgamma(i + 1.0) for i in range(int(n.max(initial=0)) + 1)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hits = np.where(k > 0, k * np.log(p), 0.0)
+                misses = np.where(rest > 0, rest * np.log1p(-p), 0.0)
+            return np.where(inside, np.exp(lf[n] - lf[k] - lf[rest] + hits + misses), 0.0)
+
+        for p in (0.0, 1e-3, 0.3, 0.9, 0.98, 1.0):
+            for k, n in (
+                (np.arange(-3, 80), np.arange(90)[:, None]),
+                (np.array([1, 3, 28])[:, None], np.arange(60)[None, :]),
+                (5, 3),
+                (0, 0),
+            ):
+                assert np.array_equal(_binom_pmf(k, n, p), reference(k, n, p))
+
+    def test_binomial_table_holds_two_tables_at_most(self):
+        # the (counts x accepted width) table of two thermal units at a mean
+        # of 50 under upto:10000 in output_distribution; besides the result,
+        # one scratch table and boolean masks
+        k, n = np.arange(1723), np.arange(1724)[:, None]
+        table_bytes = 8 * k.size * n.size
+        _binom_pmf(k[:2], n[:2], 0.9)  # the log-factorial table, grown once
+        tracemalloc.start()
+        try:
+            _binom_pmf(k, n, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table_bytes
+
     def test_lossless_arm(self):
         # v = 1 passes every photon: the pmf is the identity over (k, l)
         counts, ls = np.arange(6)[:, None], np.arange(9)[None, :]
