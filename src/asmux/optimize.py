@@ -14,8 +14,13 @@ every size.
   it, so the tail can be maximized first.  One backward pass over the
   units carries the optimal tail value of every size still open; each
   stage is a grid argmax refined by the vertex of the parabola through
-  the best grid point and its neighbours.  This dynamic program is
-  exact up to the stage refinement.
+  the best grid point and its neighbours.  A stage's table is one
+  product of the open sizes' coefficients (the carried tail, and 1 on
+  the arm the unit feeds) on three grid rows of the unit: no admission,
+  the through arm's one photon, and the last arm's of a size ending
+  there.  A spare coefficient row keeps every product at two rows or
+  more, so none goes to ``gemv``, which rounds differently.  This
+  dynamic program is exact up to the stage refinement.
 * Uniform and scaled-reference: running products and sums over the
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a root solve of the slope of
@@ -95,8 +100,9 @@ _SCALAR_GRID = 513
 # tolerance of a slope root, relative to the upper bound: the Newton step
 # at which it stops, or failing that the bracket width
 _XTOL = 1e-12
-# closed-form cells per batch of one-parameter profiles; bounds the memory of the tables
-_CHUNK_CELLS = 1 << 20
+# closed-form cells per batch of one-parameter profiles: bounds the memory of the
+# tables, and keeps a batch's temporaries near the size of a core's cache
+_CHUNK_CELLS = 1 << 18
 # bisection levels of a stability edge tested per P1 call
 _BISECT_DEPTH = 3
 # relative offset that puts a point strictly on one side of a kink x = upper * V_n
@@ -243,6 +249,16 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     last unit with an empty tail.  The stage tables are pair-number pmf
     rows on a grid, cut at the cutoff of the upper bound
     (:func:`~asmux.statistics.required_lmax`, which may raise).
+
+    Each unit's grid values are three rows: no admission, its through
+    arm's one photon, and the last arm's one photon of the size that
+    ends there (zero where none does).  A stage table is one product of
+    the open sizes' coefficients on these rows: the carried tail on the
+    first, and 1 on the arm the unit feeds.  BLAS ``gemm`` sums the
+    terms in order from zero, so each cell rounds ``tail * quiet`` and
+    then adds the arm, as an outer product and an add would.  The
+    product always holds a spare first row, which no stage reads: numpy
+    sends a one-row product to ``gemv``, which rounds differently.
     """
     l_max = required_lmax(chain.family, chain.upper)
     w = acceptance_weights(chain.strategy, chain.v_d, l_max)
@@ -250,23 +266,26 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     last = transmit_one_weights(chain.v_last, l_max) * w
     grid, pmf = _grid_tables(chain.family, l_max, chain.upper, _GRID_POINTS)
     step = grid[1] - grid[0]
-    quiet = 1.0 - pmf @ w  # (G,)
-    t_through = through @ pmf.T  # (n_max-1, G)
-    t_last = last @ pmf.T  # (sizes, G)
     sizes = chain.sizes
-    lam = np.zeros((sizes.size, int(sizes[-1])))
-    carry = np.zeros(sizes.size)
-    table = np.empty((sizes.size, grid.size))
-    for unit in range(int(sizes[-1]) - 1, -1, -1):
+    n_max = int(sizes[-1])
+    basis = np.zeros((n_max, 3, grid.size))  # per unit: quiet, through arm, last arm
+    basis[:, 0] = 1.0 - pmf @ w
+    np.matmul(through, pmf.T, out=basis[:-1, 1])
+    basis[sizes - 1, 2] = last @ pmf.T
+    # row 1 + i is size sizes[i]: its tail and its arm, the last one until it has joined
+    coef = np.zeros((sizes.size + 1, 3))
+    coef[1:, 2] = 1.0
+    lam = np.zeros((sizes.size, n_max))
+    table = np.empty((sizes.size + 1, grid.size))
+    for unit in range(n_max - 1, -1, -1):
         first = int(np.searchsorted(sizes, unit + 1))  # sizes[first:] > unit
         k = sizes.size - first
-        tail = carry[first:]
-        vals = np.multiply.outer(tail, quiet, out=table[:k])  # one row per open size
+        tail = coef[first + 1 :, 0]
         joins = int(sizes[first] == unit + 1)
-        if joins:
-            vals[0] += t_last[first]
-        if joins < k:
-            vals[joins:] += t_through[unit]
+        # one row per open size, after the spare row
+        vals = np.matmul(
+            coef[first:, : 2 + joins], basis[unit, : 2 + joins], out=table[: k + 1]
+        )[1:]
         rows = np.arange(k)
         best = vals.argmax(axis=1)
         x = grid[best]
@@ -291,7 +310,9 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
             x[refine[better]] = vertex[better]
             f[refine[better]] = f_vertex[better]
         lam[first:, unit] = x
-        carry[first:] = f
+        tail[:] = f
+        if joins:  # the joining size feeds the through arm from now on
+            coef[first + 1, 1:] = (1.0, 0.0)
     return lam
 
 
@@ -615,20 +636,18 @@ def optimize_sizes(
     else:
         lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
     p1 = _reported_p1(chain, lam)
-    reports = []
-    for row, n, value in zip(lam, sizes.tolist(), p1.tolist()):
-        profile = row[:n]
-        reports.append(
-            OptimizationReport(
-                best_pump=PumpProfile(tuple(profile.tolist())),
-                best_p1=value,
-                strategy=strategy,
-                n_units=n,
-                mode=mode,
-                upper_bound_hit=bool(np.any(profile >= settings.lambda_upper)),
-            )
+    hit = (lam >= settings.lambda_upper).any(axis=1)  # the padding is 0, below the bound
+    return tuple(
+        OptimizationReport(
+            best_pump=PumpProfile(tuple(row[:n])),
+            best_p1=value,
+            strategy=strategy,
+            n_units=n,
+            mode=mode,
+            upper_bound_hit=h,
         )
-    return tuple(reports)
+        for row, n, value, h in zip(lam.tolist(), sizes.tolist(), p1.tolist(), hit.tolist())
+    )
 
 
 def optimize_pump(

@@ -206,6 +206,81 @@ class TestDpOptimality:
                 assert report.best_p1 >= brute - 1e-10, (v_r, v_d, v_b, report.n_units)
 
 
+def outer_product_stages(chain):
+    """The per-unit DP with each stage table built as an outer product plus adds."""
+    l_max = asmux.statistics.required_lmax(chain.family, chain.upper)
+    w = asmux.statistics.acceptance_weights(chain.strategy, chain.v_d, l_max)
+    through = asmux.statistics.transmit_one_weights(chain.v_through, l_max) * w
+    last = asmux.statistics.transmit_one_weights(chain.v_last, l_max) * w
+    grid = np.linspace(0.0, chain.upper, asmux.optimize._GRID_POINTS)
+    pmf = source_pmf(chain.family, grid, l_max)
+    step = grid[1] - grid[0]
+    quiet = 1.0 - pmf @ w
+    t_through = through @ pmf.T
+    t_last = last @ pmf.T
+    sizes = chain.sizes
+    lam = np.zeros((sizes.size, int(sizes[-1])))
+    carry = np.zeros(sizes.size)
+    for unit in range(int(sizes[-1]) - 1, -1, -1):
+        first = int(np.searchsorted(sizes, unit + 1))
+        k = sizes.size - first
+        tail = carry[first:]
+        vals = np.multiply.outer(tail, quiet)
+        joins = int(sizes[first] == unit + 1)
+        if joins:
+            vals[0] += t_last[first]
+        if joins < k:
+            vals[joins:] += t_through[unit]
+        rows = np.arange(k)
+        best = vals.argmax(axis=1)
+        x = grid[best]
+        f = vals[rows, best]
+        y0 = vals[rows, np.maximum(best - 1, 0)]
+        y2 = vals[rows, np.minimum(best + 1, grid.size - 1)]
+        den = y0 - 2.0 * f + y2
+        refine = np.flatnonzero((best > 0) & (best < grid.size - 1) & (den < 0.0))
+        if refine.size:
+            vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
+            vertex = np.clip(vertex, 0.0, chain.upper)
+            weights = np.empty((refine.size, l_max + 1))
+            joined = int(joins and refine[0] == 0)
+            if joined:
+                weights[0] = last[first]
+            if joined < refine.size:
+                weights[joined:] = through[unit]
+            p = source_pmf(chain.family, vertex, l_max)
+            f_vertex = np.einsum("rl,rl->r", p, weights) + (1.0 - p @ w) * tail[refine]
+            better = f_vertex > f[refine]
+            x[refine[better]] = vertex[better]
+            f[refine[better]] = f_vertex[better]
+        lam[first:, unit] = x
+        carry[first:] = f
+    return lam
+
+
+class TestStageProduct:
+    """Each DP stage table as one product on the unit's value rows equals the outer product."""
+
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    @pytest.mark.parametrize("strategy", ["spd", "upto:2", "thd", "set:1,3", "set:2,28"])
+    def test_same_bits_as_outer_product_stages(self, monkeypatch, source, strategy):
+        # single sizes are one-row stages; sets with gaps have sizes join mid-pass
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.85, v_d=0.9, n_units=1, source=source)
+        strat = DetectionStrategy.parse(strategy)
+        cases = [
+            (OptimizerSettings(lambda_upper=upper), sizes)
+            for upper in (0.3, 2.0, 5.0, 12.0)
+            for sizes in ([1], [7], [60], [3, 17, 44], range(1, 101))
+        ]
+        product = [optimize_sizes(spec, strat, sizes, settings) for settings, sizes in cases]
+        monkeypatch.setattr(asmux.optimize, "_per_unit_profiles", outer_product_stages)
+        for (settings, sizes), reports in zip(cases, product):
+            reference = optimize_sizes(spec, strat, sizes, settings)
+            assert [(r.best_pump.lambdas, r.best_p1) for r in reports] == [
+                (r.best_pump.lambdas, r.best_p1) for r in reference
+            ], (settings.lambda_upper, sizes)
+
+
 class TestWork:
     def test_no_evaluator_builds_a_pmf_row(self, monkeypatch):
         # p1_profile_batch, the reported pass and output_distribution are
