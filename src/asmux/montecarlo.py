@@ -9,7 +9,8 @@ they are: every stage is drawn as binomial splits of group counts
 (Davis, "The computer generation of multinomial random variates",
 CSDA 16, 1993).  Frequencies of the output photon number estimate the
 same distribution the analytic model computes, so the two
-implementations validate each other.
+implementations validate each other.  A pump bright enough that a
+unit may draw 2048 pairs or more is refused before any draw.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .statistics import (
     PumpProfile,
     _validate_pump,
     output_distribution,
-    required_lmax,
 )
 
 __all__ = [
@@ -104,22 +104,29 @@ def _poisson_hazard(lam: float, pairs: int) -> float:
             return 1.0 / total
 
 
-def _log_walk_risk(family: SourceFamily, lam: float, trials: int) -> float:
-    """Log of a bound on the chance that a trial draws ``_MAX_PAIR_GROUPS`` pairs or more.
+def _check_pair_groups(family: SourceFamily, pump: PumpProfile, trials: int) -> None:
+    """Refuse a pump that may walk more than ``_MAX_PAIR_GROUPS`` pair-number groups.
 
-    The union bound ``trials * P(X >= G)`` over the trials, with the
+    Raises :class:`TruncationError` when the largest mean gives the
+    ``trials`` a chance above ``_WALK_RISK`` of drawing G pairs or more
+    in one unit: the union bound ``trials * P(X >= G)``, with the
     geometric tail (lam / (1 + lam))^G of a thermal source, or for a
     Poisson one the Chernoff bound e^-lam (e lam / G)^G, valid for
-    G >= lam (and 1 below it).
+    G >= lam (and 1 below it).  Tails grow with the mean, so the largest
+    mean decides.
     """
     g = _MAX_PAIR_GROUPS
+    lam = max(pump.lambdas)
     if lam == 0.0:
-        return -math.inf
+        return
     if family is SourceFamily.THERMAL:
         log_tail = -g * math.log1p(1.0 / lam)
     else:
         log_tail = g - lam - g * math.log(g / lam) if lam < g else 0.0
-    return math.log(trials) + log_tail
+    if math.log(trials) + log_tail > math.log(_WALK_RISK):
+        raise TruncationError(
+            f"mean {lam} may need more than {g} pair-number groups at {trials} trials"
+        )
 
 
 def _pair_histogram(
@@ -183,20 +190,14 @@ def simulate(
     no unit admits count as zero output photons.
 
     A unit walks one pair-number group per pair count up to the largest
-    it draws.  A pump whose largest mean gives its trials a chance above
-    ``_WALK_RISK`` (2^-20) of needing more than ``_MAX_PAIR_GROUPS``
-    (2048) groups, by a tail bound (:func:`_log_walk_risk`), raises
+    it draws.  A pump that may need more than 2048 groups
+    (:func:`_check_pair_groups`) raises
     :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
     trials that admits thermal means up to about 58 and Poisson means up
     to about 1690; a thermal mean of 50 walks about 1050 to 1300 groups.
     """
     _validate_pump(spec, pump)
-    lam_max = max(pump.lambdas)
-    if _log_walk_risk(spec.source, lam_max, mc.trials) > math.log(_WALK_RISK):
-        raise TruncationError(
-            f"mean {lam_max} may need more than {_MAX_PAIR_GROUPS} pair-number groups "
-            f"at {mc.trials} trials"
-        )
+    _check_pair_groups(spec.source, pump, mc.trials)
     rng = np.random.default_rng(mc.seed)
     detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
     accepted = strategy.accept_mask(np.arange(detect_cap + 1))
@@ -257,13 +258,12 @@ def compare_with_analytic(
 ) -> McComparison:
     """Pair the sampler with the model, run first so that a refused input costs no sampling.
 
-    The sampler's work grows with the pair numbers it draws, so a pump
-    whose largest mean the per-unit grid's cutoff rule cannot cut is
-    refused here (:func:`~asmux.statistics.required_lmax` raises
-    :class:`~asmux.exceptions.TruncationError`); tails grow with the
-    mean, so the largest mean decides.
+    A pump that :func:`simulate` would refuse for its pair-number groups
+    (:func:`_check_pair_groups`) raises
+    :class:`~asmux.exceptions.TruncationError` here, before the model
+    runs and before any draw.
     """
-    required_lmax(spec.source, max(pump.lambdas))
+    _check_pair_groups(spec.source, pump, mc.trials)
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count)
     return McComparison(result=simulate(spec, pump, strategy, mc), analytic=dist.probs)
 

@@ -183,10 +183,8 @@ class StabilityInterval:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _grid_tables(
-    family: SourceFamily, l_max: int, upper: float, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(0.0, upper, points)
+def _grid_tables(family: SourceFamily, l_max: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.linspace(0.0, upper, _GRID_POINTS)
     pmf = source_pmf(family, grid, l_max)
     grid.flags.writeable = False
     pmf.flags.writeable = False
@@ -264,7 +262,7 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     w = acceptance_weights(chain.strategy, chain.v_d, l_max)
     through = transmit_one_weights(chain.v_through, l_max) * w
     last = transmit_one_weights(chain.v_last, l_max) * w
-    grid, pmf = _grid_tables(chain.family, l_max, chain.upper, _GRID_POINTS)
+    grid, pmf = _grid_tables(chain.family, l_max, chain.upper)
     step = grid[1] - grid[0]
     sizes = chain.sizes
     n_max = int(sizes[-1])

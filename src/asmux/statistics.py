@@ -9,7 +9,7 @@ smallest loss.  The evaluators compose these stages exactly, in closed
 form per unit, with no pair-number series.  Only the optimizers'
 per-unit search grid reads pair-number pmf rows, cut where the source
 tail of the upper search bound falls below 1e-12, and never beyond 400
-pairs (:data:`DEFAULT_TRUNCATION`).
+pairs (:func:`required_lmax`).
 """
 from __future__ import annotations
 
@@ -32,33 +32,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Finite cutoff rule for the pair-number pmf rows of the per-unit search grid.
-
-    The series over generated pairs is cut at the smallest count whose
-    source tail mass falls below ``tail_epsilon``, and never beyond
-    ``l_hard_cap`` (:func:`required_lmax`).  The package applies only
-    :data:`DEFAULT_TRUNCATION`: to the per-unit search grid, at the upper
-    search bound, and to the largest pump mean the Monte Carlo comparison
-    samples.  The evaluators and the uniform and scaled-reference
-    searches have no series to cut.
-    """
-
-    tail_epsilon: float = 1e-12
-    l_hard_cap: int = 400
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tail_epsilon < 1e-6:
-            raise ParameterError(
-                f"tail_epsilon must lie in (0, 1e-6), got {self.tail_epsilon!r}"
-            )
-        if int(self.l_hard_cap) < 50:
-            raise ParameterError(f"l_hard_cap must be >= 50, got {self.l_hard_cap!r}")
-        object.__setattr__(self, "l_hard_cap", int(self.l_hard_cap))
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
+# the per-unit search grid's series cutoff (:func:`required_lmax`): the
+# smallest count whose source tail falls below _TAIL_EPSILON, at most _L_HARD_CAP
+_TAIL_EPSILON = 1e-12
+_L_HARD_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -295,20 +272,17 @@ def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
     return terms[..., ::-1][..., : l_hi - l_lo + 1]
 
 
-def required_lmax(
-    family: SourceFamily | str, lam: float, trunc: TruncationPolicy = DEFAULT_TRUNCATION
-) -> int:
-    """Smallest series cutoff whose source tail mass at ``lam`` is within the policy bound.
+def required_lmax(family: SourceFamily | str, lam: float) -> int:
+    """Series cutoff of the per-unit search grid at mean ``lam``.
 
-    This is the one cutoff rule (see :class:`TruncationPolicy`).  The
-    thermal tail beyond l is (lam / (1 + lam))^(l+1), so its cutoff is a
-    closed form.  Poisson tails are searched in windows of cutoffs that
-    double in length, so the work follows the cutoff and not the cap; a
-    mean at or above the cap (a tail of about one half there) raises
-    before any search.  A mean that is not finite or is negative raises
-    :class:`ParameterError`, and one that cannot be cut within the hard
-    cap raises :class:`TruncationError`.  Tails grow with the mean, so
-    the largest mean of a profile decides whether it can be cut.
+    The smallest count whose source tail mass at ``lam`` falls below
+    1e-12, and never beyond 400 pairs.  The thermal tail beyond l is
+    (lam / (1 + lam))^(l+1), so its cutoff is a closed form.  The Poisson
+    tails up to the cap come from one sum from the far end of the series
+    (:func:`_poisson_tails`); a mean at or above the cap (a tail of about
+    one half there) raises before any sum.  A mean that is not finite or
+    is negative raises :class:`ParameterError`, and one that cannot be
+    cut within the cap raises :class:`TruncationError`.
     """
     family = SourceFamily.coerce(family)
     lam = float(lam)
@@ -316,7 +290,7 @@ def required_lmax(
         raise ParameterError(f"mean photon number must be finite and >= 0, got {lam!r}")
     if lam == 0.0:
         return 0
-    eps, cap = trunc.tail_epsilon, trunc.l_hard_cap
+    eps, cap = _TAIL_EPSILON, _L_HARD_CAP
     if family is SourceFamily.THERMAL:
         ratio = lam / (1.0 + lam)  # a ratio that rounds to one has no cutoff
         needed = math.ceil(math.log(eps) / math.log(ratio)) - 1 if ratio < 1.0 else math.inf
@@ -326,13 +300,10 @@ def required_lmax(
                 f"beyond the hard cap {cap}"
             )
         return needed
-    lo, hi = 0, 64
-    while lo <= cap and lam < cap:
-        hi = min(hi, cap)
-        within = np.flatnonzero(_poisson_tails(lam, lo, hi) <= eps)
+    if lam < cap:
+        within = np.flatnonzero(_poisson_tails(lam, 0, cap) <= eps)
         if within.size:
-            return lo + int(within[0])
-        lo, hi = hi + 1, 2 * hi
+            return int(within[0])
     raise TruncationError(
         f"Poisson tail at mean {lam} stays above {eps} up to the hard cap {cap}"
     )
@@ -766,7 +737,6 @@ def output_distribution(
     pump: PumpProfile,
     strategy: DetectionStrategy,
     i_max: int = 10,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> OutputDistribution:
     """Exact output photon-number distribution of the multiplexed source.
 
@@ -781,8 +751,7 @@ def output_distribution(
     Probabilities for 0..i_max output photons are returned with the
     probability of more than ``i_max``, summed from positive terms until
     they fall below double precision.  The work and memory follow the
-    probability mass, not ``i_max``.  ``trunc`` is not read; the
-    benchmark's tracer binds it by name.
+    probability mass, not ``i_max``.
     """
     i_max = int(i_max)
     if i_max < 1:
@@ -836,7 +805,6 @@ def p1_profile_batch(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
     lam_matrix: np.ndarray,
-    trunc: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> np.ndarray:
     """Single-photon probability for a batch of pump profiles.
 
@@ -845,7 +813,6 @@ def p1_profile_batch(
     (:func:`_chain_p1`), so each row's value does not depend on the rows
     beside it; the stability interval tests both doubling ladders, or a
     bisecting edge's next three levels, in one call.
-    ``trunc`` is not read; the benchmark's tracer binds it by name.
     """
     lam = np.asarray(lam_matrix, dtype=float)
     if lam.shape[-1] != spec.n_units:

@@ -18,7 +18,7 @@ from asmux.montecarlo import (
     simulate,
 )
 from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
-from asmux.statistics import DetectionStrategy, PumpProfile, output_distribution, required_lmax
+from asmux.statistics import DetectionStrategy, PumpProfile, output_distribution
 
 SPD = DetectionStrategy.single_photon()
 QUICK = McSettings(trials=200_000, seed=77)
@@ -314,7 +314,7 @@ class TestCorpus:
         assert result.estimates.shape == (mc.max_count + 1,)
 
     def test_model_refuses_before_sampling(self, monkeypatch):
-        # a Poisson mean above the hard cap used to cost a full sampler pass first
+        # a Poisson mean of 1e5 would walk about 1e5 pair groups
         import asmux.montecarlo
 
         def no_sampling(*args, **kwargs):
@@ -325,19 +325,41 @@ class TestCorpus:
         with pytest.raises(TruncationError):
             compare_with_analytic(spec, PumpProfile((1e5,)), SPD, McSettings(trials=1000))
 
-    @pytest.mark.parametrize("source,lams", [("poisson", (0.5, 1e5)), ("thermal", (0.5, 50.0))])
+    @pytest.mark.parametrize(
+        "source,lams", [("poisson", (1690.0, 1700.0)), ("thermal", (58.0, 59.0))]
+    )
     def test_largest_mean_decides_the_refusal(self, monkeypatch, source, lams):
-        # the first mean can be cut and the largest cannot; tails grow with the mean
+        # the sampler's pair-group bound at 1e9 trials: the admitted mean
+        # reaches the draws, the refused one neither runs the model nor
+        # draws; the other unit's mean is small
         import asmux.montecarlo
 
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the model refused the input")
+        class Drawing(Exception):
+            pass
 
-        monkeypatch.setattr(asmux.montecarlo, "simulate", no_sampling)
+        def drawing(*args):
+            raise Drawing
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("ran the model before refusing the input")
+
+        monkeypatch.setattr(asmux.montecarlo, "_pair_histogram", drawing)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source=source)
-        assert required_lmax(source, lams[0]) > 0
-        with pytest.raises(TruncationError, match=f"tail at mean {lams[1]} "):
-            compare_with_analytic(spec, PumpProfile(lams), SPD, McSettings(trials=1000))
+        mc = McSettings(trials=1_000_000_000)
+        admitted, refused = lams
+        with pytest.raises(Drawing):
+            compare_with_analytic(spec, PumpProfile((0.5, admitted)), SPD, mc)
+        monkeypatch.setattr(asmux.montecarlo, "output_distribution", no_model)
+        with pytest.raises(TruncationError, match="2048 pair-number groups"):
+            compare_with_analytic(spec, PumpProfile((0.5, refused)), SPD, mc)
+
+    def test_bright_thermal_pump_compares(self):
+        # past the per-unit grid's cutoff, well within the sampler's bound
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=2, source="thermal")
+        mc = McSettings(trials=1000, seed=3)
+        comparison = compare_with_analytic(spec, PumpProfile((0.5, 50.0)), SPD, mc)
+        assert comparison.result.counts.sum() + comparison.result.overflow == mc.trials
+        assert comparison.within(4.0)
 
 
 # The 1e9-trial oracle: two tests at a false-alarm rate of 1e-3 each, so

@@ -17,11 +17,9 @@ from asmux.multiplexer import MultiplexerSpec, transmission_vector
 from asmux.optimize import OptimizerSettings, optimize_pump
 import asmux.statistics as model_statistics
 from asmux.statistics import (
-    DEFAULT_TRUNCATION,
     MAX_ACCEPTED_COUNT,
     DetectionStrategy,
     PumpProfile,
-    TruncationPolicy,
     _binom_pmf,
     acceptance_weights,
     output_distribution,
@@ -196,9 +194,9 @@ class TestDetectTotalProb:
             assert detected_pmf(family, 0.0, 0.9, 0) == 1.0
 
     def test_unreachable_tail_bound(self):
-        tight = TruncationPolicy(tail_epsilon=1e-12, l_hard_cap=50)
+        # a thermal mean of 15 needs a cutoff of 428, past the cap of 400
         with pytest.raises(TruncationError):
-            required_lmax("thermal", 5.0, tight)
+            required_lmax("thermal", 15.0)
 
 
 class TestNumpyKernels:
@@ -281,10 +279,9 @@ class TestNumpyKernels:
 
     def test_poisson_cutoffs_match_gammainc_search(self):
         for lam in np.geomspace(1e-3, 40.0, 25):
-            for eps in (1e-12, 1e-9, 5e-7):
-                tails = gammainc(np.arange(401) + 1.0, lam)
-                expected = int(np.flatnonzero(tails <= eps)[0])
-                assert required_lmax("poisson", lam, TruncationPolicy(tail_epsilon=eps)) == expected
+            tails = gammainc(np.arange(401) + 1.0, lam)
+            expected = int(np.flatnonzero(tails <= 1e-12)[0])
+            assert required_lmax("poisson", lam) == expected
 
     def test_overflow_is_the_upper_binomial_sum(self):
         # one unit: the mass beyond i_max photons is sum_l pmf(l) w(l) P(Bin(l, v) > i_max),
@@ -299,18 +296,6 @@ class TestNumpyKernels:
         dist = output_distribution(spec, PumpProfile((lam,)), strategy, i_max=i_max)
         assert dist.truncation_mass == pytest.approx(expected, rel=1e-13)
 
-    def test_cutoff_search_follows_the_cutoff_not_the_cap(self):
-        huge_cap = TruncationPolicy(l_hard_cap=10**8)
-        tracemalloc.start()
-        try:
-            l_max = required_lmax("poisson", 1.0, huge_cap)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert l_max == required_lmax("poisson", 1.0)
-        assert peak < 2 * 2**20
-        assert model_statistics._log_factorial_table.size < 10**4
-
     def test_package_imports_no_scipy(self):
         src = Path(model_statistics.__file__).resolve().parents[1]
         probe = (
@@ -323,7 +308,12 @@ class TestNumpyKernels:
         assert run.stdout.strip() == "[]"
 
 
-def thermal_cutoff(lam, trunc=DEFAULT_TRUNCATION):
+# the per-unit search grid's cutoff rule
+TAIL_EPSILON = 1e-12
+HARD_CAP = 400
+
+
+def thermal_cutoff(lam):
     """The thermal cutoff rule written out for one mean, or None above the cap.
 
     The tail beyond l is r^(l+1) with r = lam / (1 + lam); where r rounds
@@ -334,47 +324,40 @@ def thermal_cutoff(lam, trunc=DEFAULT_TRUNCATION):
     ratio = lam / (1.0 + lam)
     if ratio == 1.0:
         return None
-    needed = max(math.ceil(math.log(trunc.tail_epsilon) / math.log(ratio)) - 1, 0)
-    return needed if needed <= trunc.l_hard_cap else None
+    needed = max(math.ceil(math.log(TAIL_EPSILON) / math.log(ratio)) - 1, 0)
+    return needed if needed <= HARD_CAP else None
 
 
-def poisson_cutoff(lam, trunc=DEFAULT_TRUNCATION):
+def poisson_cutoff(lam):
     """First l up to the cap whose tail P(X > l) = P(l + 1, lam) is within the bound, or None."""
     if lam == 0.0:
         return 0
-    tails = gammainc(np.arange(trunc.l_hard_cap + 1) + 1.0, lam)
-    within = np.flatnonzero(tails <= trunc.tail_epsilon)
+    tails = gammainc(np.arange(HARD_CAP + 1) + 1.0, lam)
+    within = np.flatnonzero(tails <= TAIL_EPSILON)
     return int(within[0]) if within.size else None
 
 
 _MEAN_ERROR = "mean photon number must be finite and >= 0, got "
 
 
-class TestSeriesCutoffs:
+class TestCutoffRule:
     """``required_lmax`` against the cutoff rule written out per mean."""
 
-    POLICIES = (
-        DEFAULT_TRUNCATION,
-        TruncationPolicy(tail_epsilon=5e-7, l_hard_cap=50),
-        TruncationPolicy(tail_epsilon=1e-9, l_hard_cap=1000),
-    )
-
     @pytest.mark.parametrize("family", ["poisson", "thermal"])
-    @pytest.mark.parametrize("trunc", POLICIES)
-    def test_array_cutoffs_equal_scalar_cutoffs(self, family, trunc):
+    def test_array_cutoffs_equal_scalar_cutoffs(self, family):
         rng = np.random.default_rng(7)
         lams = np.concatenate(
             ([0.0, 1e-14, 0.0], rng.uniform(0.0, 5.0, 40), np.geomspace(1e-6, 300.0, 60))
         )
         rule = poisson_cutoff if family == "poisson" else thermal_cutoff
-        expected = [(lam, rule(lam, trunc)) for lam in lams.tolist()]
+        expected = [(lam, rule(lam)) for lam in lams.tolist()]
         cut = [(lam, l_max) for lam, l_max in expected if l_max is not None]
         assert sum(lam == 0.0 for lam, _ in cut) == 2 and len(cut) > 60
-        assert [required_lmax(family, lam, trunc) for lam, _ in cut] == [l_max for _, l_max in cut]
+        assert [required_lmax(family, lam) for lam, _ in cut] == [l_max for _, l_max in cut]
         for lam, l_max in expected:  # the means no cutoff within the cap bounds
             if l_max is None:
                 with pytest.raises(TruncationError):
-                    required_lmax(family, lam, trunc)
+                    required_lmax(family, lam)
 
     def test_thermal_cutoffs_equal_scalar_cutoffs_on_many_means(self):
         # from the smallest positive means up to 14, where the cutoff meets the cap
@@ -384,48 +367,45 @@ class TestSeriesCutoffs:
         ).tolist()
         expected = [thermal_cutoff(lam) for lam in lams]
         assert [required_lmax("thermal", lam) for lam in lams] == expected
-        assert max(expected) == DEFAULT_TRUNCATION.l_hard_cap
+        assert max(expected) == HARD_CAP
 
     @pytest.mark.parametrize(
-        "family,lam,trunc,error,message",
+        "family,lam,error,message",
         [
             pytest.param(
-                "poisson", float("nan"), DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "nan",
-                id="poisson-nan-trunc0",
+                "poisson", float("nan"), ParameterError, _MEAN_ERROR + "nan", id="poisson-nan"
             ),
             pytest.param(
-                "thermal", -0.5, DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "-0.5",
-                id="thermal--0.5-trunc1",
+                "thermal", -0.5, ParameterError, _MEAN_ERROR + "-0.5", id="thermal--0.5"
             ),
             pytest.param(
-                "poisson", float("inf"), DEFAULT_TRUNCATION, ParameterError, _MEAN_ERROR + "inf",
-                id="poisson-inf-trunc2",
+                "poisson", float("inf"), ParameterError, _MEAN_ERROR + "inf", id="poisson-inf"
             ),
             pytest.param(  # at the cap
-                "poisson", 400.0, DEFAULT_TRUNCATION, TruncationError,
+                "poisson", 400.0, TruncationError,
                 "Poisson tail at mean 400.0 stays above 1e-12 up to the hard cap 400",
-                id="poisson-400.0-trunc3",
+                id="poisson-400.0",
             ),
             pytest.param(  # tail above the bound at the cap
-                "poisson", 45.0, TruncationPolicy(l_hard_cap=50), TruncationError,
-                "Poisson tail at mean 45.0 stays above 1e-12 up to the hard cap 50",
-                id="poisson-45.0-trunc4",
+                "poisson", 399.0, TruncationError,
+                "Poisson tail at mean 399.0 stays above 1e-12 up to the hard cap 400",
+                id="poisson-399.0",
             ),
-            pytest.param(
-                "thermal", 5.0, TruncationPolicy(l_hard_cap=50), TruncationError,
-                "thermal tail at mean 5.0 needs a cutoff of 151, beyond the hard cap 50",
-                id="thermal-5.0-trunc5",
+            pytest.param(  # just past the cap
+                "thermal", 14.05, TruncationError,
+                "thermal tail at mean 14.05 needs a cutoff of 401, beyond the hard cap 400",
+                id="thermal-14.05",
             ),
             pytest.param(  # lam / (1 + lam) rounds to one
-                "thermal", 1e17, DEFAULT_TRUNCATION, TruncationError,
+                "thermal", 1e17, TruncationError,
                 "thermal tail at mean 1e+17 needs a cutoff of inf, beyond the hard cap 400",
-                id="thermal-1e+17-trunc6",
+                id="thermal-1e+17",
             ),
         ],
     )
-    def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, trunc, error, message):
+    def test_array_cutoffs_raise_the_scalar_errors(self, family, lam, error, message):
         with pytest.raises(error) as raised:
-            required_lmax(family, lam, trunc)
+            required_lmax(family, lam)
         assert str(raised.value) == message
 
 
@@ -710,14 +690,6 @@ class TestExports:
 
 
 class TestPolicyAndProfileValidation:
-    def test_truncation_policy_invariants(self):
-        with pytest.raises(ParameterError):
-            TruncationPolicy(tail_epsilon=1e-5)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(tail_epsilon=0.0)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(l_hard_cap=10)
-
     def test_pump_profile_invariants(self):
         with pytest.raises(ParameterError):
             PumpProfile(())
