@@ -236,6 +236,21 @@ class _Chain:
 # per-unit mode: backward dynamic program over the units
 # ----------------------------------------------------------------------
 
+def _arm_weights(v: np.ndarray, w: np.ndarray, l_max: int) -> np.ndarray:
+    """Chance that ``l`` pairs give an admission and one photon through each arm ``v``.
+
+    At a high detector efficiency the product underflows to subnormals,
+    on which BLAS runs several times slower.  They are set to zero in the
+    rows whose largest entry is at least 2**53 times the smallest normal
+    float, where each is below half an ulp of that entry; a row of tiny
+    entries only (a near-opaque arm) keeps them.
+    """
+    weights = transmit_one_weights(v, l_max) * w
+    tiny = np.finfo(float).tiny
+    weights[(weights < tiny) & (weights.max(axis=1, keepdims=True) >= 2.0**53 * tiny)] = 0.0
+    return weights
+
+
 def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     """Optimal per-unit profiles, one zero-padded row per size.
 
@@ -246,7 +261,8 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     value per size larger than the current unit; a size joins at its
     last unit with an empty tail.  The stage tables are pair-number pmf
     rows on a grid, cut at the cutoff of the upper bound
-    (:func:`~asmux.statistics.required_lmax`, which may raise).
+    (:func:`~asmux.statistics.required_lmax`, which may raise), against
+    arm weights whose negligible subnormals are zero (:func:`_arm_weights`).
 
     Each unit's grid values are three rows: no admission, its through
     arm's one photon, and the last arm's one photon of the size that
@@ -256,57 +272,67 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     terms in order from zero, so each cell rounds ``tail * quiet`` and
     then adds the arm, as an outer product and an add would.  The
     product always holds a spare first row, which no stage reads: numpy
-    sends a one-row product to ``gemv``, which rounds differently.
+    sends a one-row product to ``gemv``, which rounds differently.  A
+    second spare row, after the open sizes, lets one gather of the flat
+    table read every row's best cell and both its neighbours; a best
+    cell on the grid's edge reads a neighbour from the row beside it,
+    and is not refined.
+
+    A row is refined when its best cell is interior and the parabola
+    through it opens downward.
     """
     l_max = required_lmax(chain.family, chain.upper)
     w = acceptance_weights(chain.strategy, chain.v_d, l_max)
-    through = transmit_one_weights(chain.v_through, l_max) * w
-    last = transmit_one_weights(chain.v_last, l_max) * w
-    grid, pmf = _grid_tables(chain.family, l_max, chain.upper)
-    step = grid[1] - grid[0]
     sizes = chain.sizes
     n_max = int(sizes[-1])
+    # one row per unit's through arm, a zero one for the last unit, which
+    # has none, then one per size's last arm
+    arms = _arm_weights(np.concatenate([chain.v_through, (0.0,), chain.v_last]), w, l_max)
+    through, last = arms[:n_max], arms[n_max:]
+    grid, pmf = _grid_tables(chain.family, l_max, chain.upper)
+    step = grid[1] - grid[0]
     basis = np.zeros((n_max, 3, grid.size))  # per unit: quiet, through arm, last arm
     basis[:, 0] = 1.0 - pmf @ w
-    np.matmul(through, pmf.T, out=basis[:-1, 1])
+    np.matmul(through[:-1], pmf.T, out=basis[:-1, 1])
     basis[sizes - 1, 2] = last @ pmf.T
     # row 1 + i is size sizes[i]: its tail and its arm, the last one until it has joined
     coef = np.zeros((sizes.size + 1, 3))
     coef[1:, 2] = 1.0
     lam = np.zeros((sizes.size, n_max))
-    table = np.empty((sizes.size + 1, grid.size))
+    # rows 1 + i are size sizes[first + i], between the two spare rows
+    table = np.zeros((sizes.size + 2, grid.size))
+    flat = table.reshape(-1)
+    interior = np.ones(grid.size, dtype=bool)  # grid cells with a neighbour on each side
+    interior[[0, -1]] = False
+    # flat cells before, at and after column 0 of each size row
+    around = grid.size * np.arange(1, sizes.size + 1) + np.arange(-1, 2)[:, None]
+    ends = np.arange(1, n_max + 1)  # unit + 1
+    firsts = np.searchsorted(sizes, ends)  # sizes[first:] > unit
+    joining = (sizes[firsts] == ends).tolist()
+    firsts = firsts.tolist()
     for unit in range(n_max - 1, -1, -1):
-        first = int(np.searchsorted(sizes, unit + 1))  # sizes[first:] > unit
+        first, joins = firsts[unit], int(joining[unit])
         k = sizes.size - first
         tail = coef[first + 1 :, 0]
-        joins = int(sizes[first] == unit + 1)
-        # one row per open size, after the spare row
-        vals = np.matmul(
-            coef[first:, : 2 + joins], basis[unit, : 2 + joins], out=table[: k + 1]
-        )[1:]
-        rows = np.arange(k)
-        best = vals.argmax(axis=1)
+        np.matmul(coef[first:, : 2 + joins], basis[unit, : 2 + joins], out=table[: k + 1])
+        best = table[1 : k + 1].argmax(axis=1)
+        y0, f, y2 = flat[around[:, :k] + best]
         x = grid[best]
-        f = vals[rows, best]
-        y0 = vals[rows, np.maximum(best - 1, 0)]
-        y2 = vals[rows, np.minimum(best + 1, grid.size - 1)]
         den = y0 - 2.0 * f + y2
-        refine = np.flatnonzero((best > 0) & (best < grid.size - 1) & (den < 0.0))
+        refine = (interior[best] & (den < 0.0)).nonzero()[0]
         if refine.size:
+            # within half a step of an interior grid point, so inside [0, upper]
             vertex = x[refine] + 0.5 * step * (y0[refine] - y2[refine]) / den[refine]
-            vertex = np.clip(vertex, 0.0, chain.upper)
-            # the joining size, if refined, is the first refined row
-            weights = np.empty((refine.size, l_max + 1))
-            joined = int(joins and refine[0] == 0)
-            if joined:
-                weights[0] = last[first]
-            if joined < refine.size:
-                weights[joined:] = through[unit]
             p = source_pmf(chain.family, vertex, l_max)
-            f_vertex = np.einsum("rl,rl->r", p, weights) + (1.0 - p @ w) * tail[refine]
+            # summed row by row by einsum, not by gemv, which rounds differently
+            arm = np.einsum("rl,l->r", p, through[unit])
+            if joins and refine[0] == 0:  # the joining size, row 0, feeds the last arm
+                arm[0] = np.einsum("l,l->", p[0], last[first])
+            f_vertex = arm + (1.0 - p @ w) * tail[refine]
             better = f_vertex > f[refine]
-            x[refine[better]] = vertex[better]
-            f[refine[better]] = f_vertex[better]
+            won = refine[better]
+            x[won] = vertex[better]
+            f[won] = f_vertex[better]
         lam[first:, unit] = x
         tail[:] = f
         if joins:  # the joining size feeds the through arm from now on

@@ -317,7 +317,7 @@ def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.n
     flat = lams.reshape(-1)
     ls = np.arange(l_max + 1, dtype=float)
     pos = flat > 0.0
-    lp = flat[pos]
+    lp = flat if np.count_nonzero(pos) == flat.size else flat[pos]
     # built in place in one array: each temporary of this size would be a
     # fresh allocation whose pages are faulted in again on every call
     if family is SourceFamily.POISSON:

@@ -264,21 +264,58 @@ class TestStageProduct:
     @pytest.mark.parametrize("source", ["poisson", "thermal"])
     @pytest.mark.parametrize("strategy", ["spd", "upto:2", "thd", "set:1,3", "set:2,28"])
     def test_same_bits_as_outer_product_stages(self, monkeypatch, source, strategy):
-        # single sizes are one-row stages; sets with gaps have sizes join mid-pass
-        spec = MultiplexerSpec(v_r=0.95, v_b=0.85, v_d=0.9, n_units=1, source=source)
+        # single sizes are one-row stages; sets with gaps have sizes join
+        # mid-pass; at the bound 0.3 rows on the bound share stages with
+        # refined ones; at the headline point the thermal one-photon
+        # weights hold subnormals, which the DP sets to zero and this
+        # reference keeps; at v_b = 1e-310 every weight is subnormal,
+        # and the DP keeps them all
         strat = DetectionStrategy.parse(strategy)
         cases = [
-            (OptimizerSettings(lambda_upper=upper), sizes)
-            for upper in (0.3, 2.0, 5.0, 12.0)
+            (MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1, source=source), settings, sizes)
+            for v_r, v_b, v_d in ((0.95, 0.85, 0.9), (0.99, 0.98, 0.98))
+            for settings in map(OptimizerSettings, (0.3, 2.0, 5.0, 12.0))
             for sizes in ([1], [7], [60], [3, 17, 44], range(1, 101))
         ]
-        product = [optimize_sizes(spec, strat, sizes, settings) for settings, sizes in cases]
+        opaque = MultiplexerSpec(v_r=0.99, v_b=1e-310, v_d=0.98, n_units=1, source=source)
+        cases += [(opaque, OptimizerSettings(upper), [3, 17, 44]) for upper in (0.3, 5.0)]
+        product = [optimize_sizes(spec, strat, sizes, settings) for spec, settings, sizes in cases]
         monkeypatch.setattr(asmux.optimize, "_per_unit_profiles", outer_product_stages)
-        for (settings, sizes), reports in zip(cases, product):
+        for (spec, settings, sizes), reports in zip(cases, product):
             reference = optimize_sizes(spec, strat, sizes, settings)
             assert [(r.best_pump.lambdas, r.best_p1) for r in reports] == [
                 (r.best_pump.lambdas, r.best_p1) for r in reference
-            ], (settings.lambda_upper, sizes)
+            ], (spec, settings.lambda_upper, sizes)
+
+
+class TestArmWeights:
+    def test_no_subnormal_at_the_headline_point(self):
+        # at v_d = 0.98 the thermal one-photon weights underflow past the
+        # smallest normal float; the DP's weights hold zeros there instead
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=100, source="thermal")
+        l_max = asmux.statistics.required_lmax(spec.source, OptimizerSettings().lambda_upper)
+        w = asmux.statistics.acceptance_weights(SPD, spec.v_d, l_max)
+        v = transmission_vector(spec)
+        raw = asmux.statistics.transmit_one_weights(v, l_max) * w
+        tiny = np.finfo(float).tiny
+        normal = raw >= tiny
+        assert np.any((raw > 0.0) & ~normal)
+        weights = asmux.optimize._arm_weights(v, w, l_max)
+        assert not np.any((weights != 0.0) & (np.abs(weights) < tiny))
+        assert np.array_equal(weights[normal], raw[normal])
+        assert np.all(weights[~normal] == 0.0)
+
+    def test_a_row_of_subnormals_stays(self):
+        # a near-opaque arm has no normal entry beside which its subnormals
+        # vanish, and zeroing them would zero its one-photon chance
+        l_max = asmux.statistics.required_lmax("thermal", OptimizerSettings().lambda_upper)
+        w = asmux.statistics.acceptance_weights(SPD, 0.98, l_max)
+        v = np.array([1e-310, 0.98])
+        raw = asmux.statistics.transmit_one_weights(v, l_max) * w
+        weights = asmux.optimize._arm_weights(v, w, l_max)
+        assert np.any(raw[0] > 0.0)
+        assert np.array_equal(weights[0], raw[0])
+        assert np.any((raw[1] > 0.0) & (weights[1] == 0.0))
 
 
 class TestWork:
@@ -287,6 +324,7 @@ class TestWork:
         # closed forms; only the per-unit search grid builds pair-number
         # pmf rows, and the uniform and scaled-reference searches build none
         evaluating, searched = [], []
+        asmux.optimize._grid_tables.cache_clear()  # the per-unit grid is built under the guard
 
         def guarded_pmf(family, lams, l_max):
             assert not evaluating, "a pmf row inside an evaluator"
