@@ -2,6 +2,16 @@
 single-photon sources built on an asymmetric (chained) spatial multiplexer
 with photon-number-resolving heralding detectors."""
 
+import os
+import sys
+
+# one BLAS thread unless the environment sets a count: the per-unit search's
+# small products gain no time from more, and round the same on any core count
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .exceptions import ParameterError, TruncationError
 from .experiments import (
     Axis,

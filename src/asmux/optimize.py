@@ -183,12 +183,14 @@ class StabilityInterval:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _grid_tables(family: SourceFamily, l_max: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
+def _grid_tables(family: SourceFamily, upper: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The per-unit search grid's series cutoff, means and pmf rows."""
+    l_max = required_lmax(family, upper)  # raises on every call: no exception is cached
     grid = np.linspace(0.0, upper, _GRID_POINTS)
     pmf = source_pmf(family, grid, l_max)
     grid.flags.writeable = False
     pmf.flags.writeable = False
-    return grid, pmf
+    return l_max, grid, pmf
 
 
 class _Chain:
@@ -281,7 +283,7 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     A row is refined when its best cell is interior and the parabola
     through it opens downward.
     """
-    l_max = required_lmax(chain.family, chain.upper)
+    l_max, grid, pmf = _grid_tables(chain.family, chain.upper)
     w = acceptance_weights(chain.strategy, chain.v_d, l_max)
     sizes = chain.sizes
     n_max = int(sizes[-1])
@@ -289,7 +291,6 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     # has none, then one per size's last arm
     arms = _arm_weights(np.concatenate([chain.v_through, (0.0,), chain.v_last]), w, l_max)
     through, last = arms[:n_max], arms[n_max:]
-    grid, pmf = _grid_tables(chain.family, l_max, chain.upper)
     step = grid[1] - grid[0]
     basis = np.zeros((n_max, 3, grid.size))  # per unit: quiet, through arm, last arm
     basis[:, 0] = 1.0 - pmf @ w

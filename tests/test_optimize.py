@@ -381,26 +381,28 @@ class TestWork:
     @pytest.mark.parametrize(
         "mode,builds",
         [
-            ("per-unit", {"required_lmax"}),
+            ("per-unit", {"grid"}),
             ("uniform", {"one_photon_terms"}),
             ("scaled-reference", {"one_photon_terms"}),
         ],
         ids=["per-unit", "uniform", "scaled-reference"],
     )
     def test_each_mode_builds_only_the_tables_it_reads(self, monkeypatch, mode, builds):
-        # only the per-unit grid cuts the pair-number series (required_lmax);
-        # the one-parameter searches read closed forms (one_photon_terms)
-        calls = {name: 0 for name in ("one_photon_terms", "required_lmax")}
-        for name in calls:
-            original = getattr(asmux.optimize, name)
+        # only the per-unit search builds a grid, cut at the pair-number
+        # series cutoff; the one-parameter searches read closed forms
+        # (one_photon_terms)
+        calls = {"one_photon_terms": 0}
+        original = asmux.optimize.one_photon_terms
 
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls["one_photon_terms"] += 1
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(asmux.optimize, name, counting)
+        monkeypatch.setattr(asmux.optimize, "one_photon_terms", counting)
+        asmux.optimize._grid_tables.cache_clear()
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         optimize_sizes(spec, SPD, range(1, 31), mode=mode)
+        calls["grid"] = asmux.optimize._grid_tables.cache_info().misses
         assert {name for name, count in calls.items() if count} == builds
 
     def test_slope_root_ends_a_lane_at_an_exact_root(self, monkeypatch):
@@ -506,9 +508,11 @@ class TestBoundsPastTheSeriesCutoff:
 
     @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
     def test_per_unit_search_refuses(self, source, upper):
+        # on every call, since the cached grid keeps no exception
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=3, source=source)
-        with pytest.raises(TruncationError):
-            optimize_pump(spec, SPD, OptimizerSettings(lambda_upper=upper))
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                optimize_pump(spec, SPD, OptimizerSettings(lambda_upper=upper))
 
 
 class TestBatchInvariance:
