@@ -9,7 +9,6 @@ only and therefore skips the through-port factor ``v_t``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -42,13 +41,6 @@ class SourceFamily(str, Enum):
             ) from None
 
 
-def _check_probability(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class MultiplexerSpec:
     """Loss parameters and size of the multiplexed source.
@@ -70,7 +62,10 @@ class MultiplexerSpec:
 
     def __post_init__(self) -> None:
         for name in ("v_r", "v_t", "v_b", "v_d"):
-            object.__setattr__(self, name, _check_probability(name, getattr(self, name)))
+            value = float(getattr(self, name))
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
+            object.__setattr__(self, name, value)
         if not isinstance(self.n_units, (int, np.integer)) or self.n_units < 1:
             raise ParameterError(f"n_units must be a positive integer, got {self.n_units!r}")
         object.__setattr__(self, "n_units", int(self.n_units))
@@ -81,9 +76,15 @@ class MultiplexerSpec:
         return replace(self, n_units=n_units)
 
 
+def _arms(spec: MultiplexerSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arm law's one home: arms 1..n_max as through arms, and as the last arm of each size."""
+    # one numpy array power for every arm: a scalar ``**`` may round an arm differently
+    powers = spec.v_r ** np.arange(n_max, dtype=float)
+    return spec.v_b * spec.v_t * powers, spec.v_b * powers
+
+
 def transmission_vector(spec: MultiplexerSpec) -> np.ndarray:
     """Arm transmissions for arms 1..N as an array of length N."""
-    n = np.arange(1, spec.n_units + 1, dtype=float)
-    v = spec.v_b * spec.v_t * spec.v_r ** (n - 1.0)
-    v[-1] = spec.v_b * spec.v_r ** (spec.n_units - 1.0)
+    v, last = _arms(spec, spec.n_units)
+    v[-1] = last[-1]
     return v

@@ -3,9 +3,9 @@
 Three search spaces are supported: one mean photon number per unit, a
 single mean shared by all units, and a single mean rescaled per unit by
 the inverse arm transmission.  Every optimizer solves a whole set of
-system sizes in one pass.  Arm ``n`` transmits ``v_b v_t v_r^(n-1)`` in
-every system larger than ``n``; only the last arm, which skips the
-through port (``v_b v_r^(N-1)``), depends on the size N.  So one table
+system sizes in one pass.  Arm ``n`` transmits the same in every
+system larger than ``n``; only the last arm, which skips the through
+port, depends on the size N (:mod:`~asmux.multiplexer`).  So one table
 of through arms and one of last arms, over a grid of pump means, serve
 every size.
 
@@ -47,11 +47,11 @@ every size.
 
 Reported probabilities are evaluated once for all sizes together, in
 closed form from the units of each size only, as
-:func:`~asmux.statistics.output_distribution` evaluates them, so every
-report re-evaluates to its ``best_p1``.  Only the per-unit search grid
-cuts the pair-number series, at the cutoff of the upper bound
-(:func:`~asmux.statistics.required_lmax`); a per-unit upper bound whose
-series that rule cannot cut raises
+:func:`~asmux.statistics.single_photon_prob` evaluates them, so every
+report re-evaluates to its ``best_p1`` bit for bit.  Only the per-unit
+search grid cuts the pair-number series, at the cutoff of the upper
+bound (:func:`~asmux.statistics.required_lmax`); a per-unit upper bound
+whose series that rule cannot cut raises
 :class:`~asmux.exceptions.TruncationError`.  The one-parameter searches
 have no such ceiling.
 """
@@ -66,7 +66,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import ParameterError
-from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
+from .multiplexer import MultiplexerSpec, SourceFamily, _arms
 from .statistics import (
     DetectionStrategy,
     PumpProfile,
@@ -198,9 +198,9 @@ class _Chain:
 
     ``v_through`` holds the transmissions of the arms 1..n_max-1 that pass
     a router's through port, ``v_last`` that of the last arm of each size
-    in ``sizes``.  Unit values are closed forms (:meth:`terms`); the
-    scaled-reference mode also reads the values on the upper bound,
-    ``capped``, built on first read.
+    in ``sizes``, from the arm law ``transmission_vector`` reads.  Unit values
+    are closed forms (:meth:`terms`); the scaled-reference mode also reads
+    the values on the upper bound, ``capped``, built on first read.
     """
 
     def __init__(
@@ -215,8 +215,8 @@ class _Chain:
         self.strategy = strategy
         self.v_d = spec.v_d
         self.upper = settings.lambda_upper
-        self.v_through = transmission_vector(spec.with_units(int(sizes[-1])))[:-1]
-        self.v_last = spec.v_b * spec.v_r ** (sizes - 1.0)
+        through, last = _arms(spec, int(sizes[-1]))
+        self.v_through, self.v_last = through[:-1], last[sizes - 1]
 
     @cached_property
     def capped(self) -> tuple[float, np.ndarray, np.ndarray]:
@@ -621,10 +621,9 @@ def _reported_p1(chain: _Chain, lam: np.ndarray) -> np.ndarray:
 
     Closed forms over a (sizes, n_max) matrix of arm transmissions: the
     through arms, then each size's last arm.  A padded unit has mean 0,
-    so it is never admitted and delivers nothing.  The values are those
-    :func:`~asmux.statistics.output_distribution` gives, with no series
-    cutoff.  Each row is evaluated on its own, so batches of rows bound
-    the memory.
+    so it is never admitted, delivers nothing and leaves the sum over the
+    units in order unchanged (:func:`~asmux.statistics._chain_p1`).  Each
+    row is evaluated on its own, so batches of rows bound the memory.
     """
 
     def batch(part: slice) -> np.ndarray:

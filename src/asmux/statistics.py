@@ -669,7 +669,9 @@ def _admitted_counts(
     """
     kappa = lam * v  # mean kept signals
     mu = lam * v_d * (1.0 - v)
-    r = mu / (1.0 + kappa + mu)
+    r = (mu / (1.0 + kappa + mu))[:, None]
+    with np.errstate(divide="ignore"):  # r rounds to 1 on a blocked arm past lam v_d ~ 1e16
+        log_none = np.log1p(-r)  # thermal log P(N₂ = 0 | K = 0), -inf there
     if not strategy.is_threshold:
         top = max(strategy.accepted)
         members = np.fromiter(strategy.accepted, dtype=np.int64)
@@ -693,7 +695,7 @@ def _admitted_counts(
             if family is SourceFamily.POISSON:
                 none_lost = -mu[:, None]
             else:
-                none_lost = (i + 1.0) * np.log1p(-r)[:, None]
+                none_lost = (i + 1.0) * log_none
             table = -np.expm1(missed + none_lost)
         else:
             detected = _binom_pmf(np.arange(width + 1), np.arange(end + 2)[:, None], v_d)
@@ -707,10 +709,8 @@ def _admitted_counts(
                 mu_col = mu[:, None]
                 table = _weighted_sum(in_set, top + 1, np.exp(-mu_col), lambda n: mu_col / n)
             else:
-                r_col = r[:, None]
                 table = _weighted_sum(
-                    in_set, top + 1, np.exp((i + 1.0) * np.log1p(-r_col)),
-                    lambda n: r_col * ((n + i) / n),
+                    in_set, top + 1, np.exp((i + 1.0) * log_none), lambda n: r * ((n + i) / n)
                 )
         table *= p_kept[:, :-1]
 
@@ -732,6 +732,17 @@ def _admitted_counts(
         end *= 2
 
 
+def _chain(admit: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_n Π_{m<n} (1 - admit_m) terms_n, and Π_n (1 - admit_n), along the last (unit) axis.
+
+    Both run over the units in order (``cumprod``, ``cumsum``), so units appended
+    with zero ``admit`` and ``terms``, as zero-mean padding is, change no bit.
+    """
+    prefix = np.ones(admit.shape[:-1] + (admit.shape[-1] + 1,))
+    np.cumprod(1.0 - admit, axis=-1, out=prefix[..., 1:])
+    return np.cumsum(prefix[..., :-1] * terms, axis=-1)[..., -1], prefix[..., -1]
+
+
 def output_distribution(
     spec: MultiplexerSpec,
     pump: PumpProfile,
@@ -747,6 +758,8 @@ def output_distribution(
     no-admission event adds to zero photons only.  Every unit term is a
     closed form (:func:`one_photon_terms` for admission and one photon,
     :func:`_admitted_counts` for every count), with no pair-number series.
+    Every count sums over the units in order (:func:`_chain`), so
+    ``probs[1]`` is the value :func:`p1_profile_batch` gives, bit for bit.
 
     Probabilities for 0..i_max output photons are returned with the
     probability of more than ``i_max``, summed from positive terms until
@@ -759,16 +772,14 @@ def output_distribution(
     lam = _validate_pump(spec, pump)
     v = transmission_vector(spec)
     admit, t = one_photon_terms(spec.source, strategy, spec.v_d, lam, v)
-    quiet = 1.0 - admit[0]
-    prefix = np.ones(lam.size)
-    np.cumprod(quiet[:-1], out=prefix[1:])
     counts = _admitted_counts(spec.source, strategy, spec.v_d, lam, v, admit[0], i_max)
     counts[:, 1] = t[0]  # the same closed form p1_profile_batch reads
-    top = min(i_max, counts.shape[1] - 1)
+    columns = np.column_stack([counts[:, : i_max + 1], counts[:, i_max + 1 :].sum(axis=1)])
+    by_count, none = _chain(admit[0], columns.T)
     probs = np.zeros(i_max + 1)
-    probs[: top + 1] = prefix @ counts[:, : top + 1]
-    probs[0] += float(np.prod(quiet))
-    truncation_mass = float(prefix @ counts[:, i_max + 1 :].sum(axis=1))
+    probs[: by_count.size - 1] = by_count[:-1]
+    probs[0] += none
+    truncation_mass = float(by_count[-1])
 
     total = float(probs.sum()) + truncation_mass
     if abs(total - 1.0) > 1e-8:
@@ -782,23 +793,14 @@ def output_distribution(
 def single_photon_prob(
     spec: MultiplexerSpec, pump: PumpProfile, strategy: DetectionStrategy
 ) -> float:
-    """Probability of exactly one photon at the output."""
-    return float(output_distribution(spec, pump, strategy).probs[1])
+    """P(exactly one output photon), in closed form: :func:`p1_profile_batch` of this profile."""
+    return float(p1_profile_batch(spec, strategy, _validate_pump(spec, pump)[None, :])[0])
 
 
-def _chain_p1(
-    family: SourceFamily, strategy: DetectionStrategy, v_d: float, lam: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """P1 = Σ_n Π_{m<n} (1 - P(J_m ∈ A)) P(J_n ∈ A, K_n = 1) along the last axis.
-
-    Unit ``n`` of each profile in ``lam`` has arm transmission ``v[..., n]``;
-    a unit at mean 0 is never admitted and delivers nothing.
-    """
+def _chain_p1(family: SourceFamily, strategy: DetectionStrategy, v_d: float, lam, v) -> np.ndarray:
+    """P1 of each profile in ``lam`` (units on the last axis) whose arms transmit ``v``."""
     admit, t = one_photon_terms(family, strategy, v_d, lam, v)
-    quiet = 1.0 - admit[0]
-    prefix = np.ones(quiet.shape)
-    np.cumprod(quiet[..., :-1], axis=-1, out=prefix[..., 1:])
-    return np.einsum("...n,...n->...", prefix, t[0])
+    return _chain(admit[0], t[0])[0]
 
 
 def p1_profile_batch(
@@ -819,9 +821,7 @@ def p1_profile_batch(
         raise ParameterError(
             f"profiles have {lam.shape[-1]} entries but the spec has {spec.n_units} units"
         )
-    if lam.size == 0:
-        return np.zeros(lam.shape[:-1])
     # a NaN fails both tests, as it propagates through min and max
-    if not (lam.min() >= 0.0 and np.isfinite(lam.max())):
+    if not (lam.min(initial=0.0) >= 0.0 and np.isfinite(lam.max(initial=0.0))):
         raise ParameterError("input mean photon numbers must be finite and >= 0")
     return _chain_p1(spec.source, strategy, spec.v_d, lam, transmission_vector(spec))

@@ -786,6 +786,24 @@ class TestSweepCommand:
 
 
 class TestFullCurve:
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    @pytest.mark.parametrize("mode", ["per-unit", "uniform", "scaled-reference"])
+    def test_csv_rows_reevaluate_exactly(self, capsys, tmp_path, source, mode):
+        from asmux.experiments import read_csv
+
+        for strategy in ("spd", "thd", "set:1,3"):
+            out = tmp_path / f"{strategy}.csv"
+            code, _, _ = run(
+                capsys, "find-n", "--v-r", "0.9", "--v-b", "0.8", "--v-d", "0.85",
+                "--source", source, "--strategy", strategy, "--mode", mode, "--n-ref", "30",
+                "--full-curve", "--format", "csv", "--out", str(out),
+            )
+            assert code == 0
+            rows = read_csv(out)
+            assert len(rows) == 30
+            for row in rows:
+                assert row.reevaluate() == row.p1, (strategy, row.n_units)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_one_row_per_size(self, capsys, tmp_path, fmt):
         from asmux.experiments import ResultRow, read_csv
@@ -819,7 +837,7 @@ class TestFullCurve:
         assert [r.p1 for r in rows] == search.p1_by_n.tolist()
         for row in rows:
             assert len(row.lambdas) == row.n_units
-            assert abs(row.reevaluate() - row.p1) <= 1e-12
+            assert row.reevaluate() == row.p1
 
 
 class TestSearchFlags:

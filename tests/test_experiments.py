@@ -92,7 +92,7 @@ class TestRows:
     def test_row_reevaluates_exactly(self):
         rows = reproduce_table1(combos=[(0.9, 0.9, 0.9)], n_ref=25)
         for row in rows:
-            assert abs(row.reevaluate() - row.p1) <= 1e-12
+            assert row.reevaluate() == row.p1
 
     def test_csv_round_trip(self, tmp_path):
         rows = fixed_n_curve(
@@ -302,7 +302,7 @@ class TestStabilityReport:
         assert row.delta_minus <= 0.0 <= row.delta_plus
         assert row.baseline_p1 is not None
         assert row.p1 >= row.baseline_p1
-        assert abs(row.reevaluate() - row.p1) <= 1e-12
+        assert row.reevaluate() == row.p1
 
     @pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan, math.inf])
     def test_resolution_checked_before_the_searches(self, monkeypatch, resolution):

@@ -65,8 +65,7 @@ class TestOptimizePump:
     def test_reported_p1_reproducible_from_profile(self):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=5)
         report = optimize_pump(spec, SPD)
-        again = single_photon_prob(spec, report.best_pump, SPD)
-        assert abs(again - report.best_p1) <= 1e-12
+        assert single_photon_prob(spec, report.best_pump, SPD) == report.best_p1
 
     def test_upper_bound_flagged(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=4)
@@ -151,7 +150,7 @@ class TestBlockedArms:
             lams = np.array(report.best_pump.lambdas)
             assert np.all((lams >= 0.0) & (lams <= upper))
             again = single_photon_prob(spec.with_units(report.n_units), report.best_pump, SPD)
-            assert abs(again - report.best_p1) <= 1e-12
+            assert again == report.best_p1
         if v_b == 0.0:
             assert np.all(result.p1_by_n == 0.0)
         else:  # only the first arm delivers, through a router from N = 2 on
@@ -503,7 +502,7 @@ class TestBoundsPastTheSeriesCutoff:
             for report in optimize_sizes(spec, strategy, [1, 2, 5, 20, 60], settings, mode):
                 pump = report.best_pump
                 dist = output_distribution(spec.with_units(report.n_units), pump, strategy)
-                assert abs(dist.probs[1] - report.best_p1) <= 1e-15
+                assert dist.probs[1] == report.best_p1
                 assert report.upper_bound_hit == (max(pump.lambdas) >= upper)
 
     @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
@@ -534,6 +533,19 @@ class TestBatchInvariance:
                 (alone,) = optimize_sizes(spec, strategy, [n], mode=mode)
                 lams = np.array(alone.best_pump.lambdas)
                 assert np.max(np.abs(lams - batch[n - 1].best_pump.lambdas)) <= 1e-10
+
+    def test_chain_arms_are_the_arms_of_each_size(self):
+        # the all-sizes tables read the arm law that transmission_vector reads,
+        # so a reported P1 re-evaluates from the profile bit for bit
+        sizes = np.arange(1, 201)
+        for v_r in np.linspace(0.5, 0.999, 15):
+            for v_b in (0.8, 0.9, 0.98, 1.0):
+                spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=0.9, n_units=1)
+                chain = asmux.optimize._Chain(spec, SPD, OptimizerSettings(), sizes)
+                for n in sizes.tolist():
+                    v = transmission_vector(spec.with_units(n))
+                    assert v[:-1].tolist() == chain.v_through[: n - 1].tolist()
+                    assert v[-1] == chain.v_last[n - 1], (v_r, v_b, n)
 
 
 class TestFindOptimalN:

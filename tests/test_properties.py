@@ -66,7 +66,7 @@ def test_all_sizes_pass_matches_single_size_and_canonical(model, upper, data):
         assert abs(search.p1_by_n[n - 1] - single.best_p1) <= 1e-12
         for report in search.reports:
             dist = output_distribution(spec.with_units(report.n_units), report.best_pump, strategy)
-            assert abs(float(dist.probs[1]) - report.best_p1) <= 1e-10
+            assert float(dist.probs[1]) == report.best_p1
 
 
 @PROPERTY
@@ -99,8 +99,10 @@ def test_distribution_completes_to_one(model, i_max):
 @PROPERTY
 @given(models(), st.sampled_from(list(OptimizationMode)), pumped_models())
 def test_closed_form_evaluators_agree(model, mode, pumped):
-    # a p1_profile_batch row, the reported P1 and output_distribution's
-    # probs[1] read one closed form; every distribution completes to one
+    # a p1_profile_batch row, the reported P1, single_photon_prob and
+    # output_distribution's probs[1] are one closed form summed over the
+    # units in one order, so they agree bit for bit; every distribution
+    # completes to one
     spec, strategy, n_ref = model
     reports = optimize_sizes(spec, strategy, range(1, n_ref + 1), mode=mode)
     cases = [(spec.with_units(r.n_units), r.best_pump, strategy, r.best_p1) for r in reports]
@@ -108,9 +110,10 @@ def test_closed_form_evaluators_agree(model, mode, pumped):
     for spec_n, pump, strat, reported in cases:
         row = float(p1_profile_batch(spec_n, strat, pump.as_array()[None, :])[0])
         dist = output_distribution(spec_n, pump, strat)
-        assert abs(float(dist.probs[1]) - row) <= 1e-15
+        assert float(dist.probs[1]) == row
+        assert single_photon_prob(spec_n, pump, strat) == row
         if reported is not None:
-            assert abs(reported - row) <= 1e-15
+            assert reported == row
         assert dist.truncation_mass >= 0.0
         assert abs(float(dist.probs.sum()) + dist.truncation_mass - 1.0) <= 1e-13
 
