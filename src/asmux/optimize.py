@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .statistics import (
     DetectionStrategy,
     PumpProfile,
     _chain_p1,
+    _checked_profile,
     _validate_pump,
     acceptance_weights,
     one_photon_terms,
@@ -151,22 +152,66 @@ class OptimizationReport:
     upper_bound_hit: bool = False
 
 
+class _SizeReports(Sequence):
+    """Reports of a size search, kept as its arrays; a report is built when read.
+
+    Row ``i`` of the zero-padded matrix ``lam`` is the profile of size
+    ``sizes[i]``; its means were checked finite and >= 0 as a whole.
+    """
+
+    def __init__(self, sizes, lam, p1, hit, strategy: DetectionStrategy, mode: OptimizationMode):
+        self.sizes, self.lam, self.p1, self.hit = sizes, lam, p1, hit
+        self.strategy, self.mode = strategy, mode
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, index):
+        i = range(self.sizes.size)[index]  # an int, or a range for a slice
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        n = int(self.sizes[i])
+        return OptimizationReport(
+            best_pump=_checked_profile(tuple(self.lam[i, :n].tolist())),
+            best_p1=float(self.p1[i]),
+            strategy=self.strategy,
+            n_units=n,
+            mode=self.mode,
+            upper_bound_hit=bool(self.hit[i]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _SizeReports)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class OptimalSizeResult:
-    """Result of the search over the number of multiplexed units."""
+    """Result of the search over the number of multiplexed units.
+
+    ``reports`` is a read-only sequence with one report per size, in
+    ascending size order: it indexes, slices (into tuples), iterates and
+    compares as the tuple of its reports, but keeps the search's arrays
+    and builds a report only when one is read.  ``p1_by_n`` is a fresh
+    copy of the optimal P1 at every size.
+    """
 
     n_opt: int
     p1_max: float
-    reports: tuple[OptimizationReport, ...]
+    reports: Sequence[OptimizationReport]
 
     @property
     def p1_by_n(self) -> np.ndarray:
-        return np.array([r.best_p1 for r in self.reports])
+        return self.reports.p1.copy()
 
     @property
     def strategy(self) -> DetectionStrategy:
         """The detection strategy of every report."""
-        return self.reports[0].strategy
+        return self.reports.strategy
 
 
 @dataclass(frozen=True)
@@ -636,6 +681,32 @@ def _reported_p1(chain: _Chain, lam: np.ndarray) -> np.ndarray:
     return _in_batches(lam.shape[0], 16 * lam.shape[1], batch)
 
 
+def _search(
+    spec: MultiplexerSpec,
+    strategy: DetectionStrategy,
+    sizes: Iterable[int],
+    settings: OptimizerSettings | None,
+    mode: OptimizationMode | str,
+) -> _SizeReports:
+    """The optimum at every size in ``sizes``, as arrays (see :func:`optimize_sizes`)."""
+    settings = settings or OptimizerSettings()
+    mode = OptimizationMode.coerce(mode)
+    sizes = np.unique(np.asarray(list(sizes), dtype=int))
+    if sizes.size == 0 or sizes[0] < 1:
+        raise ParameterError("sizes must be a nonempty set of positive unit counts")
+    chain = _Chain(spec, strategy, settings, sizes)
+    if mode is OptimizationMode.PER_UNIT:
+        lam = _per_unit_profiles(chain)
+    else:
+        lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
+    # the check PumpProfile makes, once for every profile (NaN fails both sides)
+    if not ((lam >= 0.0) & (lam < math.inf)).all():
+        raise ParameterError("input mean photon numbers must be finite and >= 0")
+    p1 = _reported_p1(chain, lam)
+    hit = (lam >= settings.lambda_upper).any(axis=1)  # the padding is 0, below the bound
+    return _SizeReports(sizes, lam, p1, hit, strategy, mode)
+
+
 def optimize_sizes(
     spec: MultiplexerSpec,
     strategy: DetectionStrategy,
@@ -647,31 +718,9 @@ def optimize_sizes(
 
     All sizes are solved in one pass; the work grows with the largest
     size, not with the number of sizes.  Reports come in ascending size
-    order, one per distinct size.  ``spec.n_units`` is ignored.
+    order, one per distinct size, as a tuple.  ``spec.n_units`` is ignored.
     """
-    settings = settings or OptimizerSettings()
-    mode = OptimizationMode.coerce(mode)
-    sizes = np.unique(np.asarray(list(sizes), dtype=int))
-    if sizes.size == 0 or sizes[0] < 1:
-        raise ParameterError("sizes must be a nonempty set of positive unit counts")
-    chain = _Chain(spec, strategy, settings, sizes)
-    if mode is OptimizationMode.PER_UNIT:
-        lam = _per_unit_profiles(chain)
-    else:
-        lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
-    p1 = _reported_p1(chain, lam)
-    hit = (lam >= settings.lambda_upper).any(axis=1)  # the padding is 0, below the bound
-    return tuple(
-        OptimizationReport(
-            best_pump=PumpProfile(tuple(row[:n])),
-            best_p1=value,
-            strategy=strategy,
-            n_units=n,
-            mode=mode,
-            upper_bound_hit=h,
-        )
-        for row, n, value, h in zip(lam.tolist(), sizes.tolist(), p1.tolist(), hit.tolist())
-    )
+    return tuple(_search(spec, strategy, sizes, settings, mode))
 
 
 def optimize_pump(
@@ -733,13 +782,10 @@ def find_optimal_n(
         raise ParameterError(f"n_ref must be >= 2, got {n_ref}")
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
-    reports = optimize_sizes(spec, strategy, range(1, int(n_ref) + 1), settings, mode)
-    p_by_n = np.array([r.best_p1 for r in reports])
-    reference = float(p_by_n[-1])
-    n_opt = int(np.argmax(reference - p_by_n < threshold)) + 1
-    return OptimalSizeResult(
-        n_opt=n_opt, p1_max=float(p_by_n[n_opt - 1]), reports=reports
-    )
+    reports = _search(spec, strategy, range(1, int(n_ref) + 1), settings, mode)
+    p_by_n = reports.p1
+    n_opt = int(np.argmax(p_by_n[-1] - p_by_n < threshold)) + 1
+    return OptimalSizeResult(n_opt=n_opt, p1_max=float(p_by_n[n_opt - 1]), reports=reports)
 
 
 def strategy_scan(

@@ -161,7 +161,7 @@ class TestExitCodes:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(asmux.optimize, "optimize_sizes", out_of_memory)
+        monkeypatch.setattr(asmux.optimize, "_search", out_of_memory)
         code, _, err = run(
             capsys, "find-n", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9",
             "--n-ref", "100000",

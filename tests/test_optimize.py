@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -389,15 +390,30 @@ class TestWork:
     def test_each_mode_builds_only_the_tables_it_reads(self, monkeypatch, mode, builds):
         # only the per-unit search builds a grid, cut at the pair-number
         # series cutoff; the one-parameter searches read closed forms
-        # (one_photon_terms)
+        # (one_photon_terms).  Only calls made while a search runs count:
+        # the reported P1 of the profiles is evaluated after it.
         calls = {"one_photon_terms": 0}
-        original = asmux.optimize.one_photon_terms
+        searching = []
+        original = asmux.statistics.one_photon_terms
 
         def counting(*args, **kwargs):
-            calls["one_photon_terms"] += 1
+            calls["one_photon_terms"] += bool(searching)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(asmux.optimize, "one_photon_terms", counting)
+        def marking(search):
+            def run(*args, **kwargs):
+                searching.append(search)
+                try:
+                    return search(*args, **kwargs)
+                finally:
+                    searching.pop()
+
+            return run
+
+        for module in (asmux.optimize, asmux.statistics):
+            monkeypatch.setattr(module, "one_photon_terms", counting)
+        for name in ("_per_unit_profiles", "_scalar_profiles"):
+            monkeypatch.setattr(asmux.optimize, name, marking(getattr(asmux.optimize, name)))
         asmux.optimize._grid_tables.cache_clear()
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         optimize_sizes(spec, SPD, range(1, 31), mode=mode)
@@ -579,10 +595,90 @@ class TestFindOptimalN:
         def no_search(*args, **kwargs):
             raise AssertionError("optimized before checking the threshold")
 
-        monkeypatch.setattr(asmux.optimize, "optimize_sizes", no_search)
+        monkeypatch.setattr(asmux.optimize, "_search", no_search)
         spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError, match="threshold must be positive and finite"):
             find_optimal_n(spec, SPD, n_ref=20, threshold=threshold)
+
+
+class TestSizeReports:
+    """A size search keeps its arrays; its reports read as the tuple optimize_sizes returns."""
+
+    @pytest.fixture(params=[(m, s) for m in OptimizationMode for s in ("poisson", "thermal")])
+    def searched(self, request):
+        mode, source = request.param
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1, source=source)
+        result = find_optimal_n(spec, SPD, n_ref=20, mode=mode)
+        return spec, mode, result, optimize_sizes(spec, SPD, range(1, 21), mode=mode)
+
+    def test_each_report_is_the_one_optimize_sizes_builds(self, searched):
+        _, _, result, direct = searched
+        assert type(direct) is tuple
+        for i, report in enumerate(direct):
+            assert result.reports[i] == report
+            pump = result.reports[i].best_pump
+            assert pump == PumpProfile(pump.lambdas) and hash(pump) == hash(report.best_pump)
+            assert all(type(x) is float for x in pump.lambdas)
+        assert result.reports == direct and direct == result.reports
+        assert result.strategy == SPD
+
+    def test_indexing_slicing_and_iteration_behave_as_the_tuple(self, searched):
+        _, _, result, direct = searched
+        reports = result.reports
+        assert len(reports) == len(direct) == 20
+        assert list(reports) == list(direct)
+        assert list(reversed(reports)) == list(reversed(direct))
+        for i in (-1, -7, -20, 0, 19):
+            assert reports[i] == direct[i]
+        for part in (slice(2, 7), slice(None, None, -3), slice(-5, None), slice(30, None)):
+            assert type(reports[part]) is tuple
+            assert reports[part] == direct[part]
+        for i in (20, -21):
+            with pytest.raises(IndexError):
+                reports[i]
+        with pytest.raises(TypeError):
+            reports[1.0]
+        assert direct[3] in reports and reports.index(direct[3]) == 3
+
+    def test_p1_by_n_is_a_copy_of_the_reported_values(self, searched):
+        _, _, result, _ = searched
+        values = [r.best_p1 for r in result.reports]
+        curve = result.p1_by_n
+        assert curve.tolist() == values
+        curve[:] = -1.0
+        assert result.p1_by_n.tolist() == values
+        assert [r.best_p1 for r in result.reports] == values
+        assert result.p1_max == values[result.n_opt - 1]
+
+    def test_results_of_one_search_compare_and_hash_as_with_a_tuple(self, searched):
+        spec, mode, result, _ = searched
+        again = find_optimal_n(spec, SPD, n_ref=20, mode=mode)
+        as_tuple = dataclasses.replace(result, reports=tuple(result.reports))
+        assert again == result == as_tuple
+        assert hash(again) == hash(result) == hash(as_tuple)
+        assert find_optimal_n(spec, DetectionStrategy.threshold(), n_ref=20, mode=mode) != result
+
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, math.inf])
+    def test_a_search_that_yields_a_bad_mean_raises(self, monkeypatch, mode, bad):
+        # reports skip PumpProfile's checks, so the search checks every mean at once
+        name = "_per_unit_profiles" if mode is OptimizationMode.PER_UNIT else "_scalar_profiles"
+        search = getattr(asmux.optimize, name)
+
+        def spoiled(*args, **kwargs):
+            lam = search(*args, **kwargs)
+            lam[-1, 2] = bad
+            return lam
+
+        monkeypatch.setattr(asmux.optimize, name, spoiled)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
+        match = "input mean photon numbers must be finite and >= 0"
+        with pytest.raises(ParameterError, match=match):
+            find_optimal_n(spec, SPD, n_ref=6, mode=mode)
+        with pytest.raises(ParameterError, match=match):
+            optimize_sizes(spec, SPD, [4], mode=mode)
+        with pytest.raises(ParameterError, match=match):
+            PumpProfile((0.5, bad))
 
 
 class TestStrategyScan:
