@@ -71,7 +71,6 @@ from .statistics import (
     DetectionStrategy,
     PumpProfile,
     _chain_p1,
-    _checked_profile,
     _validate_pump,
     acceptance_weights,
     one_photon_terms,
@@ -153,13 +152,11 @@ class OptimizationReport:
 
 
 class _SizeReports(Sequence):
-    """Reports of a size search, kept as its arrays; a report is built when read.
-
-    Row ``i`` of the zero-padded matrix ``lam`` is the profile of size
-    ``sizes[i]``; its means were checked finite and >= 0 as a whole.
-    """
+    """The reports of a size search, kept as its read-only arrays; one is built when read."""
 
     def __init__(self, sizes, lam, p1, hit, strategy: DetectionStrategy, mode: OptimizationMode):
+        for array in (sizes, lam, p1, hit):
+            array.flags.writeable = False
         self.sizes, self.lam, self.p1, self.hit = sizes, lam, p1, hit
         self.strategy, self.mode = strategy, mode
 
@@ -171,33 +168,28 @@ class _SizeReports(Sequence):
         if isinstance(i, range):
             return tuple(map(self.__getitem__, i))
         n = int(self.sizes[i])
+        pump = PumpProfile(tuple(self.lam[i, :n].tolist()))
         return OptimizationReport(
-            best_pump=_checked_profile(tuple(self.lam[i, :n].tolist())),
-            best_p1=float(self.p1[i]),
-            strategy=self.strategy,
-            n_units=n,
-            mode=self.mode,
-            upper_bound_hit=bool(self.hit[i]),
+            pump, float(self.p1[i]), self.strategy, n, self.mode, bool(self.hit[i])
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _SizeReports)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
+        return isinstance(other, (tuple, _SizeReports)) and tuple(self) == tuple(other)
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
 class OptimalSizeResult:
     """Result of the search over the number of multiplexed units.
 
-    ``reports`` is a read-only sequence with one report per size, in
-    ascending size order: it indexes, slices (into tuples), iterates and
-    compares as the tuple of its reports, but keeps the search's arrays
-    and builds a report only when one is read.  ``p1_by_n`` is a fresh
-    copy of the optimal P1 at every size.
+    ``reports`` has one report per size, in ascending size order.  From
+    :func:`find_optimal_n` it is a read-only sequence that builds a report
+    when one is read, and slices, compares and hashes as a tuple.
     """
 
     n_opt: int
@@ -206,12 +198,14 @@ class OptimalSizeResult:
 
     @property
     def p1_by_n(self) -> np.ndarray:
-        return self.reports.p1.copy()
+        if isinstance(self.reports, _SizeReports):
+            return self.reports.p1.copy()
+        return np.array([r.best_p1 for r in self.reports])
 
     @property
     def strategy(self) -> DetectionStrategy:
         """The detection strategy of every report."""
-        return self.reports.strategy
+        return self.reports[0].strategy
 
 
 @dataclass(frozen=True)
@@ -681,14 +675,8 @@ def _reported_p1(chain: _Chain, lam: np.ndarray) -> np.ndarray:
     return _in_batches(lam.shape[0], 16 * lam.shape[1], batch)
 
 
-def _search(
-    spec: MultiplexerSpec,
-    strategy: DetectionStrategy,
-    sizes: Iterable[int],
-    settings: OptimizerSettings | None,
-    mode: OptimizationMode | str,
-) -> _SizeReports:
-    """The optimum at every size in ``sizes``, as arrays (see :func:`optimize_sizes`)."""
+def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
+    """:func:`optimize_sizes`, its reports kept as arrays until one is read."""
     settings = settings or OptimizerSettings()
     mode = OptimizationMode.coerce(mode)
     sizes = np.unique(np.asarray(list(sizes), dtype=int))

@@ -67,13 +67,6 @@ class PumpProfile:
         return len(self.lambdas)
 
 
-def _checked_profile(lambdas: tuple[float, ...]) -> PumpProfile:
-    """Profile of floats already checked finite and >= 0, built without checking again."""
-    profile = object.__new__(PumpProfile)
-    object.__setattr__(profile, "lambdas", lambdas)
-    return profile
-
-
 # Largest accepted count.  Its set and coefficient tables grow with it
 # (1.5 MB at this bound), while the evaluators' series stop where the
 # detected-count mass falls below double precision.

@@ -656,12 +656,23 @@ class TestSizeReports:
         as_tuple = dataclasses.replace(result, reports=tuple(result.reports))
         assert again == result == as_tuple
         assert hash(again) == hash(result) == hash(as_tuple)
+        assert repr(again) == repr(result) == repr(as_tuple)
+        assert as_tuple.p1_by_n.tolist() == result.p1_by_n.tolist()
+        assert as_tuple.strategy == result.strategy == SPD
         assert find_optimal_n(spec, DetectionStrategy.threshold(), n_ref=20, mode=mode) != result
+
+    def test_stored_arrays_are_read_only(self, searched):
+        _, _, result, _ = searched
+        before = (result.reports[3], result.p1_by_n.tolist(), hash(result))
+        for name in ("sizes", "lam", "p1", "hit"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(result.reports, name)[3] = 0
+        assert (result.reports[3], result.p1_by_n.tolist(), hash(result)) == before
 
     @pytest.mark.parametrize("mode", list(OptimizationMode))
     @pytest.mark.parametrize("bad", [math.nan, -1e-300, math.inf])
     def test_a_search_that_yields_a_bad_mean_raises(self, monkeypatch, mode, bad):
-        # reports skip PumpProfile's checks, so the search checks every mean at once
+        # a search checks every mean at once, before any report is read
         name = "_per_unit_profiles" if mode is OptimizationMode.PER_UNIT else "_scalar_profiles"
         search = getattr(asmux.optimize, name)
 
