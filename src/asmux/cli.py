@@ -195,8 +195,6 @@ def _parse_config_text(text: str) -> dict:
             data = json.loads(stripped)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object")
         return {_KEY_ALIASES.get(k, k).replace("-", "_"): v for k, v in data.items()}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import ParameterError
-from .multiplexer import MultiplexerSpec
+from .multiplexer import MultiplexerSpec, _COUNT_LIMIT
 from .optimize import (
     OptimizationMode,
     OptimizationReport,
@@ -73,7 +73,7 @@ class Axis:
         finite = all(map(math.isfinite, (self.start, self.stop, self.step)))
         if not finite or self.step <= 0 or self.stop < self.start:
             raise ParameterError(f"bad axis range {self.start}:{self.stop}:{self.step}")
-        if not self._count() < np.iinfo(np.intp).max:
+        if not self._count() < _COUNT_LIMIT:
             raise ParameterError(f"axis {self.name} has too many cells: step {self.step}")
 
     def _count(self) -> float:

@@ -16,6 +16,10 @@ import numpy as np
 
 from .exceptions import ParameterError
 
+# every count (units, sizes, photon counts, sweep cells) stays below this,
+# the largest index numpy takes, so none overflows an array's size
+_COUNT_LIMIT = np.iinfo(np.intp).max
+
 __all__ = [
     "SourceFamily",
     "MultiplexerSpec",
@@ -66,8 +70,10 @@ class MultiplexerSpec:
             if not 0.0 <= value <= 1.0:  # NaN fails too
                 raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.n_units, (int, np.integer)) or self.n_units < 1:
-            raise ParameterError(f"n_units must be a positive integer, got {self.n_units!r}")
+        if not isinstance(self.n_units, (int, np.integer)) or not 1 <= self.n_units < _COUNT_LIMIT:
+            raise ParameterError(
+                f"n_units must be an integer in [1, {_COUNT_LIMIT}), got {self.n_units!r}"
+            )
         object.__setattr__(self, "n_units", int(self.n_units))
         object.__setattr__(self, "source", SourceFamily.coerce(self.source))
 

@@ -66,11 +66,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import ParameterError
-from .multiplexer import MultiplexerSpec, SourceFamily, _arms
+from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _arms
 from .statistics import (
     DetectionStrategy,
     PumpProfile,
+    _chain,
     _chain_p1,
+    _check_means,
     _validate_pump,
     acceptance_weights,
     one_photon_terms,
@@ -485,10 +487,7 @@ def _scalar_p1_batch(
         quiet = -admit
         quiet[0] += 1.0
         _, t_last = chain.terms(x, chain.v_last[pick], slope)
-    prefix = np.ones((xs.size, n_through + 1))
-    np.cumprod(quiet[0], axis=1, out=prefix[:, 1:])
-    head = np.zeros((xs.size, n_through + 1))
-    np.cumsum(prefix[:, :-1] * t[0], axis=1, out=head[:, 1:])
+    head, prefix = _chain(quiet[0], t[0])
     p1 = head[rows, at] + prefix[rows, at] * t_last[0]
     if not slope:
         return p1
@@ -679,17 +678,16 @@ def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
     """:func:`optimize_sizes`, its reports kept as arrays until one is read."""
     settings = settings or OptimizerSettings()
     mode = OptimizationMode.coerce(mode)
-    sizes = np.unique(np.asarray(list(sizes), dtype=int))
-    if sizes.size == 0 or sizes[0] < 1:
-        raise ParameterError("sizes must be a nonempty set of positive unit counts")
+    sizes = list(sizes)
+    if not sizes or not 1 <= min(sizes) <= max(sizes) < _COUNT_LIMIT:
+        raise ParameterError(f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})")
+    sizes = np.unique(np.asarray(sizes, dtype=int))
     chain = _Chain(spec, strategy, settings, sizes)
     if mode is OptimizationMode.PER_UNIT:
         lam = _per_unit_profiles(chain)
     else:
         lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
-    # the check PumpProfile makes, once for every profile (NaN fails both sides)
-    if not ((lam >= 0.0) & (lam < math.inf)).all():
-        raise ParameterError("input mean photon numbers must be finite and >= 0")
+    _check_means(lam)  # the check PumpProfile makes, once for every profile
     p1 = _reported_p1(chain, lam)
     hit = (lam >= settings.lambda_upper).any(axis=1)  # the padding is 0, below the bound
     return _SizeReports(sizes, lam, p1, hit, strategy, mode)
@@ -766,8 +764,8 @@ def find_optimal_n(
     whose optimum comes within ``threshold`` of it.  ``spec.n_units`` is
     ignored; the scan sets its own sizes.
     """
-    if int(n_ref) < 2:
-        raise ParameterError(f"n_ref must be >= 2, got {n_ref}")
+    if not 2 <= int(n_ref) < _COUNT_LIMIT:
+        raise ParameterError(f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}")
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
     reports = _search(spec, strategy, range(1, int(n_ref) + 1), settings, mode)

@@ -9,7 +9,10 @@ smallest loss.  The evaluators compose these stages exactly, in closed
 form per unit, with no pair-number series.  Only the optimizers'
 per-unit search grid reads pair-number pmf rows, cut where the source
 tail of the upper search bound falls below 1e-12, and never beyond 400
-pairs (:func:`required_lmax`).
+pairs (:func:`required_lmax`).  One count law (:func:`_count_pmf`)
+gives those rows, the Poisson tails of that cutoff and the evaluators'
+kept-photon counts, and one chain sum (:func:`_chain`) runs every sum
+over the units.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .exceptions import ParameterError, TruncationError
-from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
+from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, transmission_vector
 
 __all__ = [
     "PumpProfile",
@@ -38,6 +41,12 @@ _TAIL_EPSILON = 1e-12
 _L_HARD_CAP = 400
 
 
+def _check_means(lam: np.ndarray) -> None:
+    """Refuse means that are not finite and >= 0; a NaN fails, as min and max propagate it."""
+    if not (lam.min(initial=0.0) >= 0.0 and np.isfinite(lam.max(initial=0.0))):
+        raise ParameterError("input mean photon numbers must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class PumpProfile:
     """Per-unit input mean photon numbers (one value per multiplexed unit)."""
@@ -51,8 +60,7 @@ class PumpProfile:
             raise ParameterError(f"lambdas must be a sequence of reals, got {self.lambdas!r}")
         if not lams:
             raise ParameterError("pump profile must contain at least one value")
-        if not all(map(math.isfinite, lams)) or min(lams) < 0.0:
-            raise ParameterError("input mean photon numbers must be finite and >= 0")
+        _check_means(np.asarray(lams))
         object.__setattr__(self, "lambdas", lams)
 
     @classmethod
@@ -255,34 +263,17 @@ def _poisson_series_end(lam: float, l: int) -> int:
         span *= 2
 
 
-def _poisson_tails(lams, l_lo: int, l_hi: int) -> np.ndarray:
-    """P(X > l) for l = l_lo..l_hi at each positive Poisson mean in ``lams``; adds a trailing axis.
-
-    Each tail is summed from the far end of the series down, smallest
-    terms first, so none is formed as ``1 - cdf``.
-    """
-    lams = np.asarray(lams, dtype=float)
-    end = _poisson_series_end(float(lams.max()), l_hi)
-    # the terms for k = end down to l_lo + 1, so their running sums are the tails
-    terms = np.log(lams)[..., None] * np.arange(end, l_lo, -1.0)
-    terms -= lams[..., None]
-    terms -= _log_factorials(end)[end:l_lo:-1]
-    np.exp(terms, out=terms)
-    np.cumsum(terms, axis=-1, out=terms)
-    return terms[..., ::-1][..., : l_hi - l_lo + 1]
-
-
 def required_lmax(family: SourceFamily | str, lam: float) -> int:
     """Series cutoff of the per-unit search grid at mean ``lam``.
 
     The smallest count whose source tail mass at ``lam`` falls below
     1e-12, and never beyond 400 pairs.  The thermal tail beyond l is
     (lam / (1 + lam))^(l+1), so its cutoff is a closed form.  The Poisson
-    tails up to the cap come from one sum from the far end of the series
-    (:func:`_poisson_tails`); a mean at or above the cap (a tail of about
-    one half there) raises before any sum.  A mean that is not finite or
-    is negative raises :class:`ParameterError`, and one that cannot be
-    cut within the cap raises :class:`TruncationError`.
+    tails up to the cap sum the pmf (:func:`_count_pmf`) once from the far
+    end of the series, never as ``1 - cdf``; a mean at or above the cap
+    (a tail of about one half there) raises before any sum.  A mean that
+    is not finite or is negative raises :class:`ParameterError`, and one
+    that cannot be cut within the cap raises :class:`TruncationError`.
     """
     family = SourceFamily.coerce(family)
     lam = float(lam)
@@ -301,7 +292,9 @@ def required_lmax(family: SourceFamily | str, lam: float) -> int:
             )
         return needed
     if lam < cap:
-        within = np.flatnonzero(_poisson_tails(lam, 0, cap) <= eps)
+        pmf = _count_pmf(family, np.array(lam), _poisson_series_end(lam, cap))
+        tails = np.cumsum(pmf[:0:-1])[::-1]  # P(X > l) for l = 0, 1, ...
+        within = np.flatnonzero(tails[: cap + 1] <= eps)
         if within.size:
             return int(within[0])
     raise TruncationError(
@@ -309,13 +302,16 @@ def required_lmax(family: SourceFamily | str, lam: float) -> int:
     )
 
 
-def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
-    """Pair-number pmf rows for each mean in ``lams``; adds a trailing axis of size l_max+1."""
-    family = SourceFamily.coerce(family)
-    lams = np.asarray(lams, dtype=float)
-    shape = lams.shape
-    flat = lams.reshape(-1)
-    ls = np.arange(l_max + 1, dtype=float)
+def _count_pmf(family: SourceFamily, means: np.ndarray, end: int) -> np.ndarray:
+    """The count law: P(X = k), k = 0..end, at each mean in ``means``; adds a trailing axis.
+
+    X is Poisson, or geometric for a thermal source; thinning keeps the
+    family, so pair and kept-photon counts both read it.  A zero mean
+    puts all its mass on k = 0.
+    """
+    shape = means.shape
+    flat = means.reshape(-1)
+    ls = np.arange(end + 1, dtype=float)
     pos = flat > 0.0
     lp = flat if np.count_nonzero(pos) == flat.size else flat[pos]
     # built in place in one array: each temporary of this size would be a
@@ -323,18 +319,23 @@ def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.n
     if family is SourceFamily.POISSON:
         rows = np.multiply.outer(np.log(lp), ls)
         rows -= lp[:, None]
-        rows -= _log_factorials(l_max)
-    else:  # l log(lam) - (l + 1) log(1 + lam)
+        rows -= _log_factorials(end)
+    else:  # k log(lam) - (k + 1) log(1 + lam)
         log1p = np.log1p(lp)
         rows = np.multiply.outer(np.log(lp) - log1p, ls)
         rows -= log1p[:, None]
     np.exp(rows, out=rows)
     if lp.size < flat.size:
-        out = np.zeros((flat.size, l_max + 1))
+        out = np.zeros((flat.size, end + 1))
         out[pos] = rows
         out[~pos, 0] = 1.0
         rows = out
-    return rows.reshape(shape + (l_max + 1,))
+    return rows.reshape(shape + (end + 1,))
+
+
+def source_pmf(family: SourceFamily | str, lams: np.ndarray, l_max: int) -> np.ndarray:
+    """Pair-number pmf rows for each mean in ``lams``; adds a trailing axis of size l_max+1."""
+    return _count_pmf(SourceFamily.coerce(family), np.asarray(lams, dtype=float), l_max)
 
 
 @lru_cache(maxsize=256)
@@ -616,24 +617,6 @@ def _validate_pump(spec: MultiplexerSpec, pump: PumpProfile) -> np.ndarray:
     return pump.as_array()
 
 
-def _kept_counts(family: SourceFamily, kappa: np.ndarray, end: int) -> np.ndarray:
-    """P(K = i) for i = 0..end at each mean ``kappa`` of kept signals; adds a trailing axis.
-
-    Thinning keeps the family: K is Poisson for a Poisson source and
-    geometric for a thermal one.
-    """
-    i = np.arange(end + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero mean is masked below
-        if family is SourceFamily.POISSON:
-            logs = np.multiply.outer(np.log(kappa), i) - kappa[:, None] - _log_factorials(end)
-        else:
-            log1p = np.log1p(kappa)[:, None]
-            logs = (np.log(kappa)[:, None] - log1p) * i - log1p
-    p = np.exp(logs)
-    p[kappa == 0.0] = i == 0.0
-    return p
-
-
 # cells of each table _admitted_counts builds: units × counts, and counts ×
 # accepted width (32 MiB of float64 each)
 _COUNT_CELLS = 1 << 22
@@ -688,7 +671,7 @@ def _admitted_counts(
                 f"mean kept-photon number {k_max:.6g} needs count tables past {_COUNT_CELLS} cells"
             )
         i = np.arange(end + 1)
-        p_kept = _kept_counts(family, kappa, end + 1)
+        p_kept = _count_pmf(family, kappa, end + 1)
         if strategy.is_threshold:
             with np.errstate(divide="ignore", invalid="ignore"):  # v_d = 1 detects them all
                 missed = np.where(i > 0, i * np.log1p(-v_d), 0.0)
@@ -732,15 +715,19 @@ def _admitted_counts(
         end *= 2
 
 
-def _chain(admit: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_n Π_{m<n} (1 - admit_m) terms_n, and Π_n (1 - admit_n), along the last (unit) axis.
+def _chain(quiet: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running chain sums Σ_{n<k} Π_{m<n} quiet_m terms_n and products Π_{m<k} quiet_m.
 
-    Both run over the units in order (``cumprod``, ``cumsum``), so units appended
-    with zero ``admit`` and ``terms``, as zero-mean padding is, change no bit.
+    Column k = 0..units of each runs over the last (unit) axis in order
+    (``cumprod``, ``cumsum``), so units appended with ``quiet`` 1 and zero
+    ``terms``, as zero-mean padding is, change no bit.
     """
-    prefix = np.ones(admit.shape[:-1] + (admit.shape[-1] + 1,))
-    np.cumprod(1.0 - admit, axis=-1, out=prefix[..., 1:])
-    return np.cumsum(prefix[..., :-1] * terms, axis=-1)[..., -1], prefix[..., -1]
+    prefix = np.ones(quiet.shape[:-1] + (quiet.shape[-1] + 1,))
+    np.cumprod(quiet, axis=-1, out=prefix[..., 1:])
+    run = prefix[..., :-1] * terms
+    head = np.zeros(run.shape[:-1] + (run.shape[-1] + 1,))
+    np.cumsum(run, axis=-1, out=head[..., 1:])
+    return head, prefix
 
 
 def output_distribution(
@@ -767,19 +754,19 @@ def output_distribution(
     probability mass, not ``i_max``.
     """
     i_max = int(i_max)
-    if i_max < 1:
-        raise ParameterError(f"i_max must be >= 1, got {i_max}")
+    if not 1 <= i_max < _COUNT_LIMIT:
+        raise ParameterError(f"i_max must be in [1, {_COUNT_LIMIT}), got {i_max}")
     lam = _validate_pump(spec, pump)
     v = transmission_vector(spec)
     admit, t = one_photon_terms(spec.source, strategy, spec.v_d, lam, v)
     counts = _admitted_counts(spec.source, strategy, spec.v_d, lam, v, admit[0], i_max)
     counts[:, 1] = t[0]  # the same closed form p1_profile_batch reads
     columns = np.column_stack([counts[:, : i_max + 1], counts[:, i_max + 1 :].sum(axis=1)])
-    by_count, none = _chain(admit[0], columns.T)
+    head, prefix = _chain(1.0 - admit[0], columns.T)
     probs = np.zeros(i_max + 1)
-    probs[: by_count.size - 1] = by_count[:-1]
-    probs[0] += none
-    truncation_mass = float(by_count[-1])
+    probs[: head.shape[0] - 1] = head[:-1, -1]
+    probs[0] += prefix[-1]
+    truncation_mass = float(head[-1, -1])
 
     total = float(probs.sum()) + truncation_mass
     if abs(total - 1.0) > 1e-8:
@@ -800,7 +787,7 @@ def single_photon_prob(
 def _chain_p1(family: SourceFamily, strategy: DetectionStrategy, v_d: float, lam, v) -> np.ndarray:
     """P1 of each profile in ``lam`` (units on the last axis) whose arms transmit ``v``."""
     admit, t = one_photon_terms(family, strategy, v_d, lam, v)
-    return _chain(admit[0], t[0])[0]
+    return _chain(1.0 - admit[0], t[0])[0][..., -1]
 
 
 def p1_profile_batch(
@@ -821,7 +808,5 @@ def p1_profile_batch(
         raise ParameterError(
             f"profiles have {lam.shape[-1]} entries but the spec has {spec.n_units} units"
         )
-    # a NaN fails both tests, as it propagates through min and max
-    if not (lam.min(initial=0.0) >= 0.0 and np.isfinite(lam.max(initial=0.0))):
-        raise ParameterError("input mean photon numbers must be finite and >= 0")
+    _check_means(lam)
     return _chain_p1(spec.source, strategy, spec.v_d, lam, transmission_vector(spec))

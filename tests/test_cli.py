@@ -193,6 +193,26 @@ class TestExitCodes:
         assert "n_opt" not in out
         assert err.startswith("error: threshold must be positive and finite")
 
+    @pytest.mark.parametrize("command,flags", [
+        ("find-n", ["--n-ref", str(10**20)]),
+        ("stability", ["--n-ref", str(10**20)]),
+        ("scan-strategies", ["--n-ref", str(10**20)]),
+        ("table1", ["--n-ref", str(10**20)]),
+        ("sweep", ["--n-ref", str(10**20)]),
+        ("optimize", ["--n", str(10**20)]),
+        ("eval", ["--n", str(10**20), "--lambda", "0.5"]),
+        ("eval", ["--n", "1", "--lambda", "0.5", "--i-max", str(10**20)]),
+    ])
+    def test_count_past_the_index_range_is_domain_error(self, capsys, command, flags):
+        # each used to end in an OverflowError or ValueError traceback; the
+        # count is refused where it enters, before any array is sized by it
+        point = (["--rows", "0.95,0.9,0.9"] if command == "table1"
+                 else ["--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9"])
+        code, out, err = run(capsys, command, *point, *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"{2**63 - 1}), got {10**20}\n")
+
     def test_infinite_lambda_upper_is_domain_error(self, capsys):
         # it used to fail later, on a mean photon number, without naming the flag
         code, out, err = run(

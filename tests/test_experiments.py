@@ -18,6 +18,7 @@ from asmux.experiments import (
     reproduce_table1,
     run_sweep,
     stability_report,
+    vb_crossover,
     write_csv,
     write_json,
 )
@@ -292,6 +293,27 @@ class TestCurvesAndDeltas:
         )
         p1s = [r.p1 for r in rows]
         assert all(b >= a - 1e-3 for a, b in zip(p1s, p1s[1:]))
+
+    @pytest.mark.parametrize("n_range", [[], range(0), [0, 3], [-2]])
+    def test_fixed_n_curve_refuses_sizes_that_are_not_positive(self, n_range):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        with pytest.raises(ParameterError, match="n_range must contain positive sizes"):
+            fixed_n_curve(spec, SPD, [OptimizationMode.PER_UNIT], n_range)
+
+    def test_vb_crossover_refuses_a_bracket_that_does_not_straddle(self, monkeypatch):
+        # single-photon detection wins at both ends of the bracket
+        class Report:
+            def __init__(self, strategy):
+                self.best_p1 = 0.5 if strategy == SPD else 0.25
+
+        monkeypatch.setattr(
+            asmux.experiments, "optimize_pump", lambda spec, strategy, settings: Report(strategy)
+        )
+        with pytest.raises(ParameterError) as refused:
+            vb_crossover()
+        assert str(refused.value) == (
+            "bracket [0.8, 0.9] does not straddle the crossover (advantages -0.2500, -0.2500)"
+        )
 
 
 class TestStabilityReport:

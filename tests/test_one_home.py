@@ -1,0 +1,95 @@
+"""The count law and the chain sum each have one home in ``statistics.py``.
+
+Every Poisson or geometric pmf row, of pairs or of kept photons, comes
+from ``statistics._count_pmf``, and every running product over the units
+from ``statistics._chain``.  A second copy of either, with the same
+operations in another order, may round differently in the last bit, and
+a reported P1 or distribution would then no longer re-evaluate to
+itself.  So only ``_count_pmf`` and ``_binom_pmf`` read the log-factorial
+table, and only ``_chain`` calls ``cumprod``.
+"""
+import ast
+from pathlib import Path
+
+import asmux
+
+PACKAGE = Path(asmux.__file__).resolve().parent
+CUMPROD = ({"cumprod", "nancumprod"}, {"_chain"})
+LOG_FACTORIALS = ({"_log_factorials"}, {"_count_pmf", "_binom_pmf"})
+
+
+def _name(node):
+    """The name a node reads: a variable's, or an attribute's last part."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def mentions(source: str, spellings: set[str]) -> list[tuple[str, int]]:
+    """(top-level definition, line) of each read or import of a name in ``spellings``.
+
+    ``multiply.accumulate`` is spelled ``cumprod``.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif _name(node) == "accumulate" and _name(node.value) == "multiply":
+                name = "cumprod"
+            else:
+                name = _name(node)
+            if name in spellings:
+                found.append((owner, node.lineno))
+    return found
+
+
+def _copies(rule) -> list[str]:
+    spellings, homes = rule
+    return [
+        f"{path.name}:{line} {owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, line in mentions(path.read_text(), spellings)
+        if not (path.name == "statistics.py" and owner in homes)
+    ]
+
+
+def test_only_the_chain_sum_calls_cumprod():
+    assert _copies(CUMPROD) == []
+    statistics = (PACKAGE / "statistics.py").read_text()
+    assert {owner for owner, _ in mentions(statistics, CUMPROD[0])} == CUMPROD[1]
+
+
+def test_only_the_count_law_and_the_binomial_read_the_log_factorials():
+    assert _copies(LOG_FACTORIALS) == []
+    statistics = (PACKAGE / "statistics.py").read_text()
+    assert {owner for owner, _ in mentions(statistics, LOG_FACTORIALS[0])} == LOG_FACTORIALS[1]
+
+
+def test_the_check_sees_each_spelling():
+    cumprods = [
+        "prefix = np.cumprod(quiet, axis=1)",
+        "numpy.cumprod(q, out=p)",
+        "p = quiet.cumprod(axis=-1)",
+        "from numpy import cumprod",
+        "np.nancumprod(q)",
+        "np.multiply.accumulate(q, axis=1)",
+        "product = np.cumprod",
+    ]
+    for copy in cumprods:
+        assert mentions(f"def _scalar_p1_batch():\n    {copy}\n", CUMPROD[0]) == [
+            ("_scalar_p1_batch", 2)
+        ], copy
+    tables = [
+        "lf = _log_factorials(end)",
+        "rows -= statistics._log_factorials(l_max)",
+        "from .statistics import _log_factorials",
+        "table = _log_factorials",
+    ]
+    for copy in tables:
+        assert mentions(copy, LOG_FACTORIALS[0]) == [("<module>", 1)], copy
+    clean = "np.cumsum(q)\nnp.multiply.outer(a, b)\nnp.add.accumulate(q)\n_log_factorial_table"
+    assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0]) == []

@@ -971,7 +971,8 @@ class TestSettingsValidation:
                 OptimizerSettings(lambda_upper=upper)
         assert OptimizerSettings(lambda_upper=1e-3).lambda_upper == 1e-3
 
-    @pytest.mark.parametrize("sizes", [[], [0, 3]])
+    # past numpy's index range (2**63 - 1 on 64 bits) a size used to raise OverflowError
+    @pytest.mark.parametrize("sizes", [[], [0, 3], [3, 10**20], [-(10**20)], [2**63 - 1]])
     def test_sizes_must_be_positive_and_nonempty(self, sizes):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError, match="sizes must be a nonempty set"):

@@ -89,8 +89,8 @@ class TestPairGenProb:
         lams = np.array([0.3, 1.0, 2.5])
         for family in ("poisson", "thermal"):
             l_max = required_lmax(family, float(lams.max()))
-            if family == "poisson":
-                tail = model_statistics._poisson_tails(lams, l_max, l_max)[..., 0]
+            if family == "poisson":  # P(X > l) = P(l + 1, lam)
+                tail = gammainc(l_max + 1.0, lams)
             else:
                 tail = (lams / (1.0 + lams)) ** (l_max + 1)
             total = source_pmf(family, lams, l_max).sum(axis=-1) + tail
@@ -264,25 +264,16 @@ class TestNumpyKernels:
         assert np.array_equal(cube, binom.pmf(counts, ls, 1.0))
         assert np.array_equal(cube, (counts == ls).astype(float))
 
-    def test_poisson_tail_matches_gammainc(self):
-        # P(X > l) = P(l + 1, lam), down to tails of 1e-300
-        lams = np.array([0.01, 0.3, 1.0, 3.0, 8.0])
-        checked = 0
-        for l_max in range(0, 401):
-            reference = gammainc(l_max + 1.0, lams)
-            keep = reference >= 1e-300
-            if not keep.any():
-                break
-            tails = model_statistics._poisson_tails(lams, l_max, l_max)[..., 0]
-            np.testing.assert_allclose(tails[keep], reference[keep], rtol=1e-12, atol=0.0)
-            checked += int(keep.sum())
-        assert checked > 500
-
     def test_poisson_cutoffs_match_gammainc_search(self):
-        for lam in np.geomspace(1e-3, 40.0, 25):
+        # every mean up to the last one the cap can cut, whose tail at 400
+        # sits just below 1e-12
+        lams = np.concatenate((np.geomspace(1e-3, 275.85, 600), [0.05, 1.0, 20.0, 275.0]))
+        for lam in lams.tolist():
             tails = gammainc(np.arange(401) + 1.0, lam)
             expected = int(np.flatnonzero(tails <= 1e-12)[0])
             assert required_lmax("poisson", lam) == expected
+        with pytest.raises(TruncationError):
+            required_lmax("poisson", 275.857)
 
     def test_overflow_is_the_upper_binomial_sum(self):
         # one unit: the mass beyond i_max photons is sum_l pmf(l) w(l) P(Bin(l, v) > i_max),
