@@ -17,8 +17,9 @@ import numpy as np
 from .exceptions import ParameterError
 
 # every count (units, sizes, photon counts, sweep cells) stays below this,
-# the largest index numpy takes, so none overflows an array's size
-_COUNT_LIMIT = np.iinfo(np.intp).max
+# so no float64 array of that length overflows numpy's byte size (// 8 is
+# not enough: np.arange's float length rounds up to the next power of two)
+_COUNT_LIMIT = np.iinfo(np.intp).max // 16
 
 __all__ = [
     "SourceFamily",

@@ -102,6 +102,7 @@ _SCALAR_GRID = 513
 # tolerance of a slope root, relative to the upper bound: the Newton step
 # at which it stops, or failing that the bracket width
 _XTOL = 1e-12
+_TINY = float(np.finfo(float).tiny)
 # closed-form cells per batch of one-parameter profiles: bounds the memory of the
 # tables, and keeps a batch's temporaries near the size of a core's cache
 _CHUNK_CELLS = 1 << 18
@@ -135,6 +136,12 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         if not 0.0 < self.lambda_upper < math.inf:
             raise ParameterError(f"lambda_upper must be > 0 and finite, got {self.lambda_upper!r}")
+        # below it _XTOL * lambda_upper underflows and a slope root's bracket stops narrowing
+        if self.lambda_upper < _TINY:
+            raise ParameterError(
+                f"lambda_upper must be >= {_TINY!r}, the smallest normal float, "
+                f"got {self.lambda_upper!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -289,8 +296,7 @@ def _arm_weights(v: np.ndarray, w: np.ndarray, l_max: int) -> np.ndarray:
     entries only (a near-opaque arm) keeps them.
     """
     weights = transmit_one_weights(v, l_max) * w
-    tiny = np.finfo(float).tiny
-    weights[(weights < tiny) & (weights.max(axis=1, keepdims=True) >= 2.0**53 * tiny)] = 0.0
+    weights[(weights < _TINY) & (weights.max(axis=1, keepdims=True) >= 2.0**53 * _TINY)] = 0.0
     return weights
 
 

@@ -246,34 +246,17 @@ def _binom_pmf(k, n, p) -> np.ndarray:
     return out
 
 
-def _poisson_series_end(lam: float, l: int) -> int:
-    """Last count worth summing in the Poisson tail beyond ``l`` at mean ``lam`` > 0.
-
-    Past the returned count the pmf falls by at least half per step
-    and starts below e^-45 of pmf(l + 1), so the dropped remainder is
-    under 6e-20 of the tail.
-    """
-    log_lam = math.log(lam)
-    head = math.lgamma(l + 2.0)
-    span = 16
-    while True:
-        end = l + span
-        if end + 2 > 2.0 * lam and (end - l) * log_lam - (math.lgamma(end + 2.0) - head) < -45.0:
-            return end
-        span *= 2
-
-
 def required_lmax(family: SourceFamily | str, lam: float) -> int:
     """Series cutoff of the per-unit search grid at mean ``lam``.
 
     The smallest count whose source tail mass at ``lam`` falls below
     1e-12, and never beyond 400 pairs.  The thermal tail beyond l is
     (lam / (1 + lam))^(l+1), so its cutoff is a closed form.  The Poisson
-    tails up to the cap sum the pmf (:func:`_count_pmf`) once from the far
-    end of the series, never as ``1 - cdf``; a mean at or above the cap
-    (a tail of about one half there) raises before any sum.  A mean that
-    is not finite or is negative raises :class:`ParameterError`, and one
-    that cannot be cut within the cap raises :class:`TruncationError`.
+    tails up to the cap sum one fixed pmf row (:func:`_count_pmf`), counts
+    0..1200, from its far end, never as ``1 - cdf``; a mean at or above
+    the cap (a tail of about one half there) raises before any sum.  A
+    mean that is not finite or is negative raises :class:`ParameterError`,
+    and one that cannot be cut within the cap raises :class:`TruncationError`.
     """
     family = SourceFamily.coerce(family)
     lam = float(lam)
@@ -292,7 +275,8 @@ def required_lmax(family: SourceFamily | str, lam: float) -> int:
             )
         return needed
     if lam < cap:
-        pmf = _count_pmf(family, np.array(lam), _poisson_series_end(lam, cap))
+        # a mean below the cap puts less than e^-518 of its peak pmf at count 3 * cap
+        pmf = _count_pmf(family, np.array(lam), 3 * cap)
         tails = np.cumsum(pmf[:0:-1])[::-1]  # P(X > l) for l = 0, 1, ...
         within = np.flatnonzero(tails[: cap + 1] <= eps)
         if within.size:

@@ -21,6 +21,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def loss_point(command):
+    """The flags that set one loss point: ``table1`` takes them as a row."""
+    return (["--rows", "0.95,0.9,0.9"] if command == "table1"
+            else ["--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9"])
+
+
 class TestEval:
     def test_vacuum_pump(self, capsys):
         code, out, _ = run(
@@ -186,8 +192,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_threshold_is_domain_error(self, capsys, command, value):
         # no size met a threshold <= 0 or NaN, which reported n_opt = 1
-        point = (["--rows", "0.95,0.9,0.9"] if command == "table1"
-                 else ["--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9"])
+        point = loss_point(command)
         code, out, err = run(capsys, command, *point, "--n-ref", "20", "--threshold", value)
         assert code == 3
         assert "n_opt" not in out
@@ -200,18 +205,37 @@ class TestExitCodes:
         ("table1", ["--n-ref", str(10**20)]),
         ("sweep", ["--n-ref", str(10**20)]),
         ("optimize", ["--n", str(10**20)]),
-        ("eval", ["--n", str(10**20), "--lambda", "0.5"]),
+        ("eval", ["--lambda", "0.5", "--n", str(10**20)]),
         ("eval", ["--n", "1", "--lambda", "0.5", "--i-max", str(10**20)]),
+        # within numpy's index range, but a float64 array this long has
+        # more bytes than it can address
+        ("optimize", ["--n", str(2**62)]),
+        ("eval", ["--n", "1", "--lambda", "0.5", "--i-max", str(2**62)]),
     ])
     def test_count_past_the_index_range_is_domain_error(self, capsys, command, flags):
         # each used to end in an OverflowError or ValueError traceback; the
         # count is refused where it enters, before any array is sized by it
-        point = (["--rows", "0.95,0.9,0.9"] if command == "table1"
-                 else ["--v-r", "0.95", "--v-b", "0.9", "--v-d", "0.9"])
+        point = loss_point(command)
         code, out, err = run(capsys, command, *point, *flags)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and err.endswith(f"{2**63 - 1}), got {10**20}\n")
+        assert err.startswith("error: ") and err.endswith(f"{2**59 - 1}), got {flags[-1]}\n")
+
+    @pytest.mark.parametrize(
+        "command", ["optimize", "find-n", "scan-strategies", "sweep", "table1", "stability"]
+    )
+    def test_subnormal_lambda_upper_is_domain_error(self, capsys, command):
+        # a scaled-reference search at this bound used to run forever: its
+        # slope root's tolerance underflowed to 0
+        size = ["--n", "3"] if command == "optimize" else []
+        point = loss_point(command)
+        code, out, err = run(capsys, command, *point, *size, "--lambda-upper", "1e-315")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: lambda_upper must be >= 2.2250738585072014e-308, the smallest normal float, "
+            "got 1e-315\n"
+        )
 
     def test_infinite_lambda_upper_is_domain_error(self, capsys):
         # it used to fail later, on a mean photon number, without naming the flag

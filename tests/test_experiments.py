@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,9 @@ from asmux.cli import _COMMANDS
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
     CSV_COLUMNS,
+    TABLE1_VB,
+    TABLE1_VD,
+    TABLE1_VR,
     Axis,
     SweepGrid,
     fixed_n_curve,
@@ -94,6 +98,23 @@ class TestRows:
         rows = reproduce_table1(combos=[(0.9, 0.9, 0.9)], n_ref=25)
         for row in rows:
             assert row.reevaluate() == row.p1
+
+    def test_default_table_searches_every_combination(self, monkeypatch):
+        # the full table, with the search replaced by a recorder: the order,
+        # modes and strategy of its 126 rows, without running one search
+        calls = []
+
+        def recording(spec, strategy, mode, settings, n_ref, threshold):
+            calls.append(((spec.v_r, spec.v_d, spec.v_b), mode, strategy))
+            return len(calls)
+
+        monkeypatch.setattr(asmux.experiments, "_search_row", recording)
+        rows = reproduce_table1()
+        combos = list(itertools.product(TABLE1_VR, TABLE1_VD, TABLE1_VB))
+        modes = [OptimizationMode.PER_UNIT, OptimizationMode.UNIFORM]
+        assert len(combos) == 63
+        assert rows == list(range(1, 127))
+        assert calls == [(combo, mode, SPD) for combo in combos for mode in modes]
 
     def test_csv_round_trip(self, tmp_path):
         rows = fixed_n_curve(

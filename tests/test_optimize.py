@@ -31,6 +31,7 @@ from asmux.statistics import (
 )
 
 SPD = DetectionStrategy.single_photon()
+TINY = float(np.finfo(float).tiny)
 
 
 def grid_scan_oracle(spec, strategy, coarse=0.01, fine=1e-4, span=5.0):
@@ -970,6 +971,26 @@ class TestSettingsValidation:
             with pytest.raises(ParameterError, match="lambda_upper must be > 0"):
                 OptimizerSettings(lambda_upper=upper)
         assert OptimizerSettings(lambda_upper=1e-3).lambda_upper == 1e-3
+
+    @pytest.mark.parametrize("upper", [5e-324, 2.4e-312, np.nextafter(TINY, 0.0)])
+    def test_subnormal_bound_is_refused(self, upper):
+        # a slope root's tolerance, 1e-12 of the bound, underflowed to 0 and
+        # a scaled-reference search never returned
+        with pytest.raises(ParameterError, match="the smallest normal float"):
+            OptimizerSettings(lambda_upper=upper)
+
+    @pytest.mark.parametrize("mode", list(OptimizationMode))
+    def test_search_at_the_smallest_normal_bound_returns(self, mode):
+        settings = OptimizerSettings(lambda_upper=TINY)
+        for source in ("poisson", "thermal"):
+            spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1, source=source)
+            for key in ("spd", "thd", "upto:2", "set:2,28"):
+                strategy = DetectionStrategy.parse(key)
+                for report in optimize_sizes(spec, strategy, [1, 3, 20], settings, mode):
+                    pump = report.best_pump
+                    dist = output_distribution(spec.with_units(report.n_units), pump, strategy)
+                    assert dist.probs[1] == report.best_p1
+                    assert max(pump.lambdas) <= TINY
 
     # past numpy's index range (2**63 - 1 on 64 bits) a size used to raise OverflowError
     @pytest.mark.parametrize("sizes", [[], [0, 3], [3, 10**20], [-(10**20)], [2**63 - 1]])

@@ -361,6 +361,13 @@ class TestCutoffRule:
         assert [required_lmax("thermal", lam) for lam in lams] == expected
         assert max(expected) == HARD_CAP
 
+    @pytest.mark.parametrize("lam", [275.857, 399.99])
+    def test_fixed_row_end_drops_no_tail_that_counts(self, lam):
+        # the Poisson cutoff sums a fixed row of counts 0..3 * cap; the mass
+        # beyond it is so far below 1e-12 that no tail compared with 1e-12 moves
+        beyond = gammainc(3 * HARD_CAP + 1, lam)  # P(X > 3 * cap)
+        assert 0.0 <= beyond < 1e-12 * 2.0**-60
+
     @pytest.mark.parametrize(
         "family,lam,error,message",
         [
