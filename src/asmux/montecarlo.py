@@ -74,7 +74,7 @@ class McSettings:
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class McResult:
     """Counts of output photon numbers 0..max_count plus the overflow bucket."""
 
@@ -159,11 +159,16 @@ def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> n
     result counts those of them that keep min(kept, cap) photons.  Each
     photon is one binomial layer: photon j exists in the rows l > j,
     and each trial there below the cap gains it with probability ``p``.
+    The walk stops at the first layer with no trial below the cap: every
+    later layer would be ``binomial(0, p)``, which draws nothing from
+    ``rng``, so the counts and the stream are those of the full walk.
     """
     table = np.zeros((groups.size, cap + 1), dtype=np.int64)
     table[:, 0] = groups
     for photon in range(groups.size - 1):
         below_cap = table[photon + 1 :, :cap]
+        if not np.count_nonzero(below_cap):
+            break
         moved = rng.binomial(below_cap, p)
         below_cap -= moved
         table[photon + 1 :, 1:] += moved
@@ -190,7 +195,11 @@ def simulate(
     no unit admits count as zero output photons.
 
     A unit walks one pair-number group per pair count up to the largest
-    it draws.  A pump that may need more than 2048 groups
+    it draws.  Each thinning walk stops once no trial below its cap is
+    left (:func:`_thin`): the detection walk a few photons past the
+    cap, the arm-loss walk at the last admitted group.  So on a bright
+    pump the pair histograms (:func:`_pair_histogram`) are most of the
+    cost.  A pump that may need more than 2048 groups
     (:func:`_check_pair_groups`) raises
     :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
     trials that admits thermal means up to about 58 and Poisson means up
@@ -217,13 +226,13 @@ def simulate(
             break
     totals[0] += pending
     return McResult(
-        counts=totals[: mc.max_count + 1],
+        counts=totals[: mc.max_count + 1].copy(),  # not a view that keeps ``totals``
         overflow=int(totals[mc.max_count + 1]),
         trials=mc.trials,
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class McComparison:
     """Side-by-side of sampled frequencies and the analytic distribution."""
 

@@ -70,6 +70,7 @@ from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _arms
 from .statistics import (
     DetectionStrategy,
     PumpProfile,
+    _L_HARD_CAP,
     _chain,
     _chain_p1,
     _check_means,
@@ -231,9 +232,20 @@ class StabilityInterval:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _grid_tables(family: SourceFamily, upper: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """The per-unit search grid's series cutoff, means and pmf rows."""
-    l_max = required_lmax(family, upper)  # raises on every call: no exception is cached
+def _grid_tables(
+    family: SourceFamily, upper: float, floor: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The per-unit search grid's series cutoff, means and pmf rows.
+
+    The cutoff is that of the upper bound, and at least ``floor``, the
+    smallest count the strategy accepts (at most the cutoff's hard cap,
+    400 pairs).  At a small bound the source tail falls below the
+    cutoff's tolerance before that count, and so does P1; a grid cut
+    there holds no admitted count, so every mean on it scores a P1 of 0
+    and the search returns zeros.
+    """
+    # raises on every call: no exception is cached
+    l_max = max(required_lmax(family, upper), floor)
     grid = np.linspace(0.0, upper, _GRID_POINTS)
     pmf = source_pmf(family, grid, l_max)
     grid.flags.writeable = False
@@ -310,7 +322,8 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     value per size larger than the current unit; a size joins at its
     last unit with an empty tail.  The stage tables are pair-number pmf
     rows on a grid, cut at the cutoff of the upper bound
-    (:func:`~asmux.statistics.required_lmax`, which may raise), against
+    (:func:`~asmux.statistics.required_lmax`, which may raise) or at the
+    strategy's smallest accepted count if that is larger, against
     arm weights whose negligible subnormals are zero (:func:`_arm_weights`).
 
     Each unit's grid values are three rows: no admission, its through
@@ -330,8 +343,10 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     A row is refined when its best cell is interior and the parabola
     through it opens downward.
     """
-    l_max, grid, pmf = _grid_tables(chain.family, chain.upper)
-    w = acceptance_weights(chain.strategy, chain.v_d, l_max)
+    strategy = chain.strategy
+    floor = 1 if strategy.is_threshold else min(min(strategy.accepted), _L_HARD_CAP)
+    l_max, grid, pmf = _grid_tables(chain.family, chain.upper, floor)
+    w = acceptance_weights(strategy, chain.v_d, l_max)
     sizes = chain.sizes
     n_max = int(sizes[-1])
     # one row per unit's through arm, a zero one for the last unit, which

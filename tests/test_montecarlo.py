@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from asmux.exceptions import ParameterError, TruncationError
@@ -13,6 +16,7 @@ from asmux.montecarlo import (
     McSettings,
     VALIDATION_CORPUS,
     _poisson_hazard,
+    _thin,
     compare_with_analytic,
     corpus_case,
     simulate,
@@ -112,6 +116,16 @@ class TestSimulate:
         b = simulate(spec, pump, SPD, QUICK)
         assert np.array_equal(a.counts, b.counts)
         assert a.overflow == b.overflow
+
+    def test_kept_results_hold_only_their_counts(self):
+        # a caller may keep many comparisons: no view of the run's totals,
+        # no per-instance dict
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=2)
+        comparison = compare_with_analytic(spec, PumpProfile((0.5, 0.7)), SPD, QUICK)
+        assert comparison.result.counts.base is None
+        assert comparison.result.counts.size == QUICK.max_count + 1
+        assert not hasattr(comparison, "__dict__")
+        assert not hasattr(comparison.result, "__dict__")
 
     def test_closed_form_within_three_sigma(self):
         spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=1.0, n_units=1)
@@ -247,6 +261,106 @@ class TestPoissonHazard:
         # P(X >= l) underflows long before here; the hazard does not
         hazard = _poisson_hazard(2.0, 400)
         assert 1.0 - hazard == pytest.approx(2.0 / 401, rel=1e-2)
+
+
+def full_walk_thin(rng, groups, p, cap):
+    """Reference thinning: one binomial layer per photon, to the largest group."""
+    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
+    table[:, 0] = groups
+    for photon in range(groups.size - 1):
+        below_cap = table[photon + 1 :, :cap]
+        moved = rng.binomial(below_cap, p)
+        below_cap -= moved
+        table[photon + 1 :, 1:] += moved
+    return table
+
+
+# group vectors with empty groups inside and at the end
+GROUP_VECTORS = st.lists(
+    st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 10**7)), min_size=1, max_size=40
+).map(lambda groups: np.array(groups, dtype=np.int64))
+KEEP_CHANCES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestThin:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        groups=GROUP_VECTORS,
+        trailing=st.integers(0, 5),
+        p=KEEP_CHANCES,
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_early_stop_matches_the_full_walk(self, groups, trailing, p, data, seed):
+        groups = np.append(groups, np.zeros(trailing, dtype=np.int64))
+        cap = data.draw(st.integers(1, groups.size), label="cap")
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_thin(ours, groups, p, cap), full_walk_thin(reference, groups, p, cap))
+        # a skipped layer is binomial(0, p), which draws nothing
+        assert ours.random() == reference.random()
+
+    def test_stops_at_the_first_layer_without_a_trial_below_the_cap(self):
+        class Counting:
+            def __init__(self):
+                self.rng, self.layers = np.random.default_rng(3), 0
+
+            def binomial(self, n, p):
+                self.layers += 1
+                return self.rng.binomial(n, p)
+
+        rng = Counting()
+        _thin(rng, np.array([0, 5, 0, 0, 0, 0, 0]), 1.0, 1)
+        assert rng.layers == 1
+
+
+def stream_digest(result):
+    """SHA-256 of the counts and then the overflow, as little-endian int64."""
+    return hashlib.sha256(np.append(result.counts, result.overflow).astype("<i8").tobytes()).hexdigest()
+
+
+# recorded with the full thinning walk; the seeds are frozen, so are the counts
+FROZEN_CORPUS_DIGESTS = (
+    "6a7f456df0c4237cf58f0c36436a3804e6c5bdd3e1d01ffd0df2e45da05e47a2",
+    "95e1c72ecc707dcb6ea3af5502ccde71b8b6e65036005c2cb98f00ea826c2378",
+    "fb2ac1dc663945167c2fc2021576c2fcf2be425cb12ec1b9027bf6e7868d92a6",
+    "87f8b10a7cb7a5d67e121ef52beab1ae3d31186d56d13b03ecfd8a3748263232",
+    "0f22cddce7b95bd4aabd5e3972b2737d40463cfe1c0e75168c21e23ea6b9781a",
+    "379f4e3eace86ceeae4f918564cdd384f05f249a82b099ee01845921bf1de538",
+    "5eb8b3da8e67487ed90b24efba8847b6efce2821078702b939780251fb717fec",
+    "66d37f71ef5013fcb747f7d1adaff2e5672769e6f87d73ed0f8c7f6099eb3f5a",
+    "2f02e1869608750188c7bea86a674dc09e7151cdb38ca0b763b910386501c057",
+    "5bd8ec2f7d0151d362b5ec5bbbdcbdd0581d95aca52ba8e84ca6afb2ed1b30ac",
+    "9ad1b770a604e73fae264afe333aebdf94776828cdaf0c45eb3fb0655519b961",
+    "5c6d87a959ea657b7f463241f06f21ec51c984b017e159ecf693fdc62aaf485a",
+    "0fcfedacec01d19524e5e1084967cd8288bc007fab15bc7b53fba3ff96895ae9",
+    "36a77dc3e713ebe972988c2da81b9614dc6ef64cbd98c2521549e5baa96729a6",
+    "a73686d44cfb88bc13805c1b9e630d9fedd36ba0749d424c0097d1afbb2a857f",
+    "ae5614c54c36d753299de4b386e9cdd7db85c14bb4c20b624c1213debd86237b",
+    "537f0d162384800ac43163bfa6ca62a59a1cb68ad4345174ed779031b1a08711",
+    "41b423d3ee82a15cb34fd867a6717bc745b526a4eb3348113e912f6d97e2c9fd",
+    "7f562ed804f4ddb13f068747a44a3afa90e9359192c56a0f8a7230f375753b60",
+    "d0efc09bc92be01cf221aed868310628e34f61510994df12aba657a9eddc3659",
+)
+FROZEN_BRIGHT_DIGESTS = {
+    ("thermal", 14.0): "ba76ffe59f93ec11a6d3246df4a3729cf1a0adf48563c033558d3ebb4c5e9888",
+    ("poisson", 150.0): "393ef6038daa132f5ce416b0d39265fc107ddcc15ab3555ae5eeba8aa13f03a4",
+}
+
+
+class TestFrozenStreams:
+    """Seeded counts are part of the contract: a faster sampler draws the same stream."""
+
+    @pytest.mark.parametrize("index", range(len(VALIDATION_CORPUS)))
+    def test_corpus_case(self, index):
+        spec, pump, strategy, seed = corpus_case(VALIDATION_CORPUS[index])
+        result = simulate(spec, pump, strategy, McSettings(trials=1_000_000, seed=seed))
+        assert stream_digest(result) == FROZEN_CORPUS_DIGESTS[index]
+
+    @pytest.mark.parametrize("source,lam", list(FROZEN_BRIGHT_DIGESTS))
+    def test_bright_pump(self, source, lam):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=4, source=source)
+        result = simulate(spec, PumpProfile((lam,) * 4), SPD, McSettings(trials=10_000_000, seed=0))
+        assert stream_digest(result) == FROZEN_BRIGHT_DIGESTS[source, lam]
 
 
 def assert_two_sample_agree(counts, reference, trials):

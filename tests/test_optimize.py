@@ -105,6 +105,27 @@ class TestDominance:
         assert per_unit >= uniform - 1e-6
         assert per_unit >= scaled - 1e-6
 
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    @pytest.mark.parametrize("upper", [1e-300, 1e-12, 1e-9])
+    def test_per_unit_reaches_uniform_at_small_bounds(self, source, upper):
+        # the bound's own cutoff is 0 pairs, below the one count spd accepts
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source=source)
+        settings = OptimizerSettings(lambda_upper=upper)
+        uniform = optimize_uniform(spec, SPD, settings).best_p1
+        assert uniform > 0.0
+        assert optimize_pump(spec, SPD, settings).best_p1 >= uniform
+
+    def test_per_unit_grid_reaches_the_smallest_accepted_count(self):
+        # the bound's cutoff is 1 pair; the grid cached for spd at the same
+        # bound stops there and must not serve a strategy that needs 2
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
+        settings = OptimizerSettings(lambda_upper=1e-7)
+        optimize_pump(spec, SPD, settings)
+        strategy = DetectionStrategy.parse("set:2,28")
+        uniform = optimize_uniform(spec, strategy, settings).best_p1
+        assert uniform > 0.0
+        assert optimize_pump(spec, strategy, settings).best_p1 >= uniform
+
 
 class TestScaledReference:
     def test_lossless_equals_uniform(self):
