@@ -5,8 +5,8 @@ stability, mc-validate.  Each command declares the options it reads,
 once each (``_COMMANDS``); that one list builds both the command's flags
 and the keys its config file may set.  A run resolves its configuration
 from the defaults, an optional config file (flat ``key = value`` lines
-or JSON) and the flags, in that order of precedence; a config-file value
-is converted exactly as the same text given as a flag would be.  The
+or JSON) and the flags, in that order of precedence; one converter per
+option reads its text, whether a flag or the config file gives it.  The
 resolved configuration is embedded in every output file.  Output files
 carry no timestamps, so a fixed config reproduces them byte for byte;
 wall-clock timing goes to a ``<out>.log`` sidecar.
@@ -66,7 +66,7 @@ class ConfigError(Exception):
 
 def _boolean(text: str) -> bool:
     if text.lower() not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+        raise ParameterError(f"expected true or false, got {text!r}")
     return text.lower() == "true"
 
 
@@ -93,11 +93,8 @@ def _checked(
     list that ``split`` makes of it, if given) and keeps the text as given."""
 
     def convert(text: str) -> str:
-        try:
-            for item in split(text) if split else [text]:
-                parse(item)
-        except ParameterError as err:
-            raise argparse.ArgumentTypeError(str(err)) from None
+        for item in split(text) if split else [text]:
+            parse(item)
         return text
 
     return convert
@@ -108,7 +105,9 @@ class _Option:
     """One option: its config key ``dest``, its flag and how its text is read.
 
     ``action`` is the argparse action of a flag that takes no value
-    (``store_true``, ``store_false``) or may repeat (``append``).
+    (``store_true``, ``store_false``) or may repeat (``append``).  The
+    parser only collects a flag's text; :meth:`read` converts it, as it
+    converts a config-file value.
     """
 
     dest: str
@@ -123,13 +122,13 @@ class _Option:
         if self.action in ("store_true", "store_false"):
             parser.add_argument(self.flag, dest=self.dest, action=self.action, help=self.help)
         else:
+            metavar = "{" + ",".join(self.choices) + "}" if self.choices else None
             parser.add_argument(
-                self.flag, dest=self.dest, type=self.type, choices=self.choices,
-                action=self.action, help=self.help,
+                self.flag, dest=self.dest, action=self.action, metavar=metavar, help=self.help
             )
 
     def read(self, value):
-        """A config-file value, converted as the flag converts its text.
+        """A flag's text or a config-file value, converted.
 
         JSON ``null`` leaves an option without a default unset.
         """
@@ -143,7 +142,7 @@ class _Option:
         text = value if isinstance(value, str) else json.dumps(value)
         try:
             out = self.type(text)
-        except argparse.ArgumentTypeError as err:
+        except ParameterError as err:
             raise ConfigError(f"{self.dest}: {err}") from None
         except ValueError:
             kind = " (an integer)" if self.type is int else ""
@@ -233,7 +232,7 @@ def resolve_run_config(args: argparse.Namespace) -> dict:
                 f"unknown config keys for '{args.command}': {sorted(unknown)}"
             )
         cfg.update((k, options[k].read(v)) for k, v in file_values.items())
-    cfg.update(flags)
+    cfg.update((k, options[k].read(v)) for k, v in flags.items())
     cfg["command"] = args.command
     return cfg
 

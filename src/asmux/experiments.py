@@ -170,7 +170,8 @@ class ResultRow:
         )
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.compare)
+_COLUMNS = tuple(f for f in fields(ResultRow) if f.compare)
+CSV_COLUMNS = tuple(f.name for f in _COLUMNS)
 
 
 def _row_from_report(
@@ -459,21 +460,34 @@ def _fields(line: bytes) -> list[str]:
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """The text of a column value; ``_READERS`` reads it back."""
     if value is None:
         return ""
+    if isinstance(value, (tuple, list)):
+        return ";".join(map(_fmt, value))
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
 
+def _optional(read):
+    return lambda text: read(text) if text else None
+
+
+# the reader of each column's text, by its field's annotation (a string:
+# this module postpones the evaluation of annotations)
+_READERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "float | None": _optional(float),
+    "int | None": _optional(int),
+    "tuple[float, ...]": lambda text: tuple(float(x) for x in text.split(";") if x),
+}
+
+
 def _csv_record(row: ResultRow) -> list[str]:
-    record = []
-    for col in CSV_COLUMNS:
-        if col == "lambdas":
-            record.append(";".join(repr(x) for x in row.lambdas))
-        else:
-            record.append(_fmt(getattr(row, col)))
-    return record
+    return [_fmt(getattr(row, col)) for col in CSV_COLUMNS]
 
 
 def _config_lines(config: dict | None) -> str:
@@ -522,43 +536,18 @@ def _parse_record(values: list[str]) -> ResultRow:
     if len(values) != len(CSV_COLUMNS):
         raise ParameterError(f"{len(values)} fields, expected {len(CSV_COLUMNS)}")
     rec = dict(zip(CSV_COLUMNS, values))
-
-    def optional(col: str, kind: type = float):
-        return kind(rec[col]) if rec[col] else None
-
     DetectionStrategy.parse(rec["strategy"])
     OptimizationMode(rec["mode"])
-    row = ResultRow(
-        v_r=float(rec["v_r"]),
-        v_t=float(rec["v_t"]),
-        v_b=float(rec["v_b"]),
-        v_d=float(rec["v_d"]),
-        source=rec["source"],
-        strategy=rec["strategy"],
-        mode=rec["mode"],
-        n_units=int(rec["n_units"]),
-        n_opt=optional("n_opt", int),
-        p1=float(rec["p1"]),
-        lambda_uniform=optional("lambda_uniform"),
-        lambdas=tuple(float(x) for x in rec["lambdas"].split(";") if x),
-        delta_minus=optional("delta_minus"),
-        delta_plus=optional("delta_plus"),
-        baseline_p1=optional("baseline_p1"),
-    )
+    row = ResultRow(**{f.name: _READERS[f.type](rec[f.name]) for f in _COLUMNS})
     if len(row.lambdas) != row.n_units:
         raise ParameterError(f"{len(row.lambdas)} pump means for {row.n_units} units")
     return row
 
 
-def _row_dict(row: ResultRow) -> dict:
-    data = {col: getattr(row, col) for col in CSV_COLUMNS}
-    data["lambdas"] = list(row.lambdas)
-    return data
-
-
 def write_json(rows: Sequence[ResultRow], path: str | Path, config: dict | None = None) -> None:
     """Write rows plus the resolved configuration as one JSON document."""
-    _dump_json({"config": config or {}, "rows": [_row_dict(r) for r in rows]}, path)
+    data = [{col: getattr(row, col) for col in CSV_COLUMNS} for row in rows]  # lambdas as a list
+    _dump_json({"config": config or {}, "rows": data}, path)
 
 
 def _dump_json(payload: dict, path: str | Path) -> None:

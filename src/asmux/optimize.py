@@ -51,9 +51,9 @@ closed form from the units of each size only, as
 report re-evaluates to its ``best_p1`` bit for bit.  Only the per-unit
 search grid cuts the pair-number series, at the cutoff of the upper
 bound (:func:`~asmux.statistics.required_lmax`); a per-unit upper bound
-whose series that rule cannot cut raises
-:class:`~asmux.exceptions.TruncationError`.  The one-parameter searches
-have no such ceiling.
+whose series that rule cannot cut, or a strategy that accepts no count
+within its hard cap, raises :class:`~asmux.exceptions.TruncationError`.
+The one-parameter searches have no such ceiling.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import ParameterError, TruncationError
 from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _arms
 from .statistics import (
     DetectionStrategy,
@@ -238,11 +238,10 @@ def _grid_tables(
     """The per-unit search grid's series cutoff, means and pmf rows.
 
     The cutoff is that of the upper bound, and at least ``floor``, the
-    smallest count the strategy accepts (at most the cutoff's hard cap,
-    400 pairs).  At a small bound the source tail falls below the
-    cutoff's tolerance before that count, and so does P1; a grid cut
-    there holds no admitted count, so every mean on it scores a P1 of 0
-    and the search returns zeros.
+    smallest count the strategy accepts.  At a small bound the source
+    tail falls below the cutoff's tolerance before that count, and so
+    does P1; a grid cut there holds no admitted count, so every mean on
+    it scores a P1 of 0 and the search returns zeros.
     """
     # raises on every call: no exception is cached
     l_max = max(required_lmax(family, upper), floor)
@@ -323,7 +322,8 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     last unit with an empty tail.  The stage tables are pair-number pmf
     rows on a grid, cut at the cutoff of the upper bound
     (:func:`~asmux.statistics.required_lmax`, which may raise) or at the
-    strategy's smallest accepted count if that is larger, against
+    strategy's smallest accepted count if that is larger (one above the
+    cutoff's hard cap raises :class:`TruncationError`), against
     arm weights whose negligible subnormals are zero (:func:`_arm_weights`).
 
     Each unit's grid values are three rows: no admission, its through
@@ -344,7 +344,12 @@ def _per_unit_profiles(chain: _Chain) -> np.ndarray:
     through it opens downward.
     """
     strategy = chain.strategy
-    floor = 1 if strategy.is_threshold else min(min(strategy.accepted), _L_HARD_CAP)
+    floor = 1 if strategy.is_threshold else min(strategy.accepted)
+    if floor > _L_HARD_CAP:
+        raise TruncationError(
+            f"strategy {strategy.key} accepts no count up to the per-unit search grid's "
+            f"hard cap {_L_HARD_CAP}"
+        )
     l_max, grid, pmf = _grid_tables(chain.family, chain.upper, floor)
     w = acceptance_weights(strategy, chain.v_d, l_max)
     sizes = chain.sizes

@@ -129,6 +129,33 @@ class TestSearchBoundPastTheSeriesCutoff:
         assert ("tail" in err) == (status == 3)
 
 
+class TestStrategyPastTheSearchGrid:
+    # the per-unit grid stops at 400 pairs; set:401 accepts no count on it,
+    # and its search used to report p1 0.0 with every mean 0
+    POINT = ("optimize", "--n", "3", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9")
+    ARGS = (*POINT, "--lambda-upper", "275")
+
+    @pytest.mark.parametrize("args", [POINT, ARGS])
+    def test_per_unit_search_is_refused(self, capsys, args):
+        code, out, err = run(capsys, *args, "--strategy", "set:401")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: strategy set:401 accepts no count up to the per-unit search grid's "
+            "hard cap 400\n"
+        )
+
+    def test_uniform_search_is_unchanged(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--strategy", "set:401", "--mode", "uniform")
+        assert code == 0, err
+        assert out == "p1 7.608175120909282e-253\nn_units 3\nlambdas 275.0,275.0,275.0\n"
+
+    def test_the_cap_itself_still_runs(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--strategy", "set:400")
+        assert code == 0, err
+        assert float(out.splitlines()[0].split()[1]) > 0.0
+
+
 class TestExitCodes:
     def test_missing_parameter_is_config_error(self, capsys):
         code, _, err = run(capsys, "eval", "--n", "1", "--lambda", "0.5")
@@ -682,6 +709,52 @@ class TestConfigRoundTrip:
         assert {d: from_flags[d] for d in values} == values
         assert resolve("--config", str(kv_file)) == from_flags
         assert resolve("--config", str(json_file)) == from_flags
+
+
+# (command, option) for every option whose text a converter or a choice
+# list reads; a flag that takes no text has nothing to compare
+CONVERTED = [
+    (command, option)
+    for command, (_, _, options) in sorted(_COMMANDS.items())
+    for option in options
+    if (option.type is not str or option.choices)
+    and option.action not in ("store_true", "store_false")
+]
+
+
+class TestOneConverter:
+    """A flag's text and the same text in a config file are read by one
+    converter, so both end with the same message."""
+
+    def test_count(self):
+        assert len(CONVERTED) == 72
+
+    @pytest.mark.parametrize(
+        "command,option", CONVERTED, ids=[f"{c}-{o.dest}" for c, o in CONVERTED]
+    )
+    def test_malformed_text_fails_alike(self, capsys, tmp_path, command, option):
+        # neither a number, an integer, a strategy, a mode nor any choice
+        text = "1.5" if option.type is int else "0.9x"
+        kv_file = tmp_path / "run.cfg"
+        kv_file.write_text(f"{option.dest} = {json.dumps(text)}\n")
+        json_file = tmp_path / "run.json"
+        json_file.write_text(json.dumps({option.dest: text}))
+        outcomes = [
+            run(capsys, command, *argv)
+            for argv in ([option.flag, text], ["--config", str(kv_file)],
+                         ["--config", str(json_file)])
+        ]
+        code, out, err = outcomes[0]
+        assert outcomes == [outcomes[0]] * 3
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {option.dest}") and err.endswith(f"{text!r}\n")
+        assert err.count("\n") == 1
+
+    def test_unknown_flag_prints_the_usage(self, capsys):
+        code, _, err = run(capsys, "find-n", "--v-r", "0.9", "--no-such-flag", "1")
+        assert code == 2
+        assert err.startswith("usage: asmux")
+        assert err.endswith("error: unrecognized arguments: --no-such-flag 1\n")
 
 
 class TestReproducibleOutputs:

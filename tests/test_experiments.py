@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import asmux.experiments
 from asmux.cli import _COMMANDS
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
+    _READERS,
     CSV_COLUMNS,
+    ResultRow,
     TABLE1_VB,
     TABLE1_VD,
     TABLE1_VR,
@@ -302,6 +305,43 @@ class TestReadCsv:
         sweep_csv.write_text(sweep_csv.read_text() + "0.9,0.985\r\n")
         with pytest.raises(ParameterError, match="line 5"):
             read_csv(sweep_csv)
+
+
+POINT = MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=1)
+# rows of each kind the files hold
+ROW_KINDS = {
+    "size-search": lambda: reproduce_table1(combos=[(0.95, 0.9, 0.9)], n_ref=20)[:1],
+    "fixed-size": lambda: fixed_n_curve(POINT, SPD, [OptimizationMode.PER_UNIT], [3]),
+    "uniform": lambda: fixed_n_curve(POINT, SPD, [OptimizationMode.UNIFORM], [4]),
+    "stability": lambda: [stability_report(POINT, SPD, n_ref=20)],
+    "1-unit": lambda: fixed_n_curve(POINT, SPD, list(OptimizationMode), [1]),
+    "60-unit": lambda: fixed_n_curve(POINT, SPD, list(OptimizationMode), [60]),
+}
+
+
+class TestCsvSchema:
+    def test_every_column_type_has_a_reader(self):
+        # a new column of a known type needs no parser edit
+        assert {f.type for f in fields(ResultRow) if f.compare} <= set(_READERS)
+
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    def test_round_trip_keeps_every_byte(self, tmp_path, kind):
+        rows = ROW_KINDS[kind]()
+        filled = {
+            "size-search": rows[0].n_opt is not None,
+            "fixed-size": rows[0].n_opt is None and rows[0].lambda_uniform is None,
+            "uniform": rows[0].lambda_uniform is not None,
+            "stability": None not in (rows[0].delta_minus, rows[0].baseline_p1),
+            "1-unit": len(rows[0].lambdas) == 1,
+            "60-unit": len(rows[0].lambdas) == 60,
+        }
+        assert filled[kind]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_csv(rows, first, config={"n_ref": 20})
+        back = read_csv(first)
+        assert back == rows
+        write_csv(back, second, config={"n_ref": 20})
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestCurvesAndDeltas:
