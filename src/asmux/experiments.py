@@ -31,7 +31,7 @@ from .optimize import (
     optimize_sizes,
     stability_interval,
 )
-from .statistics import DetectionStrategy, PumpProfile, single_photon_prob
+from .statistics import DetectionStrategy, PumpProfile, _validate_pump, single_photon_prob
 
 __all__ = [
     "Axis",
@@ -348,8 +348,9 @@ def vb_crossover(settings: OptimizerSettings | None = None) -> float:
 # sweep driver with incremental, resumable output
 # ----------------------------------------------------------------------
 
-def _job_key(v_r: float, v_d: float, v_b: float, strategy: str, mode: str) -> tuple:
-    return (f"{v_r:.10g}", f"{v_d:.10g}", f"{v_b:.10g}", strategy, mode)
+def _job_key(spec: MultiplexerSpec, strategy: str, mode: str) -> tuple:
+    """What a sweep job computes: every loss parameter, the source, the strategy and the mode."""
+    return spec.v_r, spec.v_t, spec.v_b, spec.v_d, spec.source, strategy, mode
 
 
 def run_sweep(
@@ -365,78 +366,80 @@ def run_sweep(
     """Optimize every (cell, strategy, mode) job of the grid, in grid order.
 
     When ``out_csv`` is given, finished rows are appended immediately so
-    an interrupted sweep can resume: jobs whose key already appears in
+    an interrupted sweep can resume: jobs whose row already appears in
     the file are skipped, and a last row cut short by the interruption
     is dropped and redone.  A file whose embedded configuration differs
-    from ``config`` in any key but ``config``, ``out`` and ``resume`` is
-    refused and left as it is.  Jobs run one after another in this
-    process (each takes milliseconds); ``threads`` is accepted for older
-    callers and ignored.
+    from ``config`` in any key but ``config``, ``out`` and ``resume``,
+    or that holds a malformed row or a row of a job the grid does not
+    run, is refused and left as it is.  Jobs run one after another in
+    this process (each takes milliseconds); ``threads`` is accepted for
+    older callers and ignored.
     """
+    jobs = [
+        (MultiplexerSpec(**cell, n_units=1, v_t=grid.v_t, source=grid.source), strategy, mode)
+        for cell in grid.cells()
+        for strategy in grid.strategies
+        for mode in map(OptimizationMode.coerce, grid.modes)
+    ]
+    keys = [_job_key(spec, strategy.key, mode.value) for spec, strategy, mode in jobs]
     path = None if out_csv is None else Path(out_csv)
-    append = resume and path is not None and path.exists() and _ready_to_append(path, config)
-    done = {
-        _job_key(r.v_r, r.v_d, r.v_b, r.strategy, r.mode): r
-        for r in (read_csv(path) if append else [])
-    }
+    done = _resumed_rows(path, config, set(keys)) if resume and path and path.exists() else None
 
     handle = None
     if path is not None:
-        if not append:
+        if done is None:
             write_csv([], path, config)
         handle = open(path, "a", newline="")
         writer = csv.writer(handle)
     rows: list[ResultRow] = []
     try:
-        for cell in grid.cells():
-            spec = MultiplexerSpec(
-                v_r=cell["v_r"], v_b=cell["v_b"], v_d=cell["v_d"], n_units=1,
-                v_t=grid.v_t, source=grid.source,
-            )
-            for strategy in grid.strategies:
-                for mode in map(OptimizationMode.coerce, grid.modes):
-                    key = _job_key(cell["v_r"], cell["v_d"], cell["v_b"], strategy.key, mode.value)
-                    row = done.get(key)
-                    if row is None:
-                        row = _search_row(spec, strategy, mode, settings, n_ref, threshold)
-                        if handle is not None:
-                            writer.writerow(_csv_record(row))
-                            handle.flush()
-                    rows.append(row)
+        for key, (spec, strategy, mode) in zip(keys, jobs):
+            row = done.get(key) if done else None
+            if row is None:
+                row = _search_row(spec, strategy, mode, settings, n_ref, threshold)
+                if handle is not None:
+                    writer.writerow(_csv_record(row))
+                    handle.flush()
+            rows.append(row)
     finally:
         if handle is not None:
             handle.close()
     return rows
 
 
-def _ready_to_append(path: Path, config: dict | None) -> bool:
-    """Ready a sweep CSV for appending; False when it holds no column header.
+def _resumed_rows(path: Path, config: dict | None, keys: set) -> dict[tuple, ResultRow] | None:
+    """The rows of a sweep CSV by job key, readied for appending; None without a column header.
 
     A file whose leading comment lines differ from those ``config``
     would write, other than in the keys that name the run's files or
-    its resume flag, or whose columns differ, is refused untouched.  A
+    its resume flag, whose columns differ, or that holds a malformed row
+    or a row whose job key is not in ``keys``, is refused untouched.  A
     record is complete when it ends in a newline and has one field per
     column; an incomplete last record, left by an interrupted write, is
-    cut off.
+    cut off once every other row has passed.
     """
     lines = path.read_bytes().splitlines(keepends=True)
     records = [line for line in lines if not line.startswith(b"#")]
     if not records:
-        return False
+        return None
     comments = lines[: lines.index(records[0])]
     expected = _config_lines(config).encode().splitlines(keepends=True)
     if _computed_lines(comments) != _computed_lines(expected):
         raise ParameterError(f"{path} was written with another configuration; not resuming")
-    if records[0].endswith(b"\n") and _fields(records[0]) != list(CSV_COLUMNS):
-        raise ParameterError(f"{path} was written with other columns and cannot be resumed")
+    if not records[0].endswith(b"\n"):  # the header was cut short
+        return None
     last = lines[-1]
-    if not last.startswith(b"#") and (
+    torn = len(records) > 1 and not last.startswith(b"#") and (
         not last.endswith(b"\n") or len(_fields(last)) != len(CSV_COLUMNS)
-    ):
+    )
+    rows = _parse_lines(path, lines[:-1] if torn else lines)
+    done = {_job_key(r.spec(), r.strategy, r.mode): r for r in rows}
+    if not done.keys() <= keys:
+        raise ParameterError(f"{path} holds a row of a job this sweep does not run; not resuming")
+    if torn:
         with open(path, "r+b") as handle:
             handle.truncate(sum(map(len, lines[:-1])))
-        return len(records) > 1
-    return True
+    return done
 
 
 # embedded-config keys that say where a run reads and writes or whether
@@ -515,11 +518,15 @@ def read_csv(path: str | Path) -> list[ResultRow]:
     """Load rows written by :func:`write_csv` (comment lines are skipped).
 
     Every record is checked: a wrong column header or field count, a
-    non-numeric field, a pump profile whose length is not ``n_units`` or
-    an unknown strategy or mode raises :class:`ParameterError` naming
-    the line.
+    non-numeric field, an unknown strategy or mode, or a bad value that
+    :meth:`ResultRow.reevaluate` reads (the losses, the source, the pump
+    means or their count) raises :class:`ParameterError` naming the line.
     """
-    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return _parse_lines(path, Path(path).read_bytes().splitlines(keepends=True))
+
+
+def _parse_lines(path: str | Path, lines: list[bytes]) -> list[ResultRow]:
+    """The rows of a file's ``lines``, checked as :func:`read_csv` documents."""
     data = [(n, line) for n, line in enumerate(lines, start=1) if not line.startswith(b"#")]
     if data and _fields(data[0][1]) != list(CSV_COLUMNS):
         raise ParameterError(f"{path} line {data[0][0]}: expected the columns {CSV_COLUMNS}")
@@ -539,8 +546,7 @@ def _parse_record(values: list[str]) -> ResultRow:
     DetectionStrategy.parse(rec["strategy"])
     OptimizationMode(rec["mode"])
     row = ResultRow(**{f.name: _READERS[f.type](rec[f.name]) for f in _COLUMNS})
-    if len(row.lambdas) != row.n_units:
-        raise ParameterError(f"{len(row.lambdas)} pump means for {row.n_units} units")
+    _validate_pump(row.spec(), PumpProfile(row.lambdas))  # the checks reevaluate() makes
     return row
 
 

@@ -258,8 +258,8 @@ class _Chain:
     ``v_through`` holds the transmissions of the arms 1..n_max-1 that pass
     a router's through port, ``v_last`` that of the last arm of each size
     in ``sizes``, from the arm law ``transmission_vector`` reads.  Unit values
-    are closed forms (:meth:`terms`); the scaled-reference mode also reads
-    the values on the upper bound, ``capped``, built on first read.
+    are closed forms (:meth:`terms`); the scaled-reference mode, ``scaled``,
+    also reads the values on the upper bound, ``capped``, built on first read.
     """
 
     def __init__(
@@ -268,8 +268,10 @@ class _Chain:
         strategy: DetectionStrategy,
         settings: OptimizerSettings,
         sizes: np.ndarray,
+        mode: OptimizationMode,
     ) -> None:
         self.sizes = sizes
+        self.scaled = mode is OptimizationMode.SCALED_REFERENCE
         self.family = spec.source
         self.strategy = strategy
         self.v_d = spec.v_d
@@ -466,46 +468,37 @@ def _capped_cells(
     return quiet, t
 
 
-def _scalar_p1(
-    chain: _Chain,
-    scaled: bool,
-    xs: np.ndarray,
-    cols: np.ndarray | None = None,
-    slope: bool = False,
-) -> np.ndarray:
+def _scalar_p1(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """P1 of the one-parameter profiles at scalars ``xs``.
 
     Without ``cols`` the result is a (len(xs), len(sizes)) table over
     every size; with ``cols``, scalar ``xs[i]`` is taken at size
-    ``sizes[cols[i]]`` only, and ``slope`` adds a second column with the
-    derivative of P1 in the scalar.
+    ``sizes[cols[i]]`` only, and a second column holds the derivative of
+    P1 in the scalar.
     """
     n_arms = chain.v_through.size + chain.sizes.size
     # about eight closed-form terms per arm and scalar, twice as many with the slope
     return _in_batches(
         xs.size,
-        8 * (1 + slope) * n_arms,
-        lambda part: _scalar_p1_batch(
-            chain, scaled, xs[part], None if cols is None else cols[part], slope
-        ),
+        8 * (1 + (cols is not None)) * n_arms,
+        lambda part: _scalar_p1_batch(chain, xs[part], None if cols is None else cols[part]),
     )
 
 
-def _scalar_p1_batch(
-    chain: _Chain, scaled: bool, xs: np.ndarray, cols: np.ndarray | None, slope: bool
-) -> np.ndarray:
+def _scalar_p1_batch(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
     # The arms before the last one do not depend on the size: their
     # running no-admission products and one-photon sums serve every size.
-    if cols is None:  # every size
+    slope = cols is not None
+    if not slope:  # every size
         rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], np.arange(chain.sizes.size)
     else:  # xs[i] at size sizes[cols[i]], which reads the arms before its last only
         rows, x, pick = np.arange(xs.size), xs, cols
     at = chain.sizes[pick] - 1
     n_through = int(at.max())  # no arm past the largest size's is read
     v_through = chain.v_through[:n_through]
-    if scaled:
+    if chain.scaled:
         _, capped, capped_last = chain.capped
-        live = None if cols is None else np.arange(n_through) < at[:, None]
+        live = np.arange(n_through) < at[:, None] if slope else None
         quiet, t = _capped_cells(chain, xs[:, None], v_through, capped[:n_through], live, slope)
         _, t_last = _capped_cells(chain, x, chain.v_last[pick], capped_last[pick], slope=slope)
     else:  # mean x on every arm, so d lam / dx = 1
@@ -599,7 +592,7 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     return x, fx
 
 
-def _split_at_kinks(chain: _Chain, scaled: bool, lo: np.ndarray, hi: np.ndarray):
+def _split_at_kinks(chain: _Chain, lo: np.ndarray, hi: np.ndarray):
     """Split the bracket [lo_i, hi_i] of each size ``sizes[i]`` where the slope of P1 jumps.
 
     In scaled-reference mode arm ``n`` reaches the upper bound at
@@ -611,7 +604,7 @@ def _split_at_kinks(chain: _Chain, scaled: bool, lo: np.ndarray, hi: np.ndarray)
     both ends.
     """
     cols = np.arange(chain.sizes.size)
-    if not scaled:
+    if not chain.scaled:
         return lo, hi, lo, hi, cols
     through = np.arange(chain.v_through.size) < chain.sizes[:, None] - 1
     kink = chain.upper * np.column_stack([np.where(through, chain.v_through, np.nan), chain.v_last])
@@ -632,7 +625,7 @@ def _split_at_kinks(chain: _Chain, scaled: bool, lo: np.ndarray, hi: np.ndarray)
     )
 
 
-def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
+def _scalar_profiles(chain: _Chain) -> np.ndarray:
     """Best one-parameter profile of every size, one zero-padded row per size.
 
     Each size's grid maximum is refined on the grid bracket around it,
@@ -640,19 +633,15 @@ def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
     """
     sizes = chain.sizes
     grid = np.linspace(0.0, chain.upper, _SCALAR_GRID)
-    table = _scalar_p1(chain, scaled, grid)
+    table = _scalar_p1(chain, grid)
     cols = np.arange(sizes.size)
     k = np.argmax(table, axis=0)
     lo, hi, inner_lo, inner_hi, piece_cols = _split_at_kinks(
-        chain, scaled, grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+        chain, grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
     )
     x, fx = _slope_root(
         lambda xs, lanes: _scalar_p1(
-            chain,
-            scaled,
-            np.clip(xs, inner_lo[lanes], inner_hi[lanes]),
-            piece_cols[lanes],
-            slope=True,
+            chain, np.clip(xs, inner_lo[lanes], inner_hi[lanes]), piece_cols[lanes]
         ),
         lo,
         hi,
@@ -665,7 +654,7 @@ def _scalar_profiles(chain: _Chain, scaled: bool) -> np.ndarray:
 
     n_max = int(sizes[-1])
     lam = np.zeros((sizes.size, n_max))
-    if scaled:
+    if chain.scaled:
         lam[:, :-1] = _rescaled(best[:, None], chain.v_through, chain.upper)
         last = _rescaled(best, chain.v_last, chain.upper)
     else:
@@ -708,11 +697,11 @@ def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
     if not sizes or not 1 <= min(sizes) <= max(sizes) < _COUNT_LIMIT:
         raise ParameterError(f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})")
     sizes = np.unique(np.asarray(sizes, dtype=int))
-    chain = _Chain(spec, strategy, settings, sizes)
+    chain = _Chain(spec, strategy, settings, sizes, mode)
     if mode is OptimizationMode.PER_UNIT:
         lam = _per_unit_profiles(chain)
     else:
-        lam = _scalar_profiles(chain, scaled=mode is OptimizationMode.SCALED_REFERENCE)
+        lam = _scalar_profiles(chain)
     _check_means(lam)  # the check PumpProfile makes, once for every profile
     p1 = _reported_p1(chain, lam)
     hit = (lam >= settings.lambda_upper).any(axis=1)  # the padding is 0, below the bound

@@ -839,6 +839,22 @@ class TestSweepCommand:
         assert main(other) == 3
         assert out.read_bytes() == torn
 
+    def test_resume_refuses_a_row_of_another_job(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = [
+            "sweep", "--axis", "v_d=0.85:0.9:0.05", "--v-r", "0.9", "--v-b", "0.9",
+            "--n-ref", "5", "--format", "csv", "--out", str(out),
+        ]
+        assert main(args) == 0
+        written = out.read_bytes()
+        edited = written.replace(b"\n0.9,0.985,", b"\n0.9,0.9,", 1)  # v_t of the first row
+        assert edited != written
+        out.write_bytes(edited)
+        code, _, err = run(capsys, *args)
+        assert code == 3
+        assert "does not run" in err
+        assert out.read_bytes() == edited
+
     def test_resume_after_no_resume(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         args = [

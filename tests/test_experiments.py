@@ -252,6 +252,33 @@ class TestSweep:
         assert [r.p1 for r in threaded] == [r.p1 for r in plain]
         assert [r.lambdas for r in threaded] == [r.lambdas for r in plain]
 
+    # another valid value of each column that keys a job, none of which
+    # this grid runs
+    FOREIGN = [("v_r", "0.95"), ("v_t", "0.9"), ("v_b", "0.95"), ("v_d", "0.8"),
+               ("source", "thermal"), ("strategy", "upto:2"), ("mode", "uniform")]
+
+    @pytest.mark.parametrize("column,value", FOREIGN)
+    def test_resume_refuses_a_row_of_another_job(self, tmp_path, column, value):
+        grid = SweepGrid(axes=(Axis("v_d", 0.85, 0.9, 0.05),), fixed=(("v_r", 0.9), ("v_b", 0.9)))
+        path = tmp_path / "sweep.csv"
+        run_sweep(grid, n_ref=5, out_csv=path)
+        _corrupt_last_field(path, column, value)
+        edited = path.read_bytes()
+        with pytest.raises(ParameterError, match="does not run"):
+            run_sweep(grid, n_ref=5, out_csv=path)
+        assert path.read_bytes() == edited
+
+    def test_resume_refuses_a_row_of_another_job_before_cutting_a_torn_one(self, tmp_path):
+        grid = SweepGrid(axes=(Axis("v_d", 0.85, 0.9, 0.05),), fixed=(("v_r", 0.9), ("v_b", 0.9)))
+        path = tmp_path / "sweep.csv"
+        run_sweep(grid, n_ref=5, out_csv=path)
+        _corrupt_last_field(path, "v_t", "0.9")
+        path.write_bytes(path.read_bytes() + b"0.9,0.985,0.9")
+        edited = path.read_bytes()
+        with pytest.raises(ParameterError, match="does not run"):
+            run_sweep(grid, n_ref=5, out_csv=path)
+        assert path.read_bytes() == edited
+
     def test_resume_refuses_other_config(self, tmp_path):
         grid = SweepGrid(axes=(), fixed=(("v_r", 0.9), ("v_d", 0.85), ("v_b", 0.9)))
         path = tmp_path / "sweep.csv"
@@ -264,9 +291,11 @@ class TestSweep:
 
 
 def _corrupt_last_field(path, column, value):
+    """Set one field of the last record to ``value``, or to ``value(field)`` if callable."""
     lines = path.read_text().splitlines(keepends=True)
     fields = next(csv.reader([lines[-1]]))
-    fields[CSV_COLUMNS.index(column)] = value
+    i = CSV_COLUMNS.index(column)
+    fields[i] = value(fields[i]) if callable(value) else value
     lines[-1] = ",".join(fields) + "\r\n"
     path.write_text("".join(lines))
 
@@ -288,7 +317,9 @@ class TestReadCsv:
     @pytest.mark.parametrize(
         "column,value",
         [("p1", "abc"), ("n_units", "1.5"), ("n_units", "2"), ("strategy", "upto:x"),
-         ("mode", "foo")],
+         ("mode", "foo"), ("source", "laser"), ("v_r", "nan"), ("v_t", "1.5"),
+         ("lambdas", lambda text: ";".join(["-1.0", *text.split(";")[1:]]))],
+        ids=lambda value: "first-mean-negative" if callable(value) else None,
     )
     def test_bad_field(self, sweep_csv, column, value):
         _corrupt_last_field(sweep_csv, column, value)
