@@ -25,7 +25,9 @@ every size.
   units give P1 for every grid value and every size at once; each
   size's grid maximum is then refined by a root solve of the slope of
   P1 on the grid points around it, vectorized over sizes, with the
-  product rule on the running products.  The solve takes
+  product rule on the running products; a size whose maximum sits in
+  the first two cells is first tabulated again over them
+  (:func:`_scalar_profiles`).  The solve takes
   Anderson-Björck steps and stops once a Newton step is within
   tolerance: about five slope evaluations per search, the bracket ends
   included.  In scaled-reference mode arm ``n`` reaches the upper bound
@@ -36,12 +38,16 @@ every size.
   one photon out, are read in closed form with their slopes
   (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
   arm (uniform) or ``x / V_n`` (scaled-reference), so neither search
-  builds a pmf row.  A rescaled mean grows along the chain and is capped
-  at the upper bound, so every capped cell shares the values on the
-  bound, which only the scaled-reference mode builds, and adds no slope;
-  only the other cells are evaluated, and its refinement of a size reads
-  only the arms of that size.  No batch reads an arm past the last arm of
-  its largest size.  A root of the slope moves with rounding by about
+  builds a pmf row.  One closed-form call covers the through arms and
+  the last arms, which follow them as further columns: every size's
+  last arm on the grid, each lane's own in the root solve.  Every cell
+  is evaluated on its own, so a cell's bits do not depend on the cells
+  beside it.  A rescaled mean grows along the chain and is capped at
+  the upper bound, so every capped cell shares the values on the bound,
+  which only the scaled-reference mode builds, and adds no slope; only
+  the other cells are evaluated, and its refinement of a size reads only
+  the arms of that size.  No batch reads an arm past the last arm of its
+  largest size.  A root of the slope moves with rounding by about
   eps |f'| / |f''|, so the optimum does not depend on which sizes share
   a batch.
 
@@ -437,23 +443,24 @@ def _capped_cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """No-admission and one-photon values of rescaled cells.
 
-    The cell at position ``j`` of the last axis is an arm that transmits
-    ``v[j]``, at mean ``x / v[j]`` (see :func:`_rescaled`); ``capped[j]``
-    is its one-photon value on the upper bound (see ``_Chain.capped``).
-    Cells on the bound share the values there; only the other ``live``
-    cells are evaluated, in closed form
-    (:func:`~asmux.statistics.one_photon_terms`), so no cell needs a pmf
-    row.  Cells that are not live get the capped values and must go
-    unread.  Each result has a leading axis holding the values and, with
-    ``slope``, their derivatives in ``x``: zero on the bound and on an
-    arm that transmits nothing.
+    ``x``, ``v``, ``capped`` and ``live`` broadcast to the cells' shape:
+    a cell is an arm that transmits ``v``, at mean ``x / v`` (see
+    :func:`_rescaled`), and ``capped`` is its one-photon value on the
+    upper bound (see ``_Chain.capped``).  Arms may be one row shared by
+    every scalar, or one row per scalar.  Cells on the bound share the
+    values there; only the other ``live`` cells are evaluated, in one
+    closed-form call (:func:`~asmux.statistics.one_photon_terms`), so no
+    cell needs a pmf row.  Cells that are not live get the capped values
+    and must go unread.  Each result has a leading axis holding the
+    values and, with ``slope``, their derivatives in ``x``: zero on the
+    bound and on an arm that transmits nothing.
     """
     lam = _rescaled(x, v, chain.upper)
     free = lam < chain.upper
     if live is not None:
         free &= live
     cells = free.nonzero()
-    v = v[cells[-1]]
+    v = np.broadcast_to(v, lam.shape)[cells]
     admit, t_free = chain.terms(lam[cells], v, slope)
     quiet = np.zeros((1 + slope,) + lam.shape)
     t = np.zeros((1 + slope,) + lam.shape)
@@ -488,24 +495,38 @@ def _scalar_p1(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None = None) ->
 def _scalar_p1_batch(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
     # The arms before the last one do not depend on the size: their
     # running no-admission products and one-photon sums serve every size.
+    # One closed-form call reads them and, in the columns after them, the
+    # last arms: every size's, or each lane's own.
     slope = cols is not None
     if not slope:  # every size
-        rows, x, pick = np.arange(xs.size)[:, None], xs[:, None], np.arange(chain.sizes.size)
+        rows, pick = np.arange(xs.size)[:, None], np.arange(chain.sizes.size)
     else:  # xs[i] at size sizes[cols[i]], which reads the arms before its last only
-        rows, x, pick = np.arange(xs.size), xs, cols
+        rows, pick = np.arange(xs.size), cols
     at = chain.sizes[pick] - 1
     n_through = int(at.max())  # no arm past the largest size's is read
-    v_through = chain.v_through[:n_through]
+
+    def columns(through: np.ndarray, last: np.ndarray) -> np.ndarray:
+        if not slope:
+            return np.concatenate([through[:n_through], last[pick]])
+        out = np.empty((xs.size, n_through + 1))
+        out[:, :-1] = through[:n_through]
+        out[:, -1] = last[pick]
+        return out
+
+    v = columns(chain.v_through, chain.v_last)
     if chain.scaled:
         _, capped, capped_last = chain.capped
-        live = np.arange(n_through) < at[:, None] if slope else None
-        quiet, t = _capped_cells(chain, xs[:, None], v_through, capped[:n_through], live, slope)
-        _, t_last = _capped_cells(chain, x, chain.v_last[pick], capped_last[pick], slope=slope)
+        live = None
+        if slope:  # a lane's through arms up to its size's last, and its last arm
+            live = np.arange(n_through + 1) < at[:, None]
+            live[:, -1] = True
+        quiet, t = _capped_cells(chain, xs[:, None], v, columns(capped, capped_last), live, slope)
     else:  # mean x on every arm, so d lam / dx = 1
-        admit, t = chain.terms(xs[:, None], v_through, slope)
+        admit, t = chain.terms(xs[:, None], v, slope)
         quiet = -admit
         quiet[0] += 1.0
-        _, t_last = chain.terms(x, chain.v_last[pick], slope)
+    t_last = t[..., n_through] if slope else t[..., n_through:]
+    t, quiet = t[..., :n_through], quiet[..., :n_through]
     head, prefix = _chain(quiet[0], t[0])
     p1 = head[rows, at] + prefix[rows, at] * t_last[0]
     if not slope:
@@ -629,16 +650,31 @@ def _scalar_profiles(chain: _Chain) -> np.ndarray:
     """Best one-parameter profile of every size, one zero-padded row per size.
 
     Each size's grid maximum is refined on the grid bracket around it,
-    split at its kinks (:func:`_split_at_kinks`); the best piece wins.
+    split at its kinks (:func:`_split_at_kinks`); the best piece wins, if
+    it beats that grid maximum.  A size whose maximum sits in the first
+    two cells is tabulated again on a grid of as many points over those
+    two cells, until its maximum leaves them or they are narrower than
+    the root's tolerance: at a large bound the optimum can sit in the
+    first cell, where the slope falls steeply and is nearly zero at the
+    cell's far end, and the root solve of a wider bracket can stop beside
+    that end.
     """
     sizes = chain.sizes
-    grid = np.linspace(0.0, chain.upper, _SCALAR_GRID)
-    table = _scalar_p1(chain, grid)
     cols = np.arange(sizes.size)
-    k = np.argmax(table, axis=0)
-    lo, hi, inner_lo, inner_hi, piece_cols = _split_at_kinks(
-        chain, grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
-    )
+    # each size's grid maximum, and the grid points on either side of it
+    peak_x, peak_f, lo, hi = np.empty((4, sizes.size))
+    tabulate, top = np.ones(sizes.size, dtype=bool), chain.upper  # on a grid over [0, top]
+    # past the first grid, top spans the two cells last tabulated
+    while tabulate.any() and top >= 2.0 * _XTOL * chain.upper:
+        grid = np.linspace(0.0, top, _SCALAR_GRID)
+        table = _scalar_p1(chain, grid)[:, tabulate]
+        k = np.argmax(table, axis=0)
+        peak_x[tabulate], peak_f[tabulate] = grid[k], table[k, np.arange(k.size)]
+        lo[tabulate] = grid[np.maximum(k - 1, 0)]
+        hi[tabulate] = grid[np.minimum(k + 1, grid.size - 1)]
+        tabulate[tabulate] = k <= 1
+        top = grid[2]
+    lo, hi, inner_lo, inner_hi, piece_cols = _split_at_kinks(chain, lo, hi)
     x, fx = _slope_root(
         lambda xs, lanes: _scalar_p1(
             chain, np.clip(xs, inner_lo[lanes], inner_hi[lanes]), piece_cols[lanes]
@@ -650,7 +686,7 @@ def _scalar_profiles(chain: _Chain) -> np.ndarray:
     # the best piece of each size: the first of its column by falling value
     order = np.lexsort((-fx, piece_cols))
     pick = order[np.searchsorted(piece_cols[order], cols)]
-    best = np.where(fx[pick] > table[k, cols], x[pick], grid[k])
+    best = np.where(fx[pick] > peak_f, x[pick], peak_x)
 
     n_max = int(sizes[-1])
     lam = np.zeros((sizes.size, n_max))

@@ -443,6 +443,49 @@ class TestWork:
         calls["grid"] = asmux.optimize._grid_tables.cache_info().misses
         assert {name for name, count in calls.items() if count} == builds
 
+    @pytest.mark.parametrize("mode", ["uniform", "scaled-reference"])
+    def test_one_closed_form_call_per_p1_batch(self, monkeypatch, mode):
+        # the through arms and the last arms share one call: one_photon_terms
+        # (uniform) or _capped_cells (scaled-reference); a scaled-reference
+        # search's first batch also builds the values on the bound
+        batches = []
+        counts = {"_capped_cells": 0, "one_photon_terms": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def count(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        batch = asmux.optimize._scalar_p1_batch
+
+        def recording(chain, xs, cols):
+            before = dict(counts)
+            out = batch(chain, xs, cols)
+            capped, terms = (counts[name] - before[name] for name in counts)
+            batches.append((cols is not None, capped, terms))
+            return out
+
+        counting(asmux.optimize, "one_photon_terms")
+        counting(asmux.optimize, "_capped_cells")
+        monkeypatch.setattr(asmux.optimize, "_scalar_p1_batch", recording)
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
+        for key in ("spd", "upto:2"):
+            for sizes in ([7], range(1, 101)):  # the grid of 100 sizes takes several batches
+                batches.clear()
+                optimize_sizes(spec, DetectionStrategy.parse(key), sizes, mode=mode)
+                assert {slope for slope, *_ in batches} == {False, True}
+                capped, terms = np.array([calls for _, *calls in batches]).T
+                if mode == "uniform":
+                    assert capped.tolist() == [0] * len(batches)
+                    assert terms.tolist() == [1] * len(batches)
+                else:
+                    assert capped.tolist() == [1] * len(batches)
+                    assert terms.tolist() == [2] + [1] * (len(batches) - 1)
+
     def test_slope_root_ends_a_lane_at_an_exact_root(self, monkeypatch):
         # a secant step that lands on a zero slope ends its lane; bisecting
         # that lane to xtol took 18 more single-lane calls (26 in all)
@@ -459,11 +502,14 @@ class TestWork:
         assert len(calls) <= 5
 
     # the largest and the summed slope calls of one search over the corpus
-    # below, per mode and bound; a bound of 0.3 puts kinks in the brackets
+    # below, per mode and bound; a bound of 0.3 puts kinks in the brackets,
+    # and at 300 most optima sit in the first two cells of the grid
     SLOPE_CALL_BUDGETS = {
         ("uniform", 5.0): (6, 116),
         ("scaled-reference", 5.0): (6, 122),
         ("scaled-reference", 0.3): (4, 42),
+        ("uniform", 300.0): (15, 180),
+        ("scaled-reference", 300.0): (16, 163),
     }
 
     @pytest.mark.parametrize("mode,upper", list(SLOPE_CALL_BUDGETS), ids=str)
@@ -547,18 +593,31 @@ class TestBoundsPastTheSeriesCutoff:
                 assert dist.probs[1] == report.best_p1
                 assert report.upper_bound_hit == (max(pump.lambdas) >= upper)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the optimum sits in the scalar grid's first cell, [0, 39.06]; the first "
-        "secant step lands beside 39.06, where the slope is -3e-15, the Newton stop "
-        "accepts it, and the grid point 19.53 wins (ROADMAP item 6)",
-    )
     def test_one_parameter_optimum_holds_at_a_large_bound(self):
+        # the optimum sits in the scalar grid's first cell, [0, 39.06], where
+        # the slope at the far end is -3e-15; the first two cells are
+        # tabulated again until the maximum leaves them
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
         default = optimize_uniform(spec, SPD).best_p1  # 0.577 at a mean of 0.993
         wide = optimize_uniform(spec, SPD, OptimizerSettings(lambda_upper=1e4)).best_p1
         assert abs(wide - default) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "upper,p1_tol",
+        [(300.0, 1e-14), (1e4, 1e-14), (1e8, 1e-14), (1e10, 1e-6), (1e11, 1e-4), (1e12, 1e-2)],
+    )
+    @pytest.mark.parametrize("mode", ["uniform", "scaled-reference"])
+    @pytest.mark.parametrize("source", ["poisson", "thermal"])
+    def test_one_parameter_optimum_holds_at_very_large_bounds(self, source, mode, upper, p1_tol):
+        # the mean is resolved to the root's tolerance, 1e-12 of the bound,
+        # so from 1e10 P1 falls short by about the square of that; at 1e11
+        # the cells of the last grid must get narrower than the tolerance
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source=source)
+        (default,) = optimize_sizes(spec, SPD, [3], mode=mode)
+        (wide,) = optimize_sizes(spec, SPD, [3], OptimizerSettings(lambda_upper=upper), mode)
+        lam, lam_default = wide.best_pump.lambdas[0], default.best_pump.lambdas[0]
+        assert abs(lam - lam_default) <= 1e-12 * upper
+        assert abs(wide.best_p1 - default.best_p1) <= p1_tol
 
     @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
     def test_per_unit_search_refuses(self, source, upper):

@@ -11,6 +11,8 @@ from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from asmux.optimize import (
     OptimizationMode,
     OptimizerSettings,
+    _capped_cells,
+    _Chain,
     find_optimal_n,
     optimize_sizes,
 )
@@ -276,3 +278,81 @@ def test_one_photon_terms_at_edge_cells(family, key):
         assert t[:, 2].tolist() == [0.0, 0.0]
         # a lossless arm delivers one photon from exactly one pair
         assert t[0, 3] == pytest.approx(v_d * single * one_pair, rel=1e-15, abs=0.0)
+
+
+ONE_CALL_DETECTION = st.sampled_from(["spd", "thd", "upto:2", "set:1,3", "set:2,28"]).map(
+    DetectionStrategy.parse
+)
+# Poisson means at and past 700 take the closed forms' log path
+ONE_CALL_MEAN = st.one_of(st.floats(0.0, 5.0), st.floats(700.0, 2000.0))
+
+
+def _arms(data, n: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["poisson", "thermal"]),
+    ONE_CALL_DETECTION,
+    st.floats(0.3, 1.0),
+    st.lists(ONE_CALL_MEAN, min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.booleans(),
+    st.data(),
+)
+def test_one_photon_terms_over_joined_arms_match_separate_calls(
+    family, strategy, v_d, lams, n, slope, data
+):
+    # the one-parameter searches read the through arms and the last arms in
+    # one call: as columns of one row shared by every mean (the grid), or
+    # of one row per mean whose last column is that mean's own last arm
+    lam = np.array(lams)
+    through, own = _arms(data, n), _arms(data, lam.size)
+    last = _arms(data, data.draw(st.integers(1, 4)))
+
+    def terms(lam, v):
+        return np.stack(one_photon_terms(family, strategy, v_d, lam, v, slope))
+
+    apart = terms(lam[:, None], through)
+    joined = terms(lam[:, None], np.concatenate([through, last]))
+    assert _bits(joined[..., :n], joined[..., n:]) == _bits(apart, terms(lam[:, None], last))
+    rows = np.empty((lam.size, n + 1))
+    rows[:, :-1] = through
+    rows[:, -1] = own
+    joined = terms(lam[:, None], rows)
+    assert _bits(joined[..., :n], joined[..., n]) == _bits(apart, terms(lam, own))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["poisson", "thermal"]),
+    ONE_CALL_DETECTION,
+    st.sampled_from([0.3, 5.0, 2000.0]),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.booleans(),
+    st.data(),
+)
+def test_capped_cells_over_arm_rows_match_one_call_per_column(
+    family, strategy, upper, lanes, cols, slope, data
+):
+    # one row of arms per scalar, with cells past the bound and cells not live
+    spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1, source=family)
+    mode = OptimizationMode.SCALED_REFERENCE
+    chain = _Chain(spec, strategy, OptimizerSettings(upper), np.array([1]), mode)
+    xs = np.array(data.draw(st.lists(st.floats(0.0, upper), min_size=lanes, max_size=lanes)))
+    v = _arms(data, lanes * cols).reshape(lanes, cols)
+    flags = st.lists(st.booleans(), min_size=lanes * cols, max_size=lanes * cols)
+    live = np.array(data.draw(flags)).reshape(lanes, cols)
+    capped = chain.terms(upper, v)[1][0]
+    rows = _capped_cells(chain, xs[:, None], v, capped, live, slope)
+    columns = zip(
+        *(_capped_cells(chain, xs, v[:, j], capped[:, j], live[:, j], slope) for j in range(cols))
+    )
+    for got, want in zip(rows, columns):
+        assert _bits(got) == _bits(np.stack(want, axis=-1))
