@@ -43,11 +43,12 @@ every size.
   last arm on the grid, each lane's own in the root solve.  Every cell
   is evaluated on its own, so a cell's bits do not depend on the cells
   beside it.  A rescaled mean grows along the chain and is capped at
-  the upper bound, so every capped cell shares the values on the bound,
-  which only the scaled-reference mode builds, and adds no slope; only
-  the other cells are evaluated, and its refinement of a size reads only
-  the arms of that size.  No batch reads an arm past the last arm of its
-  largest size.  A root of the slope moves with rounding by about
+  the upper bound, where it adds no slope.  Only a scaled-reference grid
+  skips the capped cells, in its one call: it evaluates the cells below
+  the bound, then each arm once on the bound, whose values the arm's
+  capped cells share.  A slope call evaluates every arm of its batch in
+  either mode.  No batch reads an arm past the last arm of its largest
+  size.  A root of the slope moves with rounding by about
   eps |f'| / |f''|, so the optimum does not depend on which sizes share
   a batch.
 
@@ -66,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -264,8 +265,8 @@ class _Chain:
     ``v_through`` holds the transmissions of the arms 1..n_max-1 that pass
     a router's through port, ``v_last`` that of the last arm of each size
     in ``sizes``, from the arm law ``transmission_vector`` reads.  Unit values
-    are closed forms (:meth:`terms`); the scaled-reference mode, ``scaled``,
-    also reads the values on the upper bound, ``capped``, built on first read.
+    are closed forms, read through :meth:`terms` only; ``scaled`` marks the
+    scaled-reference mode.
     """
 
     def __init__(
@@ -284,17 +285,6 @@ class _Chain:
         self.upper = settings.lambda_upper
         through, last = _arms(spec, int(sizes[-1]))
         self.v_through, self.v_last = through[:-1], last[sizes - 1]
-
-    @cached_property
-    def capped(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """Values at a mean on the upper bound, for the scaled-reference search.
-
-        The no-admission value, and the one-photon values of the through
-        arms and of the last arms.
-        """
-        admit, t = self.terms(self.upper, np.concatenate([self.v_through, self.v_last]))
-        t_through, t_last = np.split(t[0], [self.v_through.size])
-        return 1.0 - float(admit[0, 0]), t_through, t_last
 
     def terms(self, lam: np.ndarray, v: np.ndarray, slope: bool = False):
         """:func:`~asmux.statistics.one_photon_terms` of this chain's units."""
@@ -433,45 +423,27 @@ def _rescaled(x: np.ndarray, v: np.ndarray, upper: float) -> np.ndarray:
     return np.where(x > 0.0, np.minimum(lam, upper), 0.0)
 
 
-def _capped_cells(
-    chain: _Chain,
-    x: np.ndarray,
-    v: np.ndarray,
-    capped: np.ndarray,
-    live: np.ndarray | None = None,
-    slope: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """No-admission and one-photon values of rescaled cells.
+def _capped_cells(chain: _Chain, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """No-admission and one-photon values of the scaled-reference grid's cells.
 
-    ``x``, ``v``, ``capped`` and ``live`` broadcast to the cells' shape:
-    a cell is an arm that transmits ``v``, at mean ``x / v`` (see
-    :func:`_rescaled`), and ``capped`` is its one-photon value on the
-    upper bound (see ``_Chain.capped``).  Arms may be one row shared by
-    every scalar, or one row per scalar.  Cells on the bound share the
-    values there; only the other ``live`` cells are evaluated, in one
-    closed-form call (:func:`~asmux.statistics.one_photon_terms`), so no
-    cell needs a pmf row.  Cells that are not live get the capped values
-    and must go unread.  Each result has a leading axis holding the
-    values and, with ``slope``, their derivatives in ``x``: zero on the
-    bound and on an arm that transmits nothing.
+    A cell is an arm of the row ``v``, shared by every scalar of the
+    column ``x``, at mean ``x / v`` (see :func:`_rescaled`).  The cells
+    on the upper bound share their arm's values there, so one closed-form
+    call (:func:`~asmux.statistics.one_photon_terms`) evaluates the cells
+    below the bound and, after them, each arm once on the bound.  Each
+    result has a leading axis of one, which holds the values.
     """
     lam = _rescaled(x, v, chain.upper)
-    free = lam < chain.upper
-    if live is not None:
-        free &= live
-    cells = free.nonzero()
-    v = np.broadcast_to(v, lam.shape)[cells]
-    admit, t_free = chain.terms(lam[cells], v, slope)
-    quiet = np.zeros((1 + slope,) + lam.shape)
-    t = np.zeros((1 + slope,) + lam.shape)
-    quiet[0] = chain.capped[0]
-    t[0] = capped
-    quiet[0][cells] = 1.0 - admit[0]
-    t[0][cells] = t_free[0]
-    if slope:
-        rate = np.divide(1.0, v, out=np.zeros(v.shape), where=v > 0.0)  # d lam / dx
-        quiet[1][cells] = -rate * admit[1]
-        t[1][cells] = rate * t_free[1]
+    cells = (lam < chain.upper).nonzero()
+    free = cells[0].size
+    admit, t_all = chain.terms(
+        np.append(lam[cells], np.full(v.size, chain.upper)), np.append(v[cells[1]], v)
+    )
+    quiet, t = np.empty((2, 1) + lam.shape)
+    quiet[0] = 1.0 - admit[0, free:]
+    t[0] = t_all[0, free:]
+    quiet[0][cells] = 1.0 - admit[0, :free]
+    t[0][cells] = t_all[0, :free]
     return quiet, t
 
 
@@ -498,33 +470,29 @@ def _scalar_p1_batch(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None) -> 
     # One closed-form call reads them and, in the columns after them, the
     # last arms: every size's, or each lane's own.
     slope = cols is not None
-    if not slope:  # every size
+    if not slope:  # every size, on one row of arms shared by every scalar
         rows, pick = np.arange(xs.size)[:, None], np.arange(chain.sizes.size)
-    else:  # xs[i] at size sizes[cols[i]], which reads the arms before its last only
+    else:  # xs[i] at size sizes[cols[i]], on a row of arms of its own
         rows, pick = np.arange(xs.size), cols
     at = chain.sizes[pick] - 1
     n_through = int(at.max())  # no arm past the largest size's is read
-
-    def columns(through: np.ndarray, last: np.ndarray) -> np.ndarray:
-        if not slope:
-            return np.concatenate([through[:n_through], last[pick]])
-        out = np.empty((xs.size, n_through + 1))
-        out[:, :-1] = through[:n_through]
-        out[:, -1] = last[pick]
-        return out
-
-    v = columns(chain.v_through, chain.v_last)
-    if chain.scaled:
-        _, capped, capped_last = chain.capped
-        live = None
-        if slope:  # a lane's through arms up to its size's last, and its last arm
-            live = np.arange(n_through + 1) < at[:, None]
-            live[:, -1] = True
-        quiet, t = _capped_cells(chain, xs[:, None], v, columns(capped, capped_last), live, slope)
-    else:  # mean x on every arm, so d lam / dx = 1
-        admit, t = chain.terms(xs[:, None], v, slope)
+    if not slope:
+        v = np.concatenate([chain.v_through[:n_through], chain.v_last[pick]])
+    else:
+        v = np.empty((xs.size, n_through + 1))
+        v[:, :-1] = chain.v_through[:n_through]
+        v[:, -1] = chain.v_last[pick]
+    if chain.scaled and not slope:
+        quiet, t = _capped_cells(chain, xs[:, None], v)
+    else:  # every cell at its own mean
+        lam = _rescaled(xs[:, None], v, chain.upper) if chain.scaled else xs[:, None]
+        admit, t = chain.terms(lam, v, slope)
         quiet = -admit
         quiet[0] += 1.0
+        if chain.scaled:  # d lam / dx: 1 / v below the bound where v > 0, and 0 elsewhere
+            rate = np.divide(1.0, v, out=np.zeros(v.shape), where=(lam < chain.upper) & (v > 0.0))
+            quiet[1] *= rate
+            t[1] *= rate
     t_last = t[..., n_through] if slope else t[..., n_through:]
     t, quiet = t[..., :n_through], quiet[..., :n_through]
     head, prefix = _chain(quiet[0], t[0])
@@ -730,7 +698,8 @@ def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
     settings = settings or OptimizerSettings()
     mode = OptimizationMode.coerce(mode)
     sizes = list(sizes)
-    if not sizes or not 1 <= min(sizes) <= max(sizes) < _COUNT_LIMIT:
+    whole = all(isinstance(n, (int, np.integer)) for n in sizes)  # as MultiplexerSpec's n_units
+    if not (sizes and whole and 1 <= min(sizes) <= max(sizes) < _COUNT_LIMIT):
         raise ParameterError(f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})")
     sizes = np.unique(np.asarray(sizes, dtype=int))
     chain = _Chain(spec, strategy, settings, sizes, mode)
@@ -815,7 +784,7 @@ def find_optimal_n(
     whose optimum comes within ``threshold`` of it.  ``spec.n_units`` is
     ignored; the scan sets its own sizes.
     """
-    if not 2 <= int(n_ref) < _COUNT_LIMIT:
+    if not isinstance(n_ref, (int, np.integer)) or not 2 <= n_ref < _COUNT_LIMIT:
         raise ParameterError(f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}")
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")

@@ -7,6 +7,9 @@ operations in another order, may round differently in the last bit, and
 a reported P1 or distribution would then no longer re-evaluate to
 itself.  So only ``_count_pmf`` and ``_binom_pmf`` read the log-factorial
 table, and only ``_chain`` calls ``cumprod``.
+
+The optimizer reads its closed forms through ``_Chain.terms`` only, so
+the count of its calls per P1 batch sees every evaluation.
 """
 import ast
 from pathlib import Path
@@ -16,6 +19,8 @@ import asmux
 PACKAGE = Path(asmux.__file__).resolve().parent
 CUMPROD = ({"cumprod", "nancumprod"}, {"_chain"})
 LOG_FACTORIALS = ({"_log_factorials"}, {"_count_pmf", "_binom_pmf"})
+# in optimize.py: its import, and the one method that calls it
+EVALUATOR = ({"one_photon_terms"}, ["<module>", "_Chain.terms"])
 
 
 def _name(node):
@@ -30,11 +35,17 @@ def _name(node):
 def mentions(source: str, spellings: set[str]) -> list[tuple[str, int]]:
     """(top-level definition, line) of each read or import of a name in ``spellings``.
 
+    A method of a top-level class is its own definition, ``Class.method``.
     ``multiply.accumulate`` is spelled ``cumprod``.
     """
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
+        methods = {}
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.update((id(node), f"{owner}.{item.name}") for node in ast.walk(item))
         for node in ast.walk(top):
             if isinstance(node, ast.alias):
                 name = node.name
@@ -43,7 +54,7 @@ def mentions(source: str, spellings: set[str]) -> list[tuple[str, int]]:
             else:
                 name = _name(node)
             if name in spellings:
-                found.append((owner, node.lineno))
+                found.append((methods.get(id(node), owner), node.lineno))
     return found
 
 
@@ -69,6 +80,11 @@ def test_only_the_count_law_and_the_binomial_read_the_log_factorials():
     assert {owner for owner, _ in mentions(statistics, LOG_FACTORIALS[0])} == LOG_FACTORIALS[1]
 
 
+def test_only_the_chain_calls_the_closed_forms_in_the_optimizer():
+    optimize = (PACKAGE / "optimize.py").read_text()
+    assert sorted(owner for owner, _ in mentions(optimize, EVALUATOR[0])) == EVALUATOR[1]
+
+
 def test_the_check_sees_each_spelling():
     cumprods = [
         "prefix = np.cumprod(quiet, axis=1)",
@@ -91,5 +107,12 @@ def test_the_check_sees_each_spelling():
     ]
     for copy in tables:
         assert mentions(copy, LOG_FACTORIALS[0]) == [("<module>", 1)], copy
+    for method, body in (
+        ("terms", "return one_photon_terms(lam, v)"),
+        ("capped", "return statistics.one_photon_terms(lam, v)"),
+        ("terms", "return one_photon_terms"),
+    ):
+        copy = f"class _Chain:\n    def {method}(self):\n        {body}\n"
+        assert mentions(copy, EVALUATOR[0]) == [(f"_Chain.{method}", 3)], copy
     clean = "np.cumsum(q)\nnp.multiply.outer(a, b)\nnp.add.accumulate(q)\n_log_factorial_table"
     assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0]) == []

@@ -445,46 +445,33 @@ class TestWork:
 
     @pytest.mark.parametrize("mode", ["uniform", "scaled-reference"])
     def test_one_closed_form_call_per_p1_batch(self, monkeypatch, mode):
-        # the through arms and the last arms share one call: one_photon_terms
-        # (uniform) or _capped_cells (scaled-reference); a scaled-reference
-        # search's first batch also builds the values on the bound
+        # the through arms and the last arms share one one_photon_terms call,
+        # on the grid and in the root solve alike
         batches = []
-        counts = {"_capped_cells": 0, "one_photon_terms": 0}
+        calls = [0]
+        terms = asmux.optimize.one_photon_terms
 
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def count(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, count)
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return terms(*args, **kwargs)
 
         batch = asmux.optimize._scalar_p1_batch
 
         def recording(chain, xs, cols):
-            before = dict(counts)
+            before = calls[0]
             out = batch(chain, xs, cols)
-            capped, terms = (counts[name] - before[name] for name in counts)
-            batches.append((cols is not None, capped, terms))
+            batches.append((cols is not None, calls[0] - before))
             return out
 
-        counting(asmux.optimize, "one_photon_terms")
-        counting(asmux.optimize, "_capped_cells")
+        monkeypatch.setattr(asmux.optimize, "one_photon_terms", counting)
         monkeypatch.setattr(asmux.optimize, "_scalar_p1_batch", recording)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1)
         for key in ("spd", "upto:2"):
             for sizes in ([7], range(1, 101)):  # the grid of 100 sizes takes several batches
                 batches.clear()
                 optimize_sizes(spec, DetectionStrategy.parse(key), sizes, mode=mode)
-                assert {slope for slope, *_ in batches} == {False, True}
-                capped, terms = np.array([calls for _, *calls in batches]).T
-                if mode == "uniform":
-                    assert capped.tolist() == [0] * len(batches)
-                    assert terms.tolist() == [1] * len(batches)
-                else:
-                    assert capped.tolist() == [1] * len(batches)
-                    assert terms.tolist() == [2] + [1] * (len(batches) - 1)
+                assert {slope for slope, _ in batches} == {False, True}
+                assert [n for _, n in batches] == [1] * len(batches)
 
     def test_slope_root_ends_a_lane_at_an_exact_root(self, monkeypatch):
         # a secant step that lands on a zero slope ends its lane; bisecting
@@ -684,9 +671,11 @@ class TestFindOptimalN:
         assert per_unit.p1_max >= uniform.p1_max - 1e-6
 
     def test_n_ref_validation(self):
+        # a float or a string was truncated or parsed: 7.9 searched sizes 1-7
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
-        with pytest.raises(ParameterError):
-            find_optimal_n(spec, SPD, n_ref=1)
+        for n_ref in (1, 7.9, np.float64(5.0), "5"):
+            with pytest.raises(ParameterError, match="n_ref must be in"):
+                find_optimal_n(spec, SPD, n_ref=n_ref)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
     def test_threshold_validation(self, monkeypatch, threshold):
@@ -1091,8 +1080,12 @@ class TestSettingsValidation:
                     assert dist.probs[1] == report.best_p1
                     assert max(pump.lambdas) <= TINY
 
-    # past numpy's index range (2**63 - 1 on 64 bits) a size used to raise OverflowError
-    @pytest.mark.parametrize("sizes", [[], [0, 3], [3, 10**20], [-(10**20)], [2**63 - 1]])
+    # past numpy's index range (2**63 - 1 on 64 bits) a size used to raise OverflowError;
+    # a float was truncated (2.5 searched size 2), and a string raised a bare TypeError
+    @pytest.mark.parametrize(
+        "sizes",
+        [[], [0, 3], [3, 10**20], [-(10**20)], [2**63 - 1], [2.5], [np.float64(3.7)], ["3"]],
+    )
     def test_sizes_must_be_positive_and_nonempty(self, sizes):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError, match="sizes must be a nonempty set"):

@@ -11,8 +11,9 @@ from asmux.multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
 from asmux.optimize import (
     OptimizationMode,
     OptimizerSettings,
-    _capped_cells,
     _Chain,
+    _rescaled,
+    _scalar_p1,
     find_optimal_n,
     optimize_sizes,
 )
@@ -328,31 +329,35 @@ def test_one_photon_terms_over_joined_arms_match_separate_calls(
     assert _bits(joined[..., :n], joined[..., n]) == _bits(apart, terms(lam, own))
 
 
-@PROPERTY
-@given(
-    st.sampled_from(["poisson", "thermal"]),
-    ONE_CALL_DETECTION,
-    st.sampled_from([0.3, 5.0, 2000.0]),
-    st.integers(1, 4),
-    st.integers(1, 5),
-    st.booleans(),
-    st.data(),
-)
-def test_capped_cells_over_arm_rows_match_one_call_per_column(
-    family, strategy, upper, lanes, cols, slope, data
-):
-    # one row of arms per scalar, with cells past the bound and cells not live
-    spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1, source=family)
-    mode = OptimizationMode.SCALED_REFERENCE
-    chain = _Chain(spec, strategy, OptimizerSettings(upper), np.array([1]), mode)
-    xs = np.array(data.draw(st.lists(st.floats(0.0, upper), min_size=lanes, max_size=lanes)))
-    v = _arms(data, lanes * cols).reshape(lanes, cols)
-    flags = st.lists(st.booleans(), min_size=lanes * cols, max_size=lanes * cols)
-    live = np.array(data.draw(flags)).reshape(lanes, cols)
-    capped = chain.terms(upper, v)[1][0]
-    rows = _capped_cells(chain, xs[:, None], v, capped, live, slope)
-    columns = zip(
-        *(_capped_cells(chain, xs, v[:, j], capped[:, j], live[:, j], slope) for j in range(cols))
-    )
-    for got, want in zip(rows, columns):
-        assert _bits(got) == _bits(np.stack(want, axis=-1))
+@pytest.mark.parametrize("family", ["poisson", "thermal"])
+@pytest.mark.parametrize("mode", [OptimizationMode.UNIFORM, OptimizationMode.SCALED_REFERENCE])
+def test_slope_calls_read_the_grid_values(family, mode):
+    # a slope call evaluates every arm of its lanes at the lane's means; a
+    # scaled-reference grid reads each capped cell from its arm's values on
+    # the bound.  Both give the same P1 bit for bit, and a lane whose every
+    # arm is on the bound has a slope of exactly 0.
+    sizes = np.array([1, 2, 3, 7, 12])
+    cols = np.arange(sizes.size)
+    for key in ("spd", "thd", "upto:2", "set:1,3", "set:2,28"):
+        strategy = DetectionStrategy.parse(key)
+        # every arm open; every arm past the first blocked; every arm blocked
+        for v_r, v_b in ((0.9, 0.8), (0.0, 0.8), (0.9, 0.0)):
+            spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=0.85, n_units=1, source=family)
+            for upper in (0.3, 5.0, 2000.0, 1e8):
+                chain = _Chain(spec, strategy, OptimizerSettings(upper), sizes, mode)
+                # grid points, a tiny scalar, and the kinks where an arm reaches the bound
+                kinks = upper * np.concatenate([chain.v_through, chain.v_last])
+                xs = np.concatenate([np.linspace(0.0, upper, 9), [1e-12 * upper], kinks])
+                table = _scalar_p1(chain, xs)
+                lanes = _scalar_p1(chain, np.repeat(xs, sizes.size), np.tile(cols, xs.size))
+                assert _bits(lanes[:, 0]) == _bits(table.reshape(-1)), (key, v_r, v_b, upper)
+                if mode is OptimizationMode.SCALED_REFERENCE:
+                    arms = [
+                        np.append(chain.v_through[: n - 1], last)
+                        for n, last in zip(sizes, chain.v_last)
+                    ]
+                    on_bound = np.array(
+                        [np.all(_rescaled(x, v, upper) == upper) for x in xs for v in arms]
+                    )
+                    assert on_bound.any()  # x = upper puts every arm on the bound
+                    assert np.all(lanes[on_bound, 1] == 0.0), (key, v_r, v_b, upper)
