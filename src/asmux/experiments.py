@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import ParameterError
-from .multiplexer import MultiplexerSpec, _COUNT_LIMIT
+from .multiplexer import MultiplexerSpec, _COUNT_LIMIT, _integer
 from .optimize import (
     OptimizationMode,
     OptimizationReport,
@@ -248,9 +248,10 @@ def fixed_n_curve(
     Each mode solves all sizes in one pass.  Rows are ordered mode-major,
     then by size.
     """
-    sizes = sorted(int(n) for n in n_range)
-    if not sizes or sizes[0] < 1:
-        raise ParameterError("n_range must contain positive sizes")
+    message = "n_range must contain positive sizes"
+    sizes = [_integer(n, 1, math.inf, message) for n in n_range]
+    if not sizes:
+        raise ParameterError(message)
     rows: list[ResultRow] = []
     for mode in modes:
         reports = optimize_sizes(spec, strategy, sizes, settings, mode)

@@ -7,10 +7,13 @@ unit's arm.  Trials are independent and identically distributed, so
 only the number of trials in each group matters, never which trials
 they are: every stage is drawn as binomial splits of group counts
 (Davis, "The computer generation of multinomial random variates",
-CSDA 16, 1993).  Frequencies of the output photon number estimate the
-same distribution the analytic model computes, so the two
-implementations validate each other.  A pump bright enough that a
-unit may draw 2048 pairs or more is refused before any draw.
+CSDA 16, 1993).  A large thinning layer is one array ``binomial`` call
+and a small one is one scalar call per nonzero cell, in the order the
+array call would draw them; both draw the same stream.
+Frequencies of the output photon number estimate the same distribution
+the analytic model computes, so the two implementations validate each
+other.  A pump bright enough that a unit may draw 2048 pairs or more is
+refused before any draw.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ParameterError, TruncationError
-from .multiplexer import MultiplexerSpec, SourceFamily, transmission_vector
+from .exceptions import TruncationError
+from .multiplexer import MultiplexerSpec, SourceFamily, _integer, transmission_vector
 from .statistics import (
     DetectionStrategy,
     PumpProfile,
@@ -47,6 +50,20 @@ _COUNT_SLACK = 10.0
 _MAX_PAIR_GROUPS = 2048
 # largest chance allowed that some trial needs more groups than that
 _WALK_RISK = 2.0**-20
+# nonzero cells of a thinning layer at which _thin starts to draw one cell
+# at a time.  Measured with numpy 2.4.6 on 2 vCPUs: an array binomial call
+# costs 6.6-7.1 us at 1 to 8 cells (its argument checks; 13 us in the
+# machine's slow phase), and an array layer with its count and two updates
+# 11 us; a scalar call costs 0.5 us, about 0.7 us with the list walk's own
+# steps.  So an array layer costs about 16 scalar draws.  The switch is one
+# way, and a layer may draw up to twice the cells of the one before, so it
+# sits at half that; whole walks timed at 4, 8, 16, 32 and 64 were fastest
+# at 8.
+_SCALAR_LAYER_DRAWS = 8
+# below-cap cells of a layer beyond which _thin does not switch: the table's
+# round trip through lists grows with its size (4.6 us at 49 cells, 15 us at
+# 253, 99 us at 598), and at this size costs about one array layer (13.5 us)
+_SCALAR_WALK_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -62,16 +79,15 @@ class McSettings:
     max_count: int = 10
 
     def __post_init__(self) -> None:
-        if not 1_000 <= int(self.trials) <= _MAX_TRIALS:
-            raise ParameterError(
-                f"trials must be in [1000, {_MAX_TRIALS}], got {self.trials}"
-            )
-        if int(self.seed) < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if int(self.max_count) < 1:
-            raise ParameterError(f"max_count must be >= 1, got {self.max_count}")
-        for name in ("trials", "seed", "max_count"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        trials = f"trials must be in [1000, {_MAX_TRIALS}], got {self.trials}"
+        seed = f"seed must be >= 0, got {self.seed}"
+        max_count = f"max_count must be >= 1, got {self.max_count}"
+        for name, low, high, message in (
+            ("trials", 1_000, _MAX_TRIALS + 1, trials),
+            ("seed", 0, math.inf, seed),  # a seed selects a frozen stream
+            ("max_count", 1, math.inf, max_count),
+        ):
+            object.__setattr__(self, name, _integer(getattr(self, name), low, high, message))
 
 
 @dataclass(eq=False, slots=True)
@@ -162,17 +178,53 @@ def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> n
     The walk stops at the first layer with no trial below the cap: every
     later layer would be ``binomial(0, p)``, which draws nothing from
     ``rng``, so the counts and the stream are those of the full walk.
+
+    A layer with more than ``_SCALAR_LAYER_DRAWS`` nonzero cells below
+    the cap, or more than ``_SCALAR_WALK_CELLS`` cells, is one array
+    ``binomial`` call.  From the first layer with at most that many of
+    each, the walk goes on in Python lists, one scalar call per nonzero
+    cell, which skips the array call's fixed cost.  The array call runs
+    the same routine on each cell in C order (row, then kept count) from
+    the counts before the layer, and draws nothing for an empty cell; the
+    scalar walk keeps that order and those counts, so the table and the
+    stream are the same.
     """
     table = np.zeros((groups.size, cap + 1), dtype=np.int64)
     table[:, 0] = groups
-    for photon in range(groups.size - 1):
-        below_cap = table[photon + 1 :, :cap]
-        if not np.count_nonzero(below_cap):
+    first = 1  # layer j covers the rows first = j + 1 onwards
+    while first < groups.size:
+        below_cap = table[first:, :cap]
+        draws = np.count_nonzero(below_cap)
+        if not draws:
+            return table
+        if draws <= _SCALAR_LAYER_DRAWS and below_cap.size <= _SCALAR_WALK_CELLS:
             break
         moved = rng.binomial(below_cap, p)
         below_cap -= moved
-        table[photon + 1 :, 1:] += moved
-    return table
+        table[first:, 1:] += moved
+        first += 1
+    else:
+        return table
+    # the rest one cell at a time, over the rows that still hold a trial
+    # below the cap; along a row, each cell is read before the trials
+    # moved out of the cell to its left land in it
+    binomial = rng.binomial
+    rows = table.tolist()
+    live = [photons for photons in range(first, groups.size) if any(rows[photons][:cap])]
+    while live:
+        top = min(first, cap)  # no trial has kept more photons than the walk has passed
+        for photons in live:
+            row = rows[photons]
+            moved = 0
+            for kept in range(top):
+                n = row[kept]
+                drawn = binomial(n, p) if n else 0
+                row[kept] = n - drawn + moved
+                moved = drawn
+            row[top] += moved
+        first += 1
+        live = [photons for photons in live if photons >= first and any(rows[photons][:cap])]
+    return np.array(rows, dtype=np.int64)
 
 
 def simulate(
@@ -197,10 +249,13 @@ def simulate(
     A unit walks one pair-number group per pair count up to the largest
     it draws.  Each thinning walk stops once no trial below its cap is
     left (:func:`_thin`): the detection walk a few photons past the
-    cap, the arm-loss walk at the last admitted group.  So on a bright
-    pump the pair histograms (:func:`_pair_histogram`) are most of the
-    cost.  A pump that may need more than 2048 groups
-    (:func:`_check_pair_groups`) raises
+    cap, the arm-loss walk at the last admitted group.  A walk draws its
+    large layers by one array call each and its small ones one cell at a
+    time, which skips the array call's fixed cost; on a dim pump, with a
+    few groups and a few nonzero cells per layer, most of the time is
+    those scalar draws.  On a bright pump the pair
+    histograms (:func:`_pair_histogram`) are most of the cost.  A pump
+    that may need more than 2048 groups (:func:`_check_pair_groups`) raises
     :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
     trials that admits thermal means up to about 58 and Poisson means up
     to about 1690; a thermal mean of 50 walks about 1050 to 1300 groups.

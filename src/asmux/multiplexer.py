@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+def _integer(value, low: int, high: float, message: str) -> int:
+    """``value`` as an ``int``, if it is an ``int`` or ``np.integer`` in [low, high).
+
+    Anything else raises :class:`ParameterError` with ``message``: a
+    float or a string is refused even when it holds a whole number, so
+    no count, size or seed is truncated or parsed into one the caller did
+    not pass.  A ``bool`` is an ``int`` and passes as 0 or 1.
+    """
+    if not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ParameterError(message)
+    return int(value)
+
+
 class SourceFamily(str, Enum):
     """Statistics family of the photon-pair generation in each unit."""
 
@@ -71,11 +84,8 @@ class MultiplexerSpec:
             if not 0.0 <= value <= 1.0:  # NaN fails too
                 raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.n_units, (int, np.integer)) or not 1 <= self.n_units < _COUNT_LIMIT:
-            raise ParameterError(
-                f"n_units must be an integer in [1, {_COUNT_LIMIT}), got {self.n_units!r}"
-            )
-        object.__setattr__(self, "n_units", int(self.n_units))
+        message = f"n_units must be an integer in [1, {_COUNT_LIMIT}), got {self.n_units!r}"
+        object.__setattr__(self, "n_units", _integer(self.n_units, 1, _COUNT_LIMIT, message))
         object.__setattr__(self, "source", SourceFamily.coerce(self.source))
 
     def with_units(self, n_units: int) -> "MultiplexerSpec":

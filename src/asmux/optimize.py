@@ -73,7 +73,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import ParameterError, TruncationError
-from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _arms
+from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _arms, _integer
 from .statistics import (
     DetectionStrategy,
     PumpProfile,
@@ -697,10 +697,10 @@ def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
     """:func:`optimize_sizes`, its reports kept as arrays until one is read."""
     settings = settings or OptimizerSettings()
     mode = OptimizationMode.coerce(mode)
-    sizes = list(sizes)
-    whole = all(isinstance(n, (int, np.integer)) for n in sizes)  # as MultiplexerSpec's n_units
-    if not (sizes and whole and 1 <= min(sizes) <= max(sizes) < _COUNT_LIMIT):
-        raise ParameterError(f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})")
+    message = f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})"
+    sizes = [_integer(n, 1, _COUNT_LIMIT, message) for n in sizes]
+    if not sizes:
+        raise ParameterError(message)
     sizes = np.unique(np.asarray(sizes, dtype=int))
     chain = _Chain(spec, strategy, settings, sizes, mode)
     if mode is OptimizationMode.PER_UNIT:
@@ -784,11 +784,10 @@ def find_optimal_n(
     whose optimum comes within ``threshold`` of it.  ``spec.n_units`` is
     ignored; the scan sets its own sizes.
     """
-    if not isinstance(n_ref, (int, np.integer)) or not 2 <= n_ref < _COUNT_LIMIT:
-        raise ParameterError(f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}")
+    n_ref = _integer(n_ref, 2, _COUNT_LIMIT, f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}")
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
-    reports = _search(spec, strategy, range(1, int(n_ref) + 1), settings, mode)
+    reports = _search(spec, strategy, range(1, n_ref + 1), settings, mode)
     p_by_n = reports.p1
     n_opt = int(np.argmax(p_by_n[-1] - p_by_n < threshold)) + 1
     return OptimalSizeResult(n_opt=n_opt, p1_max=float(p_by_n[n_opt - 1]), reports=reports)
@@ -808,8 +807,7 @@ def strategy_scan(
     soon as the achievable maximum drops below the previous ceiling's;
     threshold detection is always evaluated alongside.
     """
-    if int(max_accept) < 1:
-        raise ParameterError(f"max_accept must be >= 1, got {max_accept}")
+    max_accept = _integer(max_accept, 1, math.inf, f"max_accept must be >= 1, got {max_accept}")
 
     def search(strategy: DetectionStrategy) -> OptimalSizeResult:
         return find_optimal_n(
@@ -817,7 +815,7 @@ def strategy_scan(
         )
 
     results = [search(DetectionStrategy.accept_up_to(1))]
-    for j in range(2, int(max_accept) + 1):
+    for j in range(2, max_accept + 1):
         results.append(search(DetectionStrategy.accept_up_to(j)))
         if results[-1].p1_max < results[-2].p1_max:
             break

@@ -386,11 +386,21 @@ class TestCurvesAndDeltas:
         p1s = [r.p1 for r in rows]
         assert all(b >= a - 1e-3 for a, b in zip(p1s, p1s[1:]))
 
-    @pytest.mark.parametrize("n_range", [[], range(0), [0, 3], [-2]])
+    # a float size was truncated and a string parsed: [2.5, "3"] gave sizes 2 and 3
+    @pytest.mark.parametrize(
+        "n_range", [[], range(0), [0, 3], [-2], [2.5, "3"], [2.5], ["3"], [np.float64(3.0)]]
+    )
     def test_fixed_n_curve_refuses_sizes_that_are_not_positive(self, n_range):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError, match="n_range must contain positive sizes"):
             fixed_n_curve(spec, SPD, [OptimizationMode.PER_UNIT], n_range)
+
+    def test_fixed_n_curve_takes_numpy_integer_sizes_as_ints(self):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        ours = fixed_n_curve(spec, SPD, ["uniform"], [np.int64(3), np.uint8(2)])
+        plain = fixed_n_curve(spec, SPD, ["uniform"], [3, 2])
+        assert ours == plain
+        assert [type(r.n_units) for r in ours] == [int, int]
 
     def test_vb_crossover_refuses_a_bracket_that_does_not_straddle(self, monkeypatch):
         # single-photon detection wins at both ends of the bracket

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -275,11 +275,45 @@ def full_walk_thin(rng, groups, p, cap):
     return table
 
 
-# group vectors with empty groups inside and at the end
+def array_walk_thin(rng, groups, p, cap):
+    """Reference thinning: one array binomial call per layer, up to the first layer with no trial below the cap."""
+    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
+    table[:, 0] = groups
+    for photon in range(groups.size - 1):
+        below_cap = table[photon + 1 :, :cap]
+        if not np.count_nonzero(below_cap):
+            break
+        moved = rng.binomial(below_cap, p)
+        below_cap -= moved
+        table[photon + 1 :, 1:] += moved
+    return table
+
+
+class CountingDraws:
+    """A generator that counts its array and scalar ``binomial`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.array_calls, self.scalar_calls = np.random.default_rng(seed), 0, 0
+
+    def binomial(self, n, p):
+        if np.ndim(n):
+            self.array_calls += 1
+        else:
+            self.scalar_calls += 1
+        return self.rng.binomial(n, p)
+
+
+# group vectors with empty groups inside and at the end, dense or sparse, so
+# walks switch to scalar draws early, late or not at all
 GROUP_VECTORS = st.lists(
-    st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 10**7)), min_size=1, max_size=40
+    st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 2**40)), min_size=1, max_size=40
 ).map(lambda groups: np.array(groups, dtype=np.int64))
-KEEP_CHANCES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+KEEP_CHANCES = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+)
+DENSE = np.full(30, 1000, dtype=np.int64)  # 29 draws in the first layer: array calls first
+SPARSE = np.array([0, 4, 0, 0, 7, 0, 0, 0, 2], dtype=np.int64)  # scalar draws from the start
+WIDE = np.append(np.zeros(38, dtype=np.int64), [3, 5])  # 2 draws, but 468 cells at cap 12
 
 
 class TestThin:
@@ -299,18 +333,35 @@ class TestThin:
         # a skipped layer is binomial(0, p), which draws nothing
         assert ours.random() == reference.random()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        groups=GROUP_VECTORS,
+        p=KEEP_CHANCES,
+        cap=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(groups=DENSE, p=0.9, cap=3, seed=5)
+    @example(groups=DENSE, p=0.5, cap=12, seed=6)
+    @example(groups=SPARSE, p=0.5, cap=2, seed=7)
+    @example(groups=WIDE, p=0.5, cap=12, seed=8)
+    def test_same_table_and_stream_as_the_array_walk(self, groups, p, cap, seed):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_thin(ours, groups, p, cap), array_walk_thin(reference, groups, p, cap))
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "groups,cap,array_calls", [(DENSE, 3, True), (SPARSE, 3, False), (WIDE, 12, True)]
+    )
+    def test_examples_reach_both_sides_of_the_crossover(self, groups, cap, array_calls):
+        rng = CountingDraws(5)
+        _thin(rng, groups, 0.5, cap)
+        assert bool(rng.array_calls) is array_calls
+        assert rng.scalar_calls > 0
+
     def test_stops_at_the_first_layer_without_a_trial_below_the_cap(self):
-        class Counting:
-            def __init__(self):
-                self.rng, self.layers = np.random.default_rng(3), 0
-
-            def binomial(self, n, p):
-                self.layers += 1
-                return self.rng.binomial(n, p)
-
-        rng = Counting()
+        rng = CountingDraws(3)
         _thin(rng, np.array([0, 5, 0, 0, 0, 0, 0]), 1.0, 1)
-        assert rng.layers == 1
+        assert rng.array_calls + rng.scalar_calls == 1
 
 
 def stream_digest(result):
@@ -341,6 +392,9 @@ FROZEN_CORPUS_DIGESTS = (
     "7f562ed804f4ddb13f068747a44a3afa90e9359192c56a0f8a7230f375753b60",
     "d0efc09bc92be01cf221aed868310628e34f61510994df12aba657a9eddc3659",
 )
+# mc-oracle's anchor case: 32 units, upto:2, mean 1.0 on every unit; recorded
+# with one array call per thinning layer, its seed fixed before the first run
+FROZEN_MANY_UNITS_DIGEST = "8c42975d979c83b0774d33319447ed402a4d7906c1ae430f3bb08ba3d4ce28a9"
 FROZEN_BRIGHT_DIGESTS = {
     ("thermal", 14.0): "ba76ffe59f93ec11a6d3246df4a3729cf1a0adf48563c033558d3ebb4c5e9888",
     ("poisson", 150.0): "393ef6038daa132f5ce416b0d39265fc107ddcc15ab3555ae5eeba8aa13f03a4",
@@ -355,6 +409,12 @@ class TestFrozenStreams:
         spec, pump, strategy, seed = corpus_case(VALIDATION_CORPUS[index])
         result = simulate(spec, pump, strategy, McSettings(trials=1_000_000, seed=seed))
         assert stream_digest(result) == FROZEN_CORPUS_DIGESTS[index]
+
+    def test_many_units(self):
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.90, v_d=0.98, n_units=32)
+        pump, strategy = PumpProfile.uniform(1.0, 32), DetectionStrategy.parse("upto:2")
+        result = simulate(spec, pump, strategy, McSettings(trials=200_000, seed=3232))
+        assert stream_digest(result) == FROZEN_MANY_UNITS_DIGEST
 
     @pytest.mark.parametrize("source,lam", list(FROZEN_BRIGHT_DIGESTS))
     def test_bright_pump(self, source, lam):
@@ -583,3 +643,33 @@ class TestMcSettings:
         McSettings(trials=2**63 - 1)
         with pytest.raises(ParameterError, match="trials"):
             McSettings(trials=2**63)
+
+    # each was truncated or parsed: 1500.7 ran 1500 trials, seed 2.5 ran the
+    # stream of seed 2, "7" that of seed 7, and max_count 2.5 kept 2 buckets
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("trials", 1500.7),
+            ("trials", 2000.0),
+            ("trials", "2000"),
+            ("seed", 2.5),
+            ("seed", "7"),
+            ("seed", np.float64(7.0)),
+            ("seed", math.nan),
+            ("max_count", 2.5),
+            ("max_count", "3"),
+        ],
+    )
+    def test_only_integers_accepted(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be"):
+            McSettings(**{name: value})
+
+    def test_numpy_integers_draw_the_same_stream(self):
+        spec, pump, strategy, seed = corpus_case(VALIDATION_CORPUS[2])
+        plain = McSettings(trials=20_000, seed=seed, max_count=4)
+        ours = McSettings(trials=np.int64(20_000), seed=np.uint32(seed), max_count=np.int8(4))
+        assert ours == plain
+        assert {type(getattr(ours, name)) for name in ("trials", "seed", "max_count")} == {int}
+        assert stream_digest(simulate(spec, pump, strategy, ours)) == stream_digest(
+            simulate(spec, pump, strategy, plain)
+        )

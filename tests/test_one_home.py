@@ -10,6 +10,10 @@ table, and only ``_chain`` calls ``cumprod``.
 
 The optimizer reads its closed forms through ``_Chain.terms`` only, so
 the count of its calls per P1 batch sees every evaluation.
+
+The sampler draws only in ``_pair_histogram`` and ``_thin``, so the
+frozen stream digests and the property test of the thinning walk see
+every draw site.
 """
 import ast
 from pathlib import Path
@@ -21,6 +25,8 @@ CUMPROD = ({"cumprod", "nancumprod"}, {"_chain"})
 LOG_FACTORIALS = ({"_log_factorials"}, {"_count_pmf", "_binom_pmf"})
 # in optimize.py: its import, and the one method that calls it
 EVALUATOR = ({"one_photon_terms"}, ["<module>", "_Chain.terms"])
+# in montecarlo.py: the pair histogram and the thinning walk
+DRAWS = ({"binomial"}, {"_pair_histogram", "_thin"})
 
 
 def _name(node):
@@ -85,6 +91,11 @@ def test_only_the_chain_calls_the_closed_forms_in_the_optimizer():
     assert sorted(owner for owner, _ in mentions(optimize, EVALUATOR[0])) == EVALUATOR[1]
 
 
+def test_only_the_histogram_and_the_thinning_walk_draw_binomials():
+    montecarlo = (PACKAGE / "montecarlo.py").read_text()
+    assert {owner for owner, _ in mentions(montecarlo, DRAWS[0])} == DRAWS[1]
+
+
 def test_the_check_sees_each_spelling():
     cumprods = [
         "prefix = np.cumprod(quiet, axis=1)",
@@ -114,5 +125,17 @@ def test_the_check_sees_each_spelling():
     ):
         copy = f"class _Chain:\n    def {method}(self):\n        {body}\n"
         assert mentions(copy, EVALUATOR[0]) == [(f"_Chain.{method}", 3)], copy
-    clean = "np.cumsum(q)\nnp.multiply.outer(a, b)\nnp.add.accumulate(q)\n_log_factorial_table"
-    assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0]) == []
+    draws = [
+        "moved = rng.binomial(below_cap, p)",
+        "drawn = binomial(n, p)",
+        "binomial = rng.binomial",
+        "np.random.binomial(n, p)",
+        "from numpy.random import binomial",
+    ]
+    for copy in draws:
+        assert set(mentions(f"def simulate():\n    {copy}\n", DRAWS[0])) == {("simulate", 2)}, copy
+    clean = (
+        "np.cumsum(q)\nnp.multiply.outer(a, b)\nnp.add.accumulate(q)\n_log_factorial_table\n"
+        "rng.multinomial(n, p)\nrng.negative_binomial(n, p)\n_binom_pmf(n, v)"
+    )
+    assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0] | DRAWS[0]) == []

@@ -802,7 +802,8 @@ class TestStrategyScan:
         thd_entry = next(e for e in entries if e.strategy.key == "thd")
         assert entries[0].p1_max > thd_entry.p1_max
 
-    @pytest.mark.parametrize("max_accept", [0, -3])
+    # a float ceiling was truncated (2.5 ran as 2), a string was parsed
+    @pytest.mark.parametrize("max_accept", [0, -3, 2.5, np.float64(2.0), "2", math.nan])
     def test_max_accept_validation(self, monkeypatch, max_accept):
         # with no ceiling to raise, the scan would rank threshold detection alone
         def no_search(*args, **kwargs):
@@ -812,6 +813,14 @@ class TestStrategyScan:
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
         with pytest.raises(ParameterError, match="max_accept must be >= 1"):
             strategy_scan(spec, n_ref=10, max_accept=max_accept)
+
+    def test_numpy_integer_ceiling_scans_as_int(self):
+        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
+        ours = strategy_scan(spec, n_ref=10, max_accept=np.int64(2))
+        plain = strategy_scan(spec, n_ref=10, max_accept=2)
+        assert [(r.strategy, r.n_opt, r.p1_max) for r in ours] == [
+            (r.strategy, r.n_opt, r.p1_max) for r in plain
+        ]
 
     def test_single_photon_beats_threshold_once_multiplexed(self):
         # from two units on, single-photon heralding dominates threshold
