@@ -249,7 +249,7 @@ def fixed_n_curve(
     then by size.
     """
     message = "n_range must contain positive sizes"
-    sizes = [_integer(n, 1, math.inf, message) for n in n_range]
+    sizes = [_integer(n, "each size in n_range", 1, math.inf, message) for n in n_range]
     if not sizes:
         raise ParameterError(message)
     rows: list[ResultRow] = []

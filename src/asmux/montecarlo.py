@@ -9,7 +9,9 @@ they are: every stage is drawn as binomial splits of group counts
 (Davis, "The computer generation of multinomial random variates",
 CSDA 16, 1993).  A large thinning layer is one array ``binomial`` call
 and a small one is one scalar call per nonzero cell, in the order the
-array call would draw them; both draw the same stream.
+array call would draw them; both draw the same stream.  A dim unit, whose
+walks are small from their first layer, stays in Python ints from its
+pair histogram to the run's totals.
 Frequencies of the output photon number estimate the same distribution
 the analytic model computes, so the two implementations validate each
 other.  A pump bright enough that a unit may draw 2048 pairs or more is
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -60,9 +63,11 @@ _WALK_RISK = 2.0**-20
 # sits at half that; whole walks timed at 4, 8, 16, 32 and 64 were fastest
 # at 8.
 _SCALAR_LAYER_DRAWS = 8
-# below-cap cells of a layer beyond which _thin does not switch: the table's
-# round trip through lists grows with its size (4.6 us at 49 cells, 15 us at
-# 253, 99 us at 598), and at this size costs about one array layer (13.5 us)
+# below-cap cells of a layer beyond which _thin does not switch to lists.  A
+# walk within both bounds from its first layer builds no table.  One that
+# switches mid-walk converts its table once, as one that ends on array layers
+# does at its end (tolist: 0.5 us at 49 cells, 2 us at 253, 7 us at 598), and
+# then visits every below-cap cell of each live row, empty or not
 _SCALAR_WALK_CELLS = 256
 
 
@@ -87,7 +92,7 @@ class McSettings:
             ("seed", 0, math.inf, seed),  # a seed selects a frozen stream
             ("max_count", 1, math.inf, max_count),
         ):
-            object.__setattr__(self, name, _integer(getattr(self, name), low, high, message))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low, high, message))
 
 
 @dataclass(eq=False, slots=True)
@@ -146,32 +151,43 @@ def _check_pair_groups(family: SourceFamily, pump: PumpProfile, trials: int) -> 
 
 
 def _pair_histogram(
-    rng: np.random.Generator, trials: int, lam: float, family: SourceFamily
-) -> np.ndarray:
+    rng: np.random.Generator,
+    trials: int,
+    lam: float,
+    family: SourceFamily,
+    hazards: dict[float, list[float]],
+) -> list[int]:
     """Number of the ``trials`` trials with 0, 1, 2, ... pairs.
 
     Drawn as a chain of conditional binomials: of the trials with at
     least l pairs, each has exactly l with the hazard probability.  At
     ``lam == 0`` the first hazard is 1, so every trial has 0 pairs.
+    ``hazards[lam][l]`` holds the Poisson hazard of l pairs once some
+    unit of the run has walked that far; the caller keeps the dict for
+    one run, so a mean shared by many units sums each series once.
     """
     groups = []
     remaining = trials
+    if family is SourceFamily.POISSON:
+        known = hazards.setdefault(lam, [])
+    else:
+        # the geometric law is memoryless: the same hazard at every step
+        hazard = 1.0 / (1.0 + lam)
     while remaining:
         if family is SourceFamily.POISSON:
-            hazard = _poisson_hazard(lam, len(groups))
-        else:
-            # the geometric law is memoryless: the same hazard at every step
-            hazard = 1.0 / (1.0 + lam)
-        drawn = int(rng.binomial(remaining, hazard))
+            if len(known) == len(groups):
+                known.append(_poisson_hazard(lam, len(groups)))
+            hazard = known[len(groups)]
+        drawn = rng.binomial(remaining, hazard)
         groups.append(drawn)
         remaining -= drawn
-    return np.array(groups, dtype=np.int64)
+    return groups
 
 
-def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> np.ndarray:
+def _thin(rng: np.random.Generator, groups: list[int], p: float, cap: int) -> list[list[int]]:
     """Keep each photon with probability ``p``, by group counts.
 
-    ``groups[l]`` trials carry l photons.  Entry ``[l, k]`` of the
+    ``groups[l]`` trials carry l photons.  Entry ``[l][k]`` of the
     result counts those of them that keep min(kept, cap) photons.  Each
     photon is one binomial layer: photon j exists in the rows l > j,
     and each trial there below the cap gains it with probability ``p``.
@@ -181,37 +197,44 @@ def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> n
 
     A layer with more than ``_SCALAR_LAYER_DRAWS`` nonzero cells below
     the cap, or more than ``_SCALAR_WALK_CELLS`` cells, is one array
-    ``binomial`` call.  From the first layer with at most that many of
-    each, the walk goes on in Python lists, one scalar call per nonzero
-    cell, which skips the array call's fixed cost.  The array call runs
-    the same routine on each cell in C order (row, then kept count) from
-    the counts before the layer, and draws nothing for an empty cell; the
-    scalar walk keeps that order and those counts, so the table and the
-    stream are the same.
+    ``binomial`` call on a numpy table.  From the first layer with at
+    most that many of each, the walk goes on in Python lists, one scalar
+    call per nonzero cell, which skips the array call's fixed cost; a
+    walk whose first layer is that small (the usual case on a dim pump)
+    never builds the table.  The array call runs the same routine on each
+    cell in C order (row, then kept count) from the counts before the
+    layer, and draws nothing for an empty cell; the scalar walk keeps
+    that order and those counts, so the table and the stream are the
+    same.
     """
-    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
-    table[:, 0] = groups
     first = 1  # layer j covers the rows first = j + 1 onwards
-    while first < groups.size:
-        below_cap = table[first:, :cap]
-        draws = np.count_nonzero(below_cap)
-        if not draws:
-            return table
-        if draws <= _SCALAR_LAYER_DRAWS and below_cap.size <= _SCALAR_WALK_CELLS:
-            break
-        moved = rng.binomial(below_cap, p)
-        below_cap -= moved
-        table[first:, 1:] += moved
-        first += 1
+    draws = len(groups) - 1 - groups[1:].count(0)  # the first layer's: column 0 only
+    if draws <= _SCALAR_LAYER_DRAWS and (len(groups) - 1) * cap <= _SCALAR_WALK_CELLS:
+        rows = [[trials] + [0] * cap for trials in groups]
     else:
-        return table
+        table = np.zeros((len(groups), cap + 1), dtype=np.int64)
+        table[:, 0] = groups
+        while first < len(groups):
+            below_cap = table[first:, :cap]
+            draws = np.count_nonzero(below_cap)
+            if not draws or draws <= _SCALAR_LAYER_DRAWS and below_cap.size <= _SCALAR_WALK_CELLS:
+                break
+            moved = rng.binomial(below_cap, p)
+            below_cap -= moved
+            table[first:, 1:] += moved
+            first += 1
+        rows = table.tolist()
     # the rest one cell at a time, over the rows that still hold a trial
     # below the cap; along a row, each cell is read before the trials
     # moved out of the cell to its left land in it
     binomial = rng.binomial
-    rows = table.tolist()
-    live = [photons for photons in range(first, groups.size) if any(rows[photons][:cap])]
-    while live:
+    live = range(first, len(groups))
+    while True:
+        live = [
+            photons for photons in live if photons >= first and rows[photons][cap] < groups[photons]
+        ]
+        if not live:
+            return rows
         top = min(first, cap)  # no trial has kept more photons than the walk has passed
         for photons in live:
             row = rows[photons]
@@ -223,8 +246,6 @@ def _thin(rng: np.random.Generator, groups: np.ndarray, p: float, cap: int) -> n
                 moved = drawn
             row[top] += moved
         first += 1
-        live = [photons for photons in live if photons >= first and any(rows[photons][:cap])]
-    return np.array(rows, dtype=np.int64)
 
 
 def simulate(
@@ -251,9 +272,10 @@ def simulate(
     left (:func:`_thin`): the detection walk a few photons past the
     cap, the arm-loss walk at the last admitted group.  A walk draws its
     large layers by one array call each and its small ones one cell at a
-    time, which skips the array call's fixed cost; on a dim pump, with a
-    few groups and a few nonzero cells per layer, most of the time is
-    those scalar draws.  On a bright pump the pair
+    time, which skips the array call's fixed cost.  A dim unit stays in
+    Python ints from its pair histogram to the running totals: its walks
+    start in lists, each Poisson hazard is summed once per run and mean,
+    and most of its time is the scalar draws.  On a bright pump the pair
     histograms (:func:`_pair_histogram`) are most of the cost.  A pump
     that may need more than 2048 groups (:func:`_check_pair_groups`) raises
     :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
@@ -264,25 +286,33 @@ def simulate(
     _check_pair_groups(spec.source, pump, mc.trials)
     rng = np.random.default_rng(mc.seed)
     detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
-    accepted = strategy.accept_mask(np.arange(detect_cap + 1))
-    totals = np.zeros(mc.max_count + 2, dtype=np.int64)
+    accepted = strategy.accept_mask(np.arange(detect_cap + 1)).tolist()
+    hazards: dict[float, list[float]] = {}
+    totals = [0] * (mc.max_count + 2)
     pending = mc.trials
     for lam_k, v_k in zip(pump.lambdas, transmission_vector(spec)):
-        pairs = _pair_histogram(rng, pending, lam_k, spec.source)
-        # no trial carries as many photons as there are pair groups, so in
-        # both tables a higher cap adds only empty columns (binomial(0, p)
-        # draws nothing)
-        cap = min(detect_cap, pairs.size)
-        admitted = _thin(rng, pairs, spec.v_d, cap)[:, accepted[: cap + 1]].sum(axis=1)
-        cap = min(mc.max_count + 1, admitted.size)
-        totals[: cap + 1] += _thin(rng, admitted, v_k, cap).sum(axis=0)
-        pending -= int(admitted.sum())
+        pairs = _pair_histogram(rng, pending, lam_k, spec.source, hazards)
+        # a trial in group l carries l photons, fewer than there are groups up
+        # to the last nonempty one, so in both tables a higher cap adds only
+        # empty columns, and the groups past the last admitted one add only
+        # empty rows (binomial(0, p) draws nothing)
+        cap = min(detect_cap, len(pairs))
+        admitted = [0] * len(pairs)
+        for count, column in enumerate(zip(*_thin(rng, pairs, spec.v_d, cap))):
+            if accepted[count]:
+                admitted = list(map(add, admitted, column))
+        while len(admitted) > 1 and not admitted[-1]:
+            admitted.pop()
+        cap = min(mc.max_count + 1, len(admitted))
+        for count, column in enumerate(zip(*_thin(rng, admitted, v_k, cap))):
+            totals[count] += sum(column)
+        pending -= sum(admitted)
         if pending == 0:
             break
     totals[0] += pending
     return McResult(
-        counts=totals[: mc.max_count + 1].copy(),  # not a view that keeps ``totals``
-        overflow=int(totals[mc.max_count + 1]),
+        counts=np.array(totals[: mc.max_count + 1], dtype=np.int64),
+        overflow=totals[mc.max_count + 1],
         trials=mc.trials,
     )
 

@@ -9,6 +9,7 @@ only and therefore skips the through-port factor ``v_t``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -28,15 +29,21 @@ __all__ = [
 ]
 
 
-def _integer(value, low: int, high: float, message: str) -> int:
+def _integer(
+    value, name: str, low: float = -math.inf, high: float = math.inf, message: str = ""
+) -> int:
     """``value`` as an ``int``, if it is an ``int`` or ``np.integer`` in [low, high).
 
-    Anything else raises :class:`ParameterError` with ``message``: a
-    float or a string is refused even when it holds a whole number, so
-    no count, size or seed is truncated or parsed into one the caller did
-    not pass.  A ``bool`` is an ``int`` and passes as 0 or 1.
+    Anything else raises :class:`ParameterError`: a value that is not an
+    integer with "``name`` must be an integer, got ``value``", and an
+    integer out of range with the caller's ``message``.  A float or a
+    string is refused even when it holds a whole number, so no count,
+    size or seed is truncated or parsed into one the caller did not
+    pass.  A ``bool`` is an ``int`` and passes as 0 or 1.
     """
-    if not isinstance(value, (int, np.integer)) or not low <= value < high:
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not low <= value < high:
         raise ParameterError(message)
     return int(value)
 
@@ -85,7 +92,8 @@ class MultiplexerSpec:
                 raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
             object.__setattr__(self, name, value)
         message = f"n_units must be an integer in [1, {_COUNT_LIMIT}), got {self.n_units!r}"
-        object.__setattr__(self, "n_units", _integer(self.n_units, 1, _COUNT_LIMIT, message))
+        n_units = _integer(self.n_units, "n_units", 1, _COUNT_LIMIT, message)
+        object.__setattr__(self, "n_units", n_units)
         object.__setattr__(self, "source", SourceFamily.coerce(self.source))
 
     def with_units(self, n_units: int) -> "MultiplexerSpec":

@@ -698,7 +698,7 @@ def _search(spec, strategy, sizes, settings, mode) -> _SizeReports:
     settings = settings or OptimizerSettings()
     mode = OptimizationMode.coerce(mode)
     message = f"sizes must be a nonempty set of unit counts in [1, {_COUNT_LIMIT})"
-    sizes = [_integer(n, 1, _COUNT_LIMIT, message) for n in sizes]
+    sizes = [_integer(n, "each size in sizes", 1, _COUNT_LIMIT, message) for n in sizes]
     if not sizes:
         raise ParameterError(message)
     sizes = np.unique(np.asarray(sizes, dtype=int))
@@ -784,7 +784,8 @@ def find_optimal_n(
     whose optimum comes within ``threshold`` of it.  ``spec.n_units`` is
     ignored; the scan sets its own sizes.
     """
-    n_ref = _integer(n_ref, 2, _COUNT_LIMIT, f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}")
+    message = f"n_ref must be in [2, {_COUNT_LIMIT}), got {n_ref}"
+    n_ref = _integer(n_ref, "n_ref", 2, _COUNT_LIMIT, message)
     if not 0.0 < threshold < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold!r}")
     reports = _search(spec, strategy, range(1, n_ref + 1), settings, mode)
@@ -807,7 +808,8 @@ def strategy_scan(
     soon as the achievable maximum drops below the previous ceiling's;
     threshold detection is always evaluated alongside.
     """
-    max_accept = _integer(max_accept, 1, math.inf, f"max_accept must be >= 1, got {max_accept}")
+    message = f"max_accept must be >= 1, got {max_accept}"
+    max_accept = _integer(max_accept, "max_accept", 1, math.inf, message)
 
     def search(strategy: DetectionStrategy) -> OptimalSizeResult:
         return find_optimal_n(

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .exceptions import ParameterError, TruncationError
-from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, transmission_vector
+from .multiplexer import MultiplexerSpec, SourceFamily, _COUNT_LIMIT, _integer, transmission_vector
 
 __all__ = [
     "PumpProfile",
@@ -66,7 +66,7 @@ class PumpProfile:
     @classmethod
     def uniform(cls, lam: float, n_units: int) -> "PumpProfile":
         """Constant profile sharing one mean photon number across units."""
-        return cls((float(lam),) * int(n_units))
+        return cls((float(lam),) * _integer(n_units, "n_units"))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.lambdas, dtype=float)
@@ -95,7 +95,7 @@ class DetectionStrategy:
     def __post_init__(self) -> None:
         if self.accepted is None:
             return
-        members = frozenset(int(j) for j in self.accepted)
+        members = frozenset(_integer(j, "each accepted count") for j in self.accepted)
         if not members:
             raise ParameterError("accepted count set must be nonempty")
         if min(members) < 1:
@@ -113,17 +113,14 @@ class DetectionStrategy:
     @classmethod
     def accept_up_to(cls, j: int) -> "DetectionStrategy":
         """Accept every detected count from 1 up to ``j``."""
-        j = int(j)
-        if not 1 <= j <= MAX_ACCEPTED_COUNT:
-            raise ParameterError(
-                f"maximum accepted count must be in [1, {MAX_ACCEPTED_COUNT}], got {j}"
-            )
+        message = f"maximum accepted count must be in [1, {MAX_ACCEPTED_COUNT}], got {j}"
+        j = _integer(j, "maximum accepted count", 1, MAX_ACCEPTED_COUNT + 1, message)
         return cls(frozenset(range(1, j + 1)))
 
     @classmethod
     def explicit(cls, counts: Iterable[int]) -> "DetectionStrategy":
         """Accept exactly the given counts (gaps allowed)."""
-        return cls(frozenset(int(c) for c in counts))
+        return cls(tuple(counts))  # each one checked before any duplicate is merged
 
     @classmethod
     def threshold(cls) -> "DetectionStrategy":
@@ -345,7 +342,8 @@ def acceptance_weights(
     Element ``l`` marginalizes the detector response over the accepted
     count set.  The returned array is cached and read-only.
     """
-    return _acceptance_weights_cached(strategy, float(v_d), int(l_max))
+    l_max = _integer(l_max, "l_max", 0, math.inf, f"l_max must be >= 0, got {l_max}")
+    return _acceptance_weights_cached(strategy, float(v_d), l_max)
 
 
 def transmit_one_weights(v: np.ndarray, l_max: int) -> np.ndarray:
@@ -737,9 +735,8 @@ def output_distribution(
     they fall below double precision.  The work and memory follow the
     probability mass, not ``i_max``.
     """
-    i_max = int(i_max)
-    if not 1 <= i_max < _COUNT_LIMIT:
-        raise ParameterError(f"i_max must be in [1, {_COUNT_LIMIT}), got {i_max}")
+    message = f"i_max must be in [1, {_COUNT_LIMIT}), got {i_max}"
+    i_max = _integer(i_max, "i_max", 1, _COUNT_LIMIT, message)
     lam = _validate_pump(spec, pump)
     v = transmission_vector(spec)
     admit, t = one_photon_terms(spec.source, strategy, spec.v_d, lam, v)

@@ -392,7 +392,11 @@ class TestCurvesAndDeltas:
     )
     def test_fixed_n_curve_refuses_sizes_that_are_not_positive(self, n_range):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
-        with pytest.raises(ParameterError, match="n_range must contain positive sizes"):
+        if all(isinstance(n, int) for n in n_range):
+            message = "n_range must contain positive sizes"
+        else:
+            message = "each size in n_range must be an integer, got "
+        with pytest.raises(ParameterError, match=message):
             fixed_n_curve(spec, SPD, [OptimizationMode.PER_UNIT], n_range)
 
     def test_fixed_n_curve_takes_numpy_integer_sizes_as_ints(self):

@@ -265,9 +265,9 @@ class TestPoissonHazard:
 
 def full_walk_thin(rng, groups, p, cap):
     """Reference thinning: one binomial layer per photon, to the largest group."""
-    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
+    table = np.zeros((len(groups), cap + 1), dtype=np.int64)
     table[:, 0] = groups
-    for photon in range(groups.size - 1):
+    for photon in range(len(groups) - 1):
         below_cap = table[photon + 1 :, :cap]
         moved = rng.binomial(below_cap, p)
         below_cap -= moved
@@ -277,9 +277,9 @@ def full_walk_thin(rng, groups, p, cap):
 
 def array_walk_thin(rng, groups, p, cap):
     """Reference thinning: one array binomial call per layer, up to the first layer with no trial below the cap."""
-    table = np.zeros((groups.size, cap + 1), dtype=np.int64)
+    table = np.zeros((len(groups), cap + 1), dtype=np.int64)
     table[:, 0] = groups
-    for photon in range(groups.size - 1):
+    for photon in range(len(groups) - 1):
         below_cap = table[photon + 1 :, :cap]
         if not np.count_nonzero(below_cap):
             break
@@ -292,8 +292,8 @@ def array_walk_thin(rng, groups, p, cap):
 class CountingDraws:
     """A generator that counts its array and scalar ``binomial`` calls."""
 
-    def __init__(self, seed):
-        self.rng, self.array_calls, self.scalar_calls = np.random.default_rng(seed), 0, 0
+    def __init__(self, rng):
+        self.rng, self.array_calls, self.scalar_calls = rng, 0, 0
 
     def binomial(self, n, p):
         if np.ndim(n):
@@ -307,13 +307,13 @@ class CountingDraws:
 # walks switch to scalar draws early, late or not at all
 GROUP_VECTORS = st.lists(
     st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 2**40)), min_size=1, max_size=40
-).map(lambda groups: np.array(groups, dtype=np.int64))
+)
 KEEP_CHANCES = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 )
-DENSE = np.full(30, 1000, dtype=np.int64)  # 29 draws in the first layer: array calls first
-SPARSE = np.array([0, 4, 0, 0, 7, 0, 0, 0, 2], dtype=np.int64)  # scalar draws from the start
-WIDE = np.append(np.zeros(38, dtype=np.int64), [3, 5])  # 2 draws, but 468 cells at cap 12
+DENSE = [1000] * 30  # 29 draws in the first layer: array calls first
+SPARSE = [0, 4, 0, 0, 7, 0, 0, 0, 2]  # scalar draws from the start
+WIDE = [0] * 38 + [3, 5]  # 2 draws, but 468 cells at cap 12
 
 
 class TestThin:
@@ -326,8 +326,8 @@ class TestThin:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_early_stop_matches_the_full_walk(self, groups, trailing, p, data, seed):
-        groups = np.append(groups, np.zeros(trailing, dtype=np.int64))
-        cap = data.draw(st.integers(1, groups.size), label="cap")
+        groups = groups + [0] * trailing
+        cap = data.draw(st.integers(1, len(groups)), label="cap")
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(_thin(ours, groups, p, cap), full_walk_thin(reference, groups, p, cap))
         # a skipped layer is binomial(0, p), which draws nothing
@@ -353,15 +353,156 @@ class TestThin:
         "groups,cap,array_calls", [(DENSE, 3, True), (SPARSE, 3, False), (WIDE, 12, True)]
     )
     def test_examples_reach_both_sides_of_the_crossover(self, groups, cap, array_calls):
-        rng = CountingDraws(5)
+        rng = CountingDraws(np.random.default_rng(5))
         _thin(rng, groups, 0.5, cap)
         assert bool(rng.array_calls) is array_calls
         assert rng.scalar_calls > 0
 
     def test_stops_at_the_first_layer_without_a_trial_below_the_cap(self):
-        rng = CountingDraws(3)
-        _thin(rng, np.array([0, 5, 0, 0, 0, 0, 0]), 1.0, 1)
+        rng = CountingDraws(np.random.default_rng(3))
+        _thin(rng, [0, 5, 0, 0, 0, 0, 0], 1.0, 1)
         assert rng.array_calls + rng.scalar_calls == 1
+
+
+def array_pair_histogram(rng, trials, lam, family):
+    """Reference pair histogram: a numpy vector, each Poisson hazard summed afresh."""
+    groups = []
+    remaining = trials
+    while remaining:
+        if family is SourceFamily.POISSON:
+            hazard = _poisson_hazard(lam, len(groups))
+        else:
+            hazard = 1.0 / (1.0 + lam)
+        drawn = int(rng.binomial(remaining, hazard))
+        groups.append(drawn)
+        remaining -= drawn
+    return np.array(groups, dtype=np.int64)
+
+
+def array_table_simulate(spec, pump, strategy, mc):
+    """Reference sampler on numpy tables: (counts, overflow).
+
+    Every unit's histogram and thinning tables are arrays summed by
+    numpy, and every thinning layer is one array call (the tables and the
+    stream of the walk that draws small layers one cell at a time).
+    """
+    rng = np.random.default_rng(mc.seed)
+    detect_cap = 1 if strategy.is_threshold else max(strategy.accepted) + 1
+    accepted = strategy.accept_mask(np.arange(detect_cap + 1))
+    totals = np.zeros(mc.max_count + 2, dtype=np.int64)
+    pending = mc.trials
+    for lam_k, v_k in zip(pump.lambdas, transmission_vector(spec)):
+        pairs = array_pair_histogram(rng, pending, lam_k, spec.source)
+        cap = min(detect_cap, pairs.size)
+        admitted = array_walk_thin(rng, pairs, spec.v_d, cap)[:, accepted[: cap + 1]].sum(axis=1)
+        cap = min(mc.max_count + 1, admitted.size)
+        totals[: cap + 1] += array_walk_thin(rng, admitted, v_k, cap).sum(axis=0)
+        pending -= int(admitted.sum())
+        if pending == 0:
+            break
+    totals[0] += pending
+    return totals[: mc.max_count + 1], int(totals[mc.max_count + 1])
+
+
+@st.composite
+def sampled_runs(draw):
+    """A spec, pump, strategy and settings over the sampler's dim and moderate range."""
+    n_units = draw(st.integers(1, 12), label="n_units")
+    losses = st.floats(0.0, 1.0)
+    spec = MultiplexerSpec(
+        v_r=draw(losses), v_b=draw(losses), v_d=draw(losses), v_t=draw(losses),
+        n_units=n_units, source=draw(st.sampled_from(["poisson", "thermal"])),
+    )
+    means = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    pump = PumpProfile(tuple(draw(st.lists(means, min_size=n_units, max_size=n_units))))
+    strategy = draw(st.one_of(
+        st.sampled_from(["spd", "thd"]),
+        st.integers(1, 6).map(lambda k: f"upto:{k}"),
+        st.sets(st.integers(1, 8), min_size=1, max_size=3).map(
+            lambda counts: "set:" + ",".join(map(str, sorted(counts)))
+        ),
+    ))
+    mc = McSettings(
+        trials=draw(st.integers(1000, 10**6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_count=draw(st.integers(1, 10)),
+    )
+    return spec, pump, DetectionStrategy.parse(strategy), mc
+
+
+# a dim pump whose walks all start in lists, and a bright one whose detection
+# walks start on array layers and switch to lists mid-walk
+DIM_RUN = (
+    MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3),
+    PumpProfile((0.05, 0.1, 0.2)),
+    DetectionStrategy.parse("spd"),
+    McSettings(trials=1000, seed=12, max_count=3),
+)
+SWITCHING_RUN = (
+    MultiplexerSpec(v_r=0.95, v_b=0.9, v_d=0.9, n_units=4, source="thermal"),
+    PumpProfile((3.0, 2.5, 0.0, 1.0)),
+    DetectionStrategy.parse("upto:5"),
+    McSettings(trials=10**6, seed=13, max_count=10),
+)
+
+
+class TestSimulateAgainstArrayTables:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(run=sampled_runs())
+    @example(run=DIM_RUN)
+    @example(run=SWITCHING_RUN)
+    def test_same_counts_as_the_array_table_sampler(self, run):
+        result = simulate(*run)
+        counts, overflow = array_table_simulate(*run)
+        assert np.array_equal(result.counts, counts)
+        assert result.overflow == overflow
+
+    def test_examples_start_in_lists_and_switch_mid_walk(self, monkeypatch):
+        import asmux.montecarlo
+
+        thin = asmux.montecarlo._thin
+
+        def walks(run):
+            """(array calls, scalar calls) of each thinning walk of ``run``."""
+            calls = []
+
+            def counting_thin(rng, groups, p, cap):
+                counting = CountingDraws(rng)
+                rows = thin(counting, groups, p, cap)
+                calls.append((counting.array_calls, counting.scalar_calls))
+                return rows
+
+            monkeypatch.setattr(asmux.montecarlo, "_thin", counting_thin)
+            simulate(*run)
+            return calls
+
+        dim = walks(DIM_RUN)
+        assert sum(scalar for _, scalar in dim) and not sum(array for array, _ in dim)
+        assert any(array and scalar for array, scalar in walks(SWITCHING_RUN))
+
+    def test_each_hazard_is_summed_once_per_run(self, monkeypatch):
+        # the mc-oracle anchor case: 32 units at mean 1.0 walk the same series
+        import asmux.montecarlo
+
+        sums, walked = [], []
+        hazard, histogram = asmux.montecarlo._poisson_hazard, asmux.montecarlo._pair_histogram
+
+        def counting_hazard(lam, pairs):
+            sums.append(pairs)
+            return hazard(lam, pairs)
+
+        def recording_histogram(*args):
+            groups = histogram(*args)
+            walked.append(len(groups))
+            return groups
+
+        monkeypatch.setattr(asmux.montecarlo, "_poisson_hazard", counting_hazard)
+        monkeypatch.setattr(asmux.montecarlo, "_pair_histogram", recording_histogram)
+        spec = MultiplexerSpec(v_r=0.95, v_b=0.90, v_d=0.98, n_units=32)
+        pump, strategy = PumpProfile.uniform(1.0, 32), DetectionStrategy.parse("upto:2")
+        simulate(spec, pump, strategy, McSettings(trials=200_000, seed=3232))
+        assert len(walked) > 1
+        assert sums == list(range(max(walked)))
 
 
 def stream_digest(result):
@@ -661,7 +802,7 @@ class TestMcSettings:
         ],
     )
     def test_only_integers_accepted(self, name, value):
-        with pytest.raises(ParameterError, match=f"{name} must be"):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer, got "):
             McSettings(**{name: value})
 
     def test_numpy_integers_draw_the_same_stream(self):

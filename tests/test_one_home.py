@@ -13,7 +13,14 @@ the count of its calls per P1 batch sees every evaluation.
 
 The sampler draws only in ``_pair_histogram`` and ``_thin``, so the
 frozen stream digests and the property test of the thinning walk see
-every draw site.
+every draw site.  Only ``_pair_histogram`` reads ``_poisson_hazard``, so
+its per-run memo is the one home of the sampler's hazards, and each is
+summed once per run and mean.
+
+Only ``multiplexer._integer`` calls ``int`` on a caller's value: a
+function's parameter, a field read through it, or an item drawn from
+either.  So no entry point truncates a float or parses a string into a
+count; the text parsers convert parts of a string they split.
 """
 import ast
 from pathlib import Path
@@ -27,6 +34,8 @@ LOG_FACTORIALS = ({"_log_factorials"}, {"_count_pmf", "_binom_pmf"})
 EVALUATOR = ({"one_photon_terms"}, ["<module>", "_Chain.terms"])
 # in montecarlo.py: the pair histogram and the thinning walk
 DRAWS = ({"binomial"}, {"_pair_histogram", "_thin"})
+# in montecarlo.py: the pair histogram, which keeps each run's hazards
+HAZARDS = ({"_poisson_hazard"}, {"_pair_histogram"})
 
 
 def _name(node):
@@ -64,6 +73,47 @@ def mentions(source: str, spellings: set[str]) -> list[tuple[str, int]]:
     return found
 
 
+def _reads_a_parameter(node, params) -> bool:
+    """True if ``node`` is one of ``params`` or an attribute of one (``self.field``)."""
+    if isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in params
+
+
+def int_of_parameters(source: str) -> set[tuple[str, int]]:
+    """(function, line) of each ``int(x)`` with ``x`` a caller's value.
+
+    That is a parameter of a function around the call, an attribute of
+    one, or the variable of a comprehension over either.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = {
+            arg.arg
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if arg
+        }
+        params |= {
+            node.target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.comprehension)
+            and isinstance(node.target, ast.Name)
+            and _reads_a_parameter(node.iter, params)
+        }
+        found |= {
+            (func.name, node.lineno)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and _name(node.func) == "int"
+            and len(node.args) == 1
+            and _reads_a_parameter(node.args[0], params)
+        }
+    return found
+
+
 def _copies(rule) -> list[str]:
     spellings, homes = rule
     return [
@@ -94,6 +144,20 @@ def test_only_the_chain_calls_the_closed_forms_in_the_optimizer():
 def test_only_the_histogram_and_the_thinning_walk_draw_binomials():
     montecarlo = (PACKAGE / "montecarlo.py").read_text()
     assert {owner for owner, _ in mentions(montecarlo, DRAWS[0])} == DRAWS[1]
+
+
+def test_only_the_histogram_reads_the_poisson_hazard():
+    montecarlo = (PACKAGE / "montecarlo.py").read_text()
+    assert {owner for owner, _ in mentions(montecarlo, HAZARDS[0])} == HAZARDS[1]
+
+
+def test_only_the_integer_rule_converts_a_callers_value():
+    found = {
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, _ in int_of_parameters(path.read_text())
+    }
+    assert found == {("multiplexer.py", "_integer")}
 
 
 def test_the_check_sees_each_spelling():
@@ -134,8 +198,32 @@ def test_the_check_sees_each_spelling():
     ]
     for copy in draws:
         assert set(mentions(f"def simulate():\n    {copy}\n", DRAWS[0])) == {("simulate", 2)}, copy
+    hazards = [
+        "hazard = _poisson_hazard(lam, len(groups))",
+        "known.append(montecarlo._poisson_hazard(lam, pairs))",
+        "series = _poisson_hazard",
+        "from .montecarlo import _poisson_hazard",
+    ]
+    for copy in hazards:
+        assert mentions(f"def simulate():\n    {copy}\n", HAZARDS[0]) == [("simulate", 2)], copy
+    conversions = [
+        "i_max = int(i_max)",
+        "return cls((lam,) * int(n_units))",
+        "members = frozenset(int(j) for j in self.accepted)",
+        "return cls(frozenset(int(c) for c in counts))",
+        "n = int(self.n_units)",
+        "first = int(sizes[0]) if sizes else int(default)",
+    ]
+    for copy in conversions:
+        source = f"def f(self, i_max, n_units, counts, *sizes, default=1):\n    {copy}\n"
+        assert int_of_parameters(source) == {("f", 2)}, copy
+    assert int_of_parameters(
+        "def parse(text):\n    return [int(p) for p in text.split(',')]\n"
+        "def end(sizes):\n    return int(sizes[-1]) + int(sizes.max())\n"
+    ) == set()
     clean = (
         "np.cumsum(q)\nnp.multiply.outer(a, b)\nnp.add.accumulate(q)\n_log_factorial_table\n"
-        "rng.multinomial(n, p)\nrng.negative_binomial(n, p)\n_binom_pmf(n, v)"
+        "rng.multinomial(n, p)\nrng.negative_binomial(n, p)\n_binom_pmf(n, v)\n"
+        "hazards[lam][pairs]\n_thermal_hazard(lam)"
     )
-    assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0] | DRAWS[0]) == []
+    assert mentions(clean, CUMPROD[0] | LOG_FACTORIALS[0] | DRAWS[0] | HAZARDS[0]) == []

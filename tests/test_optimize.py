@@ -673,8 +673,10 @@ class TestFindOptimalN:
     def test_n_ref_validation(self):
         # a float or a string was truncated or parsed: 7.9 searched sizes 1-7
         spec = MultiplexerSpec(v_r=0.9, v_b=0.85, v_d=0.9, n_units=1)
-        for n_ref in (1, 7.9, np.float64(5.0), "5"):
-            with pytest.raises(ParameterError, match="n_ref must be in"):
+        with pytest.raises(ParameterError, match="n_ref must be in"):
+            find_optimal_n(spec, SPD, n_ref=1)
+        for n_ref in (7.9, np.float64(5.0), "5"):
+            with pytest.raises(ParameterError, match="n_ref must be an integer, got "):
                 find_optimal_n(spec, SPD, n_ref=n_ref)
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
@@ -811,7 +813,8 @@ class TestStrategyScan:
 
         monkeypatch.setattr(asmux.optimize, "find_optimal_n", no_search)
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
-        with pytest.raises(ParameterError, match="max_accept must be >= 1"):
+        fault = ">= 1" if isinstance(max_accept, int) else "an integer"
+        with pytest.raises(ParameterError, match=f"max_accept must be {fault}, got "):
             strategy_scan(spec, n_ref=10, max_accept=max_accept)
 
     def test_numpy_integer_ceiling_scans_as_int(self):
@@ -1097,5 +1100,9 @@ class TestSettingsValidation:
     )
     def test_sizes_must_be_positive_and_nonempty(self, sizes):
         spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=1)
-        with pytest.raises(ParameterError, match="sizes must be a nonempty set"):
+        if all(isinstance(n, int) for n in sizes):
+            message = "sizes must be a nonempty set"
+        else:
+            message = "each size in sizes must be an integer, got "
+        with pytest.raises(ParameterError, match=message):
             optimize_sizes(spec, SPD, sizes)
