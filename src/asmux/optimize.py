@@ -27,15 +27,17 @@ every size.
   P1 on the grid points around it, vectorized over sizes, with the
   product rule on the running products; a size whose maximum sits in
   the first two cells is first tabulated again over them
-  (:func:`_scalar_profiles`).  The solve takes
-  Anderson-Björck steps and stops once a Newton step is within
-  tolerance: about five slope evaluations per search, the bracket ends
-  included.  In scaled-reference mode arm ``n`` reaches the upper bound
-  at ``x = lambda_upper * V_n``, where the slope jumps, so each bracket
-  is split at these kinks first; every piece is smooth, and the best
-  piece wins, or the kink itself when P1 peaks on it.  A unit's two
-  numbers, its admission probability and its chance of admission with
-  one photon out, are read in closed form with their slopes
+  (:func:`_scalar_profiles`).  The solve starts from the vertex of the
+  parabola through the grid maximum and its neighbours, read with the
+  bracket ends, takes Anderson-Björck steps and stops once a Newton step
+  is within tolerance: three or four slope evaluations per single-size
+  search at the default bound, the bracket ends included.  In
+  scaled-reference mode arm ``n`` reaches the upper bound at
+  ``x = lambda_upper * V_n``, where the slope jumps, so each bracket is
+  split at these kinks first; every piece is smooth, and the best piece
+  wins, or the kink itself when P1 peaks on it.  A unit's two numbers,
+  its admission probability and its chance of admission with one photon
+  out, are read in closed form with their slopes
   (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
   arm (uniform) or ``x / V_n`` (scaled-reference), so neither search
   builds a pmf row.  One closed-form call covers the through arms and
@@ -512,7 +514,7 @@ def _scalar_p1_batch(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None) -> 
     return np.stack([p1, d_p1], axis=-1)
 
 
-def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
+def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float, seed: np.ndarray):
     """Maximize on every interval [lo_i, hi_i] at once from the sign of the slope.
 
     ``fdf(xs, lanes)`` gives the value and the slope, as two columns, of
@@ -532,17 +534,33 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: float):
     root of the slope across it.  Returns the points and, for each, the
     value at the kept end or the larger one at the ends of the last
     bracket.
+
+    ``seed[i]`` guesses the root of interval ``i``, or is NaN for none.  A
+    seed at least ``xtol / 2`` inside its interval is read in the call
+    that reads the ends.  On an interval that brackets a root it then
+    replaces the end on its side, as a first step would, and leaves the
+    Anderson-Björck state that step would; it is no secant step, so no
+    lane stops at it.  A close guess so saves the steps that would reach it.
     """
     n = lo.size
     lanes = np.arange(n)
-    ends = fdf(np.concatenate([lo, hi]), np.concatenate([lanes, lanes]))
-    (f_lo, d_lo), (f_hi, d_hi) = ends[:n].T, ends[n:].T
+    seeded = np.flatnonzero((lo + 0.5 * xtol < seed) & (seed < hi - 0.5 * xtol))
+    ends = fdf(np.concatenate([lo, hi, seed[seeded]]), np.concatenate([lanes, lanes, seeded]))
+    (f_lo, d_lo), (f_hi, d_hi) = ends[:n].T, ends[n : 2 * n].T
+    f, d = np.full((2, n), np.nan)  # at the seed, NaN on a lane without one
+    f[seeded], d[seeded] = ends[2 * n :].T
     x = np.where(d_lo > 0.0, hi, lo)
     fx = np.where(d_lo > 0.0, f_hi, f_lo)
-    lanes = np.flatnonzero((d_lo > 0.0) & ~(d_hi > 0.0))
-    lo, hi, f_lo, f_hi, d_lo, d_hi = (a[lanes] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    live = (d_lo > 0.0) & ~(d_hi > 0.0)
+    up, down = d > 0.0, d <= 0.0  # the seed replaces lo or hi; neither without one
+    lo, f_lo, d_lo = np.where(up, seed, lo), np.where(up, f, f_lo), np.where(up, d, d_lo)
+    hi, f_hi, d_hi = np.where(down, seed, hi), np.where(down, f, f_hi), np.where(down, d, d_hi)
+    moved = 1.0 * up - down  # +1 if the last step moved lo, -1 if hi
+    lanes = np.flatnonzero(live)
+    lo, hi, f_lo, f_hi, d_lo, d_hi, moved = (
+        a[lanes] for a in (lo, hi, f_lo, f_hi, d_lo, d_hi, moved)
+    )
     s_lo, s_hi = d_lo, d_hi  # the slopes the secant reads, scaled on an end kept again
-    moved = np.zeros(lanes.size)  # +1 if the last step moved lo, -1 if hi
     while lanes.size:
         secant = d_hi < 0.0
         xs = np.where(secant, lo + (hi - lo) * s_lo / (s_lo - s_hi), 0.5 * (lo + hi))
@@ -619,27 +637,39 @@ def _scalar_profiles(chain: _Chain) -> np.ndarray:
 
     Each size's grid maximum is refined on the grid bracket around it,
     split at its kinks (:func:`_split_at_kinks`); the best piece wins, if
-    it beats that grid maximum.  A size whose maximum sits in the first
-    two cells is tabulated again on a grid of as many points over those
-    two cells, until its maximum leaves them or they are narrower than
-    the root's tolerance: at a large bound the optimum can sit in the
-    first cell, where the slope falls steeply and is nearly zero at the
-    cell's far end, and the root solve of a wider bracket can stop beside
-    that end.
+    it beats that grid maximum.  Where the maximum is interior and the
+    parabola through it and its two neighbours opens downward, the
+    parabola's vertex seeds the root of the piece that holds it
+    (:func:`_slope_root`), in the call that reads the pieces' ends.  The
+    vertex typically misses the root by a few percent of a cell or less,
+    so a single-size search takes three or four slope calls, not five.
+    A size whose maximum sits in the first two cells is tabulated again
+    on a grid of as many points over those two cells, until its maximum
+    leaves them or they are narrower than the root's tolerance: at a
+    large bound the optimum can sit in the first cell, where the slope
+    falls steeply and is nearly zero at the cell's far end, and the root
+    solve of a wider bracket can stop beside that end.
     """
     sizes = chain.sizes
     cols = np.arange(sizes.size)
-    # each size's grid maximum, and the grid points on either side of it
-    peak_x, peak_f, lo, hi = np.empty((4, sizes.size))
+    # each size's grid maximum, the grid points on either side of it, and
+    # the vertex of the parabola through the three
+    lo, peak_x, hi, peak_f, vertex = np.empty((5, sizes.size))
     tabulate, top = np.ones(sizes.size, dtype=bool), chain.upper  # on a grid over [0, top]
     # past the first grid, top spans the two cells last tabulated
     while tabulate.any() and top >= 2.0 * _XTOL * chain.upper:
         grid = np.linspace(0.0, top, _SCALAR_GRID)
         table = _scalar_p1(chain, grid)[:, tabulate]
         k = np.argmax(table, axis=0)
-        peak_x[tabulate], peak_f[tabulate] = grid[k], table[k, np.arange(k.size)]
-        lo[tabulate] = grid[np.maximum(k - 1, 0)]
-        hi[tabulate] = grid[np.minimum(k + 1, grid.size - 1)]
+        near = np.clip(k + np.arange(-1, 2)[:, None], 0, grid.size - 1)
+        lo[tabulate], peak_x[tabulate], hi[tabulate] = grid[near]
+        y0, f, y2 = table[near, np.arange(k.size)]
+        peak_f[tabulate] = f
+        den = y0 - 2.0 * f + y2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            apex = grid[k] + 0.5 * grid[1] * (y0 - y2) / den
+        # within half a cell of an interior maximum where the parabola opens downward
+        vertex[tabulate] = np.where((near[0] < k) & (k < near[2]) & (den < 0.0), apex, np.nan)
         tabulate[tabulate] = k <= 1
         top = grid[2]
     lo, hi, inner_lo, inner_hi, piece_cols = _split_at_kinks(chain, lo, hi)
@@ -650,6 +680,7 @@ def _scalar_profiles(chain: _Chain) -> np.ndarray:
         lo,
         hi,
         _XTOL * chain.upper,
+        vertex[piece_cols],  # a vertex outside its piece seeds none
     )
     # the best piece of each size: the first of its column by falling value
     order = np.lexsort((-fx, piece_cols))

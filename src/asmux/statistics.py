@@ -369,7 +369,7 @@ _NEGLIGIBLE = 2.0**-56
 
 
 class _Series(NamedTuple):
-    """``Σ_i c_i w_i(x)`` for coefficients ``0 <= c_i <= 1``; see :func:`_series_sum`.
+    """``Σ_i c_i w_i(x)`` for coefficients ``0 <= c_i <= 1``; see :func:`_series_sums`.
 
     ``shape`` 0 weighs count i by the Poisson term e^-x x^i / i!; a shape
     k >= 1 by (i + 1) ... (i + k - 1) x^i, the negative binomial term of
@@ -435,11 +435,13 @@ def _weighted_sum(coef, count: int, term: np.ndarray, ratio) -> np.ndarray:
     return out
 
 
-def _series_sum(s: _Series, x: np.ndarray) -> np.ndarray:
-    """The series ``s`` at every ``x`` in [0, 1) (shape k) or >= 0 (Poisson).
+def _series_sums(series: tuple[_Series, ...], x: np.ndarray) -> list:
+    """Each of ``series``, of one family, at every ``x`` in [0, 1) (shape k) or >= 0 (Poisson).
 
-    Returns a new array of the shape of ``x``, or for a one-term thermal
-    series a constant float.
+    Returns one new array of the shape of ``x`` per series, or for a
+    one-term thermal series a constant float.  The Poisson series share
+    one far-cell mask and one e^-x: a series and its shifted series are
+    read at the same argument.
 
     Short series go by Horner; every term is positive, so its relative
     rounding error stays within a few ulps per term.  Longer ones sum
@@ -449,24 +451,34 @@ def _series_sum(s: _Series, x: np.ndarray) -> np.ndarray:
     float range takes each term from its logarithm, to a relative error
     of about x ulps.
     """
-    if s.shape:
-        if s.horner is not None:
-            return _horner(s.horner, x)
-        k = s.shape
-        return _weighted_sum(
-            s.coef.__getitem__, len(s.coef), np.full(np.shape(x), float(math.factorial(k - 1))),
-            lambda i: x * ((i + k - 1) / i),
-        )
+    if series[0].shape:
+        return [
+            _horner(s.horner, x)
+            if s.horner is not None
+            else _weighted_sum(
+                s.coef.__getitem__,
+                len(s.coef),
+                np.full(np.shape(x), float(math.factorial(s.shape - 1))),
+                lambda i, k=s.shape: x * ((i + k - 1) / i),
+            )
+            for s in series
+        ]
     far = x >= _EXP_NORMAL
     if far.any():
-        out = np.empty(x.shape)
-        out[~far] = _series_sum(s, x[~far])
-        out[far] = _poisson_series_far(s, x[far])
-        return out
+        outs = []
+        for s, near in zip(series, _series_sums(series, x[~far])):
+            out = np.empty(x.shape)
+            out[~far] = near
+            out[far] = _poisson_series_far(s, x[far])
+            outs.append(out)
+        return outs
     decay = np.exp(-x)
-    if s.horner is not None:
-        return _horner(s.horner, x) * decay
-    return _weighted_sum(s.coef.__getitem__, len(s.coef), decay, lambda i: x / i)
+    return [
+        _horner(s.horner, x) * decay
+        if s.horner is not None
+        else _weighted_sum(s.coef.__getitem__, len(s.coef), decay, lambda i: x / i)
+        for s in series
+    ]
 
 
 def _poisson_series_far(s: _Series, x: np.ndarray) -> np.ndarray:
@@ -553,13 +565,13 @@ def one_photon_terms(
                 t[1] = v * kept * ((1.0 - lv) * h + (1.0 - v_d) * mu * np.exp(-mu))
             return admit, t
         pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d))
-        admit[0] = _series_sum(accept, m)
-        s = _series_sum(pair, mu)
-        t[0] = lv * kept * s
+        accepts = _series_sums((accept, accept_up)[: 1 + slope], m)
+        pairs = _series_sums((pair, pair_up)[: 1 + slope], mu)
+        admit[0] = accepts[0]
+        t[0] = lv * kept * pairs[0]
         if slope:
-            admit[1] = v_d * (_series_sum(accept_up, m) - admit[0])
-            s_up = _series_sum(pair_up, mu)
-            t[1] = v * kept * ((1.0 - lv - mu) * s + mu * s_up)
+            admit[1] = v_d * (accepts[1] - admit[0])
+            t[1] = v * kept * ((1.0 - lv - mu) * pairs[0] + mu * pairs[1])
         return admit, t
     # thermal: c = 1 + lam (v + k), one plus the mean number of pairs
     # that have their idler detected or their signal kept, and r = mu / c < 1
@@ -580,14 +592,14 @@ def one_photon_terms(
             t[1] = v * d * d * ((1.0 - lv) * d * h + lam * (1.0 - v_d) * du)
         return admit, t
     pair, pair_up, accept, accept_up = _count_polynomials(family, strategy, float(v_d))
-    p_accept = _series_sum(accept, rho)
-    q = _series_sum(pair, r)
-    admit[0] = g_m * p_accept
-    t[0] = lv * g * g * q
+    accepts = _series_sums((accept, accept_up)[: 1 + slope], rho)
+    pairs = _series_sums((pair, pair_up)[: 1 + slope], r)
+    admit[0] = g_m * accepts[0]
+    t[0] = lv * g * g * pairs[0]
     if slope:
-        admit[1] = v_d * g_m * g_m * (g_m * _series_sum(accept_up, rho) - p_accept)
+        admit[1] = v_d * g_m * g_m * (g_m * accepts[1] - accepts[0])
         # d/dlam of lam v q(r) / c^2, with dr/dlam = k / c^2
-        t[1] = v * g * g * ((2.0 * g - 1.0) * q + mu * g * g * _series_sum(pair_up, r))
+        t[1] = v * g * g * ((2.0 * g - 1.0) * pairs[0] + mu * g * g * pairs[1])
     return admit, t
 
 
