@@ -63,12 +63,6 @@ _WALK_RISK = 2.0**-20
 # sits at half that; whole walks timed at 4, 8, 16, 32 and 64 were fastest
 # at 8.
 _SCALAR_LAYER_DRAWS = 8
-# below-cap cells of a layer beyond which _thin does not switch to lists.  A
-# walk within both bounds from its first layer builds no table.  One that
-# switches mid-walk converts its table once, as one that ends on array layers
-# does at its end (tolist: 0.5 us at 49 cells, 2 us at 253, 7 us at 598), and
-# then visits every below-cap cell of each live row, empty or not
-_SCALAR_WALK_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -196,12 +190,11 @@ def _thin(rng: np.random.Generator, groups: list[int], p: float, cap: int) -> li
     ``rng``, so the counts and the stream are those of the full walk.
 
     A layer with more than ``_SCALAR_LAYER_DRAWS`` nonzero cells below
-    the cap, or more than ``_SCALAR_WALK_CELLS`` cells, is one array
-    ``binomial`` call on a numpy table.  From the first layer with at
-    most that many of each, the walk goes on in Python lists, one scalar
-    call per nonzero cell, which skips the array call's fixed cost; a
-    walk whose first layer is that small (the usual case on a dim pump)
-    never builds the table.  The array call runs the same routine on each
+    the cap is one array ``binomial`` call on a numpy table.  From the
+    first layer with at most that many, the walk goes on in Python lists,
+    one scalar call per nonzero cell, which skips the array call's fixed
+    cost; a walk whose first layer is that small (the usual case on a dim
+    pump) never builds the table.  The array call runs the same routine on each
     cell in C order (row, then kept count) from the counts before the
     layer, and draws nothing for an empty cell; the scalar walk keeps
     that order and those counts, so the table and the stream are the
@@ -209,7 +202,7 @@ def _thin(rng: np.random.Generator, groups: list[int], p: float, cap: int) -> li
     """
     first = 1  # layer j covers the rows first = j + 1 onwards
     draws = len(groups) - 1 - groups[1:].count(0)  # the first layer's: column 0 only
-    if draws <= _SCALAR_LAYER_DRAWS and (len(groups) - 1) * cap <= _SCALAR_WALK_CELLS:
+    if draws <= _SCALAR_LAYER_DRAWS:
         rows = [[trials] + [0] * cap for trials in groups]
     else:
         table = np.zeros((len(groups), cap + 1), dtype=np.int64)
@@ -217,7 +210,7 @@ def _thin(rng: np.random.Generator, groups: list[int], p: float, cap: int) -> li
         while first < len(groups):
             below_cap = table[first:, :cap]
             draws = np.count_nonzero(below_cap)
-            if not draws or draws <= _SCALAR_LAYER_DRAWS and below_cap.size <= _SCALAR_WALK_CELLS:
+            if draws <= _SCALAR_LAYER_DRAWS:
                 break
             moved = rng.binomial(below_cap, p)
             below_cap -= moved

@@ -129,6 +129,17 @@ class TestSearchBoundPastTheSeriesCutoff:
         assert ("tail" in err) == (status == 3)
 
 
+class TestOneParameterSearchAtALargeBound:
+    def test_uniform_optimum_of_three_units(self, capsys):
+        # the default bound's optimum; a linear search grid printed p1 0.17805209351980988
+        code, out, err = run(
+            capsys, "optimize", "--v-r", "0.9", "--v-b", "0.9", "--v-d", "0.9", "--n", "3",
+            "--mode", "uniform", "--lambda-upper", "1e13",
+        )
+        assert code == 0, err
+        assert out.splitlines()[0] == "p1 0.5770322096639123"
+
+
 class TestStrategyPastTheSearchGrid:
     # the per-unit grid stops at 400 pairs; set:401 accepts no count on it,
     # and its search used to report p1 0.0 with every mean 0

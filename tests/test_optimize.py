@@ -341,9 +341,10 @@ class TestArmWeights:
         assert np.any((raw[1] > 0.0) & (weights[1] == 0.0))
 
 
-def count_slope_calls(monkeypatch) -> list:
+def count_slope_calls(monkeypatch, slope: bool = True) -> list:
     """Count the slope calls of each search: the ``_scalar_p1`` calls that pass ``cols``.
 
+    With ``slope=False``, count its tabulations, the calls that do not.
     Each call adds to the last entry of the returned list, so append a 0
     before each search to count its calls alone.
     """
@@ -352,7 +353,7 @@ def count_slope_calls(monkeypatch) -> list:
     signature = inspect.signature(scalar_p1)
 
     def counting(*args, **kwargs):
-        calls[-1] += signature.bind(*args, **kwargs).arguments.get("cols") is not None
+        calls[-1] += (signature.bind(*args, **kwargs).arguments.get("cols") is not None) == slope
         return scalar_p1(*args, **kwargs)
 
     monkeypatch.setattr(asmux.optimize, "_scalar_p1", counting)
@@ -508,13 +509,14 @@ class TestWork:
 
     # the largest and the summed slope calls of one search over the corpus
     # below, per mode and bound; a bound of 0.3 puts kinks in the brackets,
-    # and at 300 most optima sit in the first two cells of the grid
+    # and at 300 the warped grid's cells around the optima are those of any
+    # large bound
     SLOPE_CALL_BUDGETS = {
-        ("uniform", 5.0): (5, 81),
-        ("scaled-reference", 5.0): (5, 88),
-        ("scaled-reference", 0.3): (4, 37),
-        ("uniform", 300.0): (12, 131),
-        ("scaled-reference", 300.0): (11, 118),
+        ("uniform", 5.0): (4, 78),
+        ("scaled-reference", 5.0): (4, 81),
+        ("scaled-reference", 0.3): (4, 39),
+        ("uniform", 300.0): (4, 81),
+        ("scaled-reference", 300.0): (4, 81),
     }
 
     @pytest.mark.parametrize("mode,upper", list(SLOPE_CALL_BUDGETS), ids=str)
@@ -538,16 +540,17 @@ class TestWork:
     @pytest.mark.parametrize("source", ["poisson", "thermal"])
     def test_single_size_searches_take_at_most_four_slope_calls(self, monkeypatch, source, mode):
         # the vertex of the grid parabola seeds the root in the call that
-        # reads the bracket ends; unseeded, five calls were common here.  At
-        # (0.99, 0.98, 0.98), 10 of these 80 searches take five, all at 30
-        # or 60 units with an optimum below 0.16, where the vertex misses
-        # the root by about 4% of a cell
+        # reads the bracket ends; unseeded, five calls were common here.  On
+        # the linear grid, 10 of the 80 searches at the headline point took
+        # five, all at 30 or 60 units with an optimum below 0.16, where the
+        # vertex missed the root by about 4% of a cell
         calls = count_slope_calls(monkeypatch)
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.8, v_d=0.85, n_units=1, source=source)
-        for key in ("spd", "upto:2", "upto:3", "thd", "set:1,3"):
-            for n in (1, 7, 30, 60):
-                calls.append(0)
-                optimize_sizes(spec, DetectionStrategy.parse(key), [n], mode=mode)
+        for v_r, v_b, v_d in ((0.9, 0.8, 0.85), (0.99, 0.98, 0.98)):
+            spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1, source=source)
+            for key in ("spd", "upto:2", "upto:3", "thd", "set:1,3"):
+                for n in (1, 7, 30, 60):
+                    calls.append(0)
+                    optimize_sizes(spec, DetectionStrategy.parse(key), [n], mode=mode)
         assert 1 <= min(calls) and max(calls) <= 4, calls
 
 
@@ -590,7 +593,7 @@ class TestSeededRoot:
 
     @staticmethod
     def assert_scan_maximum(source, point, key, n, upper, mode):
-        # the report against 20 001 points over the grid cells on either
+        # the report against 20 001 points within upper / 512 on either
         # side of it, as TestKinks scans
         v_r, v_b, v_d = point
         spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=n, source=source)
@@ -600,8 +603,8 @@ class TestSeededRoot:
         j = np.argmax(v)  # the arm of the smallest rescaled mean
         assert report.best_pump.lambdas[j] < upper or mode == "uniform"
         x = report.best_pump.lambdas[j] * v[j]  # the scalar, read off that arm
-        cell = upper / 512
-        xs = np.linspace(max(x - cell, 0.0), min(x + cell, upper), 20_001)
+        width = upper / 512
+        xs = np.linspace(max(x - width, 0.0), min(x + width, upper), 20_001)
         scan = p1_profile_batch(spec, strategy, np.minimum(xs[:, None] / v, upper))
         assert abs(report.best_p1 - scan.max()) <= 1e-12
         assert report.best_p1 >= scan.max() - 1e-15
@@ -635,6 +638,7 @@ class TestSeededRoot:
 
 
 PAST_THE_CUTOFF = [("thermal", 20.0), ("thermal", 1e3), ("poisson", 300.0), ("poisson", 1e3)]
+LARGE_BOUNDS = [300.0, 1e4, 1e8, 1e10, 1e11, 1e12, 1e13, 1e15, 1e50, 1e300, 1.7976931348623157e308]
 
 
 class TestBoundsPastTheSeriesCutoff:
@@ -654,31 +658,77 @@ class TestBoundsPastTheSeriesCutoff:
                 assert dist.probs[1] == report.best_p1
                 assert report.upper_bound_hit == (max(pump.lambdas) >= upper)
 
-    def test_one_parameter_optimum_holds_at_a_large_bound(self):
-        # the optimum sits in the scalar grid's first cell, [0, 39.06], where
-        # the slope at the far end is -3e-15; the first two cells are
-        # tabulated again until the maximum leaves them
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3)
-        default = optimize_uniform(spec, SPD).best_p1  # 0.577 at a mean of 0.993
-        wide = optimize_uniform(spec, SPD, OptimizerSettings(lambda_upper=1e4)).best_p1
-        assert abs(wide - default) <= 1e-12
+    @pytest.mark.parametrize("upper", LARGE_BOUNDS)
+    @pytest.mark.parametrize(
+        "source,point,key,n,mode",
+        [
+            *[
+                (source, (0.9, 0.9, 0.9), "spd", 3, mode)
+                for source in ("poisson", "thermal")
+                for mode in ("uniform", "scaled-reference")
+            ],
+            # 1.08e-8 short at a bound of 1e8 when the root's tolerance was 1e-12 of the bound
+            ("thermal", (0.95, 0.9, 0.9), "thd", 20, "scaled-reference"),
+        ],
+    )
+    def test_one_parameter_optimum_holds_at_very_large_bounds(self, source, point, key, n, mode, upper):
+        # the grid's cells and the root's tolerance around the optimum do not
+        # grow with the bound, so neither does the optimum move
+        v_r, v_b, v_d = point
+        spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=n, source=source)
+        strategy = DetectionStrategy.parse(key)
+        (default,) = optimize_sizes(spec, strategy, [n], mode=mode)
+        (wide,) = optimize_sizes(spec, strategy, [n], OptimizerSettings(lambda_upper=upper), mode)
+        lam, lam_default = wide.best_pump.lambdas[0], default.best_pump.lambdas[0]
+        assert abs(lam - lam_default) <= 1e-12 * lam_default
+        assert abs(wide.best_p1 - default.best_p1) <= 1e-14
 
     @pytest.mark.parametrize(
-        "upper,p1_tol",
-        [(300.0, 1e-14), (1e4, 1e-14), (1e8, 1e-14), (1e10, 1e-6), (1e11, 1e-4), (1e12, 1e-2)],
+        "source,point,key,n,upper",
+        [
+            # headline: 0.19194 against 0.20751 on the linear grid
+            ("poisson", (0.99, 0.98, 0.98), "set:2,28", 40, 300.0),
+            # 0.00487 at a mean of 38.7, against 0.36619 at 1.096
+            ("poisson", (0.9, 0.85, 0.8), "set:2,28", 21, 1e4),
+            # 0.2078 against 0.5369
+            ("thermal", (0.9, 0.85, 0.8), "upto:6", 14, 1e4),
+        ],
+        ids=["headline-300", "poisson-1e4", "thermal-1e4"],
     )
+    def test_uniform_optimum_of_a_size_among_forty_holds(self, source, point, key, n, upper):
+        # every size from 1 to 40 in one search, as find_optimal_n runs them.
+        # On a linear grid the optimum fell inside the first cell, where the
+        # grid read less than at a lower peak further out; so the first two
+        # cells were not tabulated again, and the lower peak was reported
+        v_r, v_b, v_d = point
+        spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1, source=source)
+        strategy = DetectionStrategy.parse(key)
+        sizes = range(1, 41)
+        near = optimize_sizes(spec, strategy, sizes, OptimizerSettings(12.0), "uniform")
+        wide = optimize_sizes(spec, strategy, sizes, OptimizerSettings(upper), "uniform")
+        assert abs(wide[n - 1].best_p1 - near[n - 1].best_p1) <= 1e-14
+
+    def test_headline_uniform_size_search_at_a_huge_bound(self):
+        # the linear grid reported P1 = 0 here
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=1)
+        default = find_optimal_n(spec, SPD, n_ref=100, mode="uniform")
+        huge = find_optimal_n(spec, SPD, OptimizerSettings(1e300), n_ref=100, mode="uniform")
+        assert huge.n_opt == default.n_opt == 17
+        assert abs(huge.p1_max - default.p1_max) <= 1e-14
+
+    @pytest.mark.parametrize("upper", [0.3, 5.0, 300.0, 1e13, 1.7976931348623157e308])
     @pytest.mark.parametrize("mode", ["uniform", "scaled-reference"])
-    @pytest.mark.parametrize("source", ["poisson", "thermal"])
-    def test_one_parameter_optimum_holds_at_very_large_bounds(self, source, mode, upper, p1_tol):
-        # the mean is resolved to the root's tolerance, 1e-12 of the bound,
-        # so from 1e10 P1 falls short by about the square of that; at 1e11
-        # the cells of the last grid must get narrower than the tolerance
-        spec = MultiplexerSpec(v_r=0.9, v_b=0.9, v_d=0.9, n_units=3, source=source)
-        (default,) = optimize_sizes(spec, SPD, [3], mode=mode)
-        (wide,) = optimize_sizes(spec, SPD, [3], OptimizerSettings(lambda_upper=upper), mode)
-        lam, lam_default = wide.best_pump.lambdas[0], default.best_pump.lambdas[0]
-        assert abs(lam - lam_default) <= 1e-12 * upper
-        assert abs(wide.best_p1 - default.best_p1) <= p1_tol
+    def test_one_tabulation_per_search(self, monkeypatch, mode, upper):
+        # no bound tabulates a size again
+        tabulations = count_slope_calls(monkeypatch, slope=False)
+        settings = OptimizerSettings(lambda_upper=upper)
+        for source in ("poisson", "thermal"):
+            spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=1, source=source)
+            for key in ("spd", "upto:2", "set:2,28"):
+                for sizes in ([3], [30], range(1, 61)):
+                    tabulations.append(0)
+                    optimize_sizes(spec, DetectionStrategy.parse(key), sizes, settings, mode)
+        assert tabulations == [1] * len(tabulations)
 
     @pytest.mark.parametrize("source,upper", PAST_THE_CUTOFF)
     def test_per_unit_search_refuses(self, source, upper):
@@ -1148,8 +1198,8 @@ class TestSettingsValidation:
 
     @pytest.mark.parametrize("upper", [5e-324, 2.4e-312, np.nextafter(TINY, 0.0)])
     def test_subnormal_bound_is_refused(self, upper):
-        # a slope root's tolerance, 1e-12 of the bound, underflowed to 0 and
-        # a scaled-reference search never returned
+        # the search grids' cells would be subnormal, and a slope root's
+        # tolerance, at least the smallest normal float, wider than the grid
         with pytest.raises(ParameterError, match="the smallest normal float"):
             OptimizerSettings(lambda_upper=upper)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
@@ -164,6 +164,34 @@ def test_scalar_optimum_is_a_local_maximum(model, n, mode_upper):
         for nearby in (x - h, x + h):
             pump = _scalar_profile(spec, mode, min(max(nearby, 0.0), upper), upper)
             assert single_photon_prob(spec, pump, strategy) <= report.best_p1 + 1e-14, (h, nearby - x)
+
+
+# (v_r, v_b, v_d), source, strategy, a bound and a larger one
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.tuples(st.floats(0.8, 0.99), st.floats(0.8, 0.98), st.floats(0.8, 0.98)),
+    st.sampled_from(["poisson", "thermal"]),
+    st.sampled_from(["spd", "upto:2", "thd", "set:1,3", "set:2,28", "upto:6"]),
+    st.lists(st.floats(-1.0, 308.25), min_size=2, max_size=2).map(sorted),
+)
+# each of these fell short at the larger bound on a linear grid
+@example((0.99, 0.98, 0.98), "poisson", "set:2,28", [math.log10(12.0), math.log10(300.0)])
+@example((0.9, 0.85, 0.8), "poisson", "set:2,28", [math.log10(12.0), 4.0])
+@example((0.9, 0.85, 0.8), "thermal", "upto:6", [math.log10(12.0), 4.0])
+@example((0.99, 0.98, 0.98), "poisson", "spd", [math.log10(5.0), 300.0])
+@example((0.9, 0.9, 0.9), "poisson", "spd", [math.log10(5.0), 13.0])
+def test_uniform_optimum_never_falls_as_the_bound_grows(point, source, key, exponents):
+    # every profile within the smaller bound is within the larger one, so
+    # the larger bound's optimum is at least as high.  Scaled-reference
+    # profiles are capped at the bound, so their family changes with it
+    v_r, v_b, v_d = point
+    spec = MultiplexerSpec(v_r=v_r, v_b=v_b, v_d=v_d, n_units=1, source=source)
+    strategy = DetectionStrategy.parse(key)
+    low, high = (OptimizerSettings(10.0**e) for e in exponents)
+    narrow = optimize_sizes(spec, strategy, range(1, 41), low, "uniform")
+    wide = optimize_sizes(spec, strategy, range(1, 41), high, "uniform")
+    for a, b in zip(narrow, wide):
+        assert b.best_p1 >= a.best_p1 - 2e-15, (a.n_units, a.best_p1, b.best_p1)
 
 
 # ----------------------------------------------------------------------
