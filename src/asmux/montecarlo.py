@@ -1,21 +1,19 @@
 """Direct stochastic simulation of the multiplexed source.
 
-The sampler draws the physical process end to end: pair generation in
-every unit, detector thinning of the idler counts, priority routing to
-the accepted unit with the smallest index, and binomial loss along that
-unit's arm.  Trials are independent and identically distributed, so
-only the number of trials in each group matters, never which trials
-they are: every stage is drawn as binomial splits of group counts
-(Davis, "The computer generation of multinomial random variates",
-CSDA 16, 1993).  A large thinning layer is one array ``binomial`` call
-and a small one is one scalar call per nonzero cell, in the order the
-array call would draw them; both draw the same stream.  A dim unit, whose
-walks are small from their first layer, stays in Python ints from its
-pair histogram to the run's totals.
-Frequencies of the output photon number estimate the same distribution
-the analytic model computes, so the two implementations validate each
-other.  A pump bright enough that a unit may draw 2048 pairs or more is
-refused before any draw.
+The sampler draws the physical process end to end and shares nothing
+with the analytic model but its inputs: pair generation in every unit
+(Poisson or geometric), detector thinning of the idler counts, admission
+by the detection strategy, priority to the admitted unit with the
+smallest index, and binomial loss along that unit's arm.  Trials are
+independent and identically distributed, so the law of the bucket
+counts depends only on how many trials fall in each group, never on
+which ones: the sampler carries group counts, not trials, and draws
+every stage as binomial splits of a count (Davis, "The computer
+generation of multinomial random variates", CSDA 16, 1993).
+:func:`simulate` walks the units, and :func:`_thin` draws each thinning
+walk.  Frequencies of the output photon number estimate the same
+distribution the analytic model computes, so the two implementations
+validate each other.
 """
 from __future__ import annotations
 
@@ -128,7 +126,9 @@ def _check_pair_groups(family: SourceFamily, pump: PumpProfile, trials: int) -> 
     geometric tail (lam / (1 + lam))^G of a thermal source, or for a
     Poisson one the Chernoff bound e^-lam (e lam / G)^G, valid for
     G >= lam (and 1 below it).  Tails grow with the mean, so the largest
-    mean decides.
+    mean decides.  At 1e9 trials this admits thermal means up to about 58
+    and Poisson means up to about 1690; a thermal mean of 50 walks about
+    1050 to 1300 groups.
     """
     g = _MAX_PAIR_GROUPS
     lam = max(pump.lambdas)
@@ -194,9 +194,10 @@ def _thin(rng: np.random.Generator, groups: list[int], p: float, cap: int) -> li
     first layer with at most that many, the walk goes on in Python lists,
     one scalar call per nonzero cell, which skips the array call's fixed
     cost; a walk whose first layer is that small (the usual case on a dim
-    pump) never builds the table.  The array call runs the same routine on each
-    cell in C order (row, then kept count) from the counts before the
-    layer, and draws nothing for an empty cell; the scalar walk keeps
+    pump) never builds the table, and one that switches mid-walk converts
+    its table to lists once.  The array call runs the same routine on
+    each cell in C order (row, then kept count) from the counts before
+    the layer, and draws nothing for an empty cell; the scalar walk keeps
     that order and those counts, so the table and the stream are the
     same.
     """
@@ -261,19 +262,19 @@ def simulate(
     no unit admits count as zero output photons.
 
     A unit walks one pair-number group per pair count up to the largest
-    it draws.  Each thinning walk stops once no trial below its cap is
-    left (:func:`_thin`): the detection walk a few photons past the
-    cap, the arm-loss walk at the last admitted group.  A walk draws its
-    large layers by one array call each and its small ones one cell at a
-    time, which skips the array call's fixed cost.  A dim unit stays in
-    Python ints from its pair histogram to the running totals: its walks
-    start in lists, each Poisson hazard is summed once per run and mean,
-    and most of its time is the scalar draws.  On a bright pump the pair
-    histograms (:func:`_pair_histogram`) are most of the cost.  A pump
-    that may need more than 2048 groups (:func:`_check_pair_groups`) raises
-    :class:`~asmux.exceptions.TruncationError` before any draw.  At 1e9
-    trials that admits thermal means up to about 58 and Poisson means up
-    to about 1690; a thermal mean of 50 walks about 1050 to 1300 groups.
+    it draws, L, so the number of draws depends on N and L, not on the
+    number of trials.  Each thinning walk stops once no trial below its
+    cap is left (:func:`_thin`): the detection walk a few photons past
+    the cap, the arm-loss walk at the last admitted group.  A unit's
+    tables hold a few L x (cap + 1) counts with cap <= L + 1, so there is
+    no chunking and no memory bound to set, and a large ``max_count``
+    costs only its result array.  A dim unit stays in Python ints from
+    its pair histogram to the running totals: its walks start in lists,
+    and each Poisson hazard is summed once per run and mean.  On a bright
+    pump the pair histograms (:func:`_pair_histogram`) are most of the
+    cost.  A pump that may need more than 2048 groups
+    (:func:`_check_pair_groups`) raises
+    :class:`~asmux.exceptions.TruncationError` before any draw.
     """
     _validate_pump(spec, pump)
     _check_pair_groups(spec.source, pump, mc.trials)
@@ -348,7 +349,8 @@ def compare_with_analytic(
     A pump that :func:`simulate` would refuse for its pair-number groups
     (:func:`_check_pair_groups`) raises
     :class:`~asmux.exceptions.TruncationError` here, before the model
-    runs and before any draw.
+    runs and before any draw.  The per-unit search grid's series cutoff
+    plays no part: a thermal mean of 50, past that cutoff, compares.
     """
     _check_pair_groups(spec.source, pump, mc.trials)
     dist = output_distribution(spec, pump, strategy, i_max=mc.max_count)

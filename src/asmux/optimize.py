@@ -1,69 +1,38 @@
 """Maximization of the single-photon probability over pump settings.
 
-Three search spaces are supported: one mean photon number per unit, a
-single mean shared by all units, and a single mean rescaled per unit by
-the inverse arm transmission.  Every optimizer solves a whole set of
-system sizes in one pass.  Arm ``n`` transmits the same in every
-system larger than ``n``; only the last arm, which skips the through
-port, depends on the size N (:mod:`~asmux.multiplexer`).  So one table
-of through arms and one of last arms, over a grid of pump means, serve
-every size.
+Three search spaces (modes) are supported: one mean photon number per
+unit, a single mean shared by all units (uniform), and a single mean
+rescaled per unit by the inverse arm transmission (scaled-reference).
+Every mode searches the means in [0, ``lambda_upper``].
 
-* Per-unit: P1 factorizes along the router chain, and the chance that
-  the tail of the chain delivers does not depend on the pumps before
-  it, so the tail can be maximized first.  One backward pass over the
-  units carries the optimal tail value of every size still open; each
-  stage is a grid argmax refined by the vertex of the parabola through
-  the best grid point and its neighbours.  A stage's table is one
-  product of the open sizes' coefficients (the carried tail, and 1 on
-  the arm the unit feeds) on three grid rows of the unit: no admission,
-  the through arm's one photon, and the last arm's of a size ending
-  there.  A spare coefficient row keeps every product at two rows or
-  more, so none goes to ``gemv``, which rounds differently.  This
-  dynamic program is exact up to the stage refinement.
-* Uniform and scaled-reference: running products and sums over the
-  units give P1 for every grid value and every size at once, on one
-  grid uniform in ``x / (2 + x)``, whose cells around the optimum keep
-  their width at any bound; each size's grid maximum is then refined by
-  a root solve of the slope of P1 on the grid points around it,
-  vectorized over sizes, with the product rule on the running products
-  (:func:`_scalar_profiles`).  The solve starts from the vertex of the
-  parabola through the grid maximum and its neighbours, read with the
-  bracket ends, takes Anderson-Björck steps and stops once a Newton step
-  is within a tolerance relative to the grid cells around it: three or
-  four slope evaluations per single-size search at any bound, the
-  bracket ends included.  In
-  scaled-reference mode arm ``n`` reaches the upper bound at
-  ``x = lambda_upper * V_n``, where the slope jumps, so each bracket is
-  split at these kinks first; every piece is smooth, and the best piece
-  wins, or the kink itself when P1 peaks on it.  A unit's two numbers,
-  its admission probability and its chance of admission with one photon
-  out, are read in closed form with their slopes
-  (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
-  arm (uniform) or ``x / V_n`` (scaled-reference), so neither search
-  builds a pmf row.  One closed-form call covers the through arms and
-  the last arms, which follow them as further columns: every size's
-  last arm on the grid, each lane's own in the root solve.  Every cell
-  is evaluated on its own, so a cell's bits do not depend on the cells
-  beside it.  A rescaled mean grows along the chain and is capped at
-  the upper bound, where it adds no slope.  Only a scaled-reference grid
-  skips the capped cells, in its one call: it evaluates the cells below
-  the bound, then each arm once on the bound, whose values the arm's
-  capped cells share.  A slope call evaluates every arm of its batch in
-  either mode.  No batch reads an arm past the last arm of its largest
-  size.  A root of the slope moves with rounding by about
-  eps |f'| / |f''|, so the optimum does not depend on which sizes share
-  a batch.
+P1 factorizes along the router chain: unit ``n`` delivers its photon
+unless a lower-index unit was admitted.  Arm ``n`` transmits the same in
+every system larger than ``n``; only the last arm, which skips the
+through port, depends on the size N (:mod:`~asmux.multiplexer`).  So one
+table of through arms and one of last arms, over a grid of pump means,
+serve every size, and every mode solves a whole set of sizes in one
+pass, whose work grows with the largest size, not with the number of
+sizes.
+
+* Per-unit: the chance that the tail of the chain delivers does not
+  depend on the pumps before it, so one backward dynamic program over
+  the units, carrying the optimal tail of every size still open, is
+  exact up to its stage refinement (:func:`_per_unit_profiles`).  Only
+  this mode reads pair-number pmf rows, cut at the series cutoff of the
+  upper bound (:func:`_grid_tables`), so only it raises
+  :class:`~asmux.exceptions.TruncationError` for a bound or a strategy
+  that cutoff cannot serve.
+* Uniform and scaled-reference: running products over the units give
+  P1 of every size at every point of one grid, in closed form, and each
+  size's grid maximum is refined by a root solve of the slope of P1
+  (:func:`_scalar_profiles`).  These modes build no pmf row and accept
+  every normal bound.
 
 Reported probabilities are evaluated once for all sizes together, in
-closed form from the units of each size only, as
+closed form from the units of each size only (:func:`_reported_p1`), as
 :func:`~asmux.statistics.single_photon_prob` evaluates them, so every
-report re-evaluates to its ``best_p1`` bit for bit.  Only the per-unit
-search grid cuts the pair-number series, at the cutoff of the upper
-bound (:func:`~asmux.statistics.required_lmax`); a per-unit upper bound
-whose series that rule cannot cut, or a strategy that accepts no count
-within its hard cap, raises :class:`~asmux.exceptions.TruncationError`.
-The one-parameter searches have no such ceiling.
+report re-evaluates to its ``best_p1`` bit for bit.  No search draws a
+random number: a fixed input always gives the same profiles.
 """
 from __future__ import annotations
 
@@ -148,7 +117,11 @@ class OptimizationMode(str, Enum):
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Upper search bound on the pump mean photon numbers; the lower one is 0."""
+    """Upper search bound on the pump mean photon numbers; the lower one is 0.
+
+    A bound that is not finite, or is below the smallest normal float,
+    raises :class:`~asmux.exceptions.ParameterError`.
+    """
 
     lambda_upper: float = 5.0
 
@@ -256,11 +229,13 @@ def _grid_tables(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The per-unit search grid's series cutoff, means and pmf rows.
 
-    The cutoff is that of the upper bound, and at least ``floor``, the
-    smallest count the strategy accepts.  At a small bound the source
-    tail falls below the cutoff's tolerance before that count, and so
-    does P1; a grid cut there holds no admitted count, so every mean on
-    it scores a P1 of 0 and the search returns zeros.
+    The grid holds ``_GRID_POINTS`` means evenly spaced from 0 to the
+    upper bound, so its step grows with the bound.  The cutoff is that of
+    the upper bound, and at least ``floor``, the smallest count the
+    strategy accepts.  At a small bound the source tail falls below the
+    cutoff's tolerance before that count, and so does P1; a grid cut
+    there holds no admitted count, so every mean on it scores a P1 of 0
+    and the search returns zeros.
     """
     # raises on every call: no exception is cached
     l_max = max(required_lmax(family, upper), floor)
@@ -466,6 +441,18 @@ def _scalar_p1(chain: _Chain, xs: np.ndarray, cols: np.ndarray | None = None) ->
     every size; with ``cols``, scalar ``xs[i]`` is taken at size
     ``sizes[cols[i]]`` only, and a second column holds the derivative of
     P1 in the scalar.
+
+    A unit's admission probability and its chance of admission with one
+    photon out are read in closed form, with their slopes
+    (:func:`~asmux.statistics.one_photon_terms`), at mean ``x`` on every
+    arm (uniform) or ``x / V_n`` capped at the bound (scaled-reference,
+    :func:`_rescaled`).  One closed-form call covers the through arms and,
+    as further columns, the last arms: every size's on the grid, each
+    lane's own in a slope call.  No batch reads an arm past the last arm
+    of its largest size.  The grid of the scaled-reference mode shares
+    its capped cells (:func:`_capped_cells`); a slope call evaluates
+    every cell at its own mean, and in that mode multiplies the slopes by
+    d lam / dx: 1 / V_n below the bound (0 where V_n = 0) and 0 on it.
     """
     n_arms = chain.v_through.size + chain.sizes.size
     # about eight closed-form terms per arm and scalar, twice as many with the slope
@@ -535,16 +522,26 @@ def _slope_root(fdf, lo: np.ndarray, hi: np.ndarray, xtol: np.ndarray, seed: np.
     regula falsi with the Anderson-Björck step: an end kept twice in a
     row has its slope scaled by ``1 - d_new / d_old`` (halved if that is
     not positive), so the steps converge superlinearly from either side.
-    While the end that is not rising has a zero slope, as on the plateau
-    where every rescaled mean is capped, the step bisects instead.  Each
-    interval has its own tolerance, ``xtol[i]``, and every step lands at
-    least ``xtol / 2`` inside the bracket.  A lane stops once
+    Each interval has its own tolerance, ``xtol[i]``, and every step
+    lands at least ``xtol / 2`` inside the bracket.  A lane stops once
     the Newton step from its newest secant point, on the chord of the two
     unscaled end slopes, is within ``xtol``, at the point that step
     reaches; or once its bracket is narrower than ``xtol``, at the linear
     root of the slope across it.  Returns the points and, for each, the
     value at the kept end or the larger one at the ends of the last
     bracket.
+
+    Two guards end a lane whose slope is exactly 0 at its falling end.
+    There the step bisects instead: a secant through that end would land
+    on it, clipped to ``xtol / 2`` inside, where a plateau's slope is 0
+    again, and the Newton stop would end the lane there, anywhere on the
+    plateau rather than where the slope stops rising.  The bracket-width
+    stop then ends the bisecting lane.  No search of this module has been
+    seen to reach either guard: since :func:`_split_at_kinks`, a piece on
+    which every rescaled mean is capped has a zero slope at ``lo`` too,
+    so it keeps that end and never goes live.  The guards stay for a
+    slope that is exactly 0 at its falling end, which the tests drive
+    with a synthetic slope.
 
     ``seed[i]`` guesses the root of interval ``i``, or is NaN for none.  A
     seed at least ``xtol / 2`` inside its interval is read in the call
@@ -615,9 +612,12 @@ def _split_at_kinks(chain: _Chain, lo: np.ndarray, hi: np.ndarray):
 
     In scaled-reference mode arm ``n`` reaches the upper bound at
     ``x = lambda_upper * V_n`` and stops adding slope; the uniform mode
-    has no kinks.  Returns the ends of every piece, in order of size and
-    then of ``x``; the ends nudged into the piece by ``_NUDGE``, where its
-    one-sided slopes are read; and the column of each piece's size.
+    has no kinks.  The best piece wins, or the kink itself when P1 peaks
+    on it: the piece above such a kink is not rising at its ``lo`` and
+    keeps that end (:func:`_slope_root`).  Returns the ends of every
+    piece, in order of size and then of ``x``; the ends nudged into the
+    piece by ``_NUDGE``, where its one-sided slopes are read; and the
+    column of each piece's size.
     Pieces between kinks closer than two nudges read the same point at
     both ends.
     """
@@ -663,7 +663,9 @@ def _scalar_profiles(chain: _Chain) -> np.ndarray:
     so a single-size search takes three or four slope calls, not five.
     Each root's tolerance is ``_XTOL * (G - 1) / 2`` times the width of
     its size's grid bracket, and at least the smallest normal float, so
-    it too follows the cells around the optimum, not the bound.
+    it too follows the cells around the optimum, not the bound.  A root
+    of the slope moves with rounding by about eps |f'| / |f''|, so the
+    optimum does not depend on which sizes share a batch.
     """
     sizes = chain.sizes
     cols = np.arange(sizes.size)
@@ -918,8 +920,10 @@ def stability_interval(
     rung >= 10).  Each edge then bisects the bracket below its first
     failed rung alone, one call per _BISECT_DEPTH levels: the call tests
     every midpoint those levels may reach, and the edge follows one path.
-    P1 is a closed form at every shift, so a row's value does not depend
-    on the rows that share its call.
+    P1 is a closed form at every shift, so no shift fails and a row's
+    value does not depend on the rows that share its call.  A NaN
+    baseline raises :class:`~asmux.exceptions.ParameterError`; a baseline
+    of +inf gives an empty interval, and one of -inf holds at every shift.
     """
     _check_resolution(resolution)
     if math.isnan(baseline_p1):

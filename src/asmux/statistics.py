@@ -6,11 +6,14 @@ heralding through a detector of efficiency ``v_d``, and binomial photon
 loss along the multiplexer arm of the unit that wins priority.  Priority
 goes to the accepted unit with the smallest index, i.e. the one with the
 smallest loss.  The evaluators compose these stages exactly, in closed
-form per unit, with no pair-number series.  Only the optimizers'
-per-unit search grid reads pair-number pmf rows, cut where the source
-tail of the upper search bound falls below 1e-12, and never beyond 400
-pairs (:func:`required_lmax`).  One count law (:func:`_count_pmf`)
-gives those rows, the Poisson tails of that cutoff and the evaluators'
+form per unit, with no pair-number series, and take no truncation
+setting: each series over the accepted counts stops once its terms fall
+below double precision, so the work follows the probability mass, not
+the largest accepted count.  Only the optimizers' per-unit search grid
+reads pair-number pmf rows, cut where the source tail of the upper
+search bound falls below 1e-12, and never beyond 400 pairs
+(:func:`required_lmax`).  One count law (:func:`_count_pmf`) gives
+those rows, the Poisson tails of that cutoff and the evaluators'
 kept-photon counts, and one chain sum (:func:`_chain`) runs every sum
 over the units.
 """
@@ -251,7 +254,8 @@ def required_lmax(family: SourceFamily | str, lam: float) -> int:
     (lam / (1 + lam))^(l+1), so its cutoff is a closed form.  The Poisson
     tails up to the cap sum one fixed pmf row (:func:`_count_pmf`), counts
     0..1200, from its far end, never as ``1 - cdf``; a mean at or above
-    the cap (a tail of about one half there) raises before any sum.  A
+    the cap (a tail of about one half there) raises before any sum.  The
+    tolerance and the cap are constants: no option changes the rule.  A
     mean that is not finite or is negative raises :class:`ParameterError`,
     and one that cannot be cut within the cap raises :class:`TruncationError`.
     """
@@ -349,6 +353,7 @@ def acceptance_weights(
 def transmit_one_weights(v: np.ndarray, l_max: int) -> np.ndarray:
     """Probability that exactly one of ``l`` photons survives each arm.
 
+    The closed form l v (1 - v)^(l - 1), in place of a binomial pmf.
     Returns an (n_arms, l_max+1) matrix; the exponent is clipped so the
     lossless arm (v = 1) stays finite at l = 0.
     """
@@ -543,7 +548,8 @@ def one_photon_terms(
     source and negative-multinomial for a thermal one, so each value is a
     prefactor times a series over the accepted counts, summed until its
     terms fall below double precision.  There is no pair-number series
-    and no cutoff on it.
+    and no cutoff on it.  Threshold detection takes the complement of
+    J = 0 in positive terms.
     """
     family = SourceFamily.coerce(family)
     lam, v = np.asarray(lam, dtype=float), np.asarray(v, dtype=float)
@@ -745,7 +751,9 @@ def output_distribution(
     Probabilities for 0..i_max output photons are returned with the
     probability of more than ``i_max``, summed from positive terms until
     they fall below double precision.  The work and memory follow the
-    probability mass, not ``i_max``.
+    probability mass, not ``i_max``: a larger ``i_max`` only appends the
+    entries that move out of ``truncation_mass``, and zeros past the
+    float range.
     """
     message = f"i_max must be in [1, {_COUNT_LIMIT}), got {i_max}"
     i_max = _integer(i_max, "i_max", 1, _COUNT_LIMIT, message)

@@ -331,3 +331,39 @@ def test_criterion_8_suboptimal_size_enhancement():
         f"per-unit-uniform gap in [{min(gaps.values()):.4f}, {max(gaps.values()):.4f}] "
         f"for N=9..13 (all >0.01), p1(N=11)={per_unit[11]:.4f} (0.846±0.003)",
     )
+
+
+# optimal sizes at the state-of-the-art point, n_ref 100: (source, strategy)
+# -> (per-unit n_opt, uniform n_opt), each within criterion 1's +-1
+SYSTEM_SIZES = {
+    ("poisson", "spd"): (16, 17),
+    ("poisson", "upto:2"): (30, 44),
+    ("poisson", "thd"): (31, 45),
+    ("thermal", "spd"): (24, 24),
+    ("thermal", "upto:2"): (38, 57),
+    ("thermal", "thd"): (43, 62),
+}
+
+
+def test_criterion_9_unit_wise_means_need_no_more_units():
+    # the paper: unit-wise means "can result in the decrease of the optimal
+    # system size", so a decrease is required somewhere, not everywhere
+    found, fails = [], []
+    for (source, key), targets in SYSTEM_SIZES.items():
+        spec = MultiplexerSpec(v_r=0.99, v_b=0.98, v_d=0.98, n_units=1, source=source)
+        strategy = DetectionStrategy.parse(key)
+        sizes = tuple(
+            find_optimal_n(spec, strategy, SETTINGS, n_ref=100, mode=mode).n_opt
+            for mode in (OptimizationMode.PER_UNIT, OptimizationMode.UNIFORM)
+        )
+        found.append(sizes)
+        if sizes[0] > sizes[1] or any(abs(n - t) > 1 for n, t in zip(sizes, targets)):
+            fails.append(f"{source} {key}: per-unit/uniform {sizes[0]}/{sizes[1]} "
+                         f"(targets {targets[0]}/{targets[1]}, +-1)")
+    decreases = sum(per_unit < uniform for per_unit, uniform in found)
+    _criterion(
+        9,
+        not fails and decreases >= 1,
+        "; ".join(fails) or f"per-unit n_opt <= uniform n_opt in all {len(found)} cases, "
+        f"smaller in {decreases}",
+    )

@@ -1,15 +1,12 @@
 import csv
 import itertools
 import math
-import re
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import asmux.experiments
-from asmux.cli import _COMMANDS
 from asmux.exceptions import ParameterError
 from asmux.experiments import (
     _READERS,
@@ -137,19 +134,6 @@ class TestRows:
             assert parsed.mode == original.mode
         text = path.read_text()
         assert text.startswith("# purpose")
-
-    def test_readme_documents_the_csv_columns(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("\n## CSV columns\n", 1)[1]
-        block = section.split("```", 2)[1]
-        assert tuple(block.replace(",", " ").split()) == CSV_COLUMNS
-
-    def test_readme_documents_every_flag(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        flags = {option.flag for _, _, options in _COMMANDS.values() for option in options}
-        # a flag counts only as a whole word: "--n" inside "--n-ref" does not
-        missing = [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", readme)]
-        assert missing == []
 
     def test_json_embeds_config(self, tmp_path):
         import json

@@ -1,4 +1,15 @@
-"""Property tests of the model and the all-sizes optimizer over random models."""
+"""Property tests of the model and the all-sizes optimizer over random models.
+
+In every pump mode and under search bounds that cap many means, the
+all-sizes pass agrees with single-size optimization and with the
+canonical evaluator, the per-unit optimum dominates the two restricted
+modes at every size, every distribution completes to one with its
+truncation mass, and threshold detection differs from accepting up to
+the series cutoff of the largest mean by at most that series' tail.  A
+``p1_profile_batch`` row, the reported P1 of every size,
+``single_photon_prob`` and ``output_distribution``'s ``probs[1]`` are
+equal bit for bit, on the optimizers' profiles and on random ones.
+"""
 import math
 
 import numpy as np

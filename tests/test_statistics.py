@@ -812,6 +812,22 @@ def _enumerate(units, i_max):
 
 
 class TestExactEnumeration:
+    """``output_distribution`` against an uncut oracle of up to three units.
+
+    Per unit the oracle sums every (pairs, detected idlers, surviving
+    signals) outcome directly, to a pair number whose source tail is
+    below 1e-40, into the chance of no admission and of admission with
+    each photon count.  It then walks every joint pattern of admitted and
+    quiet units: the admitted unit of lowest index wins and delivers its
+    photons, with no prefix products.  Thermal sources with rational
+    means up to 1/4 and rational losses give exact ``Fraction``
+    probabilities; Poisson sources are summed with ``math.fsum``.  Every
+    ``probs[i]`` and the mass beyond ``i_max`` agree to a relative 1e-13
+    for ``spd``, ``thd``, ``upto:2``, ``set:1,3`` and a unit with zero
+    pump.  A model that gives priority to the last unit, or that applies
+    arm loss to the detected pairs, fails every case.
+    """
+
     @pytest.mark.parametrize("source", ["thermal", "poisson"])
     @pytest.mark.parametrize(
         "case", _ENUMERATION_CASES, ids=["spd", "thd-i_max-3", "upto:2", "set:1,3", "zero-pump"]
